@@ -103,7 +103,7 @@ def cmd_verify(args) -> int:
         print(f"parameter error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     cfg = SuiteConfig(max_size=args.max_size, window=args.window, degree=args.degree,
-                      tol=params.tol, seed=params.seed)
+                      seed=params.seed)
     reports: list[RelationReport] = []
     try:
         if args.suite in ("fock", "all"):
@@ -112,7 +112,7 @@ def cmd_verify(args) -> int:
             reports += vector_suite(params, args.N, args.k, cfg)
         if args.suite in ("heisenberg", "all"):
             reports += heisenberg_suite(params, args.type, degree=args.degree,
-                                        window=args.window, cfg=cfg)
+                                        window=args.window)
         if args.suite in ("level1", "all"):
             reports += level1_suite(params, args.type, args.a, degree=args.degree,
                                     window=args.window, cfg=cfg)

@@ -18,7 +18,8 @@ import cmath
 import random
 from dataclasses import dataclass
 
-from .boson import BosonAlgebra, VACUUM, basis_states, state_degree
+from .boson import (BosonAlgebra, VACUUM, accumulate, basis_states, state_degree,
+                    vector_residual)
 from .cartan import CartanData, Cocycle, DynWeight, cartan_data, cocycle_build
 from .ellcore import Params, poch_pairs_series, theta_coefficient
 
@@ -30,6 +31,13 @@ class LatticeVector:
     beta: tuple[int, ...]
     fundamental: int
     weight: DynWeight
+
+    def __post_init__(self):
+        # every module-vector key holds one: hash the fields once, not per lookup
+        object.__setattr__(self, "_hash", hash((self.beta, self.fundamental, self.weight)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def highest(cls, data: CartanData, a: int) -> "LatticeVector":
@@ -54,6 +62,8 @@ class Level1Module:
         self.params = params
         self.cocycle: Cocycle = cocycle_build(data)
         self.boson = BosonAlgebra(data, params, level=1)
+        # one object per lattice vector, so equal keys compare by identity
+        self._lattice: dict[LatticeVector, LatticeVector] = {}
 
     @classmethod
     def make(cls, type_tag: str, a: int, params: Params) -> "Level1Module":
@@ -90,11 +100,8 @@ class Level1Module:
         else:
             exp = -n + 1
             wt = v.weight.shifted(j, -1, 0)
-        return exp, LatticeVector(beta2, v.fundamental, wt), coeff
-
-    def kpm_exponent(self, sign: int, i: int, v: LatticeVector) -> int:
-        """q-exponent of K+-_i on v (the R_Q shift -Q_i is uniform)."""
-        return sign * self.pair_h(v, i)
+        lv2 = LatticeVector(beta2, v.fundamental, wt)
+        return exp, self._lattice.setdefault(lv2, lv2), coeff
 
     def level_exponent(self) -> int:
         """q-exponent of prod_i (K+_i)^{colabel_i}: constant on the module."""
@@ -110,17 +117,18 @@ class Level1Module:
         Returns {z_exponent: vector}; entries are exact for exponents in
         [zmin, zmax].  ``out_cap`` bounds the boson degree of the output.
         """
-        out: dict[int, dict] = {}
+        by_lattice: dict[LatticeVector, dict] = {}  # image lattice vector -> boson part
         for (bst, lv), co in vec.items():
             exp0, lv2, cocy = self.z_apply(sign, i, lv)
             bmap = self.boson.apply_current_boson(sign, i, {bst: co * cocy},
                                                   zmin - exp0, zmax - exp0, out_cap)
+            zmap = by_lattice.setdefault(lv2, {})
             for be, bvec in bmap.items():
-                ze = be + exp0
-                if zmin <= ze <= zmax:
-                    tgt = out.setdefault(ze, {})
-                    for bst2, c in bvec.items():
-                        tgt[(bst2, lv2)] = tgt.get((bst2, lv2), 0j) + c
+                accumulate(zmap.setdefault(be + exp0, {}), bvec)
+        out: dict[int, dict] = {}
+        for lv2, zmap in by_lattice.items():
+            for ze, bvec in zmap.items():
+                out.setdefault(ze, {}).update({(bst, lv2): c for bst, c in bvec.items()})
         return out
 
     def highest_vector(self) -> dict:
@@ -180,11 +188,8 @@ def check_zalg1(mod: Level1Module, samples: int, rng: random.Random,
                             path_b: dict = {}
                             for st2, c in mod.boson.apply_mode(i, m, {st: 1.0 + 0j}).items():
                                 ze_b, lv2_b, zco_b = mod.z_apply(sign, j, lv)
-                                key = (st2, lv2_b, ze_b)
-                                path_b[key] = path_b.get(key, 0j) + c * zco_b
-                            for key in set(path_a) | set(path_b):
-                                diff = path_a.get(key, 0j) - path_b.get(key, 0j)
-                                worst = max(worst, abs(diff))
+                                path_b[st2, lv2_b, ze_b] = c * zco_b
+                            worst = max(worst, vector_residual(path_a, path_b))
     return worst
 
 
@@ -193,11 +198,13 @@ def check_zalg2(mod: Level1Module, samples: int, rng: random.Random,
     """Quadratic Z+-Z+- exchange, coefficient-wise in the exponent window.
 
     The Pochhammer-ratio prefactors telescope to polynomials of degree at
-    most three, so every (z, w)-coefficient of both sides is reached.
+    most three, so every (z, w)-coefficient of both sides is reached once the
+    series run to order max(window, 3).
     """
     params = mod.params
     q, kappa = params.q, params.kappa
     s = q ** 2  # q^{2k} at k = 1
+    order = max(window, 3)
     worst = 0.0
     data = mod.data
     for v in mod.sample_vectors(samples, rng):
@@ -206,21 +213,19 @@ def check_zalg2(mod: Level1Module, samples: int, rng: random.Random,
                 for j in data.index_set:
                     b, mm = data.b(i, j), data.m[i][j]
                     cl = _ratio_series(q ** (-b) * kappa ** (-mm),
-                                       s * q ** b * kappa ** (-mm), s, window)
+                                       s * q ** b * kappa ** (-mm), s, order)
                     cr = _ratio_series(q ** (-b) * kappa ** mm,
-                                       s * q ** b * kappa ** mm, s, window)
+                                       s * q ** b * kappa ** mm, s, order)
                     ew, v1, c1 = mod.z_apply(sign, j, v)
                     ez, v2, c2 = mod.z_apply(sign, i, v1)
                     ezb, v1b, c1b = mod.z_apply(sign, i, v)
                     ewb, v2b, c2b = mod.z_apply(sign, j, v1b)
                     assert v2.beta == v2b.beta and v2.weight == v2b.weight
                     lhs = {(ez + 1 - n, ew + n): cl[n] * c1 * c2
-                           for n in range(window + 1)}
+                           for n in range(order + 1)}
                     rhs = {(ezb + n, ewb + 1 - n): -kappa ** (-mm) * cr[n] * c1b * c2b
-                           for n in range(window + 1)}
-                    for key in set(lhs) | set(rhs):
-                        a_, b_ = lhs.get(key, 0j), rhs.get(key, 0j)
-                        worst = max(worst, abs(a_ - b_) / (1 + abs(a_)))
+                           for n in range(order + 1)}
+                    worst = max(worst, vector_residual(lhs, rhs))
     return worst
 
 
@@ -254,10 +259,8 @@ def check_zalg3(mod: Level1Module, samples: int, rng: random.Random,
                 assert ez + ew == ezb + ewb  # total degree conservation
                 # the w-exponent is determined by the z-exponent, so key on z
                 lhs: dict = {}
-                for n in range(depth + 1):
-                    lhs[ez - n] = lhs.get(ez - n, 0j) + c1[n] * co1 * co2
-                for n in range(depth + 1):
-                    lhs[ezb + n] = lhs.get(ezb + n, 0j) - c2[n] * co1b * co2b
+                accumulate(lhs, {ez - n: c1[n] * co1 * co2 for n in range(depth + 1)})
+                accumulate(lhs, {ezb + n: c2[n] * co1b * co2b for n in range(depth + 1)}, -1)
                 nb = mod.pair_h(v, i)
                 for e in range(ez - depth, ezb + depth + 1):
                     a_ = lhs.get(e, 0j)
@@ -381,17 +384,15 @@ def check_zalgebra(rel_id: str, mod: Level1Module, samples: int = 20,
                    window: int = 6, seed: int | None = None) -> float:
     """Residual of one Z-algebra relation on sampled module vectors."""
     rng = random.Random(mod.params.seed if seed is None else seed)
-    if rel_id == "zalg1":
-        return check_zalg1(mod, samples, rng)
-    if rel_id == "zalg2":
-        return check_zalg2(mod, max(4, samples // 3), rng, window)
-    if rel_id == "zalg3":
-        return check_zalg3(mod, max(4, samples // 3), rng, window)
-    if rel_id == "zalg4":
-        return check_zalg_serre(mod, +1, max(10, samples), rng)
-    if rel_id == "zalg5":
-        return check_zalg_serre(mod, -1, max(10, samples), rng)
-    raise ValueError(f"unknown Z-algebra relation {rel_id!r}")
+    few, many = max(4, samples // 3), max(10, samples)
+    checks = {"zalg1": lambda: check_zalg1(mod, samples, rng),
+              "zalg2": lambda: check_zalg2(mod, few, rng, window),
+              "zalg3": lambda: check_zalg3(mod, few, rng, window),
+              "zalg4": lambda: check_zalg_serre(mod, +1, many, rng),
+              "zalg5": lambda: check_zalg_serre(mod, -1, many, rng)}
+    if rel_id not in checks:
+        raise ValueError(f"unknown Z-algebra relation {rel_id!r}")
+    return checks[rel_id]()
 
 
 # ---------------------------------------------------------------------------
@@ -428,30 +429,23 @@ def check_mode_current_bracket(mod: Level1Module, i: int, j: int, sign: int,
                 * q ** (-m) * kappa ** (-m * mm)
         else:
             coeff = -(alg.qnum(b * m) / m) * kappa ** (-m * mm)
-        lhs: dict[int, dict] = {}
-        for ze, v1 in cur.items():
-            tgt: dict = {}
-            for (bst, lv), c in v1.items():
-                for bst2, c2 in alg.apply_mode(i, m, {bst: c}).items():
-                    tgt[(bst2, lv)] = tgt.get((bst2, lv), 0j) + c2
-            if tgt:
-                lhs[ze] = tgt
-        pre: dict = {}
-        for (bst, lv), c in vec.items():
-            for bst2, c2 in alg.apply_mode(i, m, {bst: c}).items():
-                pre[(bst2, lv)] = pre.get((bst2, lv), 0j) + c2
+        lhs = {ze: v2 for ze, v1 in cur.items() if (v2 := _mode_on_module(alg, i, m, v1))}
+        pre = _mode_on_module(alg, i, m, vec)
         if pre:
             for ze, v2 in mod.current_apply(sign, j, pre, -wide, wide).items():
-                tgt = lhs.setdefault(ze, {})
-                for k, c in v2.items():
-                    tgt[k] = tgt.get(k, 0j) - c
+                accumulate(lhs.setdefault(ze, {}), v2, -1)
         for ze in range(-window, window + 1):
             acc = {k: coeff * c for k, c in cur.get(ze - m, {}).items()}
-            left = lhs.get(ze, {})
-            for k in set(left) | set(acc):
-                a_, b_ = left.get(k, 0j), acc.get(k, 0j)
-                worst = max(worst, abs(a_ - b_) / (1 + abs(a_)))
+            worst = max(worst, vector_residual(lhs.get(ze, {}), acc))
     return worst
+
+
+def _mode_on_module(alg: BosonAlgebra, i: int, m: int, vec: dict) -> dict:
+    """a_{i,m} on {(boson state, lattice vector): coeff}."""
+    out: dict = {}
+    for (bst, lv), c in vec.items():
+        accumulate(out, {(b2, lv): c2 for b2, c2 in alg.apply_mode(i, m, {bst: c}).items()})
+    return out
 
 
 def check_xx_quadratic_level1(mod: Level1Module, sign: int, i: int, j: int,
@@ -476,34 +470,24 @@ def check_xx_quadratic_level1(mod: Level1Module, sign: int, i: int, j: int,
     latmin = min(min(mod.z_apply(sign, c, lv)[0] for c in (i, j))
                  for (_, lv) in vec) - 3
     out_cap = indeg + 2 * window + 1 - 2 * latmin
-    op1: dict = {}
-    for we, v1 in mod.current_apply(sign, j, vec, -wide, wide).items():
-        for ze, v2 in mod.current_apply(sign, i, v1, -wide, wide, out_cap).items():
-            tgt = op1.setdefault((ze, we), {})
-            for k, c in v2.items():
-                tgt[k] = tgt.get(k, 0j) + c
-    op2: dict = {}
-    for ze, v1 in mod.current_apply(sign, i, vec, -wide, wide).items():
-        for we, v2 in mod.current_apply(sign, j, v1, -wide, wide, out_cap).items():
-            tgt = op2.setdefault((ze, we), {})
-            for k, c in v2.items():
-                tgt[k] = tgt.get(k, 0j) + c
+    op1 = {(ze, we): v2
+           for we, v1 in mod.current_apply(sign, j, vec, -wide, wide).items()
+           for ze, v2 in mod.current_apply(sign, i, v1, -wide, wide, out_cap).items()}
+    op2 = {(ze, we): v2
+           for ze, v1 in mod.current_apply(sign, i, vec, -wide, wide).items()
+           for we, v2 in mod.current_apply(sign, j, v1, -wide, wide, out_cap).items()}
     cc1 = q ** b * kappa ** (-mm)
     cc2 = q ** b * kappa ** mm
     worst = 0.0
     for A in range(-window, window + 1):
         for B in range(-window, window + 1):
-            accL: dict = {}
-            accR: dict = {}
+            accL, accR = {}, {}
             for n in range(-theta_terms, theta_terms + 1):
                 tn = theta_coefficient(n, base)
-                for k, c in op1.get((A - 1 + n, B - n), {}).items():
-                    accL[k] = accL.get(k, 0j) + tn * cc1 ** n * c
-                for k, c in op2.get((A - n, B - 1 + n), {}).items():
-                    accR[k] = accR.get(k, 0j) - kappa ** (-mm) * tn * cc2 ** n * c
-            for k in set(accL) | set(accR):
-                a_, b_ = accL.get(k, 0j), accR.get(k, 0j)
-                worst = max(worst, abs(a_ - b_) / (1 + abs(a_)))
+                accumulate(accL, op1.get((A - 1 + n, B - n), {}), tn * cc1 ** n)
+                accumulate(accR, op2.get((A - n, B - 1 + n), {}),
+                            -kappa ** (-mm) * tn * cc2 ** n)
+            worst = max(worst, vector_residual(accL, accR))
     return worst
 
 
@@ -518,17 +502,11 @@ def check_highest_weight(mod: Level1Module, window: int = 6) -> float:
     worst = 0.0
     for i in mod.data.index_set:
         plus = mod.current_apply(+1, i, v, -window, 0)
-        for ze, vv in plus.items():
-            if ze <= 0:
-                worst = max(worst, max((abs(c) for c in vv.values()), default=0.0))
         minus = mod.current_apply(-1, i, v, -window, -1)
-        for ze, vv in minus.items():
-            if ze < 0:
-                worst = max(worst, max((abs(c) for c in vv.values()), default=0.0))
-        for m in range(1, 4):
-            for (bst, lv), c in v.items():
-                got = mod.boson.apply_mode(i, m, {bst: c})
-                worst = max(worst, max((abs(x) for x in got.values()), default=0.0))
+        killed = ([vv for ze, vv in plus.items() if ze <= 0]
+                  + [vv for ze, vv in minus.items() if ze < 0]
+                  + [_mode_on_module(mod.boson, i, m, v) for m in range(1, 4)])
+        worst = max([worst] + [abs(c) for vv in killed for c in vv.values()])
     return worst
 
 

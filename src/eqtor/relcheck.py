@@ -45,7 +45,6 @@ class SuiteConfig:
     z_samples: int = 10
     window: int = 6
     degree: int = 4
-    tol: float = 1e-8
     guard: float = 1e-4
     seed: int = 20240801
 
@@ -78,23 +77,29 @@ class RelationReport:
         self.skipped += 1
 
     def to_json_dict(self) -> dict:
+        """Plain JSON types only: mpmath scalars of a high-precision run become floats."""
         p = self.params
+
+        def pair(z) -> list[float]:
+            z = complex(z)
+            return [z.real, z.imag]
+
         return {
             "relation_id": self.relation_id,
             "rep": self.rep,
             "params": {
-                "q": [p.q.real, p.q.imag],
-                "kappa": [p.kappa.real, p.kappa.imag],
-                "p": [p.p.real, p.p.imag],
-                "u": [p.u.real, p.u.imag],
+                "q": pair(p.q),
+                "kappa": pair(p.kappa),
+                "p": pair(p.p),
+                "u": pair(p.u),
                 "level_k": p.level_k,
                 "trunc_M": p.trunc_M,
-                "tol": p.tol,
+                "tol": float(p.tol),
                 "seed": p.seed,
             },
             "samples": self.samples,
             "skipped": self.skipped,
-            "max_residual": self.max_residual,
+            "max_residual": float(self.max_residual),
             "worst_case": self.worst_case,
             "status": self.status,
             "notes": self.notes,
@@ -524,9 +529,8 @@ def pair_classes(data) -> list[tuple[int, int]]:
 
 
 def heisenberg_suite(params: Params, type_tag: str, degree: int = 4,
-                     window: int = 6, cfg: SuiteConfig | None = None) -> list[RelationReport]:
+                     window: int = 6) -> list[RelationReport]:
     """All dressing-exchange relations on the boson module at level one."""
-    cfg = cfg or SuiteConfig(degree=degree, window=window)
     data = cartan_data(type_tag)
     alg = BosonAlgebra(data, params.with_level(1), level=1)
     pairs = pair_classes(data)

@@ -1,7 +1,12 @@
-import pytest
+from dataclasses import replace
 
-from eqtor.boson import (BosonAlgebra, EXCHANGE_IDS, VACUUM, basis_states,
-                         check_exchange, state_add_mode, state_degree)
+import pytest
+from boson_oracle import OracleBoson, as_tuples
+
+from eqtor import boson
+from eqtor.boson import (MAX_DEGREE, BosonAlgebra, DegreeOverflowError, EXCHANGE_IDS,
+                         VACUUM, basis_states, check_exchange, mode_unit, state_add_mode,
+                         state_degree, state_modes)
 from eqtor.cartan import cartan_data
 from eqtor.ellcore import Params, WindowOverflowError
 
@@ -38,7 +43,7 @@ def test_commutator_value_on_module():
     for i in range(3):
         for j in range(3):
             st = state_add_mode(VACUUM, j, 2)
-            got = alg.apply_annihilation(i, 2, {st: 1.0 + 0j})
+            got = alg.apply_mode(i, 2, {st: 1.0 + 0j})
             want = alg.mode_commutator(i, 2, j, -2)
             if want == 0:
                 assert got == {} or abs(got.get(VACUUM, 0)) < 1e-16
@@ -54,10 +59,10 @@ def test_level_zero_bracket_vanishes():
 
 def test_annihilation_on_vacuum_and_leibniz():
     alg = make_alg()
-    assert alg.apply_annihilation(0, 1, {VACUUM: 1.0 + 0j}) == {}
+    assert alg.apply_mode(0, 1, {VACUUM: 1.0 + 0j}) == {}
     # two-factor state: derivation gives two terms
     st = state_add_mode(state_add_mode(VACUUM, 0, 1), 1, 1)
-    out = alg.apply_annihilation(0, 1, {st: 1.0 + 0j})
+    out = alg.apply_mode(0, 1, {st: 1.0 + 0j})
     assert len(out) == 2
     s0 = state_add_mode(VACUUM, 0, 1)
     s1 = state_add_mode(VACUUM, 1, 1)
@@ -135,8 +140,118 @@ def test_exchange_relations_small_window(rel_id):
     assert check_exchange(rel_id, alg, 0, 1, max_degree=2, window=3) < 1e-10
 
 
+# -- mutation table: every exchange relation can fail --------------------------
+
+def _swap_coefficient(rel):
+    return replace(rel, comm_coeff="plain_plus" if rel.comm_coeff == "full_minus" else "full_minus")
+
+
+def _invert_first_pair(rel):
+    (s1, *rest), *others = rel.kernel
+    return replace(rel, kernel=((-s1, *rest), *others))
+
+
+def _shift_first_pair(rel):
+    (s1, ke, *rest), *others = rel.kernel
+    return replace(rel, kernel=((s1, ke + 1, *rest), *others))
+
+
+def _row(edit):
+    """Mutate the relation's own row of the exchange table."""
+    def mutate(monkeypatch, rel_id):
+        table = [edit(r) if r.rel_id == rel_id else r for r in boson._EXCHANGE_TABLE]
+        monkeypatch.setattr(boson, "_EXCHANGE_TABLE", table)
+    return mutate
+
+
+def _scaled(method):
+    """Scale a coefficient of the module action by 1.01 for every mode."""
+    def mutate(monkeypatch, rel_id):
+        orig = getattr(BosonAlgebra, method)
+        monkeypatch.setattr(BosonAlgebra, method, lambda self, m: 1.01 * orig(self, m))
+    return mutate
+
+
+EXCHANGE_MUTANTS = {
+    1: _row(_swap_coefficient), 2: _scaled("ecoef"),
+    3: _row(_swap_coefficient), 4: _scaled("prime_scale"),
+    5: _row(_invert_first_pair), 6: _scaled("prime_scale"),
+    7: _row(_shift_first_pair), 8: _row(_invert_first_pair),
+    9: _scaled("ecoef"), 10: _row(_shift_first_pair),
+    11: _row(_invert_first_pair), 12: _scaled("ecoef"),
+    13: _row(_shift_first_pair), 14: _row(_invert_first_pair),
+    15: _scaled("prime_scale"), 16: _row(_shift_first_pair),
+}
+
+
+@pytest.mark.parametrize("rel_id", EXCHANGE_IDS)
+def test_exchange_mutant_turns_red(rel_id, monkeypatch):
+    # the unmutated relation is < 1e-10 here (test_exchange_relations_small_window)
+    assert set(EXCHANGE_MUTANTS) == set(EXCHANGE_IDS)
+    EXCHANGE_MUTANTS[rel_id](monkeypatch, rel_id)
+    assert check_exchange(rel_id, make_alg(), 0, 1, max_degree=2, window=3) > 1e-8
+
+
 def test_basis_states_enumeration():
     states = basis_states((0, 1), 2)
     assert VACUUM in states
     assert len(states) == 1 + 2 + 5  # degrees 0, 1, 2 with two colors
     assert all(state_degree(s) <= 2 for s in states)
+    # ordered by degree, then as the sorted ((color, m), multiplicity) tuples
+    keys = [(state_degree(s), state_modes(s)) for s in states]
+    assert keys == sorted(keys)
+    assert state_modes(states[-1]) == (((1, 2), 1),)
+
+
+def test_packed_state_arithmetic():
+    st = state_add_mode(state_add_mode(state_add_mode(VACUUM, 2, 3), 0, 1), 2, 3)
+    assert state_degree(st) == 7
+    assert state_modes(st) == (((0, 1), 1), ((2, 3), 2))
+    assert st - mode_unit(2, 3) == state_add_mode(state_add_mode(VACUUM, 0, 1), 2, 3)
+    # the largest multiplicity a field can hold stays inside it
+    full = VACUUM
+    for _ in range(MAX_DEGREE):
+        full = state_add_mode(full, 0, 1)
+    assert state_modes(full) == (((0, 1), MAX_DEGREE),)
+    with pytest.raises(DegreeOverflowError):
+        state_add_mode(full, 1, 1)
+    with pytest.raises(DegreeOverflowError):
+        make_alg().apply_E(-1, "a", 0, {full: 1.0 + 0j}, MAX_DEGREE + 1, 1)
+
+
+# -- the packed closed-form engine against the sorted-tuple oracle ------------
+
+ORACLE_VECS = [{st: 1.0 + 0j} for st in basis_states((0, 1), 3)] + [
+    {st: complex(1 + n, -0.5 * n) for n, st in enumerate(basis_states((0, 1, 2), 2))}]
+
+
+def assert_matches_oracle(got, want):
+    """Same z-exponents and state keys, coefficients equal to 1e-13 relative."""
+    assert set(got) == set(want)
+    for ze in want:
+        mine = as_tuples(got[ze])
+        assert set(mine) == set(want[ze])
+        for st, c in want[ze].items():
+            assert abs(mine[st] - c) <= 1e-13 * abs(c), (ze, st, mine[st], c)
+
+
+@pytest.mark.parametrize("data", [A2, D4], ids=["A2", "D4"])
+def test_engine_matches_tuple_oracle(data):
+    alg = make_alg(data)
+    oracle = OracleBoson(alg)
+    for vec in ORACLE_VECS:
+        tvec = as_tuples(vec)
+        for i in (0, 1):
+            for m in (-3, -1, 1, 2, 3):
+                for prime in (False, True):
+                    assert_matches_oracle({0: alg.apply_mode(i, m, vec, prime)},
+                                          {0: oracle.apply_mode(i, m, tvec, prime)})
+            for sign in (+1, -1):
+                for family in ("a", "a'"):
+                    args = (sign, family, i)
+                    assert_matches_oracle(alg.apply_E(*args, vec, 7, 3),
+                                          oracle.apply_E(*args, tvec, 7, 3))
+                for out_cap in (None, 4):
+                    assert_matches_oracle(
+                        alg.apply_current_boson(sign, i, vec, -4, 3, out_cap),
+                        oracle.apply_current_boson(sign, i, tvec, -4, 3, out_cap))

@@ -116,3 +116,13 @@ def test_report_csv(capsys, tmp_path):
 def test_usage_error_exit_code():
     assert main(["verify"]) == 2
     assert main(["nonsense"]) == 2
+
+
+def test_verify_level1_zalg2_small_window(capsys):
+    # the Z+-Z+- series are degree-3 polynomials: a window below 3 must not
+    # truncate them into a false failure
+    code, out, _ = run(capsys, "verify", "level1", "--type", "A2", "--a", "0",
+                       "--degree", "1", "--window", "1", "--json")
+    assert code == 0
+    zalg2 = next(r for r in json.loads(out) if r["relation_id"] == "zalg2")
+    assert zalg2["status"] == "pass" and zalg2["max_residual"] < 1e-12

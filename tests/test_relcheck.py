@@ -113,3 +113,25 @@ def test_vector_rep_xpxm_channels():
     report = check_xpxm(rep, rep.states(), CFG)
     assert report.status == "pass"
     assert report.samples > 0
+
+
+def test_params_tol_is_the_only_gate():
+    # residuals of ~1e-16 pass at the default 1e-8 and fail at 1e-30
+    cfg = SuiteConfig(max_size=2)
+    assert not hasattr(cfg, "tol")
+    strict = fock_suite(Params(tol=1e-30), 3, 0, cfg)
+    assert any(r.status == "fail" and r.max_residual > 1e-30 for r in strict)
+    assert all(r.status == "pass" for r in fock_suite(P, 3, 0, cfg))
+
+
+def test_high_precision_reports_serialize():
+    # mpmath scalars in params and residuals come out as plain JSON numbers
+    from eqtor.relcheck import heisenberg_suite
+
+    hp = Params().with_precision(30)
+    reports = heisenberg_suite(hp, "A2", degree=1, window=1)
+    rows = json.loads(reports_to_json(reports))
+    assert [r["status"] for r in rows] == ["pass"] * 16
+    assert rows[0]["params"]["q"] == [float(hp.q.real), float(hp.q.imag)]
+    # the engine ran in high precision: residuals far below double rounding
+    assert max(r["max_residual"] for r in rows) < 1e-25
