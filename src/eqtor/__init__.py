@@ -1,7 +1,7 @@
 """Elliptic quantum toroidal algebra representations and relation checks."""
 
 from .boson import BosonAlgebra, check_exchange
-from .cartan import CartanData, Cocycle, DynWeight, cartan_data, cocycle_build, pair
+from .cartan import CartanData, Cocycle, DynWeight, cartan_data, cocycle_build
 from .ellcore import (BalanceError, DeltaTerm, DeltaVector, Lat, ParameterError, Params,
                       PoleProximityError, ThetaRatioSpec, TruncationError,
                       WindowOverflowError, gkernel, pf_expand, phi_delta_difference,
@@ -10,10 +10,9 @@ from .level1 import LatticeVector, Level1Module, check_zalgebra
 from .fock01 import (FockBasisVector, FockRep, PhiAction, VectorBasis, VectorRep,
                      apply_xminus, apply_xplus, phi_action, tensor_apply,
                      vector_rep_apply)
-from .partitions import (ColoredPartition, boxes_by_color, coeff_minus, coeff_plus,
-                         dim_vector, support_value)
-from .relcheck import (RelationReport, SuiteConfig, fock_suite, heisenberg_suite,
-                       level1_suite, run_suite, vector_suite)
+from .partitions import ColoredPartition, boxes_by_color, coeff_minus, coeff_plus, dim_vector
+from .relcheck import (RelationReport, fock_suite, heisenberg_suite, level1_suite,
+                       run_suite, vector_suite)
 
 __version__ = "0.1.0"
 
@@ -21,12 +20,12 @@ __all__ = [
     "BalanceError", "BosonAlgebra", "CartanData", "Cocycle", "ColoredPartition",
     "DeltaTerm", "DeltaVector", "DynWeight", "FockBasisVector", "FockRep", "Lat",
     "LatticeVector", "Level1Module", "ParameterError", "Params", "PhiAction",
-    "PoleProximityError", "RelationReport", "SuiteConfig", "ThetaRatioSpec",
+    "PoleProximityError", "RelationReport", "ThetaRatioSpec",
     "TruncationError", "VectorBasis", "VectorRep", "WindowOverflowError",
     "apply_xminus", "apply_xplus", "boxes_by_color", "cartan_data", "check_exchange",
     "check_zalgebra", "cocycle_build", "coeff_minus", "coeff_plus", "dim_vector",
-    "fock_suite", "gkernel", "heisenberg_suite", "level1_suite", "pair",
+    "fock_suite", "gkernel", "heisenberg_suite", "level1_suite",
     "pf_expand", "phi_action", "phi_delta_difference", "pochratio_series", "qpoch",
-    "run_suite", "support_value", "tensor_apply", "theta", "vector_rep_apply",
+    "run_suite", "tensor_apply", "theta", "vector_rep_apply",
     "vector_suite",
 ]

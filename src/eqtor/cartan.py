@@ -1,7 +1,7 @@
 """Affine root data for the simply-laced types A^(1), D^(1), E^(1).
 
 Provides Cartan matrices, the cyclic deformation matrix used for A-type,
-weight/coweight pairings, dynamical-weight bookkeeping, and the twisted
+dynamical-weight bookkeeping with its pairings, and the twisted
 group-algebra cocycle.
 """
 
@@ -178,64 +178,6 @@ def gl_cartan(n_colors: int) -> CartanData:
     if n_colors < 3:
         raise ValueError("need at least three colors")
     return cartan_data(f"A{n_colors - 1}")
-
-
-# ---------------------------------------------------------------------------
-# weight / coweight pairing
-# ---------------------------------------------------------------------------
-
-def pair(weight: dict, coweight: dict, data: CartanData) -> int:
-    """Canonical pairing of a weight expression with a coweight expression.
-
-    Weights are dicts over the symbols 'alpha:i', 'flam:i' (the finite
-    fundamental weights, with flam:0 = 0), 'Lambda0' and 'delta'; coweights
-    over 'h:i', 'c' and 'd'.  Nonzero pairings: <alpha_j, h_i> = a_ij,
-    <alpha_0, d> = 1, <flam_i, h_j> = delta_ij (i >= 1), <Lambda0, c> = 1,
-    <delta, d> = 1.
-    """
-    total = 0
-    for wsym, wc in weight.items():
-        if wc == 0:
-            continue
-        for csym, cc in coweight.items():
-            if cc == 0:
-                continue
-            total += wc * cc * _pair_symbols(wsym, csym, data)
-    return total
-
-
-def _pair_symbols(wsym: str, csym: str, data: CartanData) -> int:
-    if wsym.startswith("alpha:"):
-        j = int(wsym.split(":")[1])
-        if csym.startswith("h:"):
-            return data.a[int(csym.split(":")[1])][j]
-        if csym == "d":
-            return 1 if j == 0 else 0
-        return 0
-    if wsym.startswith("flam:"):
-        i = int(wsym.split(":")[1])
-        if i == 0:
-            return 0
-        if csym.startswith("h:"):
-            return 1 if int(csym.split(":")[1]) == i else 0
-        return 0
-    if wsym == "Lambda0":
-        return 1 if csym == "c" else 0
-    if wsym == "delta":
-        return 1 if csym == "d" else 0
-    raise ValueError(f"unknown weight symbol {wsym!r}")
-
-
-def alpha(j: int) -> dict:
-    return {f"alpha:{j}": 1}
-
-
-def fundamental(i: int) -> dict:
-    return {f"flam:{i}": 1}
-
-
-def coroot(i: int) -> dict:
-    return {f"h:{i}": 1}
 
 
 # ---------------------------------------------------------------------------

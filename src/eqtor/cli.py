@@ -3,7 +3,7 @@
 Exit codes: 0 all checks pass, 1 a relation check failed, 2 usage or
 parameter error.  Complex values are given as ``re,im`` pairs (a bare float
 is accepted); a JSON config file may supply the same fields, with flags
-taking precedence.  EQTOR_THREADS caps suite parallelism.
+taking precedence.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from .ellcore import (BalanceError, ParameterError, Params, PoleProximityError,
 from .fock01 import (FockBasisVector, PhiAction, VectorBasis,
                      apply_xminus, apply_xplus, phi_action, vector_rep_apply)
 from .partitions import ColoredPartition
-from .relcheck import (RelationReport, SuiteConfig, fock_suite, heisenberg_suite,
-                       level1_suite, reports_to_json, vector_suite)
+from .relcheck import (RelationReport, fock_suite, heisenberg_suite, level1_suite,
+                       reports_to_json, vector_suite)
 
 USAGE_ERROR = 2
 RELATION_ERROR = 1
@@ -102,20 +102,18 @@ def cmd_verify(args) -> int:
     except (ParameterError, ValueError) as exc:
         print(f"parameter error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    cfg = SuiteConfig(max_size=args.max_size, window=args.window, degree=args.degree,
-                      seed=params.seed)
     reports: list[RelationReport] = []
     try:
         if args.suite in ("fock", "all"):
-            reports += fock_suite(params, args.N, args.k, cfg)
+            reports += fock_suite(params, args.N, args.k, args.max_size)
         if args.suite in ("vector", "all"):
-            reports += vector_suite(params, args.N, args.k, cfg)
+            reports += vector_suite(params, args.N, args.k, args.max_size)
         if args.suite in ("heisenberg", "all"):
             reports += heisenberg_suite(params, args.type, degree=args.degree,
                                         window=args.window)
         if args.suite in ("level1", "all"):
             reports += level1_suite(params, args.type, args.a, degree=args.degree,
-                                    window=args.window, cfg=cfg)
+                                    window=args.window)
     except (ParameterError, ValueError) as exc:
         print(f"parameter error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -76,18 +76,12 @@ def theta(z, p, terms: int = DEFAULT_TERMS):
     return qpoch(z, p, terms) * qpoch(p / z, p, terms)
 
 
-_jtp_cache: dict[complex, complex] = {}
-
-
 def theta_coefficient(n: int, p, terms: int = DEFAULT_TERMS):
     """Laurent coefficient of z^n in theta_p(z).
 
     By the triple product, theta_p(z) = sum_n (-1)^n p^{n(n-1)/2} z^n / (p;p)_oo.
     """
-    key = complex(p)
-    if key not in _jtp_cache:
-        _jtp_cache[key] = qpoch(p, p, max(terms, DEFAULT_TERMS))
-    return (-1) ** n * p ** (n * (n - 1) // 2) / _jtp_cache[key]
+    return (-1) ** n * p ** (n * (n - 1) // 2) / qpoch(p, p, max(terms, DEFAULT_TERMS))
 
 
 def theta_zero_distance(z, p) -> float:
@@ -210,11 +204,6 @@ LAT_ONE = Lat()
 LAT_Q2 = Lat(q_e=2)
 
 
-def as_value(x, params: "Params"):
-    """Numeric value of a Lat or plain scalar."""
-    return x.value(params) if isinstance(x, Lat) else x
-
-
 # ---------------------------------------------------------------------------
 # parameter point
 # ---------------------------------------------------------------------------
@@ -241,7 +230,8 @@ class Params:
     tol: float = 1e-8
     seed: int = 20240801
     precision: int | None = None
-    _theta_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    # per instance: every construction, dataclasses.replace included, starts empty
+    _theta_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.validate()
@@ -284,7 +274,7 @@ class Params:
         return 1 / (self.kappa * self.q)
 
     def with_level(self, k: int) -> "Params":
-        return replace(self, level_k=k, _theta_cache={})
+        return replace(self, level_k=k)
 
     def with_precision(self, dps: int) -> "Params":
         """Same parameter point with mpmath scalars at ``dps`` digits."""
@@ -295,7 +285,7 @@ class Params:
             return mpmath.mpc(z.real, z.imag)
         return replace(
             self, q=mpc(self.q), kappa=mpc(self.kappa), p=mpc(self.p), u=mpc(self.u),
-            precision=dps, _theta_cache={},
+            precision=dps,
         )
 
     def theta_lat(self, lat: Lat, star: bool = False):
@@ -388,10 +378,9 @@ class DeltaVector:
 class ThetaRatioSpec:
     """scalar * prod_s theta(numer_s / z) / prod_s theta(denom_s / z).
 
-    Shifts may be Lat points or plain complex numbers.  The ratio is
-    *balanced* when prod numer / prod denom is an even power of q; balanced
-    ratios are exactly the eigenvalue shapes produced by the diagonal
-    currents.
+    Shifts are Lat points.  The ratio is *balanced* when prod numer / prod
+    denom is an even power of q; balanced ratios are exactly the eigenvalue
+    shapes produced by the diagonal currents.
     """
 
     numer_shifts: tuple
@@ -402,31 +391,23 @@ class ThetaRatioSpec:
         """Value of the underlying meromorphic function at numeric z."""
         out = self.scalar_prefactor
         for n in self.numer_shifts:
-            out = out * params.theta_p(as_value(n, params) / z)
+            out = out * params.theta_p(n.value(params) / z)
         for d in self.denom_shifts:
-            out = out / params.theta_p(as_value(d, params) / z)
+            out = out / params.theta_p(d.value(params) / z)
         return out
 
-    def balance_exponent(self, params: Params) -> int:
+    def balance_exponent(self) -> int:
         """Integer M with prod(numer)/prod(denom) = q^{2M}; BalanceError otherwise."""
-        if all(isinstance(x, Lat) for x in self.numer_shifts + self.denom_shifts):
-            tot = LAT_ONE
-            for n in self.numer_shifts:
-                tot = tot * n
-            for d in self.denom_shifts:
-                tot = tot / d
-            if tot.kappa_e == 0 and tot.u_e == 0 and tot.q_e % 2 == 0:
-                return tot.q_e // 2
-            raise BalanceError(f"unbalanced theta ratio: residual lattice point {tot}")
-        ratio = 1.0 + 0j
+        if not all(isinstance(x, Lat) for x in self.numer_shifts + self.denom_shifts):
+            raise TypeError("theta-ratio shifts must be Lat points")
+        tot = LAT_ONE
         for n in self.numer_shifts:
-            ratio *= as_value(n, params)
+            tot = tot * n
         for d in self.denom_shifts:
-            ratio /= as_value(d, params)
-        for m in range(-24, 25):
-            if abs(ratio - params.q ** (2 * m)) <= 1e-6 * (1 + abs(ratio)):
-                return m
-        raise BalanceError("theta ratio not balanced to an even q-power")
+            tot = tot / d
+        if tot.kappa_e == 0 and tot.u_e == 0 and tot.q_e % 2 == 0:
+            return tot.q_e // 2
+        raise BalanceError(f"unbalanced theta ratio: residual lattice point {tot}")
 
     def scaled(self, factor) -> "ThetaRatioSpec":
         return ThetaRatioSpec(self.numer_shifts, self.denom_shifts, self.scalar_prefactor * factor)
@@ -452,8 +433,8 @@ def phi_delta_difference(spec: ThetaRatioSpec, params: Params, guard: float = 1e
     by denom_s.  Returns [(denom_s, c_s)] in the order of denom_shifts.
     Poles must be simple and pairwise distinct modulo p^Z.
     """
-    spec.balance_exponent(params)
-    dvals = [as_value(d, params) for d in spec.denom_shifts]
+    spec.balance_exponent()
+    dvals = [d.value(params) for d in spec.denom_shifts]
     for s in range(len(dvals)):
         for t in range(s + 1, len(dvals)):
             if theta_zero_distance(dvals[t] / dvals[s], params.p) < guard:
@@ -461,14 +442,13 @@ def phi_delta_difference(spec: ThetaRatioSpec, params: Params, guard: float = 1e
                     f"denominator shifts {s} and {t} coincide modulo p^Z")
     pp2 = params.qpoch_p(params.p) ** 2
     out = []
-    lattice = all(isinstance(x, Lat) for x in spec.numer_shifts + spec.denom_shifts)
     for s, dsh in enumerate(spec.denom_shifts):
         c = spec.scalar_prefactor / pp2
-        for t, nsh in enumerate(spec.numer_shifts):
-            c *= params.theta_lat(nsh / dsh) if lattice else params.theta_p(as_value(nsh, params) / dvals[s])
+        for nsh in spec.numer_shifts:
+            c *= params.theta_lat(nsh / dsh)
         for t, dt in enumerate(spec.denom_shifts):
             if t != s:
-                c /= params.theta_lat(dt / dsh) if lattice else params.theta_p(dvals[t] / dvals[s])
+                c /= params.theta_lat(dt / dsh)
         out.append((dsh, c))
     return out
 

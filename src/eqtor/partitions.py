@@ -123,19 +123,12 @@ def row_support_lat(lam: ColoredPartition, a: int) -> Lat:
     return Lat(kappa_e=la - (a - 1), q_e=-la - (a - 1), u_e=1)
 
 
-def support_value(lam: ColoredPartition, position, params: Params) -> complex:
-    """Numeric spectral support of a row index (int) or a box (pair)."""
-    if isinstance(position, int):
-        return row_support_lat(lam, position).value(params)
-    return support_lat(tuple(position)).value(params)
-
-
 def _content_lt(a: Box, b: Box) -> bool:
     return a[0] - a[1] < b[0] - b[1]
 
 
 def coeff_plus(lam: ColoredPartition, box: Box, color: int, params: Params,
-               form: str = "box", tail_rows: int = 0) -> complex:
+               form: str = "box") -> complex:
     """Structure coefficient of the box-adding current at an addable box.
 
     ``form='box'`` multiplies the finite products over same-color addable

@@ -12,41 +12,27 @@ from __future__ import annotations
 
 import cmath
 import json
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .boson import BosonAlgebra, EXCHANGE_IDS, check_exchange
 from .cartan import cartan_data
-from .ellcore import Params, phi_delta_difference, theta_zero_distance
+from .ellcore import Lat, Params, phi_delta_difference, theta_zero_distance
 from .fock01 import FockRep, VectorRep
 from .level1 import (Level1Module, ZALG_IDS, check_highest_weight,
                      check_mode_current_bracket, check_phi_phi_level1,
                      check_xx_quadratic_level1, check_zalgebra,
                      sample_module_vectors)
 
-FOCK_RELATION_IDS = (
-    "xpxp", "xmxm", "xpxm", "phixp", "phixm", "phiphi_pp", "phiphi_pm",
-    "serre_plus", "serre_minus", "grading_gf", "grading_gK", "dedf", "kappa0",
-)
-VECTOR_RELATION_IDS = tuple(r for r in FOCK_RELATION_IDS
-                            if not r.startswith("serre"))
+# check sizes that no caller varies; the sampling seed is Params.seed
+SERRE_MAX_SIZE = 4   # partition size of the Serre states
+Z_SAMPLES = 10       # generic z points per phi-x sample
+GUARD = 1e-4         # skip radius around theta zeros
+
 LEVEL1_RELATION_IDS = ZALG_IDS + (
     "l1_bracket_plus", "l1_bracket_minus", "l1_xpxp", "l1_highest",
     "l1_level", "l1_phiphi_pm",
 )
-
-
-@dataclass
-class SuiteConfig:
-    max_size: int = 6
-    serre_max_size: int = 4
-    z_samples: int = 10
-    window: int = 6
-    degree: int = 4
-    guard: float = 1e-4
-    seed: int = 20240801
 
 
 @dataclass
@@ -121,7 +107,7 @@ def _compare_tables(lhs: dict, rhs: dict, report: RelationReport, label: str) ->
 # quadratic current relations
 # ---------------------------------------------------------------------------
 
-def check_quadratic(rep, sign: int, states, cfg: SuiteConfig) -> RelationReport:
+def check_quadratic(rep, sign: int, states) -> RelationReport:
     """z theta(q^{+-b} kap^{-m} w/z) x_i(z) x_j(w) = -w kap^{-m} theta(...) x_j(w) x_i(z)."""
     params = rep.params
     rel = "xpxp" if sign > 0 else "xmxm"
@@ -138,13 +124,13 @@ def check_quadratic(rep, sign: int, states, cfg: SuiteConfig) -> RelationReport:
                 for tw in rep.x(sign, j, v):
                     for tz in rep.x(sign, i, tw.payload):
                         sz, sw = tz.supports[0], tw.supports[0]
-                        arg = (sw / sz) * _lat_qk(b, -mm)
+                        arg = (sw / sz) * Lat(-mm, b)
                         pref = sz.value(params) * params.theta_lat(arg, star=star)
                         _accumulate(lhs, (tz.payload, sz, sw), pref * tz.coeff * tw.coeff)
                 for tz in rep.x(sign, i, v):
                     for tw in rep.x(sign, j, tz.payload):
                         sz, sw = tz.supports[0], tw.supports[0]
-                        arg = (sz / sw) * _lat_qk(b, mm)
+                        arg = (sz / sw) * Lat(mm, b)
                         pref = (-params.kappa ** (-mm) * sw.value(params)
                                 * params.theta_lat(arg, star=star))
                         _accumulate(rhs, (tw.payload, sz, sw), pref * tz.coeff * tw.coeff)
@@ -152,13 +138,7 @@ def check_quadratic(rep, sign: int, states, cfg: SuiteConfig) -> RelationReport:
     return report
 
 
-def _lat_qk(q_e: int, kappa_e: int):
-    from .ellcore import Lat
-
-    return Lat(kappa_e=kappa_e, q_e=q_e)
-
-
-def check_xpxm(rep, states, cfg: SuiteConfig) -> RelationReport:
+def check_xpxm(rep, states) -> RelationReport:
     """[x+_i(z), x-_j(w)] against the expansion difference of the diagonal current.
 
     For i = j the off-diagonal channels must cancel termwise and the diagonal
@@ -184,7 +164,7 @@ def check_xpxm(rep, states, cfg: SuiteConfig) -> RelationReport:
                 if i == j:
                     act = rep.phi(i, v)
                     diag_payload = _shifted_state(rep, v, act.weight_shift)
-                    for support, coeff in phi_delta_difference(act.spec, params, cfg.guard):
+                    for support, coeff in phi_delta_difference(act.spec, params, GUARD):
                         _accumulate(rhs, (diag_payload, support, support),
                                     coeff / (q - 1 / q))
                 _compare_tables(lhs, rhs, report, f"xpxm i={i} j={j} state={v}")
@@ -205,7 +185,7 @@ def _shifted_state(rep, v, shift):
 # diagonal-current exchange relations
 # ---------------------------------------------------------------------------
 
-def check_phi_x(rep, phi_sign: int, x_sign: int, states, cfg: SuiteConfig) -> RelationReport:
+def check_phi_x(rep, x_sign: int, states) -> RelationReport:
     """Conjugation of a ladder current by a diagonal current.
 
     phi_i(z) x+_j(w) phi_i(z)^{-1} multiplies by
@@ -218,9 +198,9 @@ def check_phi_x(rep, phi_sign: int, x_sign: int, states, cfg: SuiteConfig) -> Re
     params = rep.params
     rel = "phixp" if x_sign > 0 else "phixm"
     report = RelationReport(rel, rep.describe(), params)
-    rng = random.Random(cfg.seed ^ 0x5E1F)
+    rng = random.Random(params.seed ^ 0x5E1F)
     zs = [params.u * rng.uniform(1.6, 2.4) * cmath.exp(1j * rng.uniform(0, 2 * cmath.pi))
-          for _ in range(cfg.z_samples)]
+          for _ in range(Z_SAMPLES)]
     data = rep.cartan
     star = x_sign > 0
     cache: dict = {}
@@ -243,7 +223,7 @@ def check_phi_x(rep, phi_sign: int, x_sign: int, states, cfg: SuiteConfig) -> Re
                         label = f"{rel} i={i} j={j} state={v} z#{zidx}"
                         args = [q_ * params.kappa ** (-mm) * w0 / z
                                 for q_ in (params.q ** -b, params.q ** b)]
-                        if any(theta_zero_distance(a, params.p) < cfg.guard for a in args):
+                        if any(theta_zero_distance(a, params.p) < GUARD for a in args):
                             report.skip(label)
                             continue
                         mult = (params.q ** b
@@ -257,7 +237,7 @@ def check_phi_x(rep, phi_sign: int, x_sign: int, states, cfg: SuiteConfig) -> Re
     return report
 
 
-def check_phi_phi(rep, kind: str, states, cfg: SuiteConfig) -> RelationReport:
+def check_phi_phi(rep, kind: str, states) -> RelationReport:
     """Exchange of two diagonal currents.
 
     On a weight basis both currents act by scalars, so the operator exchange
@@ -268,7 +248,7 @@ def check_phi_phi(rep, kind: str, states, cfg: SuiteConfig) -> RelationReport:
     params = rep.params
     rel = "phiphi_pp" if kind == "pp" else "phiphi_pm"
     report = RelationReport(rel, rep.describe(), params)
-    rng = random.Random(cfg.seed ^ 0xF1F1)
+    rng = random.Random(params.seed ^ 0xF1F1)
     data = rep.cartan
     qk = params.q ** params.level_k
     for i in rep.colors():
@@ -310,7 +290,7 @@ def check_phi_phi(rep, kind: str, states, cfg: SuiteConfig) -> RelationReport:
 # Serre relations
 # ---------------------------------------------------------------------------
 
-def check_serre(rep, sign: int, states, cfg: SuiteConfig) -> RelationReport:
+def check_serre(rep, sign: int, states) -> RelationReport:
     """Cubic Serre relation for adjacent colors, termwise on delta supports.
 
     The antisymmetrized sum over orderings of two same-color currents around
@@ -359,10 +339,10 @@ def check_serre(rep, sign: int, states, cfg: SuiteConfig) -> RelationReport:
                             pref = gker(s2 / s1, flip * data.b(i, i))
                             pref *= (-1) ** r * (two if r == 1 else 1.0)
                             for t in range(1, r + 1):
-                                lat = (sw / szs[sigma[t - 1]]) * _lat_qk(0, -mm)
+                                lat = (sw / szs[sigma[t - 1]]) * Lat(-mm)
                                 pref *= gker(lat, flip * b_ij)
                             for t in range(r + 1, 3):
-                                lat = (szs[sigma[t - 1]] / sw) * _lat_qk(0, mm)
+                                lat = (szs[sigma[t - 1]] / sw) * Lat(mm)
                                 pref *= gker(lat, flip * b_ij)
                             _accumulate(total, (state, szs[0], szs[1], sw), pref * co)
                 scale = max((abs(c) for c in total.values()), default=0.0)
@@ -377,7 +357,7 @@ def check_serre(rep, sign: int, states, cfg: SuiteConfig) -> RelationReport:
 # grading, degree and level bookkeeping
 # ---------------------------------------------------------------------------
 
-def check_grading(rep, kind: str, states, cfg: SuiteConfig) -> RelationReport:
+def check_grading(rep, kind: str, states) -> RelationReport:
     """Dynamical-weight bookkeeping of the currents, as exact integers.
 
     Conjugating a test function q^{<mu, P>} (and q^{<nu, P+h>}) by a
@@ -387,7 +367,7 @@ def check_grading(rep, kind: str, states, cfg: SuiteConfig) -> RelationReport:
     """
     rel = "grading_gf" if kind == "gf" else "grading_gK"
     report = RelationReport(rel, rep.describe(), rep.params)
-    rng = random.Random(cfg.seed ^ 0x6124)
+    rng = random.Random(rep.params.seed ^ 0x6124)
     data = rep.cartan
     size = len(data.a)
     mus = [tuple(rng.randint(-3, 3) for _ in range(size)) for _ in range(4)]
@@ -416,14 +396,12 @@ def check_grading(rep, kind: str, states, cfg: SuiteConfig) -> RelationReport:
     return report
 
 
-def check_dedf(rep, states, cfg: SuiteConfig) -> RelationReport:
+def check_dedf(rep, states) -> RelationReport:
     """Degree bookkeeping: rescaling the spectral parameter shifts every
     delta support by the same factor and leaves all coefficients unchanged,
     which is the module-level content of conjugation by the grading element."""
     report = RelationReport("dedf", rep.describe(), rep.params)
-    from dataclasses import replace
-
-    params2 = replace(rep.params, u=rep.params.q * rep.params.u, _theta_cache={})
+    params2 = replace(rep.params, u=rep.params.q * rep.params.u)
     rep2 = type(rep)(params2, rep.n_colors, rep.root_color)
     for v in states[: 12]:
         for j in rep.colors():
@@ -439,7 +417,7 @@ def check_dedf(rep, states, cfg: SuiteConfig) -> RelationReport:
     return report
 
 
-def check_kappa0(rep, states, cfg: SuiteConfig) -> RelationReport:
+def check_kappa0(rep, states) -> RelationReport:
     """Product of the diagonal constant parts: exact integer exponent count."""
     report = RelationReport("kappa0", rep.describe(), rep.params)
     expected = getattr(rep, "kappa0_exponent", -1)
@@ -453,64 +431,47 @@ def check_kappa0(rep, states, cfg: SuiteConfig) -> RelationReport:
 # suites
 # ---------------------------------------------------------------------------
 
-def run_relation(rep, rel_id: str, cfg: SuiteConfig) -> RelationReport:
-    states = rep.states(cfg.max_size)
-    if rel_id == "xpxp":
-        return check_quadratic(rep, +1, states, cfg)
-    if rel_id == "xmxm":
-        return check_quadratic(rep, -1, states, cfg)
-    if rel_id == "xpxm":
-        return check_xpxm(rep, states, cfg)
-    if rel_id == "phixp":
-        return check_phi_x(rep, +1, +1, states, cfg)
-    if rel_id == "phixm":
-        return check_phi_x(rep, +1, -1, states, cfg)
-    if rel_id == "phiphi_pp":
-        return check_phi_phi(rep, "pp", states, cfg)
-    if rel_id == "phiphi_pm":
-        return check_phi_phi(rep, "pm", states, cfg)
-    if rel_id == "serre_plus":
-        return check_serre(rep, +1, rep.states(cfg.serre_max_size), cfg)
-    if rel_id == "serre_minus":
-        return check_serre(rep, -1, rep.states(cfg.serre_max_size), cfg)
-    if rel_id == "grading_gf":
-        return check_grading(rep, "gf", states, cfg)
-    if rel_id == "grading_gK":
-        return check_grading(rep, "gK", states, cfg)
-    if rel_id == "dedf":
-        return check_dedf(rep, states, cfg)
-    if rel_id == "kappa0":
-        return check_kappa0(rep, rep.states(min(cfg.max_size + 2, 8)), cfg)
-    raise ValueError(f"unknown relation {rel_id!r}")
+# relation id -> check(rep, max_size); its order is the suite order
+_CHECKS = {
+    "xpxp": lambda rep, size: check_quadratic(rep, +1, rep.states(size)),
+    "xmxm": lambda rep, size: check_quadratic(rep, -1, rep.states(size)),
+    "xpxm": lambda rep, size: check_xpxm(rep, rep.states(size)),
+    "phixp": lambda rep, size: check_phi_x(rep, +1, rep.states(size)),
+    "phixm": lambda rep, size: check_phi_x(rep, -1, rep.states(size)),
+    "phiphi_pp": lambda rep, size: check_phi_phi(rep, "pp", rep.states(size)),
+    "phiphi_pm": lambda rep, size: check_phi_phi(rep, "pm", rep.states(size)),
+    "serre_plus": lambda rep, size: check_serre(rep, +1, rep.states(SERRE_MAX_SIZE)),
+    "serre_minus": lambda rep, size: check_serre(rep, -1, rep.states(SERRE_MAX_SIZE)),
+    "grading_gf": lambda rep, size: check_grading(rep, "gf", rep.states(size)),
+    "grading_gK": lambda rep, size: check_grading(rep, "gK", rep.states(size)),
+    "dedf": lambda rep, size: check_dedf(rep, rep.states(size)),
+    "kappa0": lambda rep, size: check_kappa0(rep, rep.states(min(size + 2, 8))),
+}
+FOCK_RELATION_IDS = tuple(_CHECKS)
+VECTOR_RELATION_IDS = tuple(r for r in FOCK_RELATION_IDS
+                            if not r.startswith("serre"))
 
 
-def _thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get("EQTOR_THREADS", "1")))
-    except ValueError:
-        return 1
+def run_relation(rep, rel_id: str, max_size: int) -> RelationReport:
+    """One relation on the basis states up to ``max_size`` (Serre and kappa0 size their own)."""
+    if rel_id not in _CHECKS:
+        raise ValueError(f"unknown relation {rel_id!r}")
+    return _CHECKS[rel_id](rep, max_size)
 
 
-def run_suite(rep, relation_ids, cfg: SuiteConfig) -> list[RelationReport]:
-    """Deterministic (seeded) run of the listed relations on one handle."""
-    ids = list(relation_ids)
-    nthreads = _thread_count()
-    if nthreads > 1:
-        with ThreadPoolExecutor(max_workers=nthreads) as pool:
-            return list(pool.map(lambda r: run_relation(rep, r, cfg), ids))
-    return [run_relation(rep, rel, cfg) for rel in ids]
+def run_suite(rep, relation_ids, max_size: int) -> list[RelationReport]:
+    """Deterministic run of the listed relations on one handle, seeded by its Params.seed."""
+    return [run_relation(rep, rel, max_size) for rel in relation_ids]
 
 
 def fock_suite(params: Params, n_colors: int, root_color: int,
-               cfg: SuiteConfig | None = None) -> list[RelationReport]:
-    cfg = cfg or SuiteConfig()
-    return run_suite(FockRep(params, n_colors, root_color), FOCK_RELATION_IDS, cfg)
+               max_size: int = 6) -> list[RelationReport]:
+    return run_suite(FockRep(params, n_colors, root_color), FOCK_RELATION_IDS, max_size)
 
 
 def vector_suite(params: Params, n_colors: int, root_color: int,
-                 cfg: SuiteConfig | None = None) -> list[RelationReport]:
-    cfg = cfg or SuiteConfig()
-    return run_suite(VectorRep(params, n_colors, root_color), VECTOR_RELATION_IDS, cfg)
+                 max_size: int = 6) -> list[RelationReport]:
+    return run_suite(VectorRep(params, n_colors, root_color), VECTOR_RELATION_IDS, max_size)
 
 
 def pair_classes(data) -> list[tuple[int, int]]:
@@ -547,16 +508,14 @@ def heisenberg_suite(params: Params, type_tag: str, degree: int = 4,
 
 
 def level1_suite(params: Params, type_tag: str, fundamental: int,
-                 degree: int = 4, window: int = 6,
-                 cfg: SuiteConfig | None = None) -> list[RelationReport]:
-    cfg = cfg or SuiteConfig(degree=degree, window=window)
+                 degree: int = 4, window: int = 6) -> list[RelationReport]:
     mod = Level1Module.make(type_tag, fundamental, params)
-    rng = random.Random(cfg.seed ^ 0x11F1)
+    rng = random.Random(mod.params.seed ^ 0x11F1)
     reports = []
     label = f"level1({type_tag}, a={fundamental})"
     for rid in ZALG_IDS:
         rpt = RelationReport(rid, label, mod.params)
-        res = check_zalgebra(rid, mod, samples=24, window=window, seed=cfg.seed)
+        res = check_zalgebra(rid, mod, samples=24, window=window)
         rpt.record(res, rid)
         reports.append(rpt)
     vecs = sample_module_vectors(mod, min(2, degree), 4, rng)

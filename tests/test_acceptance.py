@@ -20,8 +20,7 @@ from eqtor.level1 import (LatticeVector, Level1Module, check_highest_weight,
                           check_zalgebra)
 from eqtor.partitions import (ColoredPartition, boxes_by_color, coeff_minus,
                               coeff_plus, partitions_up_to)
-from eqtor.relcheck import (SuiteConfig, check_serre, check_xpxm, fock_suite,
-                            pair_classes)
+from eqtor.relcheck import check_serre, check_xpxm, fock_suite, pair_classes
 
 P = Params()
 TOL = 1e-8
@@ -77,10 +76,9 @@ def test_criterion_01_special_function_core():
 def test_criterion_02_fock_relation_suite():
     worst = 0.0
     skipped_frac = 0.0
-    cfg = SuiteConfig(max_size=6, serre_max_size=4)
     for n in (3, 4, 5):
         for k in range(n):
-            for rpt in fock_suite(P, n, k, cfg):
+            for rpt in fock_suite(P, n, k, max_size=6):
                 worst = max(worst, rpt.max_residual)
                 if rpt.samples:
                     skipped_frac = max(skipped_frac, rpt.skipped / rpt.samples)
@@ -92,24 +90,22 @@ def test_criterion_03_ladder_commutator_vs_expansion_difference():
     # dedicated [x+, x-] check including the closed form of C+ C-
     cp_cm = vertex_constant(+1, P) * vertex_constant(-1, P)
     assert abs(cp_cm - vertex_constant_product(P)) < 1e-13
-    cfg = SuiteConfig(max_size=6)
     worst = 0.0
     for k in range(3):
         rep = FockRep(P, 3, k)
-        rpt = check_xpxm(rep, rep.states(6), cfg)
+        rpt = check_xpxm(rep, rep.states(6))
         worst = max(worst, rpt.max_residual)
     report(3, "[x+, x-] against the residue expansion", worst, TOL)
 
 
 def test_criterion_04_serre_relations():
-    cfg = SuiteConfig()
     worst = 0.0
     for n in (3, 4):
         for k in range(n):
             rep = FockRep(P, n, k)
             states = rep.states(4)
             for sign in (+1, -1):
-                rpt = check_serre(rep, sign, states, cfg)
+                rpt = check_serre(rep, sign, states)
                 worst = max(worst, rpt.max_residual)
     report(4, "cubic Serre relations N=3,4", worst, TOL)
 

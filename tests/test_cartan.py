@@ -3,8 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eqtor.cartan import (DynWeight, alpha, cartan_data, cocycle_build, coroot,
-                          fundamental, gl_cartan, pair)
+from eqtor.cartan import DynWeight, cartan_data, cocycle_build, gl_cartan
 from eqtor.ellcore import Params
 
 P = Params()
@@ -52,21 +51,6 @@ def test_level1_fundamental_indices():
     assert cartan_data("A2").level1_fundamental_indices() == (0, 1, 2)
     assert cartan_data("D5").level1_fundamental_indices() == (0, 1, 4, 5)
     assert cartan_data("E8").level1_fundamental_indices() == (0,)
-
-
-def test_pairing_values():
-    data = cartan_data("A2")
-    for i in data.index_set:
-        for j in data.index_set:
-            assert pair(alpha(j), coroot(i), data) == data.a[i][j]
-    assert pair(fundamental(1), coroot(1), data) == 1
-    assert pair(fundamental(1), coroot(0), data) == 0
-    assert pair(fundamental(0), coroot(0), data) == 0
-    assert pair({"delta": 1}, {"d": 1}, data) == 1
-    assert pair({"delta": 1}, coroot(1), data) == 0
-    assert pair({"Lambda0": 1}, {"c": 1}, data) == 1
-    assert pair(alpha(0), {"d": 1}, data) == 1
-    assert pair(alpha(1), {"d": 1}, data) == 0
 
 
 def test_cocycle_diagonal_and_ratio():

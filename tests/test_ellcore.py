@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -171,12 +172,12 @@ def test_pf_expand_guards():
 
 
 def test_phi_delta_difference_lowest_weight():
-    q, u = P.q, P.u
-    spec = ThetaRatioSpec((q * q * u,), (u,), 1 / q)
+    q = P.q
+    spec = ThetaRatioSpec((Lat(0, 2, 1),), (Lat(0, 0, 1),), 1 / q)
     out = phi_delta_difference(spec, P)
     assert len(out) == 1
     support, coeff = out[0]
-    assert support == u
+    assert support == Lat(0, 0, 1)
     expected = theta(q ** -2, P.p) * (-q) / qpoch(P.p, P.p) ** 2
     assert abs(coeff - expected) < 1e-12 * (1 + abs(expected))
 
@@ -195,9 +196,10 @@ def _laurent_coeffs(f, r, ns, samples=4096):
 def test_phi_delta_difference_against_laurent_extraction():
     # independent oracle: numeric Laurent coefficients on circles on each
     # side of the pole ring; their difference must match the delta sum
-    q, u = P.q, P.u
-    spec = ThetaRatioSpec((q ** 2 * u, q ** 2 * 1.4 * u), (u, 1.4 * u), 0.7 + 0.1j)
-    out = dict((complex(s), c) for s, c in phi_delta_difference(spec, P))
+    u = P.u
+    # poles at u and kappa u, both between the two circles
+    spec = ThetaRatioSpec((Lat(0, 2, 1), Lat(1, 2, 1)), (Lat(0, 0, 1), Lat(1, 0, 1)), 0.7 + 0.1j)
+    out = dict((s.value(P), c) for s, c in phi_delta_difference(spec, P))
     f = lambda z: spec.evaluate(z, P)
     ns = range(-3, 4)
     outer = _laurent_coeffs(f, abs(u) * 1.6, ns)
@@ -208,8 +210,7 @@ def test_phi_delta_difference_against_laurent_extraction():
 
 
 def test_phi_delta_difference_linearity_and_supports():
-    q, u = P.q, P.u
-    spec = ThetaRatioSpec((q * q * u, q ** 4 * 2 * u), (u, q * q * 2 * u), 1 / q)
+    spec = ThetaRatioSpec((Lat(0, 2, 1), Lat(1, 4, 1)), (Lat(0, 0, 1), Lat(1, 2, 1)), 1 / P.q)
     base = phi_delta_difference(spec, P)
     scaled = phi_delta_difference(spec.scaled(3.5 - 1j), P)
     assert [s for s, _ in base] == list(spec.denom_shifts)
@@ -218,9 +219,7 @@ def test_phi_delta_difference_linearity_and_supports():
 
 
 def test_phi_delta_difference_rejects_coincident_poles():
-    q, u = P.q, P.u
-    eps = 1 + 1e-9
-    spec = ThetaRatioSpec((q * q * u, q * q * eps * u), (u, eps * u), 1.0)
+    spec = ThetaRatioSpec((Lat(0, 2, 1), Lat(0, 2, 1)), (Lat(0, 0, 1), Lat(0, 0, 1)), 1.0)
     with pytest.raises(PoleProximityError):
         phi_delta_difference(spec, P)
 
@@ -232,12 +231,16 @@ def test_phi_delta_difference_empty_spec():
 def test_theta_ratio_balance():
     u = P.u
     spec = ThetaRatioSpec((Lat(0, 2, 1),), (Lat(0, 0, 1),), 1.0)
-    assert spec.balance_exponent(P) == 1
+    assert spec.balance_exponent() == 1
     bad = ThetaRatioSpec((Lat(1, 0, 1),), (Lat(0, 0, 1),), 1.0)
     with pytest.raises(BalanceError):
-        bad.balance_exponent(P)
+        bad.balance_exponent()
+    # shifts are exact lattice points; a plain number is refused, not scanned
     numeric = ThetaRatioSpec((P.q ** 2 * u,), (u,), 1.0)
-    assert numeric.balance_exponent(P) == 1
+    with pytest.raises(TypeError):
+        numeric.balance_exponent()
+    with pytest.raises(TypeError):
+        phi_delta_difference(numeric, P)
 
 
 def test_delta_term_substitution():
@@ -267,6 +270,24 @@ def test_params_validation():
         Params(kappa=complex(P.q) ** -1)  # kappa q = 1
     p1 = Params(level_k=1)
     assert abs(p1.p_star - p1.p * p1.q ** -2) < 1e-16
+
+
+def test_theta_cache_not_shared_after_replace():
+    lat = Lat(1, 2, 1)
+    P.theta_lat(lat)  # fill the original's cache first
+    p2 = replace(P, q=0.85 * P.q / abs(P.q))
+    assert p2._theta_cache is not P._theta_cache
+    assert p2.theta_lat(lat) == theta(lat.value(p2), p2.p, p2.trunc_M)
+    assert abs(p2.theta_lat(lat) - P.theta_lat(lat)) > 1e-3
+
+
+def test_theta_coefficient_keeps_high_precision():
+    import mpmath
+
+    theta_coefficient(3, P.p)  # a double-precision call must not leak into mpmath mode
+    hp = Params().with_precision(40)
+    exact = -hp.p ** 3 / qpoch(hp.p, hp.p, 200)
+    assert abs(theta_coefficient(3, hp.p) - exact) < mpmath.mpf(10) ** -35
 
 
 def test_params_theta_lat_exact_zero():

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 from eqtor.ellcore import Params
 from eqtor.partitions import (ColoredPartition, boxes_by_color, coeff_minus,
                               coeff_plus, dim_vector, partitions_up_to,
-                              row_support_lat, support_lat, support_value)
+                              row_support_lat, support_lat)
 
 P = Params()
 
@@ -61,13 +61,6 @@ def test_add_remove_roundtrip():
                 bigger = lp.add_box(box)
                 assert box in bigger.removable_boxes()
                 assert bigger.remove_box(box) == lp
-
-
-def test_support_values():
-    assert support_value(lam([]), 1, P) == pytest.approx(complex(P.u))
-    # addable root box: q^2 u_{(1,1)} = q^2 q1 q3 u = u
-    got = P.q ** 2 * support_value(lam([]), (1, 1), P)
-    assert got == pytest.approx(complex(P.u))
 
 
 def test_support_row_box_consistency():

@@ -4,17 +4,17 @@ import pytest
 
 from eqtor.ellcore import Params
 from eqtor.fock01 import FockRep, VectorRep
-from eqtor.relcheck import (FOCK_RELATION_IDS, SuiteConfig, VECTOR_RELATION_IDS,
+from eqtor import cli
+from eqtor.relcheck import (FOCK_RELATION_IDS, VECTOR_RELATION_IDS, _CHECKS,
                             check_phi_x, check_quadratic, check_serre, check_xpxm,
                             fock_suite, pair_classes, reports_to_json, run_relation,
                             run_suite, vector_suite)
 
 P = Params()
-CFG = SuiteConfig(max_size=3, serre_max_size=2)
 
 
 def test_fock_suite_small_all_pass():
-    reports = fock_suite(P, 3, 0, CFG)
+    reports = fock_suite(P, 3, 0, max_size=3)
     assert [r.relation_id for r in reports] == list(FOCK_RELATION_IDS)
     for r in reports:
         assert r.status == "pass", (r.relation_id, r.max_residual, r.worst_case)
@@ -23,7 +23,7 @@ def test_fock_suite_small_all_pass():
 
 
 def test_vector_suite_small_all_pass():
-    reports = vector_suite(P, 3, 0, CFG)
+    reports = vector_suite(P, 3, 0, max_size=3)
     assert [r.relation_id for r in reports] == list(VECTOR_RELATION_IDS)
     assert all(r.status == "pass" for r in reports)
 
@@ -37,7 +37,7 @@ def test_quadratic_detects_wrong_twist():
     from dataclasses import replace
 
     rep.cartan = replace(rep.cartan, m=tuple(tuple(r) for r in broken))
-    report = check_quadratic(rep, +1, rep.states(3), CFG)
+    report = check_quadratic(rep, +1, rep.states(3))
     assert report.status == "fail"
     assert report.max_residual > 1e-3
 
@@ -48,12 +48,12 @@ def test_xpxm_detects_wrong_constant():
     import eqtor.fock01 as fock01
 
     rep = FockRep(P, 3, 0)
-    good = check_xpxm(rep, rep.states(3), CFG)
+    good = check_xpxm(rep, rep.states(3))
     assert good.status == "pass"
     orig = fock01.vertex_constant
     try:
         fock01.vertex_constant = lambda sign, params: 1.07 * orig(sign, params)
-        bad = check_xpxm(rep, rep.states(3), CFG)
+        bad = check_xpxm(rep, rep.states(3))
     finally:
         fock01.vertex_constant = orig
     assert bad.status == "fail"
@@ -61,35 +61,42 @@ def test_xpxm_detects_wrong_constant():
 
 def test_serre_nontrivial_samples():
     rep = FockRep(P, 4, 1)
-    report = check_serre(rep, +1, rep.states(3), CFG)
+    report = check_serre(rep, +1, rep.states(3))
     assert report.status == "pass"
     assert report.samples > 50
 
 
 def test_phi_x_skip_accounting():
     rep = FockRep(P, 3, 0)
-    tight = SuiteConfig(max_size=2, z_samples=4, guard=1e-4)
-    report = check_phi_x(rep, +1, +1, rep.states(2), tight)
+    report = check_phi_x(rep, +1, rep.states(2))
     assert report.status == "pass"
     assert report.skipped <= 0.2 * report.samples
 
 
 def test_run_relation_unknown():
     with pytest.raises(ValueError):
-        run_relation(FockRep(P, 3, 0), "nope", CFG)
+        run_relation(FockRep(P, 3, 0), "nope", 3)
 
 
-def test_run_suite_thread_env(monkeypatch):
-    monkeypatch.setenv("EQTOR_THREADS", "2")
-    reports = run_suite(FockRep(P, 3, 0), ("kappa0", "grading_gf"), CFG)
-    assert [r.relation_id for r in reports] == ["kappa0", "grading_gf"]
-    assert all(r.status == "pass" for r in reports)
+def test_dispatch_table_is_the_fock_suite():
+    # one table maps relation ids to checks; its order is the suite order
+    assert tuple(_CHECKS) == FOCK_RELATION_IDS
+    with pytest.raises(ValueError, match="unknown relation"):
+        run_relation(VectorRep(P, 3, 0), "serre", 3)
+
+
+def test_suite_samples_with_params_seed(capsys):
+    # the library suite and the CLI take the sampling seed from Params.seed alone
+    text = reports_to_json(fock_suite(Params(seed=5), 3, 0, max_size=2))
+    assert cli.main(["verify", "fock", "--N", "3", "--max-size", "2",
+                     "--seed", "5", "--json"]) == 0
+    assert capsys.readouterr().out == text + "\n"
 
 
 def test_report_json_schema_and_determinism():
-    reports = run_suite(FockRep(P, 3, 0), ("xpxm", "kappa0"), CFG)
+    reports = run_suite(FockRep(P, 3, 0), ("xpxm", "kappa0"), 3)
     text1 = reports_to_json(reports)
-    text2 = reports_to_json(run_suite(FockRep(P, 3, 0), ("xpxm", "kappa0"), CFG))
+    text2 = reports_to_json(run_suite(FockRep(P, 3, 0), ("xpxm", "kappa0"), 3))
     assert text1 == text2  # identical config and seed: byte-identical output
     data = json.loads(text1)
     for row in data:
@@ -110,18 +117,16 @@ def test_pair_classes_dedup():
 
 def test_vector_rep_xpxm_channels():
     rep = VectorRep(P, 3, 0, index_range=3)
-    report = check_xpxm(rep, rep.states(), CFG)
+    report = check_xpxm(rep, rep.states())
     assert report.status == "pass"
     assert report.samples > 0
 
 
 def test_params_tol_is_the_only_gate():
     # residuals of ~1e-16 pass at the default 1e-8 and fail at 1e-30
-    cfg = SuiteConfig(max_size=2)
-    assert not hasattr(cfg, "tol")
-    strict = fock_suite(Params(tol=1e-30), 3, 0, cfg)
+    strict = fock_suite(Params(tol=1e-30), 3, 0, max_size=2)
     assert any(r.status == "fail" and r.max_residual > 1e-30 for r in strict)
-    assert all(r.status == "pass" for r in fock_suite(P, 3, 0, cfg))
+    assert all(r.status == "pass" for r in fock_suite(P, 3, 0, max_size=2))
 
 
 def test_high_precision_reports_serialize():
