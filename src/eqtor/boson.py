@@ -153,12 +153,19 @@ class BosonAlgebra:
         scale = self.prime_scale(abs(m)) if prime else 1.0
         if m < 0:
             return {state_add_mode(st, i, -m): c * scale for st, c in vec.items()}
+        # read only the fields of mode m: field d(d+1)/2 + jc with d = jc + m - 1,
+        # increasing with the color, as _fields yields them
+        modes = []
+        for jc in self.data.index_set:
+            d = jc + m - 1
+            offset = DEGREE_BITS + FIELD_BITS * (d * (d + 1) // 2 + jc)
+            modes.append((jc, offset, mode_unit(jc, m)))
         out: BosonVec = {}
         for st, c in vec.items():
-            for field, mult in _fields(st):
-                jc, mm = _field_mode(field)
-                if mm == m:
-                    s2 = st - mode_unit(jc, m)
+            for jc, offset, unit in modes:
+                mult = (st >> offset) & _FIELD_MASK
+                if mult:
+                    s2 = st - unit
                     out[s2] = out.get(s2, 0j) + c * scale * mult * self.mode_commutator(i, m, jc, -m)
         return out
 

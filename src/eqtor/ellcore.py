@@ -389,11 +389,19 @@ class ThetaRatioSpec:
 
     def evaluate(self, z, params: Params):
         """Value of the underlying meromorphic function at numeric z."""
+        return self.evaluate_with(lambda shift: params.theta_p(shift.value(params) / z))
+
+    def evaluate_with(self, theta_of):
+        """The value with theta_of(shift) standing for theta(shift / z).
+
+        The factors are multiplied in one fixed order, so a caller that
+        supplies memoized thetas gets values bit-identical to ``evaluate``.
+        """
         out = self.scalar_prefactor
         for n in self.numer_shifts:
-            out = out * params.theta_p(n.value(params) / z)
+            out = out * theta_of(n)
         for d in self.denom_shifts:
-            out = out / params.theta_p(d.value(params) / z)
+            out = out / theta_of(d)
         return out
 
     def balance_exponent(self) -> int:

@@ -327,9 +327,6 @@ class FockRep:
     def kplus_exponent(self, color: int, v: FockBasisVector) -> int:
         return kplus_exponent(v, color)
 
-    def state_key(self, v: FockBasisVector):
-        return (v.partition.parts, v.weight)
-
     def describe(self) -> str:
         return f"fock(N={self.n_colors}, k={self.root_color})"
 
@@ -369,9 +366,6 @@ class VectorRep:
         if (color + v.index + 1) % n == k % n:
             return -1
         return 0
-
-    def state_key(self, v: VectorBasis):
-        return (v.index, v.wt())
 
     def describe(self) -> str:
         return f"vector(N={self.n_colors}, k={self.root_color}, |j|<={self.index_range})"

@@ -1,14 +1,16 @@
 import json
+from dataclasses import replace
 
 import pytest
 
-from eqtor.ellcore import Params
-from eqtor.fock01 import FockRep, VectorRep
+import eqtor.fock01 as fock01
+from eqtor.ellcore import DeltaVector, Params
+from eqtor.fock01 import FockRep, PhiAction, VectorRep
 from eqtor import cli
 from eqtor.relcheck import (FOCK_RELATION_IDS, VECTOR_RELATION_IDS, _CHECKS,
                             check_phi_x, check_quadratic, check_serre, check_xpxm,
-                            fock_suite, pair_classes, reports_to_json, run_relation,
-                            run_suite, vector_suite)
+                            fock_suite, level1_suite, pair_classes, reports_to_json,
+                            run_relation, run_suite, vector_suite)
 
 P = Params()
 
@@ -140,3 +142,92 @@ def test_high_precision_reports_serialize():
     assert rows[0]["params"]["q"] == [float(hp.q.real), float(hp.q.imag)]
     # the engine ran in high precision: residuals far below double rounding
     assert max(r["max_residual"] for r in rows) < 1e-25
+
+
+def _reverse_twist(monkeypatch, rep):
+    # the cyclic kappa twist m_ij of the structure kernels, negated
+    m = tuple(tuple(-x for x in row) for row in rep.cartan.m)
+    monkeypatch.setattr(rep, "cartan", replace(rep.cartan, m=m))
+
+
+def _wrap(name, make):
+    # replace fock01.<name> by make(original)
+    return lambda monkeypatch, rep: monkeypatch.setattr(
+        fock01, name, make(getattr(fock01, name)))
+
+
+def _without_scalar(phi_action):
+    def mutant(color, v, params):
+        act = phi_action(color, v, params)
+        return PhiAction(replace(act.spec, scalar_prefactor=1.0 + 0j), act.weight_shift)
+    return mutant
+
+
+def _by_length(coeff):
+    # a matrix element off by a factor that depends on the source partition
+    return lambda lam, box, color, params: coeff(lam, box, color, params) * (1 + 0.01 * lam.length)
+
+
+def _without_rq_shift(apply_xplus):
+    def mutant(color, v, params):
+        return DeltaVector(
+            replace(t, payload=replace(t.payload, weight=t.payload.weight.shifted(color, 0, 1)))
+            for t in apply_xplus(color, v, params))
+    return mutant
+
+
+def _extra_phi_shift(phi_action):
+    def mutant(color, v, params):
+        act = phi_action(color, v, params)
+        return PhiAction(act.spec, act.weight_shift.shifted(color, 0, 1))
+    return mutant
+
+
+# relation id -> one targeted perturbation of the Fock handle or its module
+FOCK_MUTANTS = {
+    "xpxp": _reverse_twist,
+    "xmxm": _reverse_twist,
+    "xpxm": _wrap("vertex_constant", lambda f: lambda sign, params: 1.07 * f(sign, params)),
+    "phixp": _wrap("phi_action", _without_scalar),
+    "phixm": _wrap("phi_action", _without_scalar),
+    "serre_plus": _wrap("coeff_plus", _by_length),
+    "serre_minus": _wrap("coeff_minus", _by_length),
+    "grading_gf": _wrap("apply_xplus", _without_rq_shift),
+    "grading_gK": _wrap("phi_action", _extra_phi_shift),
+    "dedf": _wrap("coeff_plus", lambda f: lambda lam, box, color, params:
+                  f(lam, box, color, params) * params.u),
+    "kappa0": _wrap("kplus_exponent", lambda f: lambda v, color:
+                    len(fock01.boxes_by_color(v.partition, color)[1])),
+}
+# at level zero these cannot fail as written; their reports say so
+FOCK_STRUCTURAL_IDS = ("phiphi_pp", "phiphi_pm")
+
+
+def test_fock_mutation_table_covers_every_relation():
+    assert sorted([*FOCK_MUTANTS, *FOCK_STRUCTURAL_IDS]) == sorted(FOCK_RELATION_IDS)
+
+
+@pytest.mark.parametrize("rel_id", list(FOCK_MUTANTS))
+def test_fock_mutant_turns_red(rel_id, monkeypatch):
+    # the mutant runs on a handle that already ran the clean check: no
+    # memoized action may carry over from one check to the next
+    rep = FockRep(P, 3, 0)
+    clean = run_relation(rep, rel_id, 2)
+    assert clean.status == "pass", (clean.max_residual, clean.worst_case)
+    FOCK_MUTANTS[rel_id](monkeypatch, rep)
+    bad = run_relation(rep, rel_id, 2)
+    assert bad.status == "fail", (bad.max_residual, bad.worst_case)
+
+
+@pytest.mark.parametrize("rel_id", FOCK_STRUCTURAL_IDS)
+def test_fock_structural_relations_say_so(rel_id):
+    report = run_relation(FockRep(P, 3, 0), rel_id, 2)
+    assert report.status == "pass"
+    assert report.notes.startswith("structural at level zero")
+
+
+def test_zalg1_report_is_marked_structural():
+    reports = {r.relation_id: r for r in level1_suite(P, "A2", 0, degree=1, window=3)}
+    assert reports["zalg1"].status == "pass"
+    assert reports["zalg1"].notes.startswith("structural: z_apply ignores the boson state")
+    assert not reports["zalg2"].notes.startswith("structural")
