@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from .ellcore import hash_once
+
 
 @dataclass(frozen=True)
 class CartanData:
@@ -195,6 +197,8 @@ class DynWeight:
 
     root: tuple[int, ...]
     rq: tuple[int, ...]
+
+    __hash__ = hash_once
 
     @classmethod
     def zero(cls, size: int) -> "DynWeight":

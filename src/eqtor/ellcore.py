@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Any, Iterable, Sequence
 
 DEFAULT_TERMS = 40
@@ -166,6 +166,21 @@ def poch_pairs_series(pairs: Sequence[tuple], order: int) -> list:
     return out
 
 
+def hash_once(self) -> int:
+    """``__hash__`` for frozen dataclasses used as memo keys.
+
+    The value is the dataclass-generated one, the hash of the field tuple, so
+    set iteration order does not change; it is computed on first use and kept
+    on the instance.
+    """
+    try:
+        return self._hash
+    except AttributeError:
+        h = hash(tuple(getattr(self, f.name) for f in fields(self)))
+        object.__setattr__(self, "_hash", h)
+        return h
+
+
 # ---------------------------------------------------------------------------
 # lattice scalars kappa^a q^b u^e
 # ---------------------------------------------------------------------------
@@ -232,6 +247,7 @@ class Params:
     precision: int | None = None
     # per instance: every construction, dataclasses.replace included, starts empty
     _theta_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _vertex_constants: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.validate()

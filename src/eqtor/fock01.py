@@ -16,7 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cartan import CartanData, DynWeight, gl_cartan
-from .ellcore import LAT_Q2, DeltaTerm, DeltaVector, Lat, Params, ThetaRatioSpec
+from .ellcore import (LAT_Q2, DeltaTerm, DeltaVector, Lat, Params, ThetaRatioSpec,
+                      hash_once)
 from .partitions import (ColoredPartition, boxes_by_color, coeff_minus, coeff_plus,
                          partitions_up_to, row_addable_condition,
                          row_removable_condition, row_support_lat, support_lat)
@@ -26,6 +27,8 @@ from .partitions import (ColoredPartition, boxes_by_color, coeff_minus, coeff_pl
 class FockBasisVector:
     partition: ColoredPartition
     weight: DynWeight
+
+    __hash__ = hash_once
 
     @classmethod
     def vacuum(cls, n_colors: int, root_color: int = 0) -> "FockBasisVector":
@@ -45,8 +48,11 @@ class PhiAction:
 
 
 def vertex_constant(sign: int, params: Params) -> complex:
-    """C+- = (p q^{+-2}; p)_oo / (p; p)_oo."""
-    return params.qpoch_p(params.p * params.q ** (2 * sign)) / params.qpoch_p(params.p)
+    """C+- = (p q^{+-2}; p)_oo / (p; p)_oo, computed once per parameter point."""
+    cache = params._vertex_constants
+    if sign not in cache:
+        cache[sign] = params.qpoch_p(params.p * params.q ** (2 * sign)) / params.qpoch_p(params.p)
+    return cache[sign]
 
 
 def vertex_constant_product(params: Params) -> complex:
@@ -338,6 +344,8 @@ class VectorRep:
     kappa0_exponent = 0
 
     def __init__(self, params: Params, n_colors: int, root_color: int = 0, index_range: int = 4):
+        if not 0 <= root_color < n_colors:
+            raise ValueError("root color out of range")
         if params.level_k != 0:
             params = params.with_level(0)
         self.params = params

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from .boson import (BosonAlgebra, VACUUM, accumulate, basis_states, state_degree,
                     vector_residual)
 from .cartan import CartanData, Cocycle, DynWeight, cartan_data, cocycle_build
-from .ellcore import Params, pochratio_series, theta_coefficient
+from .ellcore import Params, hash_once, pochratio_series, theta_coefficient
 
 
 @dataclass(frozen=True)
@@ -32,12 +32,7 @@ class LatticeVector:
     fundamental: int
     weight: DynWeight
 
-    def __post_init__(self):
-        # every module-vector key holds one: hash the fields once, not per lookup
-        object.__setattr__(self, "_hash", hash((self.beta, self.fundamental, self.weight)))
-
-    def __hash__(self) -> int:
-        return self._hash
+    __hash__ = hash_once  # every module-vector key holds one
 
     @classmethod
     def highest(cls, data: CartanData, a: int) -> "LatticeVector":
@@ -116,19 +111,20 @@ class Level1Module:
 
         Returns {z_exponent: vector}; entries are exact for exponents in
         [zmin, zmax].  ``out_cap`` bounds the boson degree of the output.
+        The boson factor runs once per lattice vector, on the whole boson part
+        at that vector; Z+-_i translates lattice vectors injectively, so the
+        images of different lattice vectors never share an output key.
         """
-        by_lattice: dict[LatticeVector, dict] = {}  # image lattice vector -> boson part
-        for (bst, lv), co in vec.items():
-            exp0, lv2, cocy = self.z_apply(sign, i, lv)
-            bmap = self.boson.apply_current_boson(sign, i, {bst: co * cocy},
-                                                  zmin - exp0, zmax - exp0, out_cap)
-            zmap = by_lattice.setdefault(lv2, {})
-            for be, bvec in bmap.items():
-                accumulate(zmap.setdefault(be + exp0, {}), bvec)
         out: dict[int, dict] = {}
-        for lv2, zmap in by_lattice.items():
-            for ze, bvec in zmap.items():
-                out.setdefault(ze, {}).update({(bst, lv2): c for bst, c in bvec.items()})
+        for lv, bvec in _by_lattice(vec).items():
+            exp0, lv2, cocy = self.z_apply(sign, i, lv)
+            scaled = {bst: c * cocy for bst, c in bvec.items()}
+            bmap = self.boson.apply_current_boson(sign, i, scaled, zmin - exp0, zmax - exp0,
+                                                  out_cap)
+            for be, bv in bmap.items():
+                tgt = out.setdefault(be + exp0, {})
+                for bst, c in bv.items():
+                    tgt[bst, lv2] = c
         return out
 
     def highest_vector(self) -> dict:
@@ -436,12 +432,18 @@ def check_mode_current_bracket(mod: Level1Module, i: int, j: int, sign: int,
     return worst
 
 
-def _mode_on_module(alg: BosonAlgebra, i: int, m: int, vec: dict) -> dict:
-    """a_{i,m} on {(boson state, lattice vector): coeff}."""
-    out: dict = {}
+def _by_lattice(vec: dict) -> dict:
+    """{(boson state, lattice vector): coeff} as {lattice vector: boson vector}."""
+    groups: dict[LatticeVector, dict] = {}
     for (bst, lv), c in vec.items():
-        accumulate(out, {(b2, lv): c2 for b2, c2 in alg.apply_mode(i, m, {bst: c}).items()})
-    return out
+        groups.setdefault(lv, {})[bst] = c
+    return groups
+
+
+def _mode_on_module(alg: BosonAlgebra, i: int, m: int, vec: dict) -> dict:
+    """a_{i,m} on {(boson state, lattice vector): coeff}, once per lattice vector."""
+    return {(b2, lv): c2 for lv, bvec in _by_lattice(vec).items()
+            for b2, c2 in alg.apply_mode(i, m, bvec).items()}
 
 
 def check_xx_quadratic_level1(mod: Level1Module, sign: int, i: int, j: int,
@@ -506,6 +508,14 @@ def check_highest_weight(mod: Level1Module, window: int = 6) -> float:
                   + [_mode_on_module(mod.boson, i, m, v) for m in range(1, 4)])
         worst = max([worst] + [abs(c) for vv in killed for c in vv.values()])
     return worst
+
+
+def check_level(mod: Level1Module, samples: int, rng: random.Random) -> float:
+    """prod_i (K+_i)^{colabel_i} acts by q^{level_exponent} on sampled vectors: 0.0, else 1.0."""
+    expo = mod.level_exponent()
+    ok = all(sum(mod.data.colabels[c] * mod.pair_h(lv, c) for c in mod.data.index_set) == expo
+             for lv in mod.sample_vectors(samples, rng))
+    return 0.0 if ok else 1.0
 
 
 def check_phi_phi_level1(mod: Level1Module, i: int, j: int, samples: int,

@@ -9,9 +9,10 @@ their spectral supports live on the kappa/q lattice.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
-from .ellcore import LAT_Q2, Lat, Params
+from .ellcore import LAT_Q2, Lat, Params, hash_once
 
 Box = tuple[int, int]
 
@@ -23,6 +24,8 @@ class ColoredPartition:
     parts: tuple[int, ...]
     n_colors: int
     root_color: int = 0
+
+    __hash__ = hash_once
 
     def __post_init__(self):
         if self.n_colors < 3:
@@ -80,6 +83,21 @@ class ColoredPartition:
         return [(x, self.row(x)) for x in range(1, len(self.parts) + 1)
                 if self.row(x) > self.row(x + 1)]
 
+    @cached_property
+    def _boxes_by_color(self) -> dict[int, tuple[tuple[Box, ...], tuple[Box, ...]]]:
+        """color -> (addable, removable) boxes of boxes_by_color, computed once per partition."""
+        table: dict[int, tuple[list[Box], list[Box]]] = {}
+        for side, boxes in enumerate((self.addable_boxes(), self.removable_boxes())):
+            for b in boxes:
+                table.setdefault(self.content(b), ([], []))[side].append(b)
+        out = {}
+        for color, (add, rem) in table.items():
+            add.sort(key=lambda b: (b[0] - b[1], b))
+            rem.sort(key=lambda b: (b[0] - b[1], b))
+            assert add == sorted(add) and rem == sorted(rem)
+            out[color] = (tuple(add), tuple(rem))
+        return out
+
     def add_box(self, box: Box) -> "ColoredPartition":
         x, y = box
         if box not in self.addable_boxes():
@@ -103,12 +121,8 @@ def boxes_by_color(lam: ColoredPartition, color: int) -> tuple[list[Box], list[B
     For same-color candidate boxes of one diagram the integer-content order
     coincides with row order; this is asserted rather than assumed.
     """
-    add = [b for b in lam.addable_boxes() if lam.content(b) == color]
-    rem = [b for b in lam.removable_boxes() if lam.content(b) == color]
-    add.sort(key=lambda b: (b[0] - b[1], b))
-    rem.sort(key=lambda b: (b[0] - b[1], b))
-    assert add == sorted(add) and rem == sorted(rem)
-    return add, rem
+    add, rem = lam._boxes_by_color.get(color, ((), ()))
+    return list(add), list(rem)
 
 
 def support_lat(box: Box) -> Lat:

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from eqtor.cli import main, parse_complex
 
 
@@ -126,3 +128,16 @@ def test_verify_level1_zalg2_small_window(capsys):
     assert code == 0
     zalg2 = next(r for r in json.loads(out) if r["relation_id"] == "zalg2")
     assert zalg2["status"] == "pass" and zalg2["max_residual"] < 1e-12
+
+
+@pytest.mark.parametrize("argv", [
+    ("heisenberg", "--type", "A2", "--window", "-2"),
+    ("fock", "--N", "3", "--max-size", "-1"),
+    ("level1", "--type", "A2", "--a", "0", "--degree", "-1"),
+    ("vector", "--N", "3", "--k", "3"),
+], ids=["window", "max_size", "degree", "vector_k"])
+def test_verify_rejects_bad_sizes(capsys, argv):
+    # a negative size used to check nothing and report every relation as passed
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2
+    assert out == "" and "parameter error" in err

@@ -1,3 +1,5 @@
+from dataclasses import fields, replace
+
 import pytest
 
 from eqtor.cartan import DynWeight
@@ -24,6 +26,30 @@ def test_vertex_constants():
     cm = vertex_constant(-1, P)
     # closed form forced by the definitions
     assert abs(cp * cm - vertex_constant_product(P)) < 1e-14
+
+
+def test_vertex_constants_not_shared_after_replace():
+    # C+- are kept on the Params instance; a replaced point computes its own
+    cp = vertex_constant(+1, P)
+    p2 = replace(P, q=0.85 * P.q / abs(P.q))
+    assert p2._vertex_constants is not P._vertex_constants
+    for sign in (+1, -1):
+        want = p2.qpoch_p(p2.p * p2.q ** (2 * sign)) / p2.qpoch_p(p2.p)
+        assert vertex_constant(sign, p2) == want
+    assert abs(vertex_constant(+1, p2) - cp) > 1e-3
+    assert vertex_constant(+1, P) == cp
+
+
+def test_memo_keys_hash_as_their_field_tuples():
+    # hashes are kept after first use but equal the dataclass-generated ones,
+    # so set iteration orders do not depend on the caching
+    lam = ColoredPartition.make((3, 1), 4, 1)
+    wt = DynWeight((1, 0, -1, 0), (0, 2, 0, 0))
+    for obj in (lam, wt, FockBasisVector(lam, wt)):
+        want = hash(tuple(getattr(obj, f.name) for f in fields(obj)))
+        assert hash(obj) == want
+        assert hash(obj) == want  # the kept value
+        assert obj == replace(obj) and hash(replace(obj)) == want
 
 
 def test_xplus_on_vacuum():

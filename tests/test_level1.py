@@ -2,12 +2,13 @@ import random
 
 import pytest
 
-from eqtor.boson import VACUUM, state_add_mode
+from eqtor.boson import VACUUM, BosonAlgebra, accumulate, basis_states, state_add_mode
 from eqtor.ellcore import Params
-from eqtor.level1 import (LatticeVector, Level1Module, check_highest_weight,
-                          check_mode_current_bracket, check_phi_phi_level1,
+from eqtor.level1 import (ZALG_IDS, LatticeVector, Level1Module, check_highest_weight,
+                          check_level, check_mode_current_bracket, check_phi_phi_level1,
                           check_xx_quadratic_level1, check_zalgebra,
                           serre_reduction_residual)
+from eqtor.relcheck import LEVEL1_RELATION_IDS
 
 P = Params()
 
@@ -158,3 +159,168 @@ def test_degree_grading_shift():
                 for (bst, lv), c in vec.items():
                     if abs(c) > 1e-14:
                         assert mod.degree(bst, lv) - d0 == -ze
+
+
+# -- current_apply against the per-monomial reference ------------------------
+
+def current_apply_per_monomial(mod, sign, i, vec, zmin, zmax, out_cap=None):
+    """The vertex current with one boson call per (boson state, lattice vector)."""
+    by_lattice: dict = {}
+    for (bst, lv), co in vec.items():
+        exp0, lv2, cocy = mod.z_apply(sign, i, lv)
+        bmap = mod.boson.apply_current_boson(sign, i, {bst: co * cocy},
+                                             zmin - exp0, zmax - exp0, out_cap)
+        zmap = by_lattice.setdefault(lv2, {})
+        for be, bvec in bmap.items():
+            accumulate(zmap.setdefault(be + exp0, {}), bvec)
+    out: dict = {}
+    for lv2, zmap in by_lattice.items():
+        for ze, bvec in zmap.items():
+            out.setdefault(ze, {}).update({(bst, lv2): c for bst, c in bvec.items()})
+    return out
+
+
+def mixed_vector(mod):
+    """Several boson states at each of three lattice vectors, distinct coefficients."""
+    states = basis_states((0, 1, 2), 2)
+    lats = mod.sample_vectors(3, random.Random(5))
+    return {(st, lv): complex(1 + n, 0.3 * k - 0.5 * n)
+            for k, lv in enumerate(lats) for n, st in enumerate(states)}
+
+
+@pytest.mark.parametrize("tag", ["A2", "D4"])
+def test_current_apply_matches_per_monomial_reference(tag):
+    mod = module(tag)
+    vec = mixed_vector(mod)
+    assert len({lv for _, lv in vec}) == 3 and len(vec) > 12
+    for sign in (+1, -1):
+        for i in (0, 1):
+            for out_cap in (None, 4):
+                got = mod.current_apply(sign, i, vec, -4, 3, out_cap)
+                want = current_apply_per_monomial(mod, sign, i, vec, -4, 3, out_cap)
+                assert set(got) == set(want)
+                for ze, wv in want.items():
+                    assert set(got[ze]) == set(wv)
+                    for key, c in wv.items():
+                        assert abs(got[ze][key] - c) <= 1e-13 * abs(c), (ze, key, got[ze][key], c)
+
+
+def test_current_apply_calls_boson_once_per_lattice_vector(monkeypatch):
+    mod = module()
+    vec = mixed_vector(mod)
+    calls = []
+    inner = BosonAlgebra.apply_current_boson
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return inner(self, *args, **kwargs)
+
+    monkeypatch.setattr(BosonAlgebra, "apply_current_boson", counted)
+    out = mod.current_apply(+1, 0, vec, -4, 3)
+    assert len(calls) == len({lv for _, lv in vec}) == 3
+    # the output keeps one lattice vector per input lattice vector
+    calls.clear()
+    mod.current_apply(-1, 1, out[1], -4, 3)
+    assert len(calls) == len({lv for _, lv in out[1]}) == 3
+
+
+# -- mutation table of the level-1 relations ----------------------------------
+
+def _zalgebra(rid):
+    return lambda mod: check_zalgebra(rid, mod, samples=15, window=3)
+
+
+def _highest_bracket(sign):
+    return lambda mod: check_mode_current_bracket(mod, 0, 1, sign, mod.highest_vector(), window=3)
+
+
+# z_apply ignores the boson state, so zalg1 cannot fail; its report says so
+LEVEL1_STRUCTURAL_IDS = ("zalg1",)
+ZALG_MUTATED = tuple(rid for rid in ZALG_IDS if rid not in LEVEL1_STRUCTURAL_IDS)
+
+# relation id -> its check on a small window, as a residual against Params.tol
+LEVEL1_CHECKS = {
+    **{rid: _zalgebra(rid) for rid in ZALG_MUTATED},
+    "l1_bracket_plus": _highest_bracket(+1),
+    "l1_bracket_minus": _highest_bracket(-1),
+    "l1_xpxp": lambda mod: check_xx_quadratic_level1(mod, +1, 0, 1, mod.highest_vector(),
+                                                     window=2, theta_terms=6),
+    "l1_highest": lambda mod: check_highest_weight(mod, window=3),
+    "l1_level": lambda mod: check_level(mod, 8, random.Random(3)),
+    "l1_phiphi_pm": lambda mod: check_phi_phi_level1(mod, 0, 1, 3, random.Random(4)),
+}
+
+
+def _cocycle_on_odd_beta0(monkeypatch):
+    # the cocycle scaled by 1.01 on the lattice vectors with odd beta_0
+    z_apply = Level1Module.z_apply
+
+    def mutant(self, sign, j, v):
+        exp, v2, coeff = z_apply(self, sign, j, v)
+        return exp, v2, coeff * (1.01 if v.beta[0] % 2 else 1.0)
+    monkeypatch.setattr(Level1Module, "z_apply", mutant)
+
+
+def _lowered_z_plus_exponent(monkeypatch):
+    # Z+ one power of z lower
+    z_apply = Level1Module.z_apply
+
+    def mutant(self, sign, j, v):
+        exp, v2, coeff = z_apply(self, sign, j, v)
+        return exp - (sign > 0), v2, coeff
+    monkeypatch.setattr(Level1Module, "z_apply", mutant)
+
+
+def _drop_first_translation_terms(primed):
+    # the annihilator exponential of x+ (unprimed) or x- (primed) loses the
+    # terms that lower the degree by one
+    def apply(monkeypatch):
+        translate = BosonAlgebra._translate
+
+        def mutant(self, vec, key):
+            out = translate(self, vec, key)
+            if key[1] == primed:
+                out.pop(1, None)
+            return out
+        monkeypatch.setattr(BosonAlgebra, "_translate", mutant)
+    return apply
+
+
+def _level_exponent_off_by_one(monkeypatch):
+    level_exponent = Level1Module.level_exponent
+    monkeypatch.setattr(Level1Module, "level_exponent", lambda self: 1 + level_exponent(self))
+
+
+def _scaled_mode_bracket(monkeypatch):
+    # the mode bracket [a_{i,m}, a_{j,-m}] scaled by 1.01
+    bracket = BosonAlgebra.mode_commutator
+    monkeypatch.setattr(BosonAlgebra, "mode_commutator",
+                        lambda self, *args: 1.01 * bracket(self, *args))
+
+
+LEVEL1_MUTANTS = {
+    **{rid: _cocycle_on_odd_beta0 for rid in ZALG_MUTATED},
+    "l1_bracket_plus": _drop_first_translation_terms(False),
+    "l1_bracket_minus": _drop_first_translation_terms(True),
+    "l1_xpxp": _cocycle_on_odd_beta0,
+    "l1_highest": _lowered_z_plus_exponent,
+    "l1_level": _level_exponent_off_by_one,
+    "l1_phiphi_pm": _scaled_mode_bracket,
+}
+
+
+def test_level1_mutation_table_covers_every_relation():
+    assert sorted([*LEVEL1_MUTANTS, *LEVEL1_STRUCTURAL_IDS]) == sorted(LEVEL1_RELATION_IDS)
+    assert sorted(LEVEL1_CHECKS) == sorted(LEVEL1_MUTANTS)
+
+
+@pytest.mark.parametrize("rel_id", list(LEVEL1_MUTANTS))
+def test_level1_mutant_turns_red(rel_id, monkeypatch):
+    # the mutant runs on a module that already passed the clean check, so
+    # the term tables BosonAlgebra keeps cannot hide it
+    mod = module()
+    clean = LEVEL1_CHECKS[rel_id](mod)
+    assert clean < P.tol
+    LEVEL1_MUTANTS[rel_id](monkeypatch)
+    bad = LEVEL1_CHECKS[rel_id](mod)
+    assert bad >= P.tol, bad
