@@ -351,7 +351,10 @@ def check_exchange(rel_id: int, alg: BosonAlgebra, i: int, j: int,
         return _check_commutator(rel, alg, i, j, max_degree, window)
     nker = 2 * window + 2 * max_degree
     lo = -(2 * window + max_degree)
-    out_cap = max_degree + 2 * window  # entries read have degree <= d_in + A + B
+    # entries read have degree <= d_in + A + B.  In apply_current_boson the
+    # window bound hi = zmax + tplus binds before this cap: a cap of
+    # d_in + 2*window per input leaves the output term count unchanged
+    out_cap = max_degree + 2 * window
     ker = poch_pairs_series(_kernel_pairs(rel, alg, i, j), nker)
     zop = rel.left[0] + (i,)
     wop = rel.left[1] + (j,)

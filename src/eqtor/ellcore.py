@@ -436,13 +436,6 @@ class ThetaRatioSpec:
     def scaled(self, factor) -> "ThetaRatioSpec":
         return ThetaRatioSpec(self.numer_shifts, self.denom_shifts, self.scalar_prefactor * factor)
 
-    def merged(self, other: "ThetaRatioSpec") -> "ThetaRatioSpec":
-        return ThetaRatioSpec(
-            self.numer_shifts + other.numer_shifts,
-            self.denom_shifts + other.denom_shifts,
-            self.scalar_prefactor * other.scalar_prefactor,
-        )
-
 
 def phi_delta_difference(spec: ThetaRatioSpec, params: Params, guard: float = 1e-4) -> list[tuple]:
     """Expansion difference  spec|_+  -  spec|_-  as a finite delta sum.

@@ -166,22 +166,22 @@ def check_zalg1(mod: Level1Module, samples: int, rng: random.Random,
     colors = list(data.index_set)[: min(3, len(data.a))]
     states = basis_states(colors, max_degree)
     vs = mod.sample_vectors(max(2, samples // 6), rng)
+    zs = [(sign, j) for sign in (+1, -1) for j in data.index_set]
     for lv in vs:
+        # each path evaluates its Z-operators once per (sign, j) on lv
+        z_first = [mod.z_apply(sign, j, lv) for sign, j in zs]
+        z_after = [mod.z_apply(sign, j, lv) for sign, j in zs]
         for st in states[:8]:
-            for sign in (+1, -1):
-                for j in data.index_set:
-                    for i in colors:
-                        for m in (-2, -1, 1, 2):
-                            # Z then mode
-                            ze, lv2, zco = mod.z_apply(sign, j, lv)
-                            path_a = {(st2, lv2, ze): c
-                                      for st2, c in mod.boson.apply_mode(i, m, {st: zco}).items()}
-                            # mode then Z
-                            path_b: dict = {}
-                            for st2, c in mod.boson.apply_mode(i, m, {st: 1.0 + 0j}).items():
-                                ze_b, lv2_b, zco_b = mod.z_apply(sign, j, lv)
-                                path_b[st2, lv2_b, ze_b] = c * zco_b
-                            worst = max(worst, vector_residual(path_a, path_b))
+            for (ze, lv2, zco), (ze_b, lv2_b, zco_b) in zip(z_first, z_after):
+                for i in colors:
+                    for m in (-2, -1, 1, 2):
+                        # Z then mode
+                        path_a = {(st2, lv2, ze): c
+                                  for st2, c in mod.boson.apply_mode(i, m, {st: zco}).items()}
+                        # mode then Z
+                        path_b = {(st2, lv2_b, ze_b): c * zco_b
+                                  for st2, c in mod.boson.apply_mode(i, m, {st: 1.0 + 0j}).items()}
+                        worst = max(worst, vector_residual(path_a, path_b))
     return worst
 
 
@@ -463,17 +463,25 @@ def check_xx_quadratic_level1(mod: Level1Module, sign: int, i: int, j: int,
     mm = data.m[i][j]
     base = params.p_star if sign > 0 else params.p
     wide = window + theta_terms
-    # entries read sit at fixed z+w total, so their boson degree is bounded
-    indeg = max((state_degree(bst) for (bst, _) in vec), default=0)
-    latmin = min(min(mod.z_apply(sign, c, lv)[0] for c in (i, j))
-                 for (_, lv) in vec) - 3
-    out_cap = indeg + 2 * window + 1 - 2 * latmin
+
+    def out_cap(first: int, second: int) -> int:
+        # every entry read sits at z+w total <= 2*window - 1, where the boson
+        # degree is the input degree plus that total minus the two
+        # Z-exponents of the path
+        caps = []
+        for bst, lv in vec:
+            e1, lv1, _ = mod.z_apply(sign, first, lv)
+            e2 = mod.z_apply(sign, second, lv1)[0]
+            caps.append(state_degree(bst) + 2 * window - 1 - e1 - e2)
+        return max(caps)
+
+    cap1, cap2 = out_cap(j, i), out_cap(i, j)
     op1 = {(ze, we): v2
            for we, v1 in mod.current_apply(sign, j, vec, -wide, wide).items()
-           for ze, v2 in mod.current_apply(sign, i, v1, -wide, wide, out_cap).items()}
+           for ze, v2 in mod.current_apply(sign, i, v1, -wide, wide, cap1).items()}
     op2 = {(ze, we): v2
            for ze, v1 in mod.current_apply(sign, i, vec, -wide, wide).items()
-           for we, v2 in mod.current_apply(sign, j, v1, -wide, wide, out_cap).items()}
+           for we, v2 in mod.current_apply(sign, j, v1, -wide, wide, cap2).items()}
     cc1 = q ** b * kappa ** (-mm)
     cc2 = q ** b * kappa ** mm
     ns = range(-theta_terms, theta_terms + 1)
@@ -537,14 +545,21 @@ def check_phi_phi_level1(mod: Level1Module, i: int, j: int, samples: int,
     p = params.p
     data = mod.data
     b, mm = data.b(i, j), data.m[i][j]
+    # the x-independent factors of each series term, multiplied in the same
+    # left-to-right order as the x-dependent ones below
+    outer, inner = [], []
+    for m in range(1, order + 1):
+        cpl = (q - 1 / q) ** 2 / ((1 - p ** m) * (1 - p ** m))
+        outer.append(cpl * mod.boson.mode_commutator(i, m, j, -m))
+        inner.append(cpl * mod.boson.mode_commutator(j, m, i, -m) * p ** (2 * m))
     worst = 0.0
     for _ in range(samples):
         x = rng.uniform(0.25, 0.45) * _cis(rng)  # inside the kernel-series disc
+        zx, wx = q ** k * x, q ** (-k) / x
         acc = 0j
-        for m in range(1, order + 1):
-            cpl = (q - 1 / q) ** 2 / ((1 - p ** m) * (1 - p ** m))
-            acc -= cpl * mod.boson.mode_commutator(i, m, j, -m) * (q ** k * x) ** m
-            acc += cpl * mod.boson.mode_commutator(j, m, i, -m) * p ** (2 * m) * (q ** (-k) / x) ** m
+        for m, (co, ci) in enumerate(zip(outer, inner), 1):
+            acc -= co * zx ** m
+            acc += ci * wx ** m
         kernel = cmath.exp(acc)
         mult = (params.theta_p(q ** b * kappa ** (-mm) * q ** k * x)
                 * params.theta_p(q ** (-b) * kappa ** (-mm) * q ** (-k) * x, star=True)

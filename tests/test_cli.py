@@ -141,3 +141,13 @@ def test_verify_rejects_bad_sizes(capsys, argv):
     code, out, err = run(capsys, "verify", *argv)
     assert code == 2
     assert out == "" and "parameter error" in err
+
+
+def test_verify_empty_report_fails(capsys):
+    # x- kills the only state of size 0, so xmxm (and phixm) compare nothing;
+    # a report that evaluated nothing must not pass
+    code, out, _ = run(capsys, "verify", "fock", "--N", "3", "--max-size", "0", "--json")
+    assert code != 0
+    by_id = {r["relation_id"]: r for r in json.loads(out)}
+    assert by_id["xmxm"]["samples"] == 0 and by_id["xmxm"]["status"] == "fail"
+    assert all(r["status"] == "pass" for r in by_id.values() if r["samples"])

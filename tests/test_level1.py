@@ -7,8 +7,8 @@ from eqtor.ellcore import Params
 from eqtor.level1 import (ZALG_IDS, LatticeVector, Level1Module, check_highest_weight,
                           check_level, check_mode_current_bracket, check_phi_phi_level1,
                           check_xx_quadratic_level1, check_zalgebra,
-                          serre_reduction_residual)
-from eqtor.relcheck import LEVEL1_RELATION_IDS
+                          sample_module_vectors, serre_reduction_residual)
+from eqtor.relcheck import LEVEL1_RELATION_IDS, level1_suite
 
 P = Params()
 
@@ -222,6 +222,59 @@ def test_current_apply_calls_boson_once_per_lattice_vector(monkeypatch):
     calls.clear()
     mod.current_apply(-1, 1, out[1], -4, 3)
     assert len(calls) == len({lv for _, lv in out[1]}) == 3
+
+
+# -- the degree cap of the quadratic current check ---------------------------
+
+def _counted_current_apply(monkeypatch, cap_shift=0):
+    """Wrap current_apply: count its output terms and widen any out_cap by cap_shift."""
+    inner = Level1Module.current_apply
+    terms = [0]
+
+    def counted(self, sign, i, vec, zmin, zmax, out_cap=None):
+        if out_cap is not None:
+            out_cap += cap_shift
+        out = inner(self, sign, i, vec, zmin, zmax, out_cap)
+        terms[0] += sum(len(v) for v in out.values())
+        return out
+    monkeypatch.setattr(Level1Module, "current_apply", counted)
+    return terms
+
+
+def test_xx_quadratic_cap_drops_nothing_read(monkeypatch):
+    # the per-path cap discards only states the comparison never reads: six
+    # more degrees must leave every residual bit-identical
+    mod = module()
+    sampled = sample_module_vectors(mod, 2, 4, random.Random(1))[1]
+    (_, lv), = sampled
+    assert any(lv.beta)
+    cases = [(sign, i, j, vec) for vec in (mod.highest_vector(), sampled)
+             for sign in (+1, -1) for i in range(3) for j in range(3)]
+
+    def residuals(cap_shift):
+        with monkeypatch.context() as m:
+            terms = _counted_current_apply(m, cap_shift)
+            res = [check_xx_quadratic_level1(mod, sign, i, j, vec, window=2, theta_terms=6)
+                   for sign, i, j, vec in cases]
+        return res, terms[0]
+
+    tight, tight_terms = residuals(0)
+    loose, loose_terms = residuals(6)
+    assert loose_terms > tight_terms  # the cap binds
+    assert tight == loose
+
+
+def test_level1_suite_cost_does_not_track_the_sample(monkeypatch):
+    # the quadratic check caps each path by its own input, so the
+    # current_apply output per suite run stays within 3x over the sampled
+    # vectors of seeds 11-14
+    terms = _counted_current_apply(monkeypatch)
+    counts = []
+    for seed in (11, 12, 13, 14):
+        terms[0] = 0
+        level1_suite(Params(seed=seed), "A2", 0)
+        counts.append(terms[0])
+    assert max(counts) <= 3 * min(counts), counts
 
 
 # -- mutation table of the level-1 relations ----------------------------------
