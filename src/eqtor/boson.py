@@ -325,15 +325,14 @@ def _kernel_pairs(rel: ExchangeRelation, alg: BosonAlgebra, i: int, j: int) -> l
 
 
 def _apply_descriptor(alg: BosonAlgebra, desc: tuple, vec: BosonVec,
-                      window: int, lo: int, hi: int,
-                      out_cap: int | None) -> dict[int, BosonVec]:
+                      window: int, lo: int, hi: int) -> dict[int, BosonVec]:
     kind, i = desc[0], desc[-1]
     sign = {"E+": +1, "E-": -1, "x+": +1, "x-": -1}[kind]
     if not vec:
         return {}
     if kind[0] == "E":
         return alg.apply_E(sign, desc[1], i, vec, max(map(state_degree, vec)) + window, window)
-    return alg.apply_current_boson(sign, i, vec, lo, hi, out_cap)
+    return alg.apply_current_boson(sign, i, vec, lo, hi)
 
 
 def check_exchange(rel_id: int, alg: BosonAlgebra, i: int, j: int,
@@ -351,31 +350,22 @@ def check_exchange(rel_id: int, alg: BosonAlgebra, i: int, j: int,
         return _check_commutator(rel, alg, i, j, max_degree, window)
     nker = 2 * window + 2 * max_degree
     lo = -(2 * window + max_degree)
-    # entries read have degree <= d_in + A + B.  In apply_current_boson the
-    # window bound hi = zmax + tplus binds before this cap: a cap of
-    # d_in + 2*window per input leaves the output term count unchanged
-    out_cap = max_degree + 2 * window
     ker = poch_pairs_series(_kernel_pairs(rel, alg, i, j), nker)
     zop = rel.left[0] + (i,)
     wop = rel.left[1] + (j,)
     worst = 0.0
     for st in basis_states((i, j), max_degree):
         vec = {st: 1.0 + 0j}
-        d_in = state_degree(st)
         # LHS: A(z) B(w) -> B applied first, read at |z|,|w| <= window
         lhs = {(se, fe): v2
-               for fe, v1 in _apply_descriptor(alg, wop, vec, window, lo, window,
-                                               d_in + window + 2).items()
-               for se, v2 in _apply_descriptor(alg, zop, v1, window, lo, window,
-                                               out_cap).items()}
+               for fe, v1 in _apply_descriptor(alg, wop, vec, window, lo, window).items()
+               for se, v2 in _apply_descriptor(alg, zop, v1, window, lo, window).items()}
         # RHS operator: B(w) A(z) -> A applied first; kernel shifts read the
         # w-op beyond the window only against opposite z-op exponents
         rhs_op: dict[tuple[int, int], BosonVec] = {}
-        for ze, v1 in _apply_descriptor(alg, zop, vec, window, lo,
-                                        2 * window, d_in + 2 * window + 2).items():
+        for ze, v1 in _apply_descriptor(alg, zop, vec, window, lo, 2 * window).items():
             hi_w = window if rel.orientation == "wz" else max(window, 2 * window - ze)
-            for we, v2 in _apply_descriptor(alg, wop, v1, window, lo,
-                                            hi_w, out_cap).items():
+            for we, v2 in _apply_descriptor(alg, wop, v1, window, lo, hi_w).items():
                 rhs_op[ze, we] = v2
         for A in range(-window, window + 1):
             for B in range(-window, window + 1):
@@ -403,19 +393,34 @@ def _check_commutator(rel: ExchangeRelation, alg: BosonAlgebra, i: int, j: int,
                 * kappa ** (-mode_sign * ell * mm) * q ** (-k * ell)
         else:
             coeff = (alg.qnum(b * ell) / ell) * kappa ** (-mode_sign * ell * mm)
-        zshift = mode_sign * ell  # z^{-l} for [a_{-l}, E+], z^{+l} for [a_{l}, E-]
+        w = window + ell
+
+        def dressing(v: BosonVec) -> dict[int, BosonVec]:
+            return _apply_descriptor(alg, edesc, v, w, -w, w)
+
+        # [a_{i,-l}, E+] = coeff z^{-l} E+ and [a_{i,l}, E-] = coeff z^{l} E-
         for st in basis_states((i, j), max_degree):
             vec = {st: 1.0 + 0j}
-            w = window + ell
-            emap = _apply_descriptor(alg, edesc, vec, w, -w, w, None)
-            lhs = {ze: v2 for ze, v1 in emap.items()
-                   if (v2 := alg.apply_mode(i, mode_sign * ell, v1))}
-            pre = alg.apply_mode(i, mode_sign * ell, vec)
-            if pre:
-                for ze, v2 in _apply_descriptor(alg, edesc, pre, w, -w, w, None).items():
-                    accumulate(lhs.setdefault(ze, {}), v2, -1)
-            # lhs = [a_{i, +-l}, E]; RHS = coeff * z^{zshift} * E
-            for ze in range(-window, window + 1):
-                acc = {st2: coeff * c for st2, c in emap.get(ze - zshift, {}).items()}
-                worst = max(worst, vector_residual(lhs.get(ze, {}), acc))
+            worst = max(worst, mode_bracket_residual(alg, i, mode_sign * ell, coeff,
+                                                     dressing, vec, dressing(vec), window))
+    return worst
+
+
+def mode_bracket_residual(alg: BosonAlgebra, i: int, m: int, coeff, op, vec: BosonVec,
+                          op_vec: dict[int, BosonVec], window: int) -> float:
+    """Residual of [a_{i,m}, O(z)] vec = coeff z^m O(z) vec, coefficient-wise.
+
+    ``op`` applies O(z) to a boson vector as {z-exponent: vector}, exact on
+    a window wider than |m| + ``window``; ``op_vec`` is op(vec), which callers
+    reuse over m.  The comparison runs over z-exponents in [-window, window].
+    """
+    lhs = {ze: v2 for ze, v1 in op_vec.items() if (v2 := alg.apply_mode(i, m, v1))}
+    pre = alg.apply_mode(i, m, vec)
+    if pre:
+        for ze, v2 in op(pre).items():
+            accumulate(lhs.setdefault(ze, {}), v2, -1)
+    worst = 0.0
+    for ze in range(-window, window + 1):
+        acc = {st: coeff * c for st, c in op_vec.get(ze - m, {}).items()}
+        worst = max(worst, vector_residual(lhs.get(ze, {}), acc))
     return worst

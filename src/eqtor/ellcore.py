@@ -50,6 +50,24 @@ def _isfinite(z) -> bool:
         return True  # mpmath scalars: assume finite, overflow raises there
 
 
+def scalar_exp(x):
+    """exp in the scalar type of x: cmath for a Python complex, mpmath otherwise."""
+    if isinstance(x, complex):
+        return cmath.exp(x)
+    import mpmath
+
+    return mpmath.exp(x)
+
+
+def scalar_like(z: complex, ref):
+    """z in the scalar type of ref: unchanged for a Python complex, an exact mpc otherwise."""
+    if isinstance(ref, complex):
+        return z
+    import mpmath
+
+    return mpmath.mpc(z)
+
+
 def qpoch(z, s, terms: int = DEFAULT_TERMS):
     """Truncated q-Pochhammer product prod_{n=0}^{terms-1} (1 - z s^n)."""
     if terms < 1:
@@ -109,12 +127,7 @@ def gkernel_branches(z, s, b: int, q, terms: int = DEFAULT_TERMS):
         szm = szm * sz
         if isinstance(acc, complex) and abs(szm) < 1e-30:
             break
-    if isinstance(acc, complex):
-        series = cmath.exp(acc)
-    else:
-        import mpmath
-
-        series = mpmath.exp(acc)
+    series = scalar_exp(acc)
     poch = qpoch(s * q ** b * z, s, terms) / qpoch(s * q ** (-b) * z, s, terms)
     return series, poch
 
@@ -281,14 +294,6 @@ class Params:
     def q1(self) -> complex:
         return self.kappa / self.q
 
-    @property
-    def q2(self) -> complex:
-        return self.q * self.q
-
-    @property
-    def q3(self) -> complex:
-        return 1 / (self.kappa * self.q)
-
     def with_level(self, k: int) -> "Params":
         return replace(self, level_k=k)
 
@@ -355,9 +360,6 @@ class DeltaTerm:
     def scaled(self, factor: complex) -> "DeltaTerm":
         return DeltaTerm(self.supports, self.coeff * factor, self.payload)
 
-    def key(self):
-        return (self.payload, self.supports)
-
 
 class DeltaVector:
     """A finite formal sum of DeltaTerm's."""
@@ -373,17 +375,6 @@ class DeltaVector:
 
     def append(self, term: DeltaTerm) -> None:
         self.terms.append(term)
-
-    def scaled(self, factor: complex) -> "DeltaVector":
-        return DeltaVector(t.scaled(factor) for t in self.terms)
-
-    def canonical(self) -> dict:
-        """Collect coefficients on (payload, supports) keys."""
-        out: dict = {}
-        for t in self.terms:
-            k = t.key()
-            out[k] = out.get(k, 0j) + t.coeff
-        return out
 
 
 # ---------------------------------------------------------------------------

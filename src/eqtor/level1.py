@@ -18,10 +18,11 @@ import cmath
 import random
 from dataclasses import dataclass
 
-from .boson import (BosonAlgebra, VACUUM, accumulate, basis_states, state_degree,
-                    vector_residual)
+from .boson import (BosonAlgebra, BosonVec, VACUUM, accumulate, basis_states,
+                    mode_bracket_residual, state_degree, vector_residual)
 from .cartan import CartanData, Cocycle, DynWeight, cartan_data, cocycle_build
-from .ellcore import Params, hash_once, pochratio_series, theta_coefficient
+from .ellcore import (Params, hash_once, pochratio_series, scalar_exp, scalar_like,
+                      theta_coefficient)
 
 
 @dataclass(frozen=True)
@@ -38,6 +39,11 @@ class LatticeVector:
     def highest(cls, data: CartanData, a: int) -> "LatticeVector":
         size = len(data.a)
         return cls((0,) * size, a, DynWeight.zero(size))
+
+
+# A module vector: a boson vector at one lattice vector.  Every Z-operator and
+# vertex current maps one lattice vector to exactly one other.
+ModuleVec = tuple[LatticeVector, BosonVec]
 
 
 class Level1Module:
@@ -105,30 +111,21 @@ class Level1Module:
 
     # -- full currents on (boson Fock) x W ------------------------------------
 
-    def current_apply(self, sign: int, i: int, vec: dict, zmin: int, zmax: int,
-                      out_cap: int | None = None) -> dict:
-        """Vertex current on {(boson state, lattice vector): coeff}.
+    def current_apply(self, sign: int, i: int, lv: LatticeVector, vec: BosonVec,
+                      zmin: int, zmax: int, out_cap: int | None = None) -> dict[int, BosonVec]:
+        """Vertex current on the module vector (lv, vec).
 
-        Returns {z_exponent: vector}; entries are exact for exponents in
+        Returns {z_exponent: boson vector}, all at the lattice vector
+        ``z_apply(sign, i, lv)[1]``; entries are exact for exponents in
         [zmin, zmax].  ``out_cap`` bounds the boson degree of the output.
-        The boson factor runs once per lattice vector, on the whole boson part
-        at that vector; Z+-_i translates lattice vectors injectively, so the
-        images of different lattice vectors never share an output key.
         """
-        out: dict[int, dict] = {}
-        for lv, bvec in _by_lattice(vec).items():
-            exp0, lv2, cocy = self.z_apply(sign, i, lv)
-            scaled = {bst: c * cocy for bst, c in bvec.items()}
-            bmap = self.boson.apply_current_boson(sign, i, scaled, zmin - exp0, zmax - exp0,
-                                                  out_cap)
-            for be, bv in bmap.items():
-                tgt = out.setdefault(be + exp0, {})
-                for bst, c in bv.items():
-                    tgt[bst, lv2] = c
-        return out
+        exp0, _, cocy = self.z_apply(sign, i, lv)
+        scaled = {bst: c * cocy for bst, c in vec.items()}
+        bmap = self.boson.apply_current_boson(sign, i, scaled, zmin - exp0, zmax - exp0, out_cap)
+        return {be + exp0: bv for be, bv in bmap.items()}
 
-    def highest_vector(self) -> dict:
-        return {(VACUUM, LatticeVector.highest(self.data, self.fundamental)): 1.0 + 0j}
+    def highest_vector(self) -> ModuleVec:
+        return LatticeVector.highest(self.data, self.fundamental), {VACUUM: 1.0 + 0j}
 
     def degree(self, bst, lv: LatticeVector) -> int:
         """Homogeneous grading, zero on the highest vector.
@@ -171,15 +168,14 @@ def check_zalg1(mod: Level1Module, samples: int, rng: random.Random,
         # each path evaluates its Z-operators once per (sign, j) on lv
         z_first = [mod.z_apply(sign, j, lv) for sign, j in zs]
         z_after = [mod.z_apply(sign, j, lv) for sign, j in zs]
-        for st in states[:8]:
-            for (ze, lv2, zco), (ze_b, lv2_b, zco_b) in zip(z_first, z_after):
+        for (ze, lv2, zco), (ze_b, lv2_b, zco_b) in zip(z_first, z_after):
+            if (ze, lv2) != (ze_b, lv2_b):
+                return 1.0
+            for st in states[:8]:
                 for i in colors:
                     for m in (-2, -1, 1, 2):
-                        # Z then mode
-                        path_a = {(st2, lv2, ze): c
-                                  for st2, c in mod.boson.apply_mode(i, m, {st: zco}).items()}
-                        # mode then Z
-                        path_b = {(st2, lv2_b, ze_b): c * zco_b
+                        path_a = mod.boson.apply_mode(i, m, {st: zco})  # Z then mode
+                        path_b = {st2: c * zco_b  # mode then Z
                                   for st2, c in mod.boson.apply_mode(i, m, {st: 1.0 + 0j}).items()}
                         worst = max(worst, vector_residual(path_a, path_b))
     return worst
@@ -364,7 +360,7 @@ def check_zalg_serre(mod: Level1Module, sign: int, samples: int,
     pairs = mod.data.adjacent_pairs()
     vs = mod.sample_vectors(3, rng)
     for t in range(samples):
-        z1, z2, w = _serre_sample(mod, rng)
+        z1, z2, w = (scalar_like(x, q) for x in _serre_sample(mod, rng))
         i, j = pairs[rng.randrange(len(pairs))]
         km = kappa ** mod.data.m[i][j]
         worst = max(worst, serre_reduction_residual(q, km, z1, z2, w, minus=sign < 0))
@@ -392,7 +388,7 @@ def check_zalgebra(rel_id: str, mod: Level1Module, samples: int = 20,
 # ---------------------------------------------------------------------------
 
 def sample_module_vectors(mod: Level1Module, max_degree: int, count: int,
-                          rng: random.Random) -> list[dict]:
+                          rng: random.Random) -> list[ModuleVec]:
     colors = list(mod.data.index_set)
     states = basis_states(colors[: min(3, len(colors))], max_degree)
     lats = mod.sample_vectors(3, rng)
@@ -400,12 +396,12 @@ def sample_module_vectors(mod: Level1Module, max_degree: int, count: int,
     while len(out) < count:
         st = states[rng.randrange(len(states))]
         lv = lats[rng.randrange(len(lats))]
-        out.append({(st, lv): 1.0 + 0j})
+        out.append((lv, {st: 1.0 + 0j}))
     return out
 
 
 def check_mode_current_bracket(mod: Level1Module, i: int, j: int, sign: int,
-                               vec: dict, window: int = 3, mmax: int = 4) -> float:
+                               vec: ModuleVec, window: int = 3, mmax: int = 4) -> float:
     """[a_{i,m}, x+-_j(z)] = +-([b_ij m]/m) f(m) z^m x+-_j(z) on matrix elements."""
     alg = mod.boson
     params = mod.params
@@ -413,7 +409,12 @@ def check_mode_current_bracket(mod: Level1Module, i: int, j: int, sign: int,
     data = mod.data
     worst = 0.0
     wide = window + mmax
-    cur = mod.current_apply(sign, j, vec, -wide, wide)
+    lv, bvec = vec
+
+    def current(v: BosonVec) -> dict[int, BosonVec]:
+        return mod.current_apply(sign, j, lv, v, -wide, wide)
+
+    cur = current(bvec)
     for m in [x for x in range(-mmax, mmax + 1) if x != 0]:
         b, mm = data.b(i, j), data.m[i][j]
         if sign > 0:
@@ -421,40 +422,19 @@ def check_mode_current_bracket(mod: Level1Module, i: int, j: int, sign: int,
                 * q ** (-m) * kappa ** (-m * mm)
         else:
             coeff = -(alg.qnum(b * m) / m) * kappa ** (-m * mm)
-        lhs = {ze: v2 for ze, v1 in cur.items() if (v2 := _mode_on_module(alg, i, m, v1))}
-        pre = _mode_on_module(alg, i, m, vec)
-        if pre:
-            for ze, v2 in mod.current_apply(sign, j, pre, -wide, wide).items():
-                accumulate(lhs.setdefault(ze, {}), v2, -1)
-        for ze in range(-window, window + 1):
-            acc = {k: coeff * c for k, c in cur.get(ze - m, {}).items()}
-            worst = max(worst, vector_residual(lhs.get(ze, {}), acc))
+        worst = max(worst, mode_bracket_residual(alg, i, m, coeff, current, bvec, cur, window))
     return worst
 
 
-def _by_lattice(vec: dict) -> dict:
-    """{(boson state, lattice vector): coeff} as {lattice vector: boson vector}."""
-    groups: dict[LatticeVector, dict] = {}
-    for (bst, lv), c in vec.items():
-        groups.setdefault(lv, {})[bst] = c
-    return groups
-
-
-def _mode_on_module(alg: BosonAlgebra, i: int, m: int, vec: dict) -> dict:
-    """a_{i,m} on {(boson state, lattice vector): coeff}, once per lattice vector."""
-    return {(b2, lv): c2 for lv, bvec in _by_lattice(vec).items()
-            for b2, c2 in alg.apply_mode(i, m, bvec).items()}
-
-
 def check_xx_quadratic_level1(mod: Level1Module, sign: int, i: int, j: int,
-                              vec: dict, window: int = 3, theta_terms: int = 8) -> float:
+                              vec: ModuleVec, window: int = 3, theta_terms: int = 8) -> float:
     """Quadratic current relation with theta kernels, coefficient-wise.
 
     z theta_s(q^{+-b} kap^{-m} w/z) x_i(z) x_j(w)
         = -w kap^{-m} theta_s(q^{+-b} kap^{m} z/w) x_j(w) x_i(z),
     s = p* for the raising family and p for the lowering one; the theta
     Laurent tail beyond ``theta_terms`` falls below 1e-18 at the default
-    parameter point.
+    parameter point.  Orderings that reach different lattice vectors give 1.0.
     """
     params = mod.params
     q, kappa = params.q, params.kappa
@@ -463,25 +443,25 @@ def check_xx_quadratic_level1(mod: Level1Module, sign: int, i: int, j: int,
     mm = data.m[i][j]
     base = params.p_star if sign > 0 else params.p
     wide = window + theta_terms
-
-    def out_cap(first: int, second: int) -> int:
-        # every entry read sits at z+w total <= 2*window - 1, where the boson
-        # degree is the input degree plus that total minus the two
-        # Z-exponents of the path
-        caps = []
-        for bst, lv in vec:
-            e1, lv1, _ = mod.z_apply(sign, first, lv)
-            e2 = mod.z_apply(sign, second, lv1)[0]
-            caps.append(state_degree(bst) + 2 * window - 1 - e1 - e2)
-        return max(caps)
-
-    cap1, cap2 = out_cap(j, i), out_cap(i, j)
+    lv, bvec = vec
+    ej, lv_j, _ = mod.z_apply(sign, j, lv)
+    eji, lv_ji, _ = mod.z_apply(sign, i, lv_j)
+    ei, lv_i, _ = mod.z_apply(sign, i, lv)
+    eij, lv_ij, _ = mod.z_apply(sign, j, lv_i)
+    if lv_ji != lv_ij:
+        return 1.0
+    # every entry read sits at z+w total <= 2*window - 1, where the boson
+    # degree is the input degree plus that total minus the two Z-exponents
+    # of the path
+    top = max(map(state_degree, bvec)) + 2 * window - 1
     op1 = {(ze, we): v2
-           for we, v1 in mod.current_apply(sign, j, vec, -wide, wide).items()
-           for ze, v2 in mod.current_apply(sign, i, v1, -wide, wide, cap1).items()}
+           for we, v1 in mod.current_apply(sign, j, lv, bvec, -wide, wide).items()
+           for ze, v2 in mod.current_apply(sign, i, lv_j, v1, -wide, wide,
+                                           top - ej - eji).items()}
     op2 = {(ze, we): v2
-           for ze, v1 in mod.current_apply(sign, i, vec, -wide, wide).items()
-           for we, v2 in mod.current_apply(sign, j, v1, -wide, wide, cap2).items()}
+           for ze, v1 in mod.current_apply(sign, i, lv, bvec, -wide, wide).items()
+           for we, v2 in mod.current_apply(sign, j, lv_i, v1, -wide, wide,
+                                           top - ei - eij).items()}
     cc1 = q ** b * kappa ** (-mm)
     cc2 = q ** b * kappa ** mm
     ns = range(-theta_terms, theta_terms + 1)
@@ -506,14 +486,14 @@ def check_highest_weight(mod: Level1Module, window: int = 6) -> float:
     1 (x) e^{flam_a}: every z-exponent <= 0 coefficient of x+_i(z) v and
     every z-exponent < 0 coefficient of x-_i(z) v must vanish.
     """
-    v = mod.highest_vector()
+    lv, v = mod.highest_vector()
     worst = 0.0
     for i in mod.data.index_set:
-        plus = mod.current_apply(+1, i, v, -window, 0)
-        minus = mod.current_apply(-1, i, v, -window, -1)
+        plus = mod.current_apply(+1, i, lv, v, -window, 0)
+        minus = mod.current_apply(-1, i, lv, v, -window, -1)
         killed = ([vv for ze, vv in plus.items() if ze <= 0]
                   + [vv for ze, vv in minus.items() if ze < 0]
-                  + [_mode_on_module(mod.boson, i, m, v) for m in range(1, 4)])
+                  + [mod.boson.apply_mode(i, m, v) for m in range(1, 4)])
         worst = max([worst] + [abs(c) for vv in killed for c in vv.values()])
     return worst
 
@@ -560,7 +540,7 @@ def check_phi_phi_level1(mod: Level1Module, i: int, j: int, samples: int,
         for m, (co, ci) in enumerate(zip(outer, inner), 1):
             acc -= co * zx ** m
             acc += ci * wx ** m
-        kernel = cmath.exp(acc)
+        kernel = scalar_exp(acc)
         mult = (params.theta_p(q ** b * kappa ** (-mm) * q ** k * x)
                 * params.theta_p(q ** (-b) * kappa ** (-mm) * q ** (-k) * x, star=True)
                 / params.theta_p(q ** (-b) * kappa ** (-mm) * q ** k * x)

@@ -209,8 +209,8 @@ def test_criterion_10_level1_full_currents():
     lv = LatticeVector.highest(mod.data, 0)
     vecs = [
         mod.highest_vector(),
-        {(state_add_mode(VACUUM, 0, 2), lv): 1.0 + 0j},
-        {(state_add_mode(state_add_mode(VACUUM, 0, 1), 1, 1), lv): 1.0 + 0j},
+        (lv, {state_add_mode(VACUUM, 0, 2): 1.0 + 0j}),
+        (lv, {state_add_mode(state_add_mode(VACUUM, 0, 1), 1, 1): 1.0 + 0j}),
     ]
     worst = 0.0
     for vec in vecs:

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -94,14 +95,14 @@ def test_current_leading_exponent():
     # x+_i(z) on the highest vector starts at z^{<flam_a, h_i> + 1} with
     # unit leading coefficient
     mod = module(a=1)
-    v = mod.highest_vector()
-    out = mod.current_apply(+1, 1, v, -4, 4)
+    lv, v = mod.highest_vector()
+    out = mod.current_apply(+1, 1, lv, v, -4, 4)
     floor = min(out)
     assert floor == 2
     lead = out[floor]
     (key, coeff), = lead.items()
-    assert key[0] == VACUUM and abs(coeff - 1) < 1e-14
-    out0 = mod.current_apply(+1, 0, v, -4, 4)
+    assert key == VACUUM and abs(coeff - 1) < 1e-14
+    out0 = mod.current_apply(+1, 0, lv, v, -4, 4)
     assert min(out0) == 1
 
 
@@ -110,7 +111,7 @@ def test_mode_current_brackets():
     v = mod.highest_vector()
     st = state_add_mode(VACUUM, 0, 1)
     lv = LatticeVector.highest(mod.data, 0)
-    w = {(st, lv): 1.0 + 0j}
+    w = (lv, {st: 1.0 + 0j})
     for sign in (+1, -1):
         for i in range(3):
             for j in range(3):
@@ -123,6 +124,30 @@ def test_xx_quadratic_on_highest():
     v = mod.highest_vector()
     assert check_xx_quadratic_level1(mod, +1, 0, 1, v, window=2, theta_terms=6) < 1e-9
     assert check_xx_quadratic_level1(mod, +1, 1, 1, v, window=2, theta_terms=6) < 1e-9
+
+
+def test_xx_quadratic_detects_lattice_mismatch(monkeypatch):
+    # Z+_1 on the highest vector lands one R_Q step off, so the two orderings
+    # of x+_0 x+_1 reach different lattice vectors
+    mod = module()
+    highest = mod.highest_vector()
+    z_apply = Level1Module.z_apply
+
+    def mutant(self, sign, j, v):
+        exp, v2, coeff = z_apply(self, sign, j, v)
+        if sign > 0 and j == 1 and v == highest[0]:
+            rq = (v2.weight.rq[0] + 1,) + v2.weight.rq[1:]
+            v2 = replace(v2, weight=replace(v2.weight, rq=rq))
+        return exp, v2, coeff
+    monkeypatch.setattr(Level1Module, "z_apply", mutant)
+    assert check_xx_quadratic_level1(mod, +1, 0, 1, highest, window=2, theta_terms=6) >= P.tol
+
+
+def test_level1_scalar_checks_run_in_high_precision():
+    mod = Level1Module.make("A2", 0, Params().with_precision(40))
+    assert check_phi_phi_level1(mod, 0, 1, 2, random.Random(4)) < 1e-30
+    for rel in ("zalg4", "zalg5"):
+        assert check_zalgebra(rel, mod, samples=10, window=3) < 1e-30
 
 
 def test_phi_phi_exchange_multiplier():
@@ -148,80 +173,54 @@ def test_degree_grading_shift():
     # exactly n; the raising side (n >= 0) then never lowers it, which is the
     # homogeneous-degree bookkeeping of conjugation by the grading element
     mod = module(a=1)
-    v = mod.highest_vector()
-    (bst0, lv0), = v.keys()
+    lv0, v = mod.highest_vector()
+    (bst0,) = v
     d0 = mod.degree(bst0, lv0)
     assert d0 == 0
     for sign in (+1, -1):
         for i in range(3):
-            out = mod.current_apply(sign, i, v, -3, 3)
+            out = mod.current_apply(sign, i, lv0, v, -3, 3)
+            lv = mod.z_apply(sign, i, lv0)[1]
             for ze, vec in out.items():
-                for (bst, lv), c in vec.items():
+                for bst, c in vec.items():
                     if abs(c) > 1e-14:
                         assert mod.degree(bst, lv) - d0 == -ze
 
 
 # -- current_apply against the per-monomial reference ------------------------
 
-def current_apply_per_monomial(mod, sign, i, vec, zmin, zmax, out_cap=None):
-    """The vertex current with one boson call per (boson state, lattice vector)."""
-    by_lattice: dict = {}
-    for (bst, lv), co in vec.items():
-        exp0, lv2, cocy = mod.z_apply(sign, i, lv)
+def current_apply_per_monomial(mod, sign, i, lv, vec, zmin, zmax, out_cap=None):
+    """The vertex current with one boson call per boson state."""
+    exp0, _, cocy = mod.z_apply(sign, i, lv)
+    out: dict = {}
+    for bst, co in vec.items():
         bmap = mod.boson.apply_current_boson(sign, i, {bst: co * cocy},
                                              zmin - exp0, zmax - exp0, out_cap)
-        zmap = by_lattice.setdefault(lv2, {})
         for be, bvec in bmap.items():
-            accumulate(zmap.setdefault(be + exp0, {}), bvec)
-    out: dict = {}
-    for lv2, zmap in by_lattice.items():
-        for ze, bvec in zmap.items():
-            out.setdefault(ze, {}).update({(bst, lv2): c for bst, c in bvec.items()})
+            accumulate(out.setdefault(be + exp0, {}), bvec)
     return out
-
-
-def mixed_vector(mod):
-    """Several boson states at each of three lattice vectors, distinct coefficients."""
-    states = basis_states((0, 1, 2), 2)
-    lats = mod.sample_vectors(3, random.Random(5))
-    return {(st, lv): complex(1 + n, 0.3 * k - 0.5 * n)
-            for k, lv in enumerate(lats) for n, st in enumerate(states)}
 
 
 @pytest.mark.parametrize("tag", ["A2", "D4"])
 def test_current_apply_matches_per_monomial_reference(tag):
+    # several boson states with distinct coefficients, at each of three lattice vectors
     mod = module(tag)
-    vec = mixed_vector(mod)
-    assert len({lv for _, lv in vec}) == 3 and len(vec) > 12
-    for sign in (+1, -1):
-        for i in (0, 1):
-            for out_cap in (None, 4):
-                got = mod.current_apply(sign, i, vec, -4, 3, out_cap)
-                want = current_apply_per_monomial(mod, sign, i, vec, -4, 3, out_cap)
-                assert set(got) == set(want)
-                for ze, wv in want.items():
-                    assert set(got[ze]) == set(wv)
-                    for key, c in wv.items():
-                        assert abs(got[ze][key] - c) <= 1e-13 * abs(c), (ze, key, got[ze][key], c)
-
-
-def test_current_apply_calls_boson_once_per_lattice_vector(monkeypatch):
-    mod = module()
-    vec = mixed_vector(mod)
-    calls = []
-    inner = BosonAlgebra.apply_current_boson
-
-    def counted(self, *args, **kwargs):
-        calls.append(args)
-        return inner(self, *args, **kwargs)
-
-    monkeypatch.setattr(BosonAlgebra, "apply_current_boson", counted)
-    out = mod.current_apply(+1, 0, vec, -4, 3)
-    assert len(calls) == len({lv for _, lv in vec}) == 3
-    # the output keeps one lattice vector per input lattice vector
-    calls.clear()
-    mod.current_apply(-1, 1, out[1], -4, 3)
-    assert len(calls) == len({lv for _, lv in out[1]}) == 3
+    states = basis_states((0, 1, 2), 2)
+    lats = mod.sample_vectors(3, random.Random(5))
+    assert len(set(lats)) == 3 and len(states) > 12
+    for k, lv in enumerate(lats):
+        vec = {st: complex(1 + n, 0.3 * k - 0.5 * n) for n, st in enumerate(states)}
+        for sign in (+1, -1):
+            for i in (0, 1):
+                for out_cap in (None, 4):
+                    got = mod.current_apply(sign, i, lv, vec, -4, 3, out_cap)
+                    want = current_apply_per_monomial(mod, sign, i, lv, vec, -4, 3, out_cap)
+                    assert set(got) == set(want)
+                    for ze, wv in want.items():
+                        assert set(got[ze]) == set(wv)
+                        for key, c in wv.items():
+                            assert abs(got[ze][key] - c) <= 1e-13 * abs(c), \
+                                (lv, ze, key, got[ze][key], c)
 
 
 # -- the degree cap of the quadratic current check ---------------------------
@@ -231,10 +230,10 @@ def _counted_current_apply(monkeypatch, cap_shift=0):
     inner = Level1Module.current_apply
     terms = [0]
 
-    def counted(self, sign, i, vec, zmin, zmax, out_cap=None):
+    def counted(self, sign, i, lv, vec, zmin, zmax, out_cap=None):
         if out_cap is not None:
             out_cap += cap_shift
-        out = inner(self, sign, i, vec, zmin, zmax, out_cap)
+        out = inner(self, sign, i, lv, vec, zmin, zmax, out_cap)
         terms[0] += sum(len(v) for v in out.values())
         return out
     monkeypatch.setattr(Level1Module, "current_apply", counted)
@@ -246,7 +245,7 @@ def test_xx_quadratic_cap_drops_nothing_read(monkeypatch):
     # more degrees must leave every residual bit-identical
     mod = module()
     sampled = sample_module_vectors(mod, 2, 4, random.Random(1))[1]
-    (_, lv), = sampled
+    lv, _ = sampled
     assert any(lv.beta)
     cases = [(sign, i, j, vec) for vec in (mod.highest_vector(), sampled)
              for sign in (+1, -1) for i in range(3) for j in range(3)]
