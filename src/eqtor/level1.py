@@ -65,6 +65,9 @@ class Level1Module:
         self.boson = BosonAlgebra(data, params, level=1)
         # one object per lattice vector, so equal keys compare by identity
         self._lattice: dict[LatticeVector, LatticeVector] = {}
+        # (sign, j, lv) -> z_apply(sign, j, lv), built once per module
+        self._z_images: dict[tuple[int, int, LatticeVector],
+                             tuple[int, LatticeVector, complex]] = {}
 
     @classmethod
     def make(cls, type_tag: str, a: int, params: Params) -> "Level1Module":
@@ -90,6 +93,10 @@ class Level1Module:
 
     def z_apply(self, sign: int, j: int, v: LatticeVector) -> tuple[int, LatticeVector, complex]:
         """(z-exponent, image vector, coefficient) of Z+-_j on e^beta e^{flam_a}."""
+        key = (sign, j, v)
+        image = self._z_images.get(key)
+        if image is not None:
+            return image
         size = len(self.data.a)
         alpha = tuple((1 if c == j else 0) * sign for c in range(size))
         coeff = self.cocycle.value(alpha, v.beta, self.params.kappa)
@@ -102,7 +109,8 @@ class Level1Module:
             exp = -n + 1
             wt = v.weight.shifted(j, -1, 0)
         lv2 = LatticeVector(beta2, v.fundamental, wt)
-        return exp, self._lattice.setdefault(lv2, lv2), coeff
+        image = self._z_images[key] = exp, self._lattice.setdefault(lv2, lv2), coeff
+        return image
 
     def level_exponent(self) -> int:
         """q-exponent of prod_i (K+_i)^{colabel_i}: constant on the module."""
@@ -154,9 +162,9 @@ def check_zalg1(mod: Level1Module, samples: int, rng: random.Random,
     """[a_{i,m}, Z+-_j] = 0 on the induced space.
 
     On (boson Fock) x W the Z-operators reduce to their lattice factor, so
-    the commutator with any mode vanishes identically; the check runs both
-    orderings through the actual module actions and confirms exact
-    cancellation on sampled product vectors.
+    the commutator with any mode vanishes identically; the check evaluates
+    the Z-operators of both orderings on sampled lattice vectors, scales each
+    mode action on a boson state by them and confirms exact cancellation.
     """
     worst = 0.0
     data = mod.data
@@ -164,6 +172,9 @@ def check_zalg1(mod: Level1Module, samples: int, rng: random.Random,
     states = basis_states(colors, max_degree)
     vs = mod.sample_vectors(max(2, samples // 6), rng)
     zs = [(sign, j) for sign in (+1, -1) for j in data.index_set]
+    # the mode acts on the boson factor alone: one action per (state, i, m)
+    modes = [mod.boson.apply_mode(i, m, {st: 1.0 + 0j})
+             for st in states[:8] for i in colors for m in (-2, -1, 1, 2)]
     for lv in vs:
         # each path evaluates its Z-operators once per (sign, j) on lv
         z_first = [mod.z_apply(sign, j, lv) for sign, j in zs]
@@ -171,13 +182,10 @@ def check_zalg1(mod: Level1Module, samples: int, rng: random.Random,
         for (ze, lv2, zco), (ze_b, lv2_b, zco_b) in zip(z_first, z_after):
             if (ze, lv2) != (ze_b, lv2_b):
                 return 1.0
-            for st in states[:8]:
-                for i in colors:
-                    for m in (-2, -1, 1, 2):
-                        path_a = mod.boson.apply_mode(i, m, {st: zco})  # Z then mode
-                        path_b = {st2: c * zco_b  # mode then Z
-                                  for st2, c in mod.boson.apply_mode(i, m, {st: 1.0 + 0j}).items()}
-                        worst = max(worst, vector_residual(path_a, path_b))
+            for unit in modes:
+                path_a = {st2: zco * c for st2, c in unit.items()}  # Z then mode
+                path_b = {st2: c * zco_b for st2, c in unit.items()}  # mode then Z
+                worst = max(worst, vector_residual(path_a, path_b))
     return worst
 
 
@@ -387,6 +395,9 @@ def check_zalgebra(rel_id: str, mod: Level1Module, samples: int = 20,
 # full-current checks at level (1, l)
 # ---------------------------------------------------------------------------
 
+PHI_PHI_ORDER = 140  # terms of the phi+ phi- kernel series
+
+
 def sample_module_vectors(mod: Level1Module, max_degree: int, count: int,
                           rng: random.Random) -> list[ModuleVec]:
     colors = list(mod.data.index_set)
@@ -426,57 +437,67 @@ def check_mode_current_bracket(mod: Level1Module, i: int, j: int, sign: int,
     return worst
 
 
-def check_xx_quadratic_level1(mod: Level1Module, sign: int, i: int, j: int,
-                              vec: ModuleVec, window: int = 3, theta_terms: int = 8) -> float:
+def check_xx_quadratic_level1(mod: Level1Module, sign: int, vec: ModuleVec, window: int = 3,
+                              theta_terms: int = 8) -> dict[tuple[int, int], float]:
     """Quadratic current relation with theta kernels, coefficient-wise.
 
     z theta_s(q^{+-b} kap^{-m} w/z) x_i(z) x_j(w)
         = -w kap^{-m} theta_s(q^{+-b} kap^{m} z/w) x_j(w) x_i(z),
     s = p* for the raising family and p for the lowering one; the theta
     Laurent tail beyond ``theta_terms`` falls below 1e-18 at the default
-    parameter point.  Orderings that reach different lattice vectors give 1.0.
+    parameter point.  Returns the residual of every ordered color pair (i, j);
+    a pair whose orderings reach different lattice vectors gives 1.0.  The
+    path of pair (i, j) that applies x_j first is the one pair (j, i)
+    compares on its other side, so each ordered path is built once.
     """
     params = mod.params
     q, kappa = params.q, params.kappa
     data = mod.data
-    b = data.b(i, j) * (1 if sign > 0 else -1)
-    mm = data.m[i][j]
+    colors = data.index_set
     base = params.p_star if sign > 0 else params.p
     wide = window + theta_terms
     lv, bvec = vec
-    ej, lv_j, _ = mod.z_apply(sign, j, lv)
-    eji, lv_ji, _ = mod.z_apply(sign, i, lv_j)
-    ei, lv_i, _ = mod.z_apply(sign, i, lv)
-    eij, lv_ij, _ = mod.z_apply(sign, j, lv_i)
-    if lv_ji != lv_ij:
-        return 1.0
     # every entry read sits at z+w total <= 2*window - 1, where the boson
     # degree is the input degree plus that total minus the two Z-exponents
     # of the path
     top = max(map(state_degree, bvec)) + 2 * window - 1
-    op1 = {(ze, we): v2
-           for we, v1 in mod.current_apply(sign, j, lv, bvec, -wide, wide).items()
-           for ze, v2 in mod.current_apply(sign, i, lv_j, v1, -wide, wide,
-                                           top - ej - eji).items()}
-    op2 = {(ze, we): v2
-           for ze, v1 in mod.current_apply(sign, i, lv, bvec, -wide, wide).items()
-           for we, v2 in mod.current_apply(sign, j, lv_i, v1, -wide, wide,
-                                           top - ei - eij).items()}
-    cc1 = q ** b * kappa ** (-mm)
-    cc2 = q ** b * kappa ** mm
+    # paths[a, c]: {(e_a, e_c): x_c(w_c) x_a(w_a) vec}, x_a applied first;
+    # reach[a, c]: the lattice vector it lands on
+    paths, reach = {}, {}
+    for a in colors:
+        ea, lv_a, _ = mod.z_apply(sign, a, lv)
+        first = mod.current_apply(sign, a, lv, bvec, -wide, wide)
+        for c in colors:
+            eac, reach[a, c], _ = mod.z_apply(sign, c, lv_a)
+            paths[a, c] = {(e1, e2): v2
+                           for e1, v1 in first.items()
+                           for e2, v2 in mod.current_apply(sign, c, lv_a, v1, -wide, wide,
+                                                           top - ea - eac).items()}
     ns = range(-theta_terms, theta_terms + 1)
     tns = [theta_coefficient(n, base) for n in ns]
-    wl = [tn * cc1 ** n for n, tn in zip(ns, tns)]
-    wr = [-kappa ** (-mm) * tn * cc2 ** n for n, tn in zip(ns, tns)]
-    worst = 0.0
-    for A in range(-window, window + 1):
-        for B in range(-window, window + 1):
-            accL, accR = {}, {}
-            for n, cl, cr in zip(ns, wl, wr):
-                accumulate(accL, op1.get((A - 1 + n, B - n), {}), cl)
-                accumulate(accR, op2.get((A - n, B - 1 + n), {}), cr)
-            worst = max(worst, vector_residual(accL, accR))
-    return worst
+    out = {}
+    for i in colors:
+        for j in colors:
+            if reach[j, i] != reach[i, j]:
+                out[i, j] = 1.0
+                continue
+            b = data.b(i, j) * (1 if sign > 0 else -1)
+            mm = data.m[i][j]
+            cc1 = q ** b * kappa ** (-mm)
+            cc2 = q ** b * kappa ** mm
+            wl = [tn * cc1 ** n for n, tn in zip(ns, tns)]
+            wr = [-kappa ** (-mm) * tn * cc2 ** n for n, tn in zip(ns, tns)]
+            op1, op2 = paths[j, i], paths[i, j]
+            worst = 0.0
+            for A in range(-window, window + 1):
+                for B in range(-window, window + 1):
+                    accL, accR = {}, {}
+                    for n, cl, cr in zip(ns, wl, wr):
+                        accumulate(accL, op1.get((B - n, A - 1 + n), {}), cl)
+                        accumulate(accR, op2.get((A - n, B - 1 + n), {}), cr)
+                    worst = max(worst, vector_residual(accL, accR))
+            out[i, j] = worst
+    return out
 
 
 def check_highest_weight(mod: Level1Module, window: int = 6) -> float:
@@ -507,7 +528,7 @@ def check_level(mod: Level1Module, samples: int, rng: random.Random) -> float:
 
 
 def check_phi_phi_level1(mod: Level1Module, i: int, j: int, samples: int,
-                         rng: random.Random, order: int = 140) -> float:
+                         rng: random.Random, order: int = PHI_PHI_ORDER) -> float:
     """phi+_i(z) phi-_j(w) exchange multiplier at level 1, at sampled w/z.
 
     Normal-ordering both products gives the reordering kernel

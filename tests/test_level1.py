@@ -3,8 +3,10 @@ from dataclasses import replace
 
 import pytest
 
-from eqtor.boson import VACUUM, BosonAlgebra, accumulate, basis_states, state_add_mode
-from eqtor.ellcore import Params
+from eqtor.boson import (VACUUM, BosonAlgebra, accumulate, basis_states, state_add_mode,
+                         state_degree, vector_residual)
+from eqtor.cartan import Cocycle
+from eqtor.ellcore import Params, theta_coefficient
 from eqtor.level1 import (ZALG_IDS, LatticeVector, Level1Module, check_highest_weight,
                           check_level, check_mode_current_bracket, check_phi_phi_level1,
                           check_xx_quadratic_level1, check_zalgebra,
@@ -121,9 +123,9 @@ def test_mode_current_brackets():
 
 def test_xx_quadratic_on_highest():
     mod = module()
-    v = mod.highest_vector()
-    assert check_xx_quadratic_level1(mod, +1, 0, 1, v, window=2, theta_terms=6) < 1e-9
-    assert check_xx_quadratic_level1(mod, +1, 1, 1, v, window=2, theta_terms=6) < 1e-9
+    res = check_xx_quadratic_level1(mod, +1, mod.highest_vector(), window=2, theta_terms=6)
+    assert sorted(res) == [(i, j) for i in range(3) for j in range(3)]
+    assert max(res.values()) < 1e-9
 
 
 def test_xx_quadratic_detects_lattice_mismatch(monkeypatch):
@@ -140,7 +142,8 @@ def test_xx_quadratic_detects_lattice_mismatch(monkeypatch):
             v2 = replace(v2, weight=replace(v2.weight, rq=rq))
         return exp, v2, coeff
     monkeypatch.setattr(Level1Module, "z_apply", mutant)
-    assert check_xx_quadratic_level1(mod, +1, 0, 1, highest, window=2, theta_terms=6) >= P.tol
+    res = check_xx_quadratic_level1(mod, +1, highest, window=2, theta_terms=6)
+    assert res[0, 1] >= P.tol
 
 
 def test_level1_scalar_checks_run_in_high_precision():
@@ -148,6 +151,18 @@ def test_level1_scalar_checks_run_in_high_precision():
     assert check_phi_phi_level1(mod, 0, 1, 2, random.Random(4)) < 1e-30
     for rel in ("zalg4", "zalg5"):
         assert check_zalgebra(rel, mod, samples=10, window=3) < 1e-30
+
+
+def test_level1_suite_reaches_40_digits():
+    # the two truncated series say so in their notes; at this size every
+    # report still ends below 1e-30
+    reports = level1_suite(Params().with_precision(40), "A2", 0, degree=1, window=3)
+    assert sorted(r.relation_id for r in reports) == sorted(LEVEL1_RELATION_IDS)
+    worst = {r.relation_id: r.max_residual for r in reports}
+    assert max(worst.values()) < 1e-30, worst
+    notes = {r.relation_id: r.notes for r in reports}
+    assert "|n| <= 6" in notes["l1_xpxp"] and "tail" in notes["l1_xpxp"]
+    assert "order 140" in notes["l1_phiphi_pm"] and "tail" in notes["l1_phiphi_pm"]
 
 
 def test_phi_phi_exchange_multiplier():
@@ -247,20 +262,120 @@ def test_xx_quadratic_cap_drops_nothing_read(monkeypatch):
     sampled = sample_module_vectors(mod, 2, 4, random.Random(1))[1]
     lv, _ = sampled
     assert any(lv.beta)
-    cases = [(sign, i, j, vec) for vec in (mod.highest_vector(), sampled)
-             for sign in (+1, -1) for i in range(3) for j in range(3)]
+    cases = [(sign, vec) for vec in (mod.highest_vector(), sampled) for sign in (+1, -1)]
 
     def residuals(cap_shift):
         with monkeypatch.context() as m:
             terms = _counted_current_apply(m, cap_shift)
-            res = [check_xx_quadratic_level1(mod, sign, i, j, vec, window=2, theta_terms=6)
-                   for sign, i, j, vec in cases]
+            res = [check_xx_quadratic_level1(mod, sign, vec, window=2, theta_terms=6)
+                   for sign, vec in cases]
         return res, terms[0]
 
     tight, tight_terms = residuals(0)
     loose, loose_terms = residuals(6)
     assert loose_terms > tight_terms  # the cap binds
     assert tight == loose
+
+
+# -- all color pairs of the quadratic check against the per-pair reference ---
+
+def xx_quadratic_per_pair(mod, sign, i, j, vec, window, theta_terms):
+    """The quadratic check of one color pair, building both of its paths."""
+    params = mod.params
+    q, kappa = params.q, params.kappa
+    b = mod.data.b(i, j) * (1 if sign > 0 else -1)
+    mm = mod.data.m[i][j]
+    base = params.p_star if sign > 0 else params.p
+    wide = window + theta_terms
+    lv, bvec = vec
+    ej, lv_j, _ = mod.z_apply(sign, j, lv)
+    eji, lv_ji, _ = mod.z_apply(sign, i, lv_j)
+    ei, lv_i, _ = mod.z_apply(sign, i, lv)
+    eij, lv_ij, _ = mod.z_apply(sign, j, lv_i)
+    if lv_ji != lv_ij:
+        return 1.0
+    top = max(map(state_degree, bvec)) + 2 * window - 1
+    op1 = {(ze, we): v2
+           for we, v1 in mod.current_apply(sign, j, lv, bvec, -wide, wide).items()
+           for ze, v2 in mod.current_apply(sign, i, lv_j, v1, -wide, wide,
+                                           top - ej - eji).items()}
+    op2 = {(ze, we): v2
+           for ze, v1 in mod.current_apply(sign, i, lv, bvec, -wide, wide).items()
+           for we, v2 in mod.current_apply(sign, j, lv_i, v1, -wide, wide,
+                                           top - ei - eij).items()}
+    cc1 = q ** b * kappa ** (-mm)
+    cc2 = q ** b * kappa ** mm
+    ns = range(-theta_terms, theta_terms + 1)
+    tns = [theta_coefficient(n, base) for n in ns]
+    wl = [tn * cc1 ** n for n, tn in zip(ns, tns)]
+    wr = [-kappa ** (-mm) * tn * cc2 ** n for n, tn in zip(ns, tns)]
+    worst = 0.0
+    for A in range(-window, window + 1):
+        for B in range(-window, window + 1):
+            accL, accR = {}, {}
+            for n, cl, cr in zip(ns, wl, wr):
+                accumulate(accL, op1.get((A - 1 + n, B - n), {}), cl)
+                accumulate(accR, op2.get((A - n, B - 1 + n), {}), cr)
+            worst = max(worst, vector_residual(accL, accR))
+    return worst
+
+
+def _sampled_vector(mod):
+    """The first sampled module vector away from the highest lattice vector."""
+    return next(vec for vec in sample_module_vectors(mod, 2, 8, random.Random(1))
+                if any(vec[0].beta))
+
+
+@pytest.mark.parametrize("tag", ["A2", "D4"])
+def test_xx_quadratic_all_pairs_match_per_pair_reference(tag):
+    # sharing each ordered path between pairs (i, j) and (j, i) changes no bit
+    mod = module(tag)
+    colors = mod.data.index_set
+    for vec in (mod.highest_vector(), _sampled_vector(mod)):
+        for sign in (+1, -1):
+            got = check_xx_quadratic_level1(mod, sign, vec, window=2, theta_terms=6)
+            want = {(i, j): xx_quadratic_per_pair(mod, sign, i, j, vec, 2, 6)
+                    for i in colors for j in colors}
+            assert got == want
+
+
+def test_xx_quadratic_applies_each_first_current_once(monkeypatch):
+    # one current on the input vector per color, where each pair built two
+    mod = module()
+    vec = _sampled_vector(mod)
+    inner = Level1Module.current_apply
+    on_input = []
+
+    def counted(self, sign, i, lv, bvec, *args):
+        if bvec is vec[1]:
+            on_input.append(i)
+        return inner(self, sign, i, lv, bvec, *args)
+    monkeypatch.setattr(Level1Module, "current_apply", counted)
+    check_xx_quadratic_level1(mod, +1, vec, window=2, theta_terms=6)
+    assert sorted(on_input) == [0, 1, 2]
+
+
+def test_z_images_are_built_once(monkeypatch):
+    # the cocycle is evaluated once per Z-image; every later z_apply of the
+    # same (sign, j, lv) returns the kept image
+    mod = module()
+    z_apply, value = Level1Module.z_apply, Cocycle.value
+    keys, built = [], [0]
+
+    def counted_z(self, sign, j, v):
+        keys.append((sign, j, v))
+        return z_apply(self, sign, j, v)
+
+    def counted_value(self, *args):
+        built[0] += 1
+        return value(self, *args)
+    monkeypatch.setattr(Level1Module, "z_apply", counted_z)
+    monkeypatch.setattr(Cocycle, "value", counted_value)
+    for rid in ZALG_IDS:
+        check_zalgebra(rid, mod, samples=15, window=3)
+    for sign in (+1, -1):
+        check_xx_quadratic_level1(mod, sign, _sampled_vector(mod), window=2, theta_terms=6)
+    assert built[0] == len(set(keys)) < len(keys)
 
 
 def test_level1_suite_cost_does_not_track_the_sample(monkeypatch):
@@ -295,8 +410,8 @@ LEVEL1_CHECKS = {
     **{rid: _zalgebra(rid) for rid in ZALG_MUTATED},
     "l1_bracket_plus": _highest_bracket(+1),
     "l1_bracket_minus": _highest_bracket(-1),
-    "l1_xpxp": lambda mod: check_xx_quadratic_level1(mod, +1, 0, 1, mod.highest_vector(),
-                                                     window=2, theta_terms=6),
+    "l1_xpxp": lambda mod: check_xx_quadratic_level1(mod, +1, mod.highest_vector(),
+                                                     window=2, theta_terms=6)[0, 1],
     "l1_highest": lambda mod: check_highest_weight(mod, window=3),
     "l1_level": lambda mod: check_level(mod, 8, random.Random(3)),
     "l1_phiphi_pm": lambda mod: check_phi_phi_level1(mod, 0, 1, 3, random.Random(4)),
