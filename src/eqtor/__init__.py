@@ -2,10 +2,9 @@
 
 from .boson import BosonAlgebra, check_exchange
 from .cartan import CartanData, Cocycle, DynWeight, cartan_data, cocycle_build
-from .ellcore import (BalanceError, DeltaTerm, DeltaVector, Lat, ParameterError, Params,
-                      PoleProximityError, ThetaRatioSpec, TruncationError,
-                      WindowOverflowError, gkernel, pf_expand, phi_delta_difference,
-                      pochratio_series, qpoch, theta)
+from .ellcore import (BalanceError, DeltaTerm, Lat, ParameterError, Params,
+                      PoleProximityError, ThetaRatioSpec, WindowOverflowError, gkernel,
+                      pf_expand, phi_delta_difference, pochratio_series, qpoch, theta)
 from .level1 import LatticeVector, Level1Module, check_zalgebra
 from .fock01 import (FockBasisVector, FockRep, PhiAction, VectorBasis, VectorRep,
                      apply_xminus, apply_xplus, phi_action, tensor_apply,
@@ -18,10 +17,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BalanceError", "BosonAlgebra", "CartanData", "Cocycle", "ColoredPartition",
-    "DeltaTerm", "DeltaVector", "DynWeight", "FockBasisVector", "FockRep", "Lat",
+    "DeltaTerm", "DynWeight", "FockBasisVector", "FockRep", "Lat",
     "LatticeVector", "Level1Module", "ParameterError", "Params", "PhiAction",
     "PoleProximityError", "RelationReport", "ThetaRatioSpec",
-    "TruncationError", "VectorBasis", "VectorRep", "WindowOverflowError",
+    "VectorBasis", "VectorRep", "WindowOverflowError",
     "apply_xminus", "apply_xplus", "boxes_by_color", "cartan_data", "check_exchange",
     "check_zalgebra", "cocycle_build", "coeff_minus", "coeff_plus", "dim_vector",
     "fock_suite", "gkernel", "heisenberg_suite", "level1_suite",

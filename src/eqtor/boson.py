@@ -109,9 +109,12 @@ class BosonAlgebra:
     """Mode algebra over a Cartan datum at a fixed level k."""
 
     def __init__(self, data: CartanData, params: Params, level: int | None = None):
+        # the level is params.level_k; ``level`` may only repeat it
+        if level is not None and level != params.level_k:
+            raise ValueError(f"level {level} disagrees with params.level_k = {params.level_k}")
         self.data = data
         self.params = params
-        self.level = params.level_k if level is None else level
+        self.level = params.level_k
         self._p = params.p
         self._pstar = params.p * params.q ** (-2 * self.level)
         # closed-form terms of the exponentials with coefficients _exp_coef(sign,

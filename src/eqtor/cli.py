@@ -16,8 +16,8 @@ import sys
 
 from .ellcore import (BalanceError, ParameterError, Params, PoleProximityError,
                       gkernel_branches, pf_expand, pochratio_series, qpoch, theta)
-from .fock01 import (FockBasisVector, PhiAction, VectorBasis,
-                     apply_xminus, apply_xplus, phi_action, vector_rep_apply)
+from .fock01 import (FockBasisVector, VectorBasis, apply_xminus, apply_xplus, phi_action,
+                     vector_rep_apply)
 from .partitions import ColoredPartition
 from .relcheck import (RelationReport, fock_suite, heisenberg_suite, level1_suite,
                        reports_to_json, vector_suite)
@@ -50,8 +50,8 @@ def build_params(args) -> Params:
             raw = json.load(fh)
         for name in ("q", "kappa", "p", "u"):
             if name in raw:
-                v = raw[name]
-                fields[name] = complex(v[0], v[1]) if isinstance(v, list) else complex(v)
+                val = raw[name]
+                fields[name] = complex(val[0], val[1]) if isinstance(val, list) else complex(val)
         for name in ("trunc_M", "tol", "seed", "level_k"):
             if name in raw:
                 fields[name] = raw[name]
@@ -124,6 +124,8 @@ def cmd_act(args) -> int:
     try:
         params = build_params(args)
         lam = ColoredPartition.from_string(args.partition, args.N, args.k)
+        if not 0 <= args.color < args.N:
+            raise ValueError(f"--color {args.color} outside 0..{args.N - 1}")
     except (ParameterError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
@@ -133,14 +135,14 @@ def cmd_act(args) -> int:
         if args.gen in ("x+", "x-"):
             out = (apply_xplus if args.gen == "x+" else apply_xminus)(args.color, v, params)
             for t in out:
-                sup = t.supports[0].value(params)
+                sup = t.support.value(params)
                 rows.append({
                     "support": [sup.real, sup.imag],
                     "coeff": [t.coeff.real, t.coeff.imag],
                     "result": str(t.payload.partition),
                     "weight_shift": {"root": t.payload.weight.root, "rq": t.payload.weight.rq},
                 })
-        elif args.gen == "phi":
+        else:
             act = phi_action(args.color, v, params)
             for nsh, dsh in zip(act.spec.numer_shifts, act.spec.denom_shifts):
                 nv, dv = nsh.value(params), dsh.value(params)
@@ -150,25 +152,19 @@ def cmd_act(args) -> int:
                                     act.spec.scalar_prefactor.imag],
                          "weight_shift": {"root": act.weight_shift.root,
                                           "rq": act.weight_shift.rq}})
-        else:
-            print(f"unknown generator {args.gen!r}", file=sys.stderr)
-            return USAGE_ERROR
-    elif args.rep == "vector":
+    else:
         basis = VectorBasis(args.index, args.N, args.k)
         out = vector_rep_apply(args.gen, args.color, basis, params)
-        if isinstance(out, PhiAction):
+        if args.gen == "phi":
             rows.append({"scalar": [out.spec.scalar_prefactor.real,
                                     out.spec.scalar_prefactor.imag],
                          "factors": len(out.spec.numer_shifts)})
         else:
             for t in out:
-                sup = t.supports[0].value(params)
+                sup = t.support.value(params)
                 rows.append({"support": [sup.real, sup.imag],
                              "coeff": [t.coeff.real, t.coeff.imag],
                              "result": t.payload.index})
-    else:
-        print(f"unknown rep {args.rep!r}", file=sys.stderr)
-        return USAGE_ERROR
     if args.json:
         print(json.dumps(rows, indent=2, sort_keys=True))
     elif not rows:
@@ -188,10 +184,7 @@ def cmd_expand(args) -> int:
     terms = params.trunc_M
     try:
         if args.func == "theta":
-            val = theta(args.z, params.p, terms) if args.z != 0 else None
-            if val is None:
-                raise ValueError("theta argument must be nonzero")
-            print(fmt_complex(val))
+            print(fmt_complex(theta(args.z, params.p, terms)))
         elif args.func == "qpoch":
             print(fmt_complex(qpoch(args.z, args.s if args.s is not None else params.p, terms)))
         elif args.func == "gkernel":
@@ -208,9 +201,11 @@ def cmd_expand(args) -> int:
                                       args.order)
             for n, c in enumerate(coeffs):
                 print(f"c[{n}] = {fmt_complex(c)}")
-        elif args.func == "pf":
+        else:
+            if args.n < 1 or args.samples < 1:
+                raise ValueError("--n and --samples must be >= 1")
             rng = random.Random(params.seed)
-            worst = 0.0
+            worst, compared = 0.0, 0
             for _ in range(args.samples):
                 a = [cmath.rect(rng.uniform(0.5, 1.5), rng.uniform(0, 2 * cmath.pi))
                      for _ in range(args.n)]
@@ -229,10 +224,12 @@ def cmd_expand(args) -> int:
                     except PoleProximityError:
                         continue
                     worst = max(worst, abs(lhs - rhs) / (1 + abs(lhs)))
+                    compared += 1
+            if not compared:
+                print("error: every instance fell near a pole; nothing was compared",
+                      file=sys.stderr)
+                return RELATION_ERROR
             print(f"max residual over {args.samples} balanced instances: {worst:.3e}")
-        else:
-            print(f"unknown function {args.func!r}", file=sys.stderr)
-            return USAGE_ERROR
     except (ValueError, BalanceError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -18,7 +18,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field, fields, replace
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 DEFAULT_TERMS = 40
 
@@ -33,10 +33,6 @@ class BalanceError(ValueError):
 
 class PoleProximityError(ValueError):
     """An evaluation point is too close to a theta zero."""
-
-
-class TruncationError(ArithmeticError):
-    """Dual-branch evaluations disagree beyond tolerance."""
 
 
 class WindowOverflowError(ValueError):
@@ -132,18 +128,9 @@ def gkernel_branches(z, s, b: int, q, terms: int = DEFAULT_TERMS):
     return series, poch
 
 
-def gkernel(z, s, b: int, q, terms: int = DEFAULT_TERMS, check_tol: float | None = None):
-    """Structure kernel g_b(z; s), evaluated on its Pochhammer-ratio branch.
-
-    With ``check_tol`` set, the exponential-series branch is evaluated too
-    and a TruncationError is raised if the branches disagree beyond it.
-    """
-    series, poch = gkernel_branches(z, s, b, q, terms)
-    if check_tol is not None and abs(series - poch) / (1 + abs(poch)) > check_tol:
-        raise TruncationError(
-            f"gkernel branches disagree by {abs(series - poch):.3e}; increase terms"
-        )
-    return poch
+def gkernel(z, s, b: int, q, terms: int = DEFAULT_TERMS):
+    """Structure kernel g_b(z; s), evaluated on its Pochhammer-ratio branch."""
+    return gkernel_branches(z, s, b, q, terms)[1]
 
 
 def pochratio_series(a, b, s, order: int) -> list:
@@ -202,9 +189,9 @@ def hash_once(self) -> int:
 class Lat:
     """Multiplicative lattice scalar kappa^kappa_e * q^q_e * u^u_e.
 
-    Delta supports and theta arguments arising from module actions live on
-    this lattice; keeping the exponents exact makes support matching and
-    theta-zero detection exact.
+    The delta support of every action term and every theta argument arising
+    from a module action lives on this lattice; keeping the exponents exact
+    makes support matching and theta-zero detection exact.
     """
 
     kappa_e: int = 0
@@ -257,7 +244,6 @@ class Params:
     trunc_M: int = DEFAULT_TERMS
     tol: float = 1e-8
     seed: int = 20240801
-    precision: int | None = None
     # per instance: every construction, dataclasses.replace included, starts empty
     _theta_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _vertex_constants: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -304,10 +290,7 @@ class Params:
         mpmath.mp.dps = max(mpmath.mp.dps, dps)
         def mpc(z):
             return mpmath.mpc(z.real, z.imag)
-        return replace(
-            self, q=mpc(self.q), kappa=mpc(self.kappa), p=mpc(self.p), u=mpc(self.u),
-            precision=dps,
-        )
+        return replace(self, q=mpc(self.q), kappa=mpc(self.kappa), p=mpc(self.p), u=mpc(self.u))
 
     def theta_lat(self, lat: Lat, star: bool = False):
         """theta_{p or p*}(kappa^a q^b u^e) with exact zeros on the unit.
@@ -335,46 +318,27 @@ class Params:
 
 
 # ---------------------------------------------------------------------------
-# delta-supported vectors
+# delta terms
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class DeltaTerm:
-    """One term  coeff * prod_i delta(support_i / var_i) (x) payload.
+    """One term  coeff * delta(support / z) (x) payload.
 
-    Multiplying by a function of the formal variables is evaluation at the
-    supports (the delta-substitution rule); see ``scaled``.
+    A level-0 action is a list of these.  Multiplying by a function of the
+    formal variable z is evaluation at the support (the delta-substitution
+    rule).
     """
 
-    supports: tuple
+    support: Lat
     coeff: complex
     payload: Any = None
 
     def __post_init__(self):
-        for s in self.supports:
-            if not isinstance(s, Lat) and s == 0:
-                raise ValueError("delta supports must be nonzero")
+        if not isinstance(self.support, Lat) and self.support == 0:
+            raise ValueError("delta support must be nonzero")
         if not _isfinite(self.coeff):
             raise ValueError("coefficient must be finite")
-
-    def scaled(self, factor: complex) -> "DeltaTerm":
-        return DeltaTerm(self.supports, self.coeff * factor, self.payload)
-
-
-class DeltaVector:
-    """A finite formal sum of DeltaTerm's."""
-
-    def __init__(self, terms: Iterable[DeltaTerm] = ()):
-        self.terms: list[DeltaTerm] = list(terms)
-
-    def __iter__(self):
-        return iter(self.terms)
-
-    def __len__(self):
-        return len(self.terms)
-
-    def append(self, term: DeltaTerm) -> None:
-        self.terms.append(term)
 
 
 # ---------------------------------------------------------------------------

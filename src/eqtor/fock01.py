@@ -16,8 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cartan import CartanData, DynWeight, gl_cartan
-from .ellcore import (LAT_Q2, DeltaTerm, DeltaVector, Lat, Params, ThetaRatioSpec,
-                      hash_once)
+from .ellcore import LAT_Q2, DeltaTerm, Lat, Params, ThetaRatioSpec, hash_once
 from .partitions import (ColoredPartition, boxes_by_color, coeff_minus, coeff_plus,
                          partitions_up_to, row_addable_condition,
                          row_removable_condition, row_support_lat, support_lat)
@@ -61,34 +60,24 @@ def vertex_constant_product(params: Params) -> complex:
     return q / (q - 1 / q) * params.theta_p(q ** -2) / params.qpoch_p(params.p) ** 2
 
 
-def apply_xplus(color: int, v: FockBasisVector, params: Params) -> DeltaVector:
+def apply_xplus(color: int, v: FockBasisVector, params: Params) -> list[DeltaTerm]:
     lam = v.partition
     add, _ = boxes_by_color(lam, color)
-    out = DeltaVector()
     cp = vertex_constant(+1, params)
     wt = v.weight.shifted(color, +1, -1)
-    for box in add:
-        out.append(DeltaTerm(
-            supports=(LAT_Q2 * support_lat(box),),
-            coeff=cp * coeff_plus(lam, box, color, params),
-            payload=FockBasisVector(lam.add_box(box), wt),
-        ))
-    return out
+    return [DeltaTerm(LAT_Q2 * support_lat(box), cp * coeff_plus(lam, box, color, params),
+                      FockBasisVector(lam.add_box(box), wt))
+            for box in add]
 
 
-def apply_xminus(color: int, v: FockBasisVector, params: Params) -> DeltaVector:
+def apply_xminus(color: int, v: FockBasisVector, params: Params) -> list[DeltaTerm]:
     lam = v.partition
     _, rem = boxes_by_color(lam, color)
-    out = DeltaVector()
     cm = vertex_constant(-1, params)
     wt = v.weight.shifted(color, -1, 0)
-    for box in rem:
-        out.append(DeltaTerm(
-            supports=(LAT_Q2 * support_lat(box),),
-            coeff=cm * coeff_minus(lam, box, color, params),
-            payload=FockBasisVector(lam.remove_box(box), wt),
-        ))
-    return out
+    return [DeltaTerm(LAT_Q2 * support_lat(box), cm * coeff_minus(lam, box, color, params),
+                      FockBasisVector(lam.remove_box(box), wt))
+            for box in rem]
 
 
 def phi_action(color: int, v: FockBasisVector, params: Params, form: str = "box") -> PhiAction:
@@ -143,15 +132,16 @@ def kplus_exponent(v: FockBasisVector, color: int) -> int:
 
 @dataclass(frozen=True)
 class VectorBasis:
-    """Basis vector [u]^{(k)}_j of the vector representation."""
+    """Basis vector [u]^{(k)}_j of the vector representation; weight zero if not given."""
 
     index: int
     n_colors: int
     color_base: int = 0
-    weight: DynWeight | None = None
+    weight: DynWeight = None
 
-    def wt(self) -> DynWeight:
-        return self.weight if self.weight is not None else DynWeight.zero(self.n_colors)
+    def __post_init__(self):
+        if self.weight is None:
+            object.__setattr__(self, "weight", DynWeight.zero(self.n_colors))
 
 
 def _vec_support(index: int, spectral: Lat) -> Lat:
@@ -170,23 +160,15 @@ def vector_rep_apply(gen: str, color: int, basis: VectorBasis, params: Params,
     k = basis.color_base
     j = basis.index
     if gen == "x+":
-        out = DeltaVector()
-        if (color + j + 1) % n == k % n:
-            out.append(DeltaTerm(
-                supports=(_vec_support(j + 1, spectral),),
-                coeff=vertex_constant(+1, params),
-                payload=VectorBasis(j + 1, n, k, basis.wt().shifted(color, +1, -1)),
-            ))
-        return out
+        if (color + j + 1) % n != k % n:
+            return []
+        return [DeltaTerm(_vec_support(j + 1, spectral), vertex_constant(+1, params),
+                          VectorBasis(j + 1, n, k, basis.weight.shifted(color, +1, -1)))]
     if gen == "x-":
-        out = DeltaVector()
-        if (color + j) % n == k % n:
-            out.append(DeltaTerm(
-                supports=(_vec_support(j, spectral),),
-                coeff=vertex_constant(-1, params),
-                payload=VectorBasis(j - 1, n, k, basis.wt().shifted(color, -1, 0)),
-            ))
-        return out
+        if (color + j) % n != k % n:
+            return []
+        return [DeltaTerm(_vec_support(j, spectral), vertex_constant(-1, params),
+                          VectorBasis(j - 1, n, k, basis.weight.shifted(color, -1, 0)))]
     if gen == "phi":
         shift = DynWeight.zero(n).shifted(color, 0, -1)
         if (color + j) % n == k % n:
@@ -230,13 +212,7 @@ def _phi_factor_at(lam: ColoredPartition, slot: int, color: int, support: Lat,
     act = vector_rep_apply("phi", color, VectorBasis(_slot_index(lam, slot), lam.n_colors,
                                                      lam.root_color), params,
                            spectral=_slot_spectral(slot))
-    spec = act.spec
-    out = spec.scalar_prefactor
-    for nsh in spec.numer_shifts:
-        out *= params.theta_lat(nsh / support)
-    for dsh in spec.denom_shifts:
-        out /= params.theta_lat(dsh / support)
-    return out
+    return act.spec.evaluate_with(lambda shift: params.theta_lat(shift / support))
 
 
 def tensor_apply(m: int, gen: str, color: int, lam: ColoredPartition, params: Params):
@@ -269,14 +245,14 @@ def tensor_apply(m: int, gen: str, color: int, lam: ColoredPartition, params: Pa
         return PhiAction(ThetaRatioSpec(tuple(numer), tuple(denom), scalar), shift)
     if gen not in ("x+", "x-"):
         raise ValueError(f"unknown generator {gen!r}")
-    out = DeltaVector()
+    out = []
     plus = gen == "x+"
     wt = DynWeight.zero(n).shifted(color, +1 if plus else -1, -1 if plus else 0)
     for a in range(1, m + 1):
         vb = VectorBasis(_slot_index(lam, a), n, k)
         act = vector_rep_apply(gen, color, vb, params, spectral=_slot_spectral(a))
         for term in act:
-            support = term.supports[0]
+            support = term.support
             coeff = term.coeff
             if plus:
                 passive = range(1, a)
@@ -295,7 +271,7 @@ def tensor_apply(m: int, gen: str, color: int, lam: ColoredPartition, params: Pa
             ps = list(lam.parts) + [0] * (a - lam.length)
             ps[a - 1] += delta
             newlam = ColoredPartition.make(ps, n, k)
-            out.append(DeltaTerm((support,), coeff, FockBasisVector(newlam, wt)))
+            out.append(DeltaTerm(support, coeff, FockBasisVector(newlam, wt)))
     return out
 
 
@@ -324,7 +300,7 @@ class FockRep:
         return [FockBasisVector.from_parts(ps, self.n_colors, self.root_color)
                 for ps in partitions_up_to(max_size)]
 
-    def x(self, sign: int, color: int, v: FockBasisVector) -> DeltaVector:
+    def x(self, sign: int, color: int, v: FockBasisVector) -> list[DeltaTerm]:
         return (apply_xplus if sign > 0 else apply_xminus)(color, v, self.params)
 
     def phi(self, color: int, v: FockBasisVector) -> PhiAction:
@@ -361,7 +337,7 @@ class VectorRep:
         rng = range(-self.index_range, self.index_range + 1)
         return [VectorBasis(j, self.n_colors, self.root_color) for j in rng]
 
-    def x(self, sign: int, color: int, v: VectorBasis) -> DeltaVector:
+    def x(self, sign: int, color: int, v: VectorBasis) -> list[DeltaTerm]:
         return vector_rep_apply("x+" if sign > 0 else "x-", color, v, self.params)
 
     def phi(self, color: int, v: VectorBasis) -> PhiAction:

@@ -62,7 +62,7 @@ class Level1Module:
         self.fundamental = a
         self.params = params
         self.cocycle: Cocycle = cocycle_build(data)
-        self.boson = BosonAlgebra(data, params, level=1)
+        self.boson = BosonAlgebra(data, params)
         # one object per lattice vector, so equal keys compare by identity
         self._lattice: dict[LatticeVector, LatticeVector] = {}
         # (sign, j, lv) -> z_apply(sign, j, lv), built once per module
@@ -80,12 +80,11 @@ class Level1Module:
             s += 1
         return s
 
-    def sample_vectors(self, count: int, rng: random.Random,
-                       spread: int = 1) -> list[LatticeVector]:
+    def sample_vectors(self, count: int, rng: random.Random) -> list[LatticeVector]:
         size = len(self.data.a)
         out = [LatticeVector.highest(self.data, self.fundamental)]
         while len(out) < count:
-            beta = tuple(rng.randint(-spread, spread) for _ in range(size))
+            beta = tuple(rng.randint(-1, 1) for _ in range(size))
             out.append(LatticeVector(beta, self.fundamental, DynWeight.zero(size)))
         return out
 
@@ -157,38 +156,6 @@ class Level1Module:
 ZALG_IDS = ("zalg1", "zalg2", "zalg3", "zalg4", "zalg5")
 
 
-def check_zalg1(mod: Level1Module, samples: int, rng: random.Random,
-                max_degree: int = 3) -> float:
-    """[a_{i,m}, Z+-_j] = 0 on the induced space.
-
-    On (boson Fock) x W the Z-operators reduce to their lattice factor, so
-    the commutator with any mode vanishes identically; the check evaluates
-    the Z-operators of both orderings on sampled lattice vectors, scales each
-    mode action on a boson state by them and confirms exact cancellation.
-    """
-    worst = 0.0
-    data = mod.data
-    colors = list(data.index_set)[: min(3, len(data.a))]
-    states = basis_states(colors, max_degree)
-    vs = mod.sample_vectors(max(2, samples // 6), rng)
-    zs = [(sign, j) for sign in (+1, -1) for j in data.index_set]
-    # the mode acts on the boson factor alone: one action per (state, i, m)
-    modes = [mod.boson.apply_mode(i, m, {st: 1.0 + 0j})
-             for st in states[:8] for i in colors for m in (-2, -1, 1, 2)]
-    for lv in vs:
-        # each path evaluates its Z-operators once per (sign, j) on lv
-        z_first = [mod.z_apply(sign, j, lv) for sign, j in zs]
-        z_after = [mod.z_apply(sign, j, lv) for sign, j in zs]
-        for (ze, lv2, zco), (ze_b, lv2_b, zco_b) in zip(z_first, z_after):
-            if (ze, lv2) != (ze_b, lv2_b):
-                return 1.0
-            for unit in modes:
-                path_a = {st2: zco * c for st2, c in unit.items()}  # Z then mode
-                path_b = {st2: c * zco_b for st2, c in unit.items()}  # mode then Z
-                worst = max(worst, vector_residual(path_a, path_b))
-    return worst
-
-
 def check_zalg2(mod: Level1Module, samples: int, rng: random.Random,
                 window: int = 6) -> float:
     """Quadratic Z+-Z+- exchange, coefficient-wise in the exponent window.
@@ -216,7 +183,8 @@ def check_zalg2(mod: Level1Module, samples: int, rng: random.Random,
                     ez, v2, c2 = mod.z_apply(sign, i, v1)
                     ezb, v1b, c1b = mod.z_apply(sign, i, v)
                     ewb, v2b, c2b = mod.z_apply(sign, j, v1b)
-                    assert v2.beta == v2b.beta and v2.weight == v2b.weight
+                    if (v2.beta, v2.weight) != (v2b.beta, v2b.weight):
+                        return 1.0
                     lhs = {(ez + 1 - n, ew + n): cl[n] * c1 * c2
                            for n in range(order + 1)}
                     rhs = {(ezb + n, ewb + 1 - n): -kappa ** (-mm) * cr[n] * c1b * c2b
@@ -251,8 +219,9 @@ def check_zalg3(mod: Level1Module, samples: int, rng: random.Random,
                 ez, v2, co2 = mod.z_apply(+1, i, v1)
                 ezb, v1b, co1b = mod.z_apply(+1, i, v)
                 ewb, v2b, co2b = mod.z_apply(-1, j, v1b)
-                assert v2.beta == v2b.beta and v2.weight == v2b.weight
-                assert ez + ew == ezb + ewb  # total degree conservation
+                # both orderings reach one lattice vector at one total degree
+                if (v2.beta, v2.weight, ez + ew) != (v2b.beta, v2b.weight, ezb + ewb):
+                    return 1.0
                 # the w-exponent is determined by the z-exponent, so key on z
                 lhs: dict = {}
                 accumulate(lhs, {ez - n: c1[n] * co1 * co2 for n in range(depth + 1)})
@@ -378,10 +347,15 @@ def check_zalg_serre(mod: Level1Module, sign: int, samples: int,
 
 def check_zalgebra(rel_id: str, mod: Level1Module, samples: int = 20,
                    window: int = 6) -> float:
-    """Residual of one Z-algebra relation on module vectors sampled by Params.seed."""
+    """Residual of one Z-algebra relation on module vectors sampled by Params.seed.
+
+    zalg1, [a_{i,m}, Z+-_j] = 0, holds by construction: on (boson Fock) x W
+    the Z-operators act on the lattice factor alone and the modes on the
+    boson factor alone, so it has nothing to compare and reads 0.0.
+    """
     rng = random.Random(mod.params.seed)
     few, many = max(4, samples // 3), max(10, samples)
-    checks = {"zalg1": lambda: check_zalg1(mod, samples, rng),
+    checks = {"zalg1": lambda: 0.0,
               "zalg2": lambda: check_zalg2(mod, few, rng, window),
               "zalg3": lambda: check_zalg3(mod, few, rng, window),
               "zalg4": lambda: check_zalg_serre(mod, +1, many, rng),

@@ -3,7 +3,7 @@
 Boxes are (row, column) pairs with row, column >= 1; the box (x, y) carries
 the content x - y + k mod N, where k is the root color of the diagram.
 Addable/removable boxes of a fixed color drive the diagonal Fock action;
-their spectral supports live on the kappa/q lattice.
+the spectral support of each lives on the kappa/q lattice.
 """
 
 from __future__ import annotations
@@ -94,7 +94,8 @@ class ColoredPartition:
         for color, (add, rem) in table.items():
             add.sort(key=lambda b: (b[0] - b[1], b))
             rem.sort(key=lambda b: (b[0] - b[1], b))
-            assert add == sorted(add) and rem == sorted(rem)
+            if add != sorted(add) or rem != sorted(rem):
+                raise RuntimeError(f"boxes of color {color} in {self} are not in row order")
             out[color] = (tuple(add), tuple(rem))
         return out
 
@@ -119,7 +120,7 @@ def boxes_by_color(lam: ColoredPartition, color: int) -> tuple[list[Box], list[B
     """(addable, removable) boxes of the given color, in increasing content order.
 
     For same-color candidate boxes of one diagram the integer-content order
-    coincides with row order; this is asserted rather than assumed.
+    coincides with row order; this is checked rather than assumed.
     """
     add, rem = lam._boxes_by_color.get(color, ((), ()))
     return list(add), list(rem)

@@ -151,9 +151,9 @@ def test_criterion_06_tensor_reconstruction():
                 v = FockBasisVector(lam, FockBasisVector.vacuum(3, k).weight)
                 for color in range(3):
                     for gen, closed in (("x+", apply_xplus), ("x-", apply_xminus)):
-                        got = {(t.payload.partition.parts, t.supports[0]): t.coeff
+                        got = {(t.payload.partition.parts, t.support): t.coeff
                                for t in tensor_apply(m, gen, color, lam, P)}
-                        want = {(t.payload.partition.parts, t.supports[0]): t.coeff
+                        want = {(t.payload.partition.parts, t.support): t.coeff
                                 for t in closed(color, v, P)}
                         for key in set(got) | set(want):
                             a, b = got.get(key, 0j), want.get(key, 0j)
@@ -184,7 +184,7 @@ def test_criterion_07_diagonal_constant_product():
 @pytest.mark.parametrize("tag", ["A2", "D4"])
 def test_criterion_08_dressing_exchange_relations(tag):
     data = cartan_data(tag)
-    alg = BosonAlgebra(data, P.with_level(1), level=1)
+    alg = BosonAlgebra(data, P.with_level(1))
     worst = 0.0
     for rel_id in EXCHANGE_IDS:
         for i, j in pair_classes(data):

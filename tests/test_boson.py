@@ -16,7 +16,7 @@ D4 = cartan_data("D4")
 
 
 def make_alg(data=A2):
-    return BosonAlgebra(data, P1, level=1)
+    return BosonAlgebra(data, P1)
 
 
 def test_commutator_vanishes_off_diagonal_modes():
@@ -52,9 +52,15 @@ def test_commutator_value_on_module():
 
 
 def test_level_zero_bracket_vanishes():
-    alg0 = BosonAlgebra(A2, Params(level_k=0), level=0)
+    alg0 = BosonAlgebra(A2, Params(level_k=0))
     for m in (1, 2, 3):
         assert alg0.mode_commutator(0, m, 0, -m) == 0
+
+
+def test_level_is_the_params_level():
+    assert BosonAlgebra(A2, P1, level=1).level == 1
+    with pytest.raises(ValueError):
+        BosonAlgebra(A2, Params(level_k=0), level=1)
 
 
 def test_annihilation_on_vacuum_and_leibniz():

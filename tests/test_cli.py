@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from eqtor import cli
 from eqtor.cli import main, parse_complex
+from eqtor.ellcore import PoleProximityError
 
 
 def run(capsys, *argv):
@@ -53,6 +55,24 @@ def test_expand_theta_zero(capsys):
     assert out.strip().startswith("+0")
 
 
+def test_expand_theta_at_zero_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "expand", "theta", "--z", "0")
+    assert code == 2 and out == ""
+    assert "nonzero" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("--color", "5", "--N", "3"),
+    ("--color", "-1", "--N", "3"),
+    ("--rep", "vector", "--color", "7", "--N", "3"),
+], ids=["fock_high", "fock_negative", "vector_high"])
+def test_act_rejects_color_out_of_range(capsys, argv):
+    # used to die with an IndexError, or to print "(empty)" with exit 0
+    code, out, err = run(capsys, "act", "--gen", "x+", *argv)
+    assert code == 2 and out == ""
+    assert "--color" in err
+
+
 def test_expand_gkernel_check(capsys):
     code, out, _ = run(capsys, "expand", "gkernel", "--b", "2", "--check")
     assert code == 0
@@ -65,6 +85,23 @@ def test_expand_pf(capsys):
     assert "max residual" in out
     residual = float(out.strip().rsplit(" ", 1)[-1])
     assert residual < 1e-9
+
+
+@pytest.mark.parametrize("argv", [("--n", "0"), ("--samples", "0")], ids=["n", "samples"])
+def test_expand_pf_rejects_bad_sizes(capsys, argv):
+    # used to print a residual of 0 over nothing and exit 0
+    code, out, err = run(capsys, "expand", "pf", *argv)
+    assert code == 2 and out == ""
+    assert ">= 1" in err
+
+
+def test_expand_pf_fails_when_nothing_is_compared(capsys, monkeypatch):
+    def near_pole(*args, **kwargs):
+        raise PoleProximityError("t collides with a pole")
+    monkeypatch.setattr(cli, "pf_expand", near_pole)
+    code, out, err = run(capsys, "expand", "pf", "--n", "2", "--samples", "2")
+    assert code == 1 and out == ""
+    assert "nothing was compared" in err
 
 
 def test_verify_bad_parameter_regime(capsys):
@@ -118,6 +155,10 @@ def test_report_csv(capsys, tmp_path):
 def test_usage_error_exit_code():
     assert main(["verify"]) == 2
     assert main(["nonsense"]) == 2
+    # argparse choices alone reject an unknown generator, rep or function
+    assert main(["act", "--gen", "y+"]) == 2
+    assert main(["act", "--gen", "x+", "--rep", "boson"]) == 2
+    assert main(["expand", "sine"]) == 2
 
 
 def test_verify_level1_zalg2_small_window(capsys):

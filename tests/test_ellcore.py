@@ -244,12 +244,11 @@ def test_theta_ratio_balance():
 
 
 def test_delta_term_substitution():
-    term = DeltaTerm((Lat(0, 0, 1), Lat(1, -2, 1)), 2.0 + 1j, payload="x")
-    f = lambda z, w: z * w ** 2
-    value = f(*(s.value(P) for s in term.supports))
-    assert term.scaled(value).coeff == (2.0 + 1j) * value
+    term = DeltaTerm(Lat(1, -2, 1), 2.0 + 1j, payload="x")
+    # z -> support: kappa q^-2 u
+    assert term.support.value(P) == P.kappa * P.q ** -2 * P.u
     with pytest.raises(ValueError):
-        DeltaTerm((0,), 1.0)
+        DeltaTerm(0, 1.0)
 
 
 def test_lat_arithmetic():

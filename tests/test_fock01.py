@@ -55,8 +55,8 @@ def test_memo_keys_hash_as_their_field_tuples():
 def test_xplus_on_vacuum():
     out = apply_xplus(0, vac(), P)
     assert len(out) == 1
-    term = out.terms[0]
-    assert term.supports[0] == Lat(0, 0, 1)  # support u exactly
+    term = out[0]
+    assert term.support == Lat(0, 0, 1)  # support u exactly
     assert abs(term.coeff - vertex_constant(+1, P)) < 1e-15
     assert term.payload.partition.parts == (1,)
     assert term.payload.weight == DynWeight((1, 0, 0), (-1, 0, 0))
@@ -75,8 +75,8 @@ def test_xminus_on_vacuum_empty():
 def test_xminus_on_single_box():
     out = apply_xminus(0, state([1]), P)
     assert len(out) == 1
-    term = out.terms[0]
-    assert term.supports[0] == Lat(0, 0, 1)  # q^2 u_X = u again
+    term = out[0]
+    assert term.support == Lat(0, 0, 1)  # q^2 u_X = u again
     assert term.payload.partition.parts == ()
     assert term.payload.weight == DynWeight((-1, 0, 0), (0, 0, 0))
 
@@ -117,16 +117,16 @@ def test_vector_rep_cases():
     # x+_i fires only when i + j + 1 = k mod N
     out = vector_rep_apply("x+", 2, basis, P)
     assert len(out) == 1
-    term = out.terms[0]
-    assert term.supports[0] == Lat(1, -1, 1)  # q1^{j+1} u at j = 0
+    term = out[0]
+    assert term.support == Lat(1, -1, 1)  # q1^{j+1} u at j = 0
     assert term.payload.index == 1
     assert len(vector_rep_apply("x+", 0, basis, P)) == 0
     assert len(vector_rep_apply("x+", 1, basis, P)) == 0
     # x-_i fires when i + j = k
     out = vector_rep_apply("x-", 0, basis, P)
     assert len(out) == 1
-    assert out.terms[0].supports[0] == Lat(0, 0, 1)
-    assert out.terms[0].payload.index == -1
+    assert out[0].support == Lat(0, 0, 1)
+    assert out[0].payload.index == -1
     # phi eigenvalue for i + j = k: q theta(q1^{j+1} q3 u/z)/theta(q1^j u/z)
     act = vector_rep_apply("phi", 0, basis, P)
     assert act.spec.scalar_prefactor == P.q
@@ -140,9 +140,9 @@ def test_vector_rep_zn_degree_shift():
     # applying x+ then x- returns to the same index
     basis = VectorBasis(3, 3, 0)
     up = vector_rep_apply("x+", (0 - 3 - 1) % 3, basis, P)
-    assert up.terms[0].payload.index == 4
-    down = vector_rep_apply("x-", (0 - 4) % 3, up.terms[0].payload, P)
-    assert down.terms[0].payload.index == 3
+    assert up[0].payload.index == 4
+    down = vector_rep_apply("x-", (0 - 4) % 3, up[0].payload, P)
+    assert down[0].payload.index == 3
 
 
 @pytest.mark.parametrize("m", [3, 4, 5])
@@ -156,9 +156,9 @@ def test_tensor_matches_closed_form(m):
             v = FockBasisVector(lam, DynWeight.zero(3))
             for color in range(3):
                 for gen, closed in (("x+", apply_xplus), ("x-", apply_xminus)):
-                    got = {(t.payload.partition.parts, t.supports[0]): t.coeff
+                    got = {(t.payload.partition.parts, t.support): t.coeff
                            for t in tensor_apply(m, gen, color, lam, P)}
-                    want = {(t.payload.partition.parts, t.supports[0]): t.coeff
+                    want = {(t.payload.partition.parts, t.support): t.coeff
                             for t in closed(color, v, P)}
                     for key in set(got) | set(want):
                         a, b = got.get(key, 0j), want.get(key, 0j)
@@ -175,9 +175,9 @@ def test_tensor_is_cutoff_independent():
     lam = ColoredPartition.make((2, 1), 3, 0)
     for gen in ("x+", "x-"):
         for color in range(3):
-            t4 = {(t.payload.partition.parts, t.supports[0]): t.coeff
+            t4 = {(t.payload.partition.parts, t.support): t.coeff
                   for t in tensor_apply(4, gen, color, lam, P)}
-            t5 = {(t.payload.partition.parts, t.supports[0]): t.coeff
+            t5 = {(t.payload.partition.parts, t.support): t.coeff
                   for t in tensor_apply(5, gen, color, lam, P)}
             assert set(t4) == set(t5)
             for key in t4:

@@ -144,6 +144,10 @@ def test_xx_quadratic_detects_lattice_mismatch(monkeypatch):
     monkeypatch.setattr(Level1Module, "z_apply", mutant)
     res = check_xx_quadratic_level1(mod, +1, highest, window=2, theta_terms=6)
     assert res[0, 1] >= P.tol
+    # the Z-operator exchanges sample the highest vector first and report the
+    # mismatch as a failing residual, not as a crash
+    for rel in ("zalg2", "zalg3"):
+        assert check_zalgebra(rel, mod, samples=4, window=2) == 1.0
 
 
 def test_level1_scalar_checks_run_in_high_precision():

@@ -4,7 +4,7 @@ from dataclasses import replace
 import pytest
 
 import eqtor.fock01 as fock01
-from eqtor.ellcore import DeltaVector, Params
+from eqtor.ellcore import Params
 from eqtor.fock01 import FockRep, PhiAction, VectorRep
 from eqtor import cli
 from eqtor.relcheck import (FOCK_RELATION_IDS, VECTOR_RELATION_IDS, _CHECKS,
@@ -170,9 +170,8 @@ def _by_length(coeff):
 
 def _without_rq_shift(apply_xplus):
     def mutant(color, v, params):
-        return DeltaVector(
-            replace(t, payload=replace(t.payload, weight=t.payload.weight.shifted(color, 0, 1)))
-            for t in apply_xplus(color, v, params))
+        return [replace(t, payload=replace(t.payload, weight=t.payload.weight.shifted(color, 0, 1)))
+                for t in apply_xplus(color, v, params)]
     return mutant
 
 
