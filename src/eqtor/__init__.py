@@ -3,7 +3,7 @@
 from .boson import BosonAlgebra, check_exchange
 from .cartan import CartanData, Cocycle, DynWeight, cartan_data, cocycle_build
 from .ellcore import (BalanceError, DeltaTerm, Lat, ParameterError, Params,
-                      PoleProximityError, ThetaRatioSpec, WindowOverflowError, gkernel,
+                      PoleProximityError, ThetaRatioSpec, gkernel,
                       pf_expand, phi_delta_difference, pochratio_series, qpoch, theta)
 from .level1 import LatticeVector, Level1Module, check_zalgebra
 from .fock01 import (FockBasisVector, FockRep, PhiAction, VectorBasis, VectorRep,
@@ -20,7 +20,7 @@ __all__ = [
     "DeltaTerm", "DynWeight", "FockBasisVector", "FockRep", "Lat",
     "LatticeVector", "Level1Module", "ParameterError", "Params", "PhiAction",
     "PoleProximityError", "RelationReport", "ThetaRatioSpec",
-    "VectorBasis", "VectorRep", "WindowOverflowError",
+    "VectorBasis", "VectorRep",
     "apply_xminus", "apply_xplus", "boxes_by_color", "cartan_data", "check_exchange",
     "check_zalgebra", "cocycle_build", "coeff_minus", "coeff_plus", "dim_vector",
     "fock_suite", "gkernel", "heisenberg_suite", "level1_suite",

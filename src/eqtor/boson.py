@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from math import comb, isqrt
 
 from .cartan import CartanData
-from .ellcore import Params, WindowOverflowError, poch_pairs_series
+from .ellcore import Params, poch_pairs_series
 
 BosonState = int  # packed monomial, see the module docstring
 BosonVec = dict   # BosonState -> complex
@@ -217,13 +217,12 @@ class BosonAlgebra:
         return out
 
     def apply_E(self, sign: int, family: str, i: int, vec: BosonVec,
-                degree_cap: int, window: int) -> dict[int, BosonVec]:
+                window: int) -> dict[int, BosonVec]:
         """Dressing exponential applied to vec, as a map z-exponent -> vector.
 
-        sign +1 selects the annihilator exponential (z-exponents <= 0), sign
-        -1 the creator one (z-exponents >= 0); family is 'a' or "a'".  The
-        output is exact for |z-exponent| <= window provided degrees stay
-        below degree_cap, otherwise a WindowOverflowError is raised.
+        sign +1 selects the annihilator exponential (z-exponents <= 0, all of
+        them: the series stops at the input degree), sign -1 the creator one
+        (z-exponents 0..window); family is 'a' or "a'".
         """
         if family not in ("a", "a'"):
             raise ValueError("family must be 'a' or \"a'\"")
@@ -231,13 +230,9 @@ class BosonAlgebra:
         flip = -1 if prime else 1
         if sign > 0:
             return {-t: v for t, v in self._translate(vec, (flip, prime, i)).items()}
-        indeg = max(map(state_degree, vec), default=0)
-        if indeg + window > degree_cap:
-            raise WindowOverflowError(
-                f"window {window} from degree {indeg} exceeds cap {degree_cap}")
         out: dict[int, BosonVec] = {}
         for st, c in vec.items():
-            self._create(out, (-flip, prime, i), st, c, 0, degree_cap - indeg, 0)
+            self._create(out, (-flip, prime, i), st, c, 0, window, 0)
         return out
 
     def apply_current_boson(self, sign: int, i: int, vec: BosonVec,
@@ -331,15 +326,13 @@ def _apply_descriptor(alg: BosonAlgebra, desc: tuple, vec: BosonVec,
                       window: int, lo: int, hi: int) -> dict[int, BosonVec]:
     kind, i = desc[0], desc[-1]
     sign = {"E+": +1, "E-": -1, "x+": +1, "x-": -1}[kind]
-    if not vec:
-        return {}
     if kind[0] == "E":
-        return alg.apply_E(sign, desc[1], i, vec, max(map(state_degree, vec)) + window, window)
+        return alg.apply_E(sign, desc[1], i, vec, window)
     return alg.apply_current_boson(sign, i, vec, lo, hi)
 
 
 def check_exchange(rel_id: int, alg: BosonAlgebra, i: int, j: int,
-                   max_degree: int = 4, window: int = 6) -> float:
+                   max_degree: int, window: int) -> float:
     """Max coefficient residual of one dressing-exchange relation.
 
     Matrix elements between monomials in the colors {i, j} of degree up to

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .ellcore import hash_once
@@ -20,8 +19,9 @@ class CartanData:
     """Affine generalized Cartan matrix with its deformation data.
 
     ``a`` is the Cartan matrix over the index set I = {0, .., n}, ``m`` the
-    cyclic twist matrix (nonzero only for A-type), ``colabels`` the null
-    vector of a (so a . colabels = 0), and d the symmetrizers (all 1 here).
+    cyclic twist matrix (nonzero only for A-type), ``colabels`` the affine
+    marks, the positive null vector of a with colabel 1 at node 0 (so
+    a . colabels = 0), and d the symmetrizers (all 1 here).
     """
 
     tag: str
@@ -76,62 +76,17 @@ def _from_edges(size: int, edges: Sequence[tuple[int, int]]) -> list[list[int]]:
     return a
 
 
-def _null_vector(a: list[list[int]]) -> tuple[int, ...]:
-    """Positive integer null vector of the affine Cartan matrix."""
-    size = len(a)
-    rows = [[Fraction(a[i][j]) for j in range(size)] for i in range(size)]
-    # Gaussian elimination; the kernel is one-dimensional for affine type.
-    aug = [row[:] for row in rows]
-    piv_cols = []
-    r = 0
-    for c in range(size):
-        piv = next((i for i in range(r, size) if aug[i][c] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(size):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        piv_cols.append(c)
-        r += 1
-        if r == size:
-            break
-    free = [c for c in range(size) if c not in piv_cols]
-    if len(free) != 1:
-        raise ValueError("Cartan matrix does not have a one-dimensional kernel")
-    sol = [Fraction(0)] * size
-    sol[free[0]] = Fraction(1)
-    for rr, c in enumerate(piv_cols):
-        sol[c] = -aug[rr][free[0]]
-    den = 1
-    for x in sol:
-        den = den * x.denominator // _gcd(den, x.denominator) if x.denominator != 1 else den
-    vals = [int(x * den) for x in sol]
-    if all(v < 0 for v in vals):
-        vals = [-v for v in vals]
-    g = 0
-    for v in vals:
-        g = _gcd(g, abs(v))
-    vals = [v // g for v in vals]
-    if any(v <= 0 for v in vals):
-        raise ValueError("null vector is not positive")
-    return tuple(vals)
-
-
-def _gcd(x: int, y: int) -> int:
-    while y:
-        x, y = y, x % y
-    return x
-
-
 _EDGE_TABLES = {
     # finite-diagram edges plus the affine node 0 attachment
     "E6": [(1, 2), (2, 3), (3, 4), (4, 5), (3, 6), (6, 0)],
     "E7": [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (3, 7), (1, 0)],
     "E8": [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (5, 8), (1, 0)],
+}
+# affine marks of the E-types in the node numbering of _EDGE_TABLES
+_E_COLABELS = {
+    "E6": (1, 1, 2, 3, 2, 1, 2),
+    "E7": (1, 2, 3, 4, 3, 2, 1, 2),
+    "E8": (1, 2, 3, 4, 5, 6, 4, 2, 3),
 }
 
 
@@ -146,6 +101,7 @@ def cartan_data(tag: str) -> CartanData:
             raise ValueError("A-type needs rank >= 2 (three or more nodes)")
         a = _cycle_matrix(n)
         size = n + 1
+        colabels = (1,) * size
         m = [[0] * size for _ in range(size)]
         for i in range(size):
             for j in range(size):
@@ -156,12 +112,13 @@ def cartan_data(tag: str) -> CartanData:
         edges = [(0, 2), (1, 2)] + [(i, i + 1) for i in range(2, n - 1)] + [(n - 2, n)]
         a = _from_edges(n + 1, edges)
         m = [[0] * (n + 1) for _ in range(n + 1)]
+        colabels = (1, 1) + (2,) * (n - 3) + (1, 1)
     elif fam == "E":
         if n not in (6, 7, 8):
             raise ValueError("E-type rank must be 6, 7 or 8")
         a = _from_edges(n + 1, _EDGE_TABLES[f"E{n}"])
         m = [[0] * (n + 1) for _ in range(n + 1)]
-    colabels = _null_vector(a)
+        colabels = _E_COLABELS[f"E{n}"]
     data = CartanData(
         tag=f"{fam}{n}",
         a=tuple(tuple(row) for row in a),

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field, fields, replace
 from typing import Any, Sequence
 
 DEFAULT_TERMS = 40
+GUARD = 1e-4  # skip radius around theta zeros, as a multiplicative distance
 
 
 class ParameterError(ValueError):
@@ -33,10 +34,6 @@ class BalanceError(ValueError):
 
 class PoleProximityError(ValueError):
     """An evaluation point is too close to a theta zero."""
-
-
-class WindowOverflowError(ValueError):
-    """A series expansion cannot reach the requested exponent window."""
 
 
 def _isfinite(z) -> bool:
@@ -90,12 +87,12 @@ def theta(z, p, terms: int = DEFAULT_TERMS):
     return qpoch(z, p, terms) * qpoch(p / z, p, terms)
 
 
-def theta_coefficient(n: int, p, terms: int = DEFAULT_TERMS):
+def theta_coefficient(n: int, p):
     """Laurent coefficient of z^n in theta_p(z).
 
     By the triple product, theta_p(z) = sum_n (-1)^n p^{n(n-1)/2} z^n / (p;p)_oo.
     """
-    return (-1) ** n * p ** (n * (n - 1) // 2) / qpoch(p, p, max(terms, DEFAULT_TERMS))
+    return (-1) ** n * p ** (n * (n - 1) // 2) / qpoch(p, p)
 
 
 def theta_zero_distance(z, p) -> float:
@@ -123,14 +120,14 @@ def gkernel_branches(z, s, b: int, q, terms: int = DEFAULT_TERMS):
         szm = szm * sz
         if isinstance(acc, complex) and abs(szm) < 1e-30:
             break
-    series = scalar_exp(acc)
-    poch = qpoch(s * q ** b * z, s, terms) / qpoch(s * q ** (-b) * z, s, terms)
-    return series, poch
+    return scalar_exp(acc), gkernel(z, s, b, q, terms)
 
 
 def gkernel(z, s, b: int, q, terms: int = DEFAULT_TERMS):
-    """Structure kernel g_b(z; s), evaluated on its Pochhammer-ratio branch."""
-    return gkernel_branches(z, s, b, q, terms)[1]
+    """Structure kernel g_b(z; s) = (s q^b z;s)_oo/(s q^{-b} z;s)_oo."""
+    if not all(_isfinite(x) for x in (z, s, q)):
+        raise ValueError("non-finite argument")
+    return qpoch(s * q ** b * z, s, terms) / qpoch(s * q ** (-b) * z, s, terms)
 
 
 def pochratio_series(a, b, s, order: int) -> list:
@@ -284,10 +281,10 @@ class Params:
         return replace(self, level_k=k)
 
     def with_precision(self, dps: int) -> "Params":
-        """Same parameter point with mpmath scalars at ``dps`` digits."""
+        """Same parameter point with mpmath scalars; sets the process-wide mp.dps to ``dps``."""
         import mpmath
 
-        mpmath.mp.dps = max(mpmath.mp.dps, dps)
+        mpmath.mp.dps = dps
         def mpc(z):
             return mpmath.mpc(z.real, z.imag)
         return replace(self, q=mpc(self.q), kappa=mpc(self.kappa), p=mpc(self.p), u=mpc(self.u))
@@ -388,11 +385,8 @@ class ThetaRatioSpec:
             return tot.q_e // 2
         raise BalanceError(f"unbalanced theta ratio: residual lattice point {tot}")
 
-    def scaled(self, factor) -> "ThetaRatioSpec":
-        return ThetaRatioSpec(self.numer_shifts, self.denom_shifts, self.scalar_prefactor * factor)
 
-
-def phi_delta_difference(spec: ThetaRatioSpec, params: Params, guard: float = 1e-4) -> list[tuple]:
+def phi_delta_difference(spec: ThetaRatioSpec, params: Params) -> list[tuple]:
     """Expansion difference  spec|_+  -  spec|_-  as a finite delta sum.
 
     ``|_+`` is the Laurent expansion on the outer side of the pole circles
@@ -409,7 +403,7 @@ def phi_delta_difference(spec: ThetaRatioSpec, params: Params, guard: float = 1e
     dvals = [d.value(params) for d in spec.denom_shifts]
     for s in range(len(dvals)):
         for t in range(s + 1, len(dvals)):
-            if theta_zero_distance(dvals[t] / dvals[s], params.p) < guard:
+            if theta_zero_distance(dvals[t] / dvals[s], params.p) < GUARD:
                 raise PoleProximityError(
                     f"denominator shifts {s} and {t} coincide modulo p^Z")
     pp2 = params.qpoch_p(params.p) ** 2
@@ -425,7 +419,7 @@ def phi_delta_difference(spec: ThetaRatioSpec, params: Params, guard: float = 1e
     return out
 
 
-def pf_expand(a: Sequence, b: Sequence, t, params: Params, guard: float = 1e-4) -> tuple:
+def pf_expand(a: Sequence, b: Sequence, t, params: Params) -> tuple:
     """Both sides of the balanced theta partial-fraction expansion.
 
     For a_1..a_n, b_1..b_{n+1} with a_1...a_n t = b_1...b_{n+1}:
@@ -448,9 +442,9 @@ def pf_expand(a: Sequence, b: Sequence, t, params: Params, guard: float = 1e-4) 
     if abs(prod_a - prod_b) > 1e-9 * (1 + abs(prod_a)):
         raise BalanceError("a_1..a_n t != b_1..b_{n+1}")
     for i, x in enumerate(a):
-        if theta_zero_distance(x / t, params.p) < guard:
+        if theta_zero_distance(x / t, params.p) < GUARD:
             raise PoleProximityError(f"t collides with pole a_{i + 1}")
-    if theta_zero_distance(b[n] / t, params.p) < guard:
+    if theta_zero_distance(b[n] / t, params.p) < GUARD:
         raise PoleProximityError("t collides with the closing pole b_{n+1}")
     th = params.theta_p
     lhs = 1.0 + 0j

@@ -282,7 +282,6 @@ def tensor_apply(m: int, gen: str, color: int, lam: ColoredPartition, params: Pa
 class FockRep:
     """Level-(0,1) diagonal representation handle."""
 
-    name = "fock"
     kappa0_exponent = -1
 
     def __init__(self, params: Params, n_colors: int, root_color: int = 0):
@@ -314,12 +313,12 @@ class FockRep:
 
 
 class VectorRep:
-    """Level-(0,0) vector representation handle."""
+    """Level-(0,0) vector representation handle on the basis [u]_j, |j| <= MAX_INDEX."""
 
-    name = "vector"
     kappa0_exponent = 0
+    MAX_INDEX = 4
 
-    def __init__(self, params: Params, n_colors: int, root_color: int = 0, index_range: int = 4):
+    def __init__(self, params: Params, n_colors: int, root_color: int = 0):
         if not 0 <= root_color < n_colors:
             raise ValueError("root color out of range")
         if params.level_k != 0:
@@ -327,14 +326,13 @@ class VectorRep:
         self.params = params
         self.n_colors = n_colors
         self.root_color = root_color
-        self.index_range = index_range
         self.cartan: CartanData = gl_cartan(n_colors)
 
     def colors(self) -> range:
         return range(self.n_colors)
 
     def states(self, max_size: int = 0) -> list[VectorBasis]:
-        rng = range(-self.index_range, self.index_range + 1)
+        rng = range(-self.MAX_INDEX, self.MAX_INDEX + 1)
         return [VectorBasis(j, self.n_colors, self.root_color) for j in rng]
 
     def x(self, sign: int, color: int, v: VectorBasis) -> list[DeltaTerm]:
@@ -352,4 +350,4 @@ class VectorRep:
         return 0
 
     def describe(self) -> str:
-        return f"vector(N={self.n_colors}, k={self.root_color}, |j|<={self.index_range})"
+        return f"vector(N={self.n_colors}, k={self.root_color}, |j|<={self.MAX_INDEX})"

@@ -156,8 +156,7 @@ class Level1Module:
 ZALG_IDS = ("zalg1", "zalg2", "zalg3", "zalg4", "zalg5")
 
 
-def check_zalg2(mod: Level1Module, samples: int, rng: random.Random,
-                window: int = 6) -> float:
+def check_zalg2(mod: Level1Module, samples: int, rng: random.Random, window: int) -> float:
     """Quadratic Z+-Z+- exchange, coefficient-wise in the exponent window.
 
     The Pochhammer-ratio prefactors telescope to polynomials of degree at
@@ -193,8 +192,7 @@ def check_zalg2(mod: Level1Module, samples: int, rng: random.Random,
     return worst
 
 
-def check_zalg3(mod: Level1Module, samples: int, rng: random.Random,
-                window: int = 6) -> float:
+def check_zalg3(mod: Level1Module, samples: int, rng: random.Random, window: int) -> float:
     """Z+ against Z-: the kernel difference equals the delta-supported K+- terms.
 
     Both kernels carry kappa^{-m} on the w/z side and kappa^{+m} on the z/w
@@ -345,8 +343,7 @@ def check_zalg_serre(mod: Level1Module, sign: int, samples: int,
     return worst
 
 
-def check_zalgebra(rel_id: str, mod: Level1Module, samples: int = 20,
-                   window: int = 6) -> float:
+def check_zalgebra(rel_id: str, mod: Level1Module, samples: int, window: int) -> float:
     """Residual of one Z-algebra relation on module vectors sampled by Params.seed.
 
     zalg1, [a_{i,m}, Z+-_j] = 0, holds by construction: on (boson Fock) x W
@@ -370,6 +367,8 @@ def check_zalgebra(rel_id: str, mod: Level1Module, samples: int = 20,
 # ---------------------------------------------------------------------------
 
 PHI_PHI_ORDER = 140  # terms of the phi+ phi- kernel series
+L1_THETA_TERMS = 6   # theta Laurent terms |n| <= 6 in the l1_xpxp kernels
+BRACKET_MODES = 4    # modes a_{i,m}, 0 < |m| <= 4, in the mode-current brackets
 
 
 def sample_module_vectors(mod: Level1Module, max_degree: int, count: int,
@@ -386,21 +385,21 @@ def sample_module_vectors(mod: Level1Module, max_degree: int, count: int,
 
 
 def check_mode_current_bracket(mod: Level1Module, i: int, j: int, sign: int,
-                               vec: ModuleVec, window: int = 3, mmax: int = 4) -> float:
+                               vec: ModuleVec, window: int) -> float:
     """[a_{i,m}, x+-_j(z)] = +-([b_ij m]/m) f(m) z^m x+-_j(z) on matrix elements."""
     alg = mod.boson
     params = mod.params
     q, kappa = params.q, params.kappa
     data = mod.data
     worst = 0.0
-    wide = window + mmax
+    wide = window + BRACKET_MODES
     lv, bvec = vec
 
     def current(v: BosonVec) -> dict[int, BosonVec]:
         return mod.current_apply(sign, j, lv, v, -wide, wide)
 
     cur = current(bvec)
-    for m in [x for x in range(-mmax, mmax + 1) if x != 0]:
+    for m in [x for x in range(-BRACKET_MODES, BRACKET_MODES + 1) if x != 0]:
         b, mm = data.b(i, j), data.m[i][j]
         if sign > 0:
             coeff = (alg.qnum(b * m) / m) * (1 - alg._p ** m) / (1 - alg._pstar ** m) \
@@ -411,14 +410,14 @@ def check_mode_current_bracket(mod: Level1Module, i: int, j: int, sign: int,
     return worst
 
 
-def check_xx_quadratic_level1(mod: Level1Module, sign: int, vec: ModuleVec, window: int = 3,
-                              theta_terms: int = 8) -> dict[tuple[int, int], float]:
+def check_xx_quadratic_level1(mod: Level1Module, sign: int, vec: ModuleVec,
+                              window: int) -> dict[tuple[int, int], float]:
     """Quadratic current relation with theta kernels, coefficient-wise.
 
     z theta_s(q^{+-b} kap^{-m} w/z) x_i(z) x_j(w)
         = -w kap^{-m} theta_s(q^{+-b} kap^{m} z/w) x_j(w) x_i(z),
     s = p* for the raising family and p for the lowering one; the theta
-    Laurent tail beyond ``theta_terms`` falls below 1e-18 at the default
+    Laurent tail beyond |n| = L1_THETA_TERMS falls below 1e-18 at the default
     parameter point.  Returns the residual of every ordered color pair (i, j);
     a pair whose orderings reach different lattice vectors gives 1.0.  The
     path of pair (i, j) that applies x_j first is the one pair (j, i)
@@ -429,7 +428,7 @@ def check_xx_quadratic_level1(mod: Level1Module, sign: int, vec: ModuleVec, wind
     data = mod.data
     colors = data.index_set
     base = params.p_star if sign > 0 else params.p
-    wide = window + theta_terms
+    wide = window + L1_THETA_TERMS
     lv, bvec = vec
     # every entry read sits at z+w total <= 2*window - 1, where the boson
     # degree is the input degree plus that total minus the two Z-exponents
@@ -447,7 +446,7 @@ def check_xx_quadratic_level1(mod: Level1Module, sign: int, vec: ModuleVec, wind
                            for e1, v1 in first.items()
                            for e2, v2 in mod.current_apply(sign, c, lv_a, v1, -wide, wide,
                                                            top - ea - eac).items()}
-    ns = range(-theta_terms, theta_terms + 1)
+    ns = range(-L1_THETA_TERMS, L1_THETA_TERMS + 1)
     tns = [theta_coefficient(n, base) for n in ns]
     out = {}
     for i in colors:
@@ -474,7 +473,7 @@ def check_xx_quadratic_level1(mod: Level1Module, sign: int, vec: ModuleVec, wind
     return out
 
 
-def check_highest_weight(mod: Level1Module, window: int = 6) -> float:
+def check_highest_weight(mod: Level1Module, window: int) -> float:
     """Raising-side modes must kill the highest vector exactly.
 
     x+_{i,n} (n >= 0), x-_{i,n} (n > 0) and a_{i,n} (n > 0) all annihilate
@@ -502,7 +501,7 @@ def check_level(mod: Level1Module, samples: int, rng: random.Random) -> float:
 
 
 def check_phi_phi_level1(mod: Level1Module, i: int, j: int, samples: int,
-                         rng: random.Random, order: int = PHI_PHI_ORDER) -> float:
+                         rng: random.Random) -> float:
     """phi+_i(z) phi-_j(w) exchange multiplier at level 1, at sampled w/z.
 
     Normal-ordering both products gives the reordering kernel
@@ -523,7 +522,7 @@ def check_phi_phi_level1(mod: Level1Module, i: int, j: int, samples: int,
     # the x-independent factors of each series term, multiplied in the same
     # left-to-right order as the x-dependent ones below
     outer, inner = [], []
-    for m in range(1, order + 1):
+    for m in range(1, PHI_PHI_ORDER + 1):
         cpl = (q - 1 / q) ** 2 / ((1 - p ** m) * (1 - p ** m))
         outer.append(cpl * mod.boson.mode_commutator(i, m, j, -m))
         inner.append(cpl * mod.boson.mode_commutator(j, m, i, -m) * p ** (2 * m))

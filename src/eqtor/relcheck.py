@@ -22,18 +22,16 @@ from functools import cache
 
 from .boson import BosonAlgebra, EXCHANGE_IDS, check_exchange
 from .cartan import cartan_data
-from .ellcore import Lat, Params, phi_delta_difference, theta_zero_distance
+from .ellcore import GUARD, Lat, Params, gkernel, phi_delta_difference, theta_zero_distance
 from .fock01 import FockRep, VectorRep
-from .level1 import (PHI_PHI_ORDER, Level1Module, ZALG_IDS, check_highest_weight,
-                     check_level, check_mode_current_bracket, check_phi_phi_level1,
-                     check_xx_quadratic_level1, check_zalgebra,
+from .level1 import (L1_THETA_TERMS, PHI_PHI_ORDER, Level1Module, ZALG_IDS,
+                     check_highest_weight, check_level, check_mode_current_bracket,
+                     check_phi_phi_level1, check_xx_quadratic_level1, check_zalgebra,
                      sample_module_vectors)
 
 # check sizes that no caller varies; the sampling seed is Params.seed
 SERRE_MAX_SIZE = 4   # partition size of the Serre states
 Z_SAMPLES = 10       # generic z points per phi-x sample
-GUARD = 1e-4         # skip radius around theta zeros
-L1_THETA_TERMS = 6   # theta Laurent terms |n| <= 6 in the l1_xpxp kernels
 
 LEVEL1_RELATION_IDS = ZALG_IDS + (
     "l1_bracket_plus", "l1_bracket_minus", "l1_xpxp", "l1_highest",
@@ -197,7 +195,7 @@ def check_xpxm(rep, states) -> RelationReport:
                 if i == j:
                     act = rep.phi(i, v)
                     diag_payload = replace(v, weight=v.weight + act.weight_shift)
-                    for support, coeff in phi_delta_difference(act.spec, params, GUARD):
+                    for support, coeff in phi_delta_difference(act.spec, params):
                         _accumulate(rhs, (diag_payload, support, support),
                                     coeff / (q - 1 / q))
                 _compare_tables(lhs, rhs, report, lambda: f"xpxm i={i} j={j} state={v}")
@@ -325,14 +323,12 @@ def check_serre(rep, sign: int, states) -> RelationReport:
     report = RelationReport(rel, rep.describe(), params)
     q = params.q
     flip = 1 if sign > 0 else -1
-    base = params.p  # p* = p at level zero
     two = q + 1 / q
 
     @cache
     def gker(lat, b):
-        # (p q^b x; p)/(p q^{-b} x; p) at the lattice point x
-        x = lat.value(params)
-        return params.qpoch_p(base * q ** b * x) / params.qpoch_p(base * q ** (-b) * x)
+        # g_b(x; p) at the lattice point x (p* = p at level zero)
+        return gkernel(lat.value(params), params.p, b, q, params.trunc_M)
 
     data = rep.cartan
     x = cache(rep.x)
@@ -567,7 +563,7 @@ def level1_suite(params: Params, type_tag: str, fundamental: int,
         reports.append(rpt)
     rpt = RelationReport("l1_xpxp", label, mod.params)
     for vec in vecs[:2]:
-        res = check_xx_quadratic_level1(mod, +1, vec, window=2, theta_terms=L1_THETA_TERMS)
+        res = check_xx_quadratic_level1(mod, +1, vec, window=2)
         for i in mod.data.index_set:
             for j in mod.data.index_set:
                 rpt.record(res[i, j], f"l1_xpxp i={i} j={j}")

@@ -12,7 +12,6 @@ comparison checks the state encoding and the exponentials and nothing else.
 from __future__ import annotations
 
 from eqtor.boson import BosonAlgebra, state_modes
-from eqtor.ellcore import WindowOverflowError
 
 
 def tuple_degree(state: tuple) -> int:
@@ -82,7 +81,7 @@ class OracleBoson:
                         tgt[st] = tgt.get(st, 0j) + c * w
         return {t: v for t, v in out.items() if v}
 
-    def apply_E(self, sign, family, i, vec, degree_cap, window):
+    def apply_E(self, sign, family, i, vec, window):
         alg = self.alg
         prime = family == "a'"
         flip = -1 if prime else 1
@@ -92,10 +91,7 @@ class OracleBoson:
             ts = self._exp_mode_series(vec, i, coef, creator=False, tmax=indeg)
             return {-t: v for t, v in ts.items()}
         coef = (lambda m: -flip * alg.ecoef(m) * (alg.prime_scale(m) if prime else 1.0))
-        if indeg + window > degree_cap:
-            raise WindowOverflowError(
-                f"window {window} from degree {indeg} exceeds cap {degree_cap}")
-        return self._exp_mode_series(vec, i, coef, creator=True, tmax=degree_cap - indeg)
+        return self._exp_mode_series(vec, i, coef, creator=True, tmax=window)
 
     def apply_current_boson(self, sign, i, vec, zmin, zmax, out_cap=None):
         alg = self.alg

@@ -218,8 +218,8 @@ def test_criterion_10_level1_full_currents():
             for j in range(3):
                 for sign in (+1, -1):
                     worst = max(worst, check_mode_current_bracket(
-                        mod, i, j, sign, vec, window=2, mmax=4))
-        pairs = check_xx_quadratic_level1(mod, +1, vec, window=2, theta_terms=6)
+                        mod, i, j, sign, vec, window=2))
+        pairs = check_xx_quadratic_level1(mod, +1, vec, window=2)
         assert len(pairs) == 9
         worst = max(worst, *pairs.values())
     report(10, "level-(1,l) current brackets and quadratic relation", worst, TOL)

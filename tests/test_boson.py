@@ -8,7 +8,7 @@ from eqtor.boson import (MAX_DEGREE, BosonAlgebra, DegreeOverflowError, EXCHANGE
                          VACUUM, basis_states, check_exchange, mode_unit, state_add_mode,
                          state_degree, state_modes)
 from eqtor.cartan import cartan_data
-from eqtor.ellcore import Params, WindowOverflowError
+from eqtor.ellcore import Params
 
 P1 = Params(level_k=1)
 A2 = cartan_data("A2")
@@ -89,7 +89,7 @@ def test_prime_scale_consistency():
 
 def test_E_plus_fixes_vacuum():
     alg = make_alg()
-    out = alg.apply_E(+1, "a", 0, {VACUUM: 1.0 + 0j}, 4, 4)
+    out = alg.apply_E(+1, "a", 0, {VACUUM: 1.0 + 0j}, 4)
     assert set(out) == {0}
     assert out[0] == {VACUUM: 1.0 + 0j}
 
@@ -98,7 +98,7 @@ def test_E_minus_vacuum_expansion_matches_hand_series():
     # exp(-sum_m c_m a_{0,-m} z^m) vacuum, to order 2:
     #   1 - c_1 a_{-1} z + (c_1^2/2 a_{-1}^2 - c_2 a_{-2}) z^2
     alg = make_alg()
-    out = alg.apply_E(-1, "a", 0, {VACUUM: 1.0 + 0j}, 2, 2)
+    out = alg.apply_E(-1, "a", 0, {VACUUM: 1.0 + 0j}, 2)
     c1, c2 = alg.ecoef(1), alg.ecoef(2)
     s1 = state_add_mode(VACUUM, 0, 1)
     s11 = state_add_mode(s1, 0, 1)
@@ -108,18 +108,13 @@ def test_E_minus_vacuum_expansion_matches_hand_series():
     assert abs(out[2][s2] + c2) < 1e-15
 
 
-def test_E_window_overflow_reported():
-    alg = make_alg()
-    with pytest.raises(WindowOverflowError):
-        alg.apply_E(-1, "a", 0, {VACUUM: 1.0 + 0j}, degree_cap=2, window=5)
-
-
 def test_E_truncation_stability():
-    # enlarging the degree cap never changes in-window matrix elements
+    # enlarging the window never changes the matrix elements of the smaller one
     alg = make_alg()
     st = state_add_mode(VACUUM, 1, 1)
-    small = alg.apply_E(-1, "a'", 1, {st: 1.0 + 0j}, 4, 3)
-    large = alg.apply_E(-1, "a'", 1, {st: 1.0 + 0j}, 6, 3)
+    small = alg.apply_E(-1, "a'", 1, {st: 1.0 + 0j}, 3)
+    large = alg.apply_E(-1, "a'", 1, {st: 1.0 + 0j}, 5)
+    assert set(small) == set(range(0, 4)) and set(large) == set(range(0, 6))
     for t in range(0, 4):
         assert small.get(t, {}) == large.get(t, {})
 
@@ -222,7 +217,7 @@ def test_packed_state_arithmetic():
     with pytest.raises(DegreeOverflowError):
         state_add_mode(full, 1, 1)
     with pytest.raises(DegreeOverflowError):
-        make_alg().apply_E(-1, "a", 0, {full: 1.0 + 0j}, MAX_DEGREE + 1, 1)
+        make_alg().apply_E(-1, "a", 0, {full: 1.0 + 0j}, 1)
 
 
 # -- the packed closed-form engine against the sorted-tuple oracle ------------
@@ -255,8 +250,8 @@ def test_engine_matches_tuple_oracle(data):
             for sign in (+1, -1):
                 for family in ("a", "a'"):
                     args = (sign, family, i)
-                    assert_matches_oracle(alg.apply_E(*args, vec, 7, 3),
-                                          oracle.apply_E(*args, tvec, 7, 3))
+                    assert_matches_oracle(alg.apply_E(*args, vec, 4),
+                                          oracle.apply_E(*args, tvec, 4))
                 for out_cap in (None, 4):
                     assert_matches_oracle(
                         alg.apply_current_boson(sign, i, vec, -4, 3, out_cap),

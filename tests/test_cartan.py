@@ -9,9 +9,18 @@ from eqtor.ellcore import Params
 P = Params()
 
 
+COLABELS = {
+    "A2": (1, 1, 1), "A3": (1, 1, 1, 1), "A4": (1, 1, 1, 1, 1),
+    "D4": (1, 1, 2, 1, 1), "D5": (1, 1, 2, 2, 1, 1),
+    "E6": (1, 1, 2, 3, 2, 1, 2), "E7": (1, 2, 3, 4, 3, 2, 1, 2),
+    "E8": (1, 2, 3, 4, 5, 6, 4, 2, 3),
+}
+
+
 @pytest.mark.parametrize("tag", ["A2", "A3", "A4", "D4", "D5", "E6", "E7", "E8"])
 def test_colabels_are_null_vector(tag):
     data = cartan_data(tag)
+    assert data.colabels == COLABELS[tag]
     for i in data.index_set:
         assert sum(data.a[i][j] * data.colabels[j] for j in data.index_set) == 0
     assert all(c > 0 for c in data.colabels)

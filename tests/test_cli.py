@@ -83,6 +83,10 @@ def test_expand_pf(capsys):
     code, out, _ = run(capsys, "expand", "pf", "--n", "3", "--samples", "5")
     assert code == 0
     assert "max residual" in out
+    # every sampled (a, b) pair is tried at ten t points, each compared or skipped
+    compared, skipped = (int(out.split(word)[0].split()[-1])
+                         for word in (" balanced instances compared", " skipped near a pole"))
+    assert compared > 0 and compared + skipped == 5 * 10
     residual = float(out.strip().rsplit(" ", 1)[-1])
     assert residual < 1e-9
 
@@ -192,3 +196,55 @@ def test_verify_empty_report_fails(capsys):
     by_id = {r["relation_id"]: r for r in json.loads(out)}
     assert by_id["xmxm"]["samples"] == 0 and by_id["xmxm"]["status"] == "fail"
     assert all(r["status"] == "pass" for r in by_id.values() if r["samples"])
+
+
+@pytest.mark.parametrize("argv", [
+    ("expand", "theta", "--json"),
+    ("expand", "theta", "--output", "out.txt"),
+    ("act", "--gen", "x+", "--output", "out.txt"),
+], ids=["expand_json", "expand_output", "act_output"])
+def test_output_flags_only_where_read(capsys, tmp_path, monkeypatch, argv):
+    # these flags used to be accepted and ignored: no JSON, no file, exit 0
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "unrecognized arguments" in err
+    assert not (tmp_path / "out.txt").exists()
+
+
+@pytest.mark.parametrize("content, needle", [
+    ('{"seed": "abc"}', "seed"),
+    ('{"tol": "x"}', "tol"),
+    ('{"q": [0.9]}', "q"),
+    ('{"trunc_M": 2.5}', "trunc_M"),
+    ("[1, 2]", "JSON object"),
+    ('{"qq": 3}', "qq"),
+    ('{"level_k": 5}', "level_k"),
+], ids=["seed_str", "tol_str", "q_short", "trunc_float", "not_object", "unknown_key",
+        "level_k"])
+def test_bad_config_is_a_usage_error(capsys, tmp_path, content, needle):
+    # each used to raise a traceback (exit 1) or to be ignored (exit 0)
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(content)
+    code, out, err = run(capsys, "verify", "vector", "--N", "3", "--config", str(cfgfile))
+    assert code == 2 and out == ""
+    assert needle in err
+
+
+def test_missing_config_is_a_usage_error(capsys, tmp_path):
+    code, out, err = run(capsys, "act", "--gen", "x+", "--config", str(tmp_path / "none.json"))
+    assert code == 2 and out == ""
+    assert "cannot read config" in err
+
+
+@pytest.mark.parametrize("content, want", [
+    ("[1, 2]", 2), ('{"a": 1}', 2), ("[]", 1),
+], ids=["list_of_numbers", "object", "empty"])
+def test_report_rejects_non_reports(capsys, tmp_path, content, want):
+    # [1, 2] and {"a": 1} used to raise AttributeError; [] printed "0/0 pass" with exit 0
+    src = tmp_path / "r.json"
+    src.write_text(content)
+    code, _, err = run(capsys, "report", str(src))
+    assert code == want
+    if want == 2:
+        assert "report objects" in err

@@ -212,7 +212,8 @@ def test_phi_delta_difference_against_laurent_extraction():
 def test_phi_delta_difference_linearity_and_supports():
     spec = ThetaRatioSpec((Lat(0, 2, 1), Lat(1, 4, 1)), (Lat(0, 0, 1), Lat(1, 2, 1)), 1 / P.q)
     base = phi_delta_difference(spec, P)
-    scaled = phi_delta_difference(spec.scaled(3.5 - 1j), P)
+    scaled = phi_delta_difference(
+        replace(spec, scalar_prefactor=spec.scalar_prefactor * (3.5 - 1j)), P)
     assert [s for s, _ in base] == list(spec.denom_shifts)
     for (_, c1), (_, c2) in zip(base, scaled):
         assert abs(c2 - (3.5 - 1j) * c1) < 1e-12 * (1 + abs(c2))
@@ -287,6 +288,17 @@ def test_theta_coefficient_keeps_high_precision():
     hp = Params().with_precision(40)
     exact = -hp.p ** 3 / qpoch(hp.p, hp.p, 200)
     assert abs(theta_coefficient(3, hp.p) - exact) < mpmath.mpf(10) ** -35
+
+
+def test_with_precision_sets_the_requested_digits(monkeypatch):
+    # a later request for fewer digits used to be ignored: mp.dps only grew
+    import mpmath
+
+    monkeypatch.setattr(mpmath.mp, "dps", mpmath.mp.dps)  # restored after the test
+    P.with_precision(40)
+    assert mpmath.mp.dps == 40
+    P.with_precision(20)
+    assert mpmath.mp.dps == 20
 
 
 def test_params_theta_lat_exact_zero():

@@ -205,6 +205,6 @@ def test_rep_handles():
     rep = FockRep(P, 3, 0)
     assert len(rep.states(3)) == len(partitions_up_to(3))
     assert rep.kplus_exponent(0, vac()) == -1
-    vrep = VectorRep(P, 3, 0, index_range=2)
-    assert len(vrep.states()) == 5
+    vrep = VectorRep(P, 3, 0)
+    assert len(vrep.states()) == 9  # |j| <= VectorRep.MAX_INDEX = 4
     assert sum(vrep.kplus_exponent(j, VectorBasis(0, 3, 0)) for j in range(3)) == 0

@@ -7,7 +7,7 @@ from eqtor.boson import (VACUUM, BosonAlgebra, accumulate, basis_states, state_a
                          state_degree, vector_residual)
 from eqtor.cartan import Cocycle
 from eqtor.ellcore import Params, theta_coefficient
-from eqtor.level1 import (ZALG_IDS, LatticeVector, Level1Module, check_highest_weight,
+from eqtor.level1 import (L1_THETA_TERMS, ZALG_IDS, LatticeVector, Level1Module, check_highest_weight,
                           check_level, check_mode_current_bracket, check_phi_phi_level1,
                           check_xx_quadratic_level1, check_zalgebra,
                           sample_module_vectors, serre_reduction_residual)
@@ -123,7 +123,7 @@ def test_mode_current_brackets():
 
 def test_xx_quadratic_on_highest():
     mod = module()
-    res = check_xx_quadratic_level1(mod, +1, mod.highest_vector(), window=2, theta_terms=6)
+    res = check_xx_quadratic_level1(mod, +1, mod.highest_vector(), window=2)
     assert sorted(res) == [(i, j) for i in range(3) for j in range(3)]
     assert max(res.values()) < 1e-9
 
@@ -142,7 +142,7 @@ def test_xx_quadratic_detects_lattice_mismatch(monkeypatch):
             v2 = replace(v2, weight=replace(v2.weight, rq=rq))
         return exp, v2, coeff
     monkeypatch.setattr(Level1Module, "z_apply", mutant)
-    res = check_xx_quadratic_level1(mod, +1, highest, window=2, theta_terms=6)
+    res = check_xx_quadratic_level1(mod, +1, highest, window=2)
     assert res[0, 1] >= P.tol
     # the Z-operator exchanges sample the highest vector first and report the
     # mismatch as a failing residual, not as a crash
@@ -271,7 +271,7 @@ def test_xx_quadratic_cap_drops_nothing_read(monkeypatch):
     def residuals(cap_shift):
         with monkeypatch.context() as m:
             terms = _counted_current_apply(m, cap_shift)
-            res = [check_xx_quadratic_level1(mod, sign, vec, window=2, theta_terms=6)
+            res = [check_xx_quadratic_level1(mod, sign, vec, window=2)
                    for sign, vec in cases]
         return res, terms[0]
 
@@ -283,14 +283,14 @@ def test_xx_quadratic_cap_drops_nothing_read(monkeypatch):
 
 # -- all color pairs of the quadratic check against the per-pair reference ---
 
-def xx_quadratic_per_pair(mod, sign, i, j, vec, window, theta_terms):
+def xx_quadratic_per_pair(mod, sign, i, j, vec, window):
     """The quadratic check of one color pair, building both of its paths."""
     params = mod.params
     q, kappa = params.q, params.kappa
     b = mod.data.b(i, j) * (1 if sign > 0 else -1)
     mm = mod.data.m[i][j]
     base = params.p_star if sign > 0 else params.p
-    wide = window + theta_terms
+    wide = window + L1_THETA_TERMS
     lv, bvec = vec
     ej, lv_j, _ = mod.z_apply(sign, j, lv)
     eji, lv_ji, _ = mod.z_apply(sign, i, lv_j)
@@ -309,7 +309,7 @@ def xx_quadratic_per_pair(mod, sign, i, j, vec, window, theta_terms):
                                            top - ei - eij).items()}
     cc1 = q ** b * kappa ** (-mm)
     cc2 = q ** b * kappa ** mm
-    ns = range(-theta_terms, theta_terms + 1)
+    ns = range(-L1_THETA_TERMS, L1_THETA_TERMS + 1)
     tns = [theta_coefficient(n, base) for n in ns]
     wl = [tn * cc1 ** n for n, tn in zip(ns, tns)]
     wr = [-kappa ** (-mm) * tn * cc2 ** n for n, tn in zip(ns, tns)]
@@ -337,8 +337,8 @@ def test_xx_quadratic_all_pairs_match_per_pair_reference(tag):
     colors = mod.data.index_set
     for vec in (mod.highest_vector(), _sampled_vector(mod)):
         for sign in (+1, -1):
-            got = check_xx_quadratic_level1(mod, sign, vec, window=2, theta_terms=6)
-            want = {(i, j): xx_quadratic_per_pair(mod, sign, i, j, vec, 2, 6)
+            got = check_xx_quadratic_level1(mod, sign, vec, window=2)
+            want = {(i, j): xx_quadratic_per_pair(mod, sign, i, j, vec, 2)
                     for i in colors for j in colors}
             assert got == want
 
@@ -355,7 +355,7 @@ def test_xx_quadratic_applies_each_first_current_once(monkeypatch):
             on_input.append(i)
         return inner(self, sign, i, lv, bvec, *args)
     monkeypatch.setattr(Level1Module, "current_apply", counted)
-    check_xx_quadratic_level1(mod, +1, vec, window=2, theta_terms=6)
+    check_xx_quadratic_level1(mod, +1, vec, window=2)
     assert sorted(on_input) == [0, 1, 2]
 
 
@@ -378,7 +378,7 @@ def test_z_images_are_built_once(monkeypatch):
     for rid in ZALG_IDS:
         check_zalgebra(rid, mod, samples=15, window=3)
     for sign in (+1, -1):
-        check_xx_quadratic_level1(mod, sign, _sampled_vector(mod), window=2, theta_terms=6)
+        check_xx_quadratic_level1(mod, sign, _sampled_vector(mod), window=2)
     assert built[0] == len(set(keys)) < len(keys)
 
 
@@ -415,7 +415,7 @@ LEVEL1_CHECKS = {
     "l1_bracket_plus": _highest_bracket(+1),
     "l1_bracket_minus": _highest_bracket(-1),
     "l1_xpxp": lambda mod: check_xx_quadratic_level1(mod, +1, mod.highest_vector(),
-                                                     window=2, theta_terms=6)[0, 1],
+                                                     window=2)[0, 1],
     "l1_highest": lambda mod: check_highest_weight(mod, window=3),
     "l1_level": lambda mod: check_level(mod, 8, random.Random(3)),
     "l1_phiphi_pm": lambda mod: check_phi_phi_level1(mod, 0, 1, 3, random.Random(4)),

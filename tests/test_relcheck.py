@@ -118,7 +118,7 @@ def test_pair_classes_dedup():
 
 
 def test_vector_rep_xpxm_channels():
-    rep = VectorRep(P, 3, 0, index_range=3)
+    rep = VectorRep(P, 3, 0)
     report = check_xpxm(rep, rep.states())
     assert report.status == "pass"
     assert report.samples > 0

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+import eqtor
+
 SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "eqtor").glob("*.py"))
 
 
@@ -14,3 +16,9 @@ def test_no_assert_statements(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not lines, f"{path.name}: assert statement at line(s) {lines}"
+
+
+def test_every_export_exists():
+    # a name left in __all__ after its object is deleted breaks `from eqtor import *`
+    missing = [name for name in eqtor.__all__ if not hasattr(eqtor, name)]
+    assert not missing
