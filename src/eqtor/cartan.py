@@ -76,17 +76,12 @@ def _from_edges(size: int, edges: Sequence[tuple[int, int]]) -> list[list[int]]:
     return a
 
 
-_EDGE_TABLES = {
-    # finite-diagram edges plus the affine node 0 attachment
-    "E6": [(1, 2), (2, 3), (3, 4), (4, 5), (3, 6), (6, 0)],
-    "E7": [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (3, 7), (1, 0)],
-    "E8": [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (5, 8), (1, 0)],
-}
-# affine marks of the E-types in the node numbering of _EDGE_TABLES
-_E_COLABELS = {
-    "E6": (1, 1, 2, 3, 2, 1, 2),
-    "E7": (1, 2, 3, 4, 3, 2, 1, 2),
-    "E8": (1, 2, 3, 4, 5, 6, 4, 2, 3),
+_E_TABLES = {
+    # (finite-diagram edges plus the affine node 0 attachment, affine marks in that numbering)
+    "E6": ([(1, 2), (2, 3), (3, 4), (4, 5), (3, 6), (6, 0)], (1, 1, 2, 3, 2, 1, 2)),
+    "E7": ([(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (3, 7), (1, 0)], (1, 2, 3, 4, 3, 2, 1, 2)),
+    "E8": ([(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (5, 8), (1, 0)],
+           (1, 2, 3, 4, 5, 6, 4, 2, 3)),
 }
 
 
@@ -116,9 +111,9 @@ def cartan_data(tag: str) -> CartanData:
     elif fam == "E":
         if n not in (6, 7, 8):
             raise ValueError("E-type rank must be 6, 7 or 8")
-        a = _from_edges(n + 1, _EDGE_TABLES[f"E{n}"])
+        edges, colabels = _E_TABLES[f"E{n}"]
+        a = _from_edges(n + 1, edges)
         m = [[0] * (n + 1) for _ in range(n + 1)]
-        colabels = _E_COLABELS[f"E{n}"]
     data = CartanData(
         tag=f"{fam}{n}",
         a=tuple(tuple(row) for row in a),

@@ -110,8 +110,7 @@ def gkernel_branches(z, s, b: int, q, terms: int = DEFAULT_TERMS):
     exp(-sum_m (q^{bm} - q^{-bm}) (sz)^m / (m (1-s^m))) truncated at order
     ``terms`` and ``pochhammer`` is (s q^b z;s)_oo/(s q^{-b} z;s)_oo.
     """
-    if not all(_isfinite(x) for x in (z, s, q)):
-        raise ValueError("non-finite argument")
+    pochhammer = gkernel(z, s, b, q, terms)
     acc = z * 0
     sz = s * z
     szm = sz
@@ -120,7 +119,7 @@ def gkernel_branches(z, s, b: int, q, terms: int = DEFAULT_TERMS):
         szm = szm * sz
         if isinstance(acc, complex) and abs(szm) < 1e-30:
             break
-    return scalar_exp(acc), gkernel(z, s, b, q, terms)
+    return scalar_exp(acc), pochhammer
 
 
 def gkernel(z, s, b: int, q, terms: int = DEFAULT_TERMS):
@@ -281,7 +280,11 @@ class Params:
         return replace(self, level_k=k)
 
     def with_precision(self, dps: int) -> "Params":
-        """Same parameter point with mpmath scalars; sets the process-wide mp.dps to ``dps``."""
+        """Same parameter point with mpmath scalars; sets the process-wide mp.dps to ``dps``.
+
+        mp.dps is shared, so only the latest call's precision holds: a Params made
+        earlier at more digits computes at ``dps`` from then on.
+        """
         import mpmath
 
         mpmath.mp.dps = dps
