@@ -35,6 +35,7 @@ MAX_DEGREE = (1 << DEGREE_BITS) - 1
 _FIELD_MASK = (1 << FIELD_BITS) - 1
 
 VACUUM: BosonState = 0
+_UNIT_KERNEL = (1.0,)  # the kernel series of K = 1
 
 
 class DegreeOverflowError(ValueError):
@@ -226,13 +227,32 @@ class BosonAlgebra:
         """
         if family not in ("a", "a'"):
             raise ValueError("family must be 'a' or \"a'\"")
-        prime = family == "a'"
-        flip = -1 if prime else 1
-        if sign > 0:
-            return {-t: v for t, v in self._translate(vec, (flip, prime, i)).items()}
-        out: dict[int, BosonVec] = {}
-        for st, c in vec.items():
-            self._create(out, (-flip, prime, i), st, c, 0, window, 0)
+        parts = _parts(("E+" if sign > 0 else "E-", family), i)
+        return self._compose(parts, {0: vec}, window, _UNIT_KERNEL, 0).get(0, {})
+
+    def _compose(self, parts: tuple, table: dict[int, BosonVec], window: int, kernel,
+                 direction: int) -> dict[int, dict[int, BosonVec]]:
+        """K O(w) on a table keyed by the previous operator's exponent u, as r[u][e].
+
+        K = sum_n kernel[n] (u/w)^(direction n) is a scalar series, so it commutes
+        with each coefficient of O's creator part, and it multiplies in before it,
+        on fewer terms.  Exact for |u|, |e| <= window when direction * u >= 0.
+        """
+        translate, create = parts
+        scaled: dict[tuple[int, int], BosonVec] = {}
+        for u, vec in table.items():
+            for t, v in (self._translate(vec, translate) if translate else {0: vec}).items():
+                for n in range(min(len(kernel), window - abs(u) + 1)):
+                    accumulate(scaled.setdefault((u + direction * n, -t - direction * n), {}),
+                               v, kernel[n])
+        out: dict[int, dict[int, BosonVec]] = {}
+        for (u, e), v in scaled.items():
+            tgt = out.setdefault(u, {})
+            if create is None:
+                tgt[e] = v
+                continue
+            for st, c in v.items():
+                self._create(tgt, create, st, c, max(0, -window - e), window - e, -e)
         return out
 
     def apply_current_boson(self, sign: int, i: int, vec: BosonVec,
@@ -266,7 +286,6 @@ class ExchangeRelation:
     rel_id: int
     kind: str               # "commutator" or "exchange"
     left: tuple             # operator descriptors, applied z-op first in LHS order
-    orientation: str        # "wz" (kernel in w/z) or "zw"
     kernel: tuple           # ((qb_pow, qk_pow, km_sign, base), ...) per Pochhammer pair
     comm_coeff: str = ""    # commutator coefficient selector
 
@@ -275,33 +294,27 @@ class ExchangeRelation:
 # producing ((q^{s1 b} q^{k e} kap^{s3 m} x; base)_oo in numerator against the
 # same with s1 -> -s1 in the denominator.
 _EXCHANGE_TABLE: list[ExchangeRelation] = [
-    ExchangeRelation(1, "commutator", (("alpha", -1), ("E+", "a")), "wz", (), "full_minus"),
-    ExchangeRelation(2, "commutator", (("alpha", +1), ("E-", "a")), "wz", (), "full_minus"),
-    ExchangeRelation(3, "commutator", (("alpha", -1), ("E+", "a'")), "wz", (), "plain_plus"),
-    ExchangeRelation(4, "commutator", (("alpha", +1), ("E-", "a'")), "wz", (), "plain_plus"),
-    ExchangeRelation(5, "exchange", (("E+", "a"), ("E-", "a")), "wz",
+    ExchangeRelation(1, "commutator", (("alpha", -1), ("E+", "a")), (), "full_minus"),
+    ExchangeRelation(2, "commutator", (("alpha", +1), ("E-", "a")), (), "full_minus"),
+    ExchangeRelation(3, "commutator", (("alpha", -1), ("E+", "a'")), (), "plain_plus"),
+    ExchangeRelation(4, "commutator", (("alpha", +1), ("E-", "a'")), (), "plain_plus"),
+    ExchangeRelation(5, "exchange", (("E+", "a"), ("E-", "a")),
                      ((-1, 0, -1, "q2k"), (-1, 0, -1, "pstar"))),
-    ExchangeRelation(6, "exchange", (("E+", "a'"), ("E-", "a'")), "wz",
+    ExchangeRelation(6, "exchange", (("E+", "a'"), ("E-", "a'")),
                      ((-1, 2, -1, "q2k"), (+1, 0, -1, "p"))),
-    ExchangeRelation(7, "exchange", (("E+", "a"), ("E-", "a'")), "wz",
-                     ((+1, 1, -1, "q2k"),)),
-    ExchangeRelation(8, "exchange", (("E+", "a'"), ("E-", "a")), "wz",
-                     ((+1, 1, -1, "q2k"),)),
-    ExchangeRelation(9, "exchange", (("E+", "a"), ("x+",)), "wz",
+    ExchangeRelation(7, "exchange", (("E+", "a"), ("E-", "a'")), ((+1, 1, -1, "q2k"),)),
+    ExchangeRelation(8, "exchange", (("E+", "a'"), ("E-", "a")), ((+1, 1, -1, "q2k"),)),
+    ExchangeRelation(9, "exchange", (("E+", "a"), ("x+",)),
                      ((+1, 0, -1, "q2k"), (+1, 0, -1, "pstar"))),
-    ExchangeRelation(10, "exchange", (("E-", "a"), ("x+",)), "zw",
+    ExchangeRelation(10, "exchange", (("E-", "a"), ("x+",)),
                      ((-1, 0, +1, "q2k"), (-1, 0, +1, "pstar"))),
-    ExchangeRelation(11, "exchange", (("E+", "a"), ("x-",)), "wz",
-                     ((-1, 1, -1, "q2k"),)),
-    ExchangeRelation(12, "exchange", (("E-", "a"), ("x-",)), "zw",
-                     ((+1, 1, +1, "q2k"),)),
-    ExchangeRelation(13, "exchange", (("E+", "a'"), ("x+",)), "wz",
-                     ((-1, 1, -1, "q2k"),)),
-    ExchangeRelation(14, "exchange", (("E-", "a'"), ("x+",)), "zw",
-                     ((+1, 1, +1, "q2k"),)),
-    ExchangeRelation(15, "exchange", (("E+", "a'"), ("x-",)), "wz",
+    ExchangeRelation(11, "exchange", (("E+", "a"), ("x-",)), ((-1, 1, -1, "q2k"),)),
+    ExchangeRelation(12, "exchange", (("E-", "a"), ("x-",)), ((+1, 1, +1, "q2k"),)),
+    ExchangeRelation(13, "exchange", (("E+", "a'"), ("x+",)), ((-1, 1, -1, "q2k"),)),
+    ExchangeRelation(14, "exchange", (("E-", "a'"), ("x+",)), ((+1, 1, +1, "q2k"),)),
+    ExchangeRelation(15, "exchange", (("E+", "a'"), ("x-",)),
                      ((+1, 2, -1, "q2k"), (-1, 0, -1, "p"))),
-    ExchangeRelation(16, "exchange", (("E-", "a'"), ("x-",)), "zw",
+    ExchangeRelation(16, "exchange", (("E-", "a'"), ("x-",)),
                      ((-1, 2, +1, "q2k"), (+1, 0, +1, "p"))),
 ]
 
@@ -322,13 +335,32 @@ def _kernel_pairs(rel: ExchangeRelation, alg: BosonAlgebra, i: int, j: int) -> l
     return pairs
 
 
-def _apply_descriptor(alg: BosonAlgebra, desc: tuple, vec: BosonVec,
-                      window: int, lo: int, hi: int) -> dict[int, BosonVec]:
-    kind, i = desc[0], desc[-1]
-    sign = {"E+": +1, "E-": -1, "x+": +1, "x-": -1}[kind]
-    if kind[0] == "E":
-        return alg.apply_E(sign, desc[1], i, vec, window)
-    return alg.apply_current_boson(sign, i, vec, lo, hi)
+def _parts(desc: tuple, i: int) -> tuple:
+    """(annihilator, creator) exponential keys of an operator descriptor, None for the identity.
+
+    The dressing E+ (E-) carries the annihilator (creator) of its family's
+    current with the opposite sign: x+ goes with family a, x- with a'.
+    """
+    f = 1 if desc[-1] in ("x+", "a") else -1
+    neg, pos = (-f, f < 0, i), (f, f < 0, i)
+    return {"E+": (pos, None), "E-": (None, neg)}.get(desc[0], (neg, pos))
+
+
+def _exchange_sides(rel: ExchangeRelation, alg: BosonAlgebra, i: int, j: int,
+                    max_degree: int, window: int):
+    """Per basis monomial v, A(z) B(w) v read [w][z] and K B(w) A(z) v read [z][w].
+
+    K runs in w/z against E+ and in z/w against E-, the sign of A's exponents.
+    """
+    ker = poch_pairs_series(_kernel_pairs(rel, alg, i, j), window)
+    direction = -1 if rel.left[0][0] == "E+" else 1
+    zop, wop = _parts(rel.left[0], i), _parts(rel.left[1], j)
+    for st in basis_states((i, j), max_degree):
+        vec = {0: {st: 1.0 + 0j}}
+        after_w = alg._compose(wop, vec, window, _UNIT_KERNEL, 0).get(0, {})
+        after_z = alg._compose(zop, vec, window, _UNIT_KERNEL, 0).get(0, {})
+        yield (alg._compose(zop, after_w, window, _UNIT_KERNEL, 0),
+               alg._compose(wop, after_z, window, ker, direction))
 
 
 def check_exchange(rel_id: int, alg: BosonAlgebra, i: int, j: int,
@@ -338,39 +370,17 @@ def check_exchange(rel_id: int, alg: BosonAlgebra, i: int, j: int,
     Matrix elements between monomials in the colors {i, j} of degree up to
     max_degree are compared for both orderings within the exponent window;
     modes of other colors commute with every operator involved and are
-    dropped from the basis.  Entries only couple within a fixed total
-    exponent, which bounds the output degree and the current windows.
+    dropped from the basis.
     """
     rel = next(r for r in _EXCHANGE_TABLE if r.rel_id == rel_id)
     if rel.kind == "commutator":
         return _check_commutator(rel, alg, i, j, max_degree, window)
-    nker = 2 * window + 2 * max_degree
-    lo = -(2 * window + max_degree)
-    ker = poch_pairs_series(_kernel_pairs(rel, alg, i, j), nker)
-    zop = rel.left[0] + (i,)
-    wop = rel.left[1] + (j,)
     worst = 0.0
-    for st in basis_states((i, j), max_degree):
-        vec = {st: 1.0 + 0j}
-        # LHS: A(z) B(w) -> B applied first, read at |z|,|w| <= window
-        lhs = {(se, fe): v2
-               for fe, v1 in _apply_descriptor(alg, wop, vec, window, lo, window).items()
-               for se, v2 in _apply_descriptor(alg, zop, v1, window, lo, window).items()}
-        # RHS operator: B(w) A(z) -> A applied first; kernel shifts read the
-        # w-op beyond the window only against opposite z-op exponents
-        rhs_op: dict[tuple[int, int], BosonVec] = {}
-        for ze, v1 in _apply_descriptor(alg, zop, vec, window, lo, 2 * window).items():
-            hi_w = window if rel.orientation == "wz" else max(window, 2 * window - ze)
-            for we, v2 in _apply_descriptor(alg, wop, v1, window, lo, hi_w).items():
-                rhs_op[ze, we] = v2
+    for lhs, rhs in _exchange_sides(rel, alg, i, j, max_degree, window):
         for A in range(-window, window + 1):
             for B in range(-window, window + 1):
-                acc: BosonVec = {}
-                for n in range(0, nker + 1):
-                    key = (A + n, B - n) if rel.orientation == "wz" else (A - n, B + n)
-                    if key in rhs_op:
-                        accumulate(acc, rhs_op[key], ker[n])
-                worst = max(worst, vector_residual(lhs.get((A, B), {}), acc))
+                worst = max(worst, vector_residual(lhs.get(B, {}).get(A, {}),
+                                                   rhs.get(A, {}).get(B, {})))
     return worst
 
 
@@ -382,7 +392,7 @@ def _check_commutator(rel: ExchangeRelation, alg: BosonAlgebra, i: int, j: int,
     mm = alg.data.m[i][j]
     worst = 0.0
     mode_sign = rel.left[0][1]
-    edesc = rel.left[1] + (j,)
+    edesc = _parts(rel.left[1], j)
     for ell in range(1, 5):
         if rel.comm_coeff == "full_minus":
             coeff = -(alg.qnum(b * ell) / ell) * (1 - alg._p ** ell) / (1 - alg._pstar ** ell) \
@@ -392,7 +402,7 @@ def _check_commutator(rel: ExchangeRelation, alg: BosonAlgebra, i: int, j: int,
         w = window + ell
 
         def dressing(v: BosonVec) -> dict[int, BosonVec]:
-            return _apply_descriptor(alg, edesc, v, w, -w, w)
+            return alg._compose(edesc, {0: v}, w, _UNIT_KERNEL, 0).get(0, {})
 
         # [a_{i,-l}, E+] = coeff z^{-l} E+ and [a_{i,l}, E-] = coeff z^{l} E-
         for st in basis_states((i, j), max_degree):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import json
 import random
 import sys
@@ -86,7 +87,9 @@ def build_params(args) -> Params:
     return Params(**fields)
 
 
-def add_param_flags(sub) -> None:
+def param_parser() -> argparse.ArgumentParser:
+    """The parameter-point flags, a parent of every subcommand parser but ``report``'s."""
+    sub = argparse.ArgumentParser(add_help=False)
     sub.add_argument("--q", type=parse_complex, help="deformation parameter (re,im)")
     sub.add_argument("--kappa", type=parse_complex, help="cyclic twist parameter (re,im)")
     sub.add_argument("--p", type=parse_complex, help="elliptic nome (re,im)")
@@ -96,6 +99,7 @@ def add_param_flags(sub) -> None:
     sub.add_argument("--seed", type=int, help="sampling seed")
     sub.add_argument("--config", help="JSON object with the keys " + ", ".join(CONFIG_KEYS)
                      + "; flags win")
+    return sub
 
 
 def emit_reports(reports: list[RelationReport], args) -> int:
@@ -121,18 +125,17 @@ def cmd_verify(args) -> int:
     except ValueError as exc:
         print(f"parameter error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    reports: list[RelationReport] = []
     try:
-        if args.suite in ("fock", "all"):
-            reports += fock_suite(params, args.N, args.k, args.max_size)
-        if args.suite in ("vector", "all"):
-            reports += vector_suite(params, args.N, args.k, args.max_size)
-        if args.suite in ("heisenberg", "all"):
-            reports += heisenberg_suite(params, args.type, degree=args.degree,
-                                        window=args.window)
-        if args.suite in ("level1", "all"):
-            reports += level1_suite(params, args.type, args.a, degree=args.degree,
-                                    window=args.window)
+        if args.suite == "fock":
+            reports = fock_suite(params, args.N, args.k, args.max_size)
+        elif args.suite == "vector":
+            reports = vector_suite(params, args.N, args.k)
+        elif args.suite == "heisenberg":
+            reports = heisenberg_suite(params, args.type, degree=args.degree,
+                                       window=args.window)
+        else:
+            reports = level1_suite(params, args.type, args.a, degree=args.degree,
+                                   window=args.window)
     except ValueError as exc:
         print(f"parameter error: {exc}", file=sys.stderr)
         return USAGE_ERROR
@@ -283,26 +286,45 @@ def cmd_report(args) -> int:
     return 0 if data and not failed else RELATION_ERROR
 
 
+# built once per process: its sixteen parsers take milliseconds to build, every
+# CLI call parses with it, and parse_args leaves it unchanged
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="eqtor",
                                  description="elliptic toroidal-algebra relation checker")
     sub = ap.add_subparsers(dest="command", required=True)
+    # parents share one copy of the common flags, far cheaper than adding them per parser
+    params = param_parser()
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--json", action="store_true", help="emit a JSON report")
+    output.add_argument("--output", help="also write the report to this path")
 
     v = sub.add_parser("verify", help="run a relation-verification suite")
-    v.add_argument("suite", choices=("fock", "vector", "heisenberg", "level1", "all"))
-    v.add_argument("--N", type=int, default=3, help="number of colors (fock/vector)")
-    v.add_argument("--k", type=int, default=0, help="root color (fock/vector)")
-    v.add_argument("--type", default="A2", help="affine type tag (heisenberg/level1)")
-    v.add_argument("--a", type=int, default=0, help="fundamental index (level1)")
-    v.add_argument("--max-size", dest="max_size", type=int, default=6)
-    v.add_argument("--degree", type=int, default=4)
-    v.add_argument("--window", type=int, default=6)
-    add_param_flags(v)
-    v.add_argument("--json", action="store_true", help="emit a JSON report")
-    v.add_argument("--output", help="also write the report to this path")
-    v.set_defaults(handler=cmd_verify)
+    suites = v.add_subparsers(dest="suite", required=True)
+    sv = {}
+    for name, text in (("fock", "level-(0,1) Fock representation"),
+                       ("vector", "vector representation"),
+                       ("heisenberg", "dressing-exchange relations on the boson module"),
+                       ("level1", "level-(1,l) vertex-operator module")):
+        # no abbreviations: "--k" or "--s" must not reach --kappa or --seed where
+        # the suite or function has no --k or --s of its own
+        sv[name] = suites.add_parser(name, help=text, parents=[params, output],
+                                     allow_abbrev=False)
+        sv[name].set_defaults(handler=cmd_verify)
+    for name in ("fock", "vector"):
+        sv[name].add_argument("--N", type=int, default=3, help="number of colors")
+        sv[name].add_argument("--k", type=int, default=0, help="root color")
+    sv["fock"].add_argument("--max-size", dest="max_size", type=int, default=6,
+                            help="largest partition size of the basis states")
+    for name in ("heisenberg", "level1"):
+        sv[name].add_argument("--type", default="A2", help="affine type tag")
+        sv[name].add_argument("--degree", type=int, default=4, help="largest boson degree")
+        sv[name].add_argument("--window", type=int, default=6,
+                              help="largest |z-exponent| compared")
+    sv["level1"].add_argument("--a", type=int, default=0, help="fundamental index")
 
-    a = sub.add_parser("act", help="print a generator action on a basis vector")
+    a = sub.add_parser("act", help="print a generator action on a basis vector",
+                       parents=[params])
     a.add_argument("--rep", default="fock", choices=("fock", "vector"))
     a.add_argument("--gen", required=True, choices=("x+", "x-", "phi"))
     a.add_argument("--color", type=int, default=0)
@@ -310,23 +332,31 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--index", type=int, default=0, help="basis index (vector rep)")
     a.add_argument("--N", type=int, default=3)
     a.add_argument("--k", type=int, default=0)
-    add_param_flags(a)
     a.add_argument("--json", action="store_true", help="print the terms as JSON")
     a.set_defaults(handler=cmd_act)
 
     e = sub.add_parser("expand", help="evaluate special functions")
-    e.add_argument("func", choices=("theta", "qpoch", "gkernel", "ratio", "pf"))
-    e.add_argument("--z", type=parse_complex, default=complex(0.5, 0.1))
-    e.add_argument("--s", type=parse_complex, default=None)
-    e.add_argument("--b", type=int, default=2)
-    e.add_argument("--a", dest="a", type=parse_complex, default=complex(0.2, 0.0))
-    e.add_argument("--b2", type=parse_complex, default=complex(0.5, 0.0))
-    e.add_argument("--order", type=int, default=8)
-    e.add_argument("--n", type=int, default=3)
-    e.add_argument("--samples", type=int, default=10)
-    e.add_argument("--check", action="store_true", help="print both branches and their gap")
-    add_param_flags(e)
-    e.set_defaults(handler=cmd_expand)
+    funcs = e.add_subparsers(dest="func", required=True)
+    fe = {}
+    for name, text in (("theta", "theta(z; p)"),
+                       ("qpoch", "(z; s)_oo"),
+                       ("gkernel", "structure kernel g_b(z; s)"),
+                       ("ratio", "series coefficients of (a x; s)_oo / (b2 x; s)_oo"),
+                       ("pf", "balanced theta partial-fraction expansion at random points")):
+        fe[name] = funcs.add_parser(name, help=text, parents=[params], allow_abbrev=False)
+        fe[name].set_defaults(handler=cmd_expand)
+    for name in ("theta", "qpoch", "gkernel"):
+        fe[name].add_argument("--z", type=parse_complex, default=complex(0.5, 0.1))
+    for name in ("qpoch", "gkernel", "ratio"):
+        fe[name].add_argument("--s", type=parse_complex, default=None, help="nome (default p)")
+    fe["gkernel"].add_argument("--b", type=int, default=2)
+    fe["gkernel"].add_argument("--check", action="store_true",
+                               help="print both branches and their gap")
+    fe["ratio"].add_argument("--a", dest="a", type=parse_complex, default=complex(0.2, 0.0))
+    fe["ratio"].add_argument("--b2", type=parse_complex, default=complex(0.5, 0.0))
+    fe["ratio"].add_argument("--order", type=int, default=8)
+    fe["pf"].add_argument("--n", type=int, default=3)
+    fe["pf"].add_argument("--samples", type=int, default=10)
 
     r = sub.add_parser("report", help="render a JSON report as CSV")
     r.add_argument("input", help="JSON report file")

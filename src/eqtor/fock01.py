@@ -331,7 +331,7 @@ class VectorRep:
     def colors(self) -> range:
         return range(self.n_colors)
 
-    def states(self, max_size: int = 0) -> list[VectorBasis]:
+    def states(self) -> list[VectorBasis]:
         rng = range(-self.MAX_INDEX, self.MAX_INDEX + 1)
         return [VectorBasis(j, self.n_colors, self.root_color) for j in rng]
 

@@ -5,10 +5,11 @@ from boson_oracle import OracleBoson, as_tuples
 
 from eqtor import boson
 from eqtor.boson import (MAX_DEGREE, BosonAlgebra, DegreeOverflowError, EXCHANGE_IDS,
-                         VACUUM, basis_states, check_exchange, mode_unit, state_add_mode,
-                         state_degree, state_modes)
+                         VACUUM, accumulate, basis_states, check_exchange, mode_unit,
+                         state_add_mode, state_degree, state_modes, vector_residual)
 from eqtor.cartan import cartan_data
-from eqtor.ellcore import Params
+from eqtor.ellcore import Params, poch_pairs_series
+from eqtor.relcheck import pair_classes
 
 P1 = Params(level_k=1)
 A2 = cartan_data("A2")
@@ -191,6 +192,64 @@ def test_exchange_mutant_turns_red(rel_id, monkeypatch):
     assert set(EXCHANGE_MUTANTS) == set(EXCHANGE_IDS)
     EXCHANGE_MUTANTS[rel_id](monkeypatch, rel_id)
     assert check_exchange(rel_id, make_alg(), 0, 1, max_degree=2, window=3) > 1e-8
+
+
+# -- the kernel multiplied in before the last creator part ---------------------
+
+# the kernel runs in z/w for these relations and in w/z for the others
+ZW_RELATIONS = (10, 12, 14, 16)
+
+
+def full_product_kernel_side(rel, alg, i, j, vec, max_degree, window):
+    """K B(w) A(z) vec by (A, B): both whole operators first, then the kernel convolution.
+
+    The w-operator is widened past the window where the kernel reads it, to the
+    reach 2 window + max_degree and a kernel of 2 window + 2 max_degree terms.
+    """
+    wz = rel.rel_id not in ZW_RELATIONS
+    nker, lo = 2 * window + 2 * max_degree, -(2 * window + max_degree)
+    ker = poch_pairs_series(boson._kernel_pairs(rel, alg, i, j), nker)
+
+    def apply(desc, color, v, hi):
+        sign = 1 if desc[0][1] == "+" else -1
+        if desc[0][0] == "E":
+            return alg.apply_E(sign, desc[1], color, v, window)
+        return alg.apply_current_boson(sign, color, v, lo, hi)
+
+    rhs_op = {}
+    for ze, v1 in apply(rel.left[0], i, vec, 2 * window).items():
+        hi_w = window if wz else max(window, 2 * window - ze)
+        for we, v2 in apply(rel.left[1], j, v1, hi_w).items():
+            rhs_op[ze, we] = v2
+    out = {}
+    for A in range(-window, window + 1):
+        for B in range(-window, window + 1):
+            acc = out[A, B] = {}
+            for n in range(nker + 1):
+                key = (A + n, B - n) if wz else (A - n, B + n)
+                if key in rhs_op:
+                    accumulate(acc, rhs_op[key], ker[n])
+    return out
+
+
+@pytest.mark.parametrize("data", [A2, D4], ids=["A2", "D4"])
+def test_exchange_kernel_side_matches_parent_path(data):
+    alg = make_alg(data)
+    window, max_degree = 3, 2
+    compared = 0
+    for rel in boson._EXCHANGE_TABLE:
+        if rel.kind != "exchange":
+            continue
+        for i, j in pair_classes(data):
+            sides = boson._exchange_sides(rel, alg, i, j, max_degree, window)
+            for st, (_, rhs) in zip(basis_states((i, j), max_degree), sides):
+                want = full_product_kernel_side(rel, alg, i, j, {st: 1.0 + 0j},
+                                                max_degree, window)
+                for (A, B), acc in want.items():
+                    got = rhs.get(A, {}).get(B, {})
+                    assert vector_residual(acc, got) <= 1e-13, (rel.rel_id, i, j, st, A, B)
+                    compared += len(acc)
+    assert compared > 0
 
 
 def test_basis_states_enumeration():

@@ -212,6 +212,44 @@ def test_output_flags_only_where_read(capsys, tmp_path, monkeypatch, argv):
     assert not (tmp_path / "out.txt").exists()
 
 
+# every flag `verify` and `expand` took for all suites and functions, and the ones
+# each suite or function reads; the parameter and output flags are read everywhere
+SHARED_FLAGS = {
+    "verify": {"--N": "4", "--k": "1", "--type": "A2", "--a": "0", "--max-size": "0",
+               "--degree": "1", "--window": "3"},
+    "expand": {"--z": "0.5", "--s": "0.1", "--b": "5", "--a": "0.2", "--b2": "0.5",
+               "--order": "3", "--n": "2", "--samples": "2", "--check": None},
+}
+READ_FLAGS = {
+    ("verify", "fock"): {"--N", "--k", "--max-size"},
+    ("verify", "vector"): {"--N", "--k"},
+    ("verify", "heisenberg"): {"--type", "--degree", "--window"},
+    ("verify", "level1"): {"--type", "--a", "--degree", "--window"},
+    ("expand", "theta"): {"--z"},
+    ("expand", "qpoch"): {"--z", "--s"},
+    ("expand", "gkernel"): {"--z", "--s", "--b", "--check"},
+    ("expand", "ratio"): {"--a", "--b2", "--s", "--order"},
+    ("expand", "pf"): {"--n", "--samples"},
+}
+IGNORED = [(cmd, what, flag) for (cmd, what), read in READ_FLAGS.items()
+           for flag in SHARED_FLAGS[cmd] if flag not in read]
+
+
+@pytest.mark.parametrize("cmd, what, flag", IGNORED,
+                         ids=[f"{what}{flag}" for _, what, flag in IGNORED])
+def test_flag_only_where_read(capsys, cmd, what, flag):
+    # each of these used to be accepted and ignored
+    value = SHARED_FLAGS[cmd][flag]
+    code, out, err = run(capsys, cmd, what, flag, *([value] if value else []))
+    assert code == 2 and out == ""
+    assert "unrecognized arguments" in err
+
+
+def test_verify_all_is_gone(capsys):
+    code, out, err = run(capsys, "verify", "all")
+    assert code == 2 and out == "" and "invalid choice" in err
+
+
 @pytest.mark.parametrize("content, needle", [
     ('{"seed": "abc"}', "seed"),
     ('{"tol": "x"}', "tol"),

@@ -25,7 +25,7 @@ def test_fock_suite_small_all_pass():
 
 
 def test_vector_suite_small_all_pass():
-    reports = vector_suite(P, 3, 0, max_size=3)
+    reports = vector_suite(P, 3, 0)
     assert [r.relation_id for r in reports] == list(VECTOR_RELATION_IDS)
     assert all(r.status == "pass" for r in reports)
 
