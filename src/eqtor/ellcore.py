@@ -296,25 +296,31 @@ class Params:
         """theta_{p or p*}(kappa^a q^b u^e) with exact zeros on the unit.
 
         Lattice points other than the unit stay away from p^Z at a generic
-        parameter point, so the only exact zero is the unit itself.
+        parameter point, so the only exact zero is the unit itself; a value
+        that nearly vanishes raises on every call, memoized or not.
         """
         if lat.is_unit:
             return 0j
-        key = (lat.kappa_e, lat.q_e, lat.u_e, star)
-        cached = self._theta_cache.get(key)
-        if cached is None:
-            base = self.p_star if star else self.p
-            cached = theta(lat.value(self), base, self.trunc_M)
-            if abs(cached) < 1e-10:
-                raise ParameterError(f"theta({lat}) nearly vanishes; parameters not generic enough")
-            self._theta_cache[key] = cached
-        return cached
+        value = self.theta_p(lat.value(self), star)
+        if abs(value) < 1e-10:
+            raise ParameterError(f"theta({lat}) nearly vanishes; parameters not generic enough")
+        return value
 
     def qpoch_p(self, z, star: bool = False):
         return qpoch(z, self.p_star if star else self.p, self.trunc_M)
 
     def theta_p(self, z, star: bool = False):
-        return theta(z, self.p_star if star else self.p, self.trunc_M)
+        """theta_{p or p*}(z), computed once per (z, nome) at this parameter point.
+
+        The memo is keyed by the argument and the nome's value, so at level
+        zero, where p* = p, both nomes share their entries.
+        """
+        nome = self.p_star if star else self.p
+        key = (z, nome)
+        value = self._theta_cache.get(key)
+        if value is None:
+            value = self._theta_cache[key] = theta(z, nome, self.trunc_M)
+        return value
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,10 @@ prefactors, and compares the two sides termwise on canonical (state, support)
 keys.  Residuals are relative with a +1 regularization:
 |c_lhs - c_rhs| / (1 + |c_lhs|).  Samples whose
 prefactors fall inside the guard radius of a theta zero are skipped and
-counted; everything on the exact support lattice needs no guard.  Within one
-check each module action and each sampled theta value is computed once and
-kept until the check returns, so no value outlives its parameter point.
+counted; everything on the exact support lattice needs no guard.  Theta
+values live on the Params: one memo per parameter point, keyed by argument
+and nome, so checks on one point share them and no value reaches another
+point.  Module actions are memoized for one check and dropped when it returns.
 """
 
 from __future__ import annotations
@@ -100,23 +101,29 @@ class RelationReport:
 
 
 def _eigenvalues(rep, points):
-    """(state, color, k) -> the phi eigenvalue at points[k], memoized.
+    """(state, color) -> the phi eigenvalues at every point, as a tuple.
 
-    Bit-identical to ThetaRatioSpec.evaluate, but each theta factor is
-    computed once per (shift, point).
+    Each tuple is kept for the one check that asks for it.  Bit-identical to
+    ThetaRatioSpec.evaluate at each point: the theta factors are multiplied in
+    the order of evaluate_with, and each theta value comes from the Params
+    memo, keyed by argument and nome.
     """
     params = rep.params
-    phi = cache(rep.phi)
+    theta_p = params.theta_p
 
     @cache
-    def theta_at(lat, k):
-        return params.theta_p(lat.value(params) / points[k])
+    def eigenvalues(state, color):
+        spec = rep.phi(color, state).spec
+        out = [spec.scalar_prefactor] * len(points)
+        for n in spec.numer_shifts:
+            w = n.value(params)
+            out = [e * theta_p(w / z) for e, z in zip(out, points)]
+        for d in spec.denom_shifts:
+            w = d.value(params)
+            out = [e / theta_p(w / z) for e, z in zip(out, points)]
+        return tuple(out)
 
-    @cache
-    def eigenvalue(state, color, k):
-        return phi(color, state).spec.evaluate_with(lambda shift: theta_at(shift, k))
-
-    return eigenvalue
+    return eigenvalues
 
 
 def _accumulate(table: dict, key, value: complex) -> None:
@@ -206,6 +213,13 @@ def check_xpxm(rep, states) -> RelationReport:
 # diagonal-current exchange relations
 # ---------------------------------------------------------------------------
 
+def _phi_x_points(params: Params) -> list:
+    """The Z_SAMPLES generic z points of the phi-x checks, seeded by Params.seed."""
+    rng = random.Random(params.seed ^ 0x5E1F)
+    return [params.u * rng.uniform(1.6, 2.4) * cmath.exp(1j * rng.uniform(0, 2 * cmath.pi))
+            for _ in range(Z_SAMPLES)]
+
+
 def check_phi_x(rep, x_sign: int, states) -> RelationReport:
     """Conjugation of a ladder current by a diagonal current.
 
@@ -219,24 +233,26 @@ def check_phi_x(rep, x_sign: int, states) -> RelationReport:
     params = rep.params
     rel = "phixp" if x_sign > 0 else "phixm"
     report = RelationReport(rel, rep.describe(), params)
-    rng = random.Random(params.seed ^ 0x5E1F)
-    zs = [params.u * rng.uniform(1.6, 2.4) * cmath.exp(1j * rng.uniform(0, 2 * cmath.pi))
-          for _ in range(Z_SAMPLES)]
+    zs = _phi_x_points(params)
     data = rep.cartan
     star = x_sign > 0
-    x, eigenvalue = cache(rep.x), _eigenvalues(rep, zs)
+    x, eigenvalues = cache(rep.x), _eigenvalues(rep, zs)
 
     @cache
-    def multiplier(support, b, mm, zidx):
-        # None inside the guard radius of a theta zero
-        w0, z = support.value(params), zs[zidx]
-        args = [q_ * params.kappa ** (-mm) * w0 / z
-                for q_ in (params.q ** -b, params.q ** b)]
-        if any(theta_zero_distance(a, params.p) < GUARD for a in args):
-            return None
-        return (params.q ** b
-                * params.theta_p(args[0], star=star)
-                / params.theta_p(args[1], star=star))
+    def multipliers(support, b, mm):
+        # one per point; None inside the guard radius of a theta zero
+        qb, w0 = params.q ** b, support.value(params)
+        lo = params.q ** -b * params.kappa ** (-mm) * w0
+        hi = qb * params.kappa ** (-mm) * w0
+        out = []
+        for z in zs:
+            args = (lo / z, hi / z)
+            if any(theta_zero_distance(a, params.p) < GUARD for a in args):
+                out.append(None)
+            else:
+                out.append(qb * params.theta_p(args[0], star=star)
+                           / params.theta_p(args[1], star=star))
+        return tuple(out)
 
     for v in states:
         for i in rep.colors():
@@ -244,13 +260,13 @@ def check_phi_x(rep, x_sign: int, states) -> RelationReport:
                 b = data.b(i, j) * (1 if x_sign > 0 else -1)
                 mm = data.m[i][j]
                 for term in x(x_sign, j, v):
-                    for zidx in range(Z_SAMPLES):
-                        mult = multiplier(term.support, b, mm, zidx)
+                    lhs_eig, rhs_eig = eigenvalues(term.payload, i), eigenvalues(v, i)
+                    for zidx, mult in enumerate(multipliers(term.support, b, mm)):
                         if mult is None:
                             report.skip()
                             continue
-                        lhs = eigenvalue(term.payload, i, zidx)
-                        rhs = mult * eigenvalue(v, i, zidx)
+                        lhs = lhs_eig[zidx]
+                        rhs = mult * rhs_eig[zidx]
                         report.record(abs(lhs - rhs) / (1 + abs(lhs)),
                                       lambda: f"{rel} i={i} j={j} state={v} z#{zidx}")
     return report

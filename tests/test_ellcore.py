@@ -281,6 +281,40 @@ def test_theta_cache_not_shared_after_replace():
     assert abs(p2.theta_lat(lat) - P.theta_lat(lat)) > 1e-3
 
 
+def test_theta_memo_belongs_to_its_parameter_point(monkeypatch):
+    import mpmath
+
+    z = 0.7 + 0.2j
+    other = replace(P, p=0.04 * cmath.exp(0.2j))
+    assert other.theta_p(z) == theta(z, other.p, other.trunc_M)
+    assert abs(other.theta_p(z) - P.theta_p(z)) > 1e-6
+    # every construction starts with an empty memo
+    assert P._theta_cache
+    assert replace(P)._theta_cache == {}
+    assert P.with_level(1)._theta_cache == {}
+    # at level one the two nomes differ, and so do their entries
+    p1 = P.with_level(1)
+    assert p1.theta_p(z, star=True) == theta(z, p1.p_star, p1.trunc_M)
+    assert abs(p1.theta_p(z, star=True) - p1.theta_p(z)) > 1e-6
+    monkeypatch.setattr(mpmath.mp, "dps", mpmath.mp.dps)  # restored after the test
+    hp = P.with_precision(30)
+    first = hp.theta_p(hp.u)
+    assert isinstance(first, mpmath.mpc)
+    assert hp.theta_p(hp.u) is first
+    assert all(isinstance(v, mpmath.mpc) for v in hp._theta_cache.values())
+
+
+def test_theta_lat_raises_on_a_memoized_near_zero():
+    # u = p puts the lattice point u^1 on a zero of theta_p
+    pz = Params(u=P.p)
+    assert pz.theta_p(pz.u) == 0
+    size = len(pz._theta_cache)
+    for _ in range(2):
+        with pytest.raises(ParameterError):
+            pz.theta_lat(Lat(u_e=1))
+    assert len(pz._theta_cache) == size  # both calls read the entry theta_p made
+
+
 def test_theta_coefficient_keeps_high_precision():
     import mpmath
 

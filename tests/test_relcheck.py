@@ -1,13 +1,16 @@
 import json
 from dataclasses import replace
+from functools import cache
 
 import pytest
 
+import eqtor.ellcore as ellcore
 import eqtor.fock01 as fock01
-from eqtor.ellcore import Params
+from eqtor.ellcore import GUARD, Params, theta_zero_distance
 from eqtor.fock01 import FockRep, PhiAction, VectorRep
 from eqtor import cli
-from eqtor.relcheck import (FOCK_RELATION_IDS, VECTOR_RELATION_IDS, _CHECKS,
+from eqtor.relcheck import (FOCK_RELATION_IDS, VECTOR_RELATION_IDS, Z_SAMPLES, _CHECKS,
+                            RelationReport, _basis, _eigenvalues, _phi_x_points,
                             check_phi_x, check_quadratic, check_serre, check_xpxm,
                             fock_suite, level1_suite, pair_classes, reports_to_json,
                             run_relation, run_suite, vector_suite)
@@ -73,6 +76,108 @@ def test_phi_x_skip_accounting():
     report = check_phi_x(rep, +1, rep.states(2))
     assert report.status == "pass"
     assert report.skipped <= 0.2 * report.samples
+
+
+# name -> (handle class, root color, basis size); N = 3 throughout
+PHI_X_HANDLES = {"fock3k0": (FockRep, 0, 3), "fock3k1": (FockRep, 1, 3),
+                 "vector3": (VectorRep, 0, None)}
+
+
+def _phi_x_handle(name):
+    """A handle on a fresh parameter point, so no theta comes from another test's memo."""
+    cls, k, size = PHI_X_HANDLES[name]
+    rep = cls(replace(P), 3, k)
+    return rep, _basis(rep, size)
+
+
+@pytest.mark.parametrize("handle", ["fock3k0", "vector3"])
+def test_eigenvalue_rows_equal_evaluate(handle):
+    rep, states = _phi_x_handle(handle)
+    reference = replace(P)  # its own memo: every theta is computed again
+    points = _phi_x_points(rep.params)
+    eigenvalues = _eigenvalues(rep, points)
+    for v in states:
+        for i in rep.colors():
+            row = eigenvalues(v, i)
+            assert len(row) == Z_SAMPLES
+            spec = rep.phi(i, v).spec
+            assert row == tuple(spec.evaluate(z, reference) for z in points), (v, i)
+
+
+def _per_point_check_phi_x(rep, x_sign, states):
+    """Reference for check_phi_x: one eigenvalue and one multiplier per (state, color, point)."""
+    params = rep.params
+    rel = "phixp" if x_sign > 0 else "phixm"
+    report = RelationReport(rel, rep.describe(), params)
+    zs = _phi_x_points(params)
+    data = rep.cartan
+    star = x_sign > 0
+    x, phi = cache(rep.x), cache(rep.phi)
+
+    @cache
+    def theta_at(lat, k):
+        return params.theta_p(lat.value(params) / zs[k])
+
+    @cache
+    def eigenvalue(state, color, k):
+        return phi(color, state).spec.evaluate_with(lambda shift: theta_at(shift, k))
+
+    @cache
+    def multiplier(support, b, mm, zidx):
+        w0, z = support.value(params), zs[zidx]
+        args = [q_ * params.kappa ** (-mm) * w0 / z
+                for q_ in (params.q ** -b, params.q ** b)]
+        if any(theta_zero_distance(a, params.p) < GUARD for a in args):
+            return None
+        return (params.q ** b
+                * params.theta_p(args[0], star=star)
+                / params.theta_p(args[1], star=star))
+
+    for v in states:
+        for i in rep.colors():
+            for j in rep.colors():
+                b = data.b(i, j) * (1 if x_sign > 0 else -1)
+                mm = data.m[i][j]
+                for term in x(x_sign, j, v):
+                    for zidx in range(Z_SAMPLES):
+                        mult = multiplier(term.support, b, mm, zidx)
+                        if mult is None:
+                            report.skip()
+                            continue
+                        lhs = eigenvalue(term.payload, i, zidx)
+                        rhs = mult * eigenvalue(v, i, zidx)
+                        report.record(abs(lhs - rhs) / (1 + abs(lhs)),
+                                      lambda: f"{rel} i={i} j={j} state={v} z#{zidx}")
+    return report
+
+
+@pytest.mark.parametrize("sign", [+1, -1])
+@pytest.mark.parametrize("handle", list(PHI_X_HANDLES))
+def test_phi_x_matches_per_point_loop(handle, sign):
+    rep, states = _phi_x_handle(handle)
+    got = check_phi_x(rep, sign, states)
+    rep, states = _phi_x_handle(handle)
+    want = _per_point_check_phi_x(rep, sign, states)
+    assert got.samples > 0
+    assert ((got.samples, got.skipped, got.max_residual, got.worst_case)
+            == (want.samples, want.skipped, want.max_residual, want.worst_case))
+
+
+def test_phi_checks_compute_each_theta_once(monkeypatch):
+    # phixp and phixm share their thetas, and so do phiphi_pp and phiphi_pm at level zero
+    calls = []
+    theta = ellcore.theta
+
+    def counted(z, p, terms=ellcore.DEFAULT_TERMS):
+        calls.append((z, p))
+        return theta(z, p, terms)
+
+    monkeypatch.setattr(ellcore, "theta", counted)
+    rep = FockRep(replace(P), 3, 0)
+    for rel_id in ("phixp", "phixm", "phiphi_pp", "phiphi_pm"):
+        assert run_relation(rep, rel_id, 3).status == "pass"
+    assert calls
+    assert len(calls) == len(set(calls))
 
 
 def test_run_relation_unknown():
