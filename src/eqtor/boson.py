@@ -93,10 +93,19 @@ def basis_states(colors, max_degree: int) -> list[BosonState]:
 
 
 def vector_residual(left: dict, right: dict) -> float:
-    """max over keys of |l - r| / (1 + |l|), missing entries read as zero."""
+    """max over keys of |l - r| / (1 + |l|), missing entries read as zero; NaN if any is NaN."""
     get = right.get
-    worst = max((abs(a - get(key, 0j)) / (1 + abs(a)) for key, a in left.items()), default=0.0)
-    return max(worst, max((abs(b) for key, b in right.items() if key not in left), default=0.0))
+    worst = 0.0
+    for key, a in left.items():
+        r = abs(a - get(key, 0j)) / (1 + abs(a))
+        if r > worst or r != r:  # once NaN, no r compares greater
+            worst = r
+    for key, b in right.items():
+        if key not in left:
+            r = abs(b)
+            if r > worst or r != r:
+                worst = r
+    return worst
 
 
 def accumulate(tgt: dict, vec: dict, scale=1) -> None:
@@ -117,11 +126,12 @@ class BosonAlgebra:
         self.params = params
         self.level = params.level_k
         self._p = params.p
-        self._pstar = params.p * params.q ** (-2 * self.level)
+        self._pstar = params.p_star
         # closed-form terms of the exponentials with coefficients _exp_coef(sign,
         # prime, m): creator terms by z-power, and binomial terms by (field, mult)
         self._creators: dict[tuple, list[dict]] = {}    # (sign, prime, color)
         self._shifts: dict[tuple, dict[tuple, list]] = {}
+        self._brackets: dict[tuple, complex] = {}       # (i, j, m) -> [a_{i,m}, a_{j,-m}]
 
     def qnum(self, n: int) -> complex:
         q = self.params.q
@@ -131,11 +141,15 @@ class BosonAlgebra:
         """[a_{i,m}, a_{j,n}] evaluated at this level."""
         if m + n != 0 or m == 0:
             return 0j
-        q, kappa = self.params.q, self.params.kappa
-        k = self.level
-        return (self.qnum(self.data.b(i, j) * m) / m) * self.qnum(k * m) \
-            * (1 - self._p ** m) / (1 - self._pstar ** m) \
-            * kappa ** (-m * self.data.m[i][j]) * q ** (-k * m)
+        value = self._brackets.get((i, j, m))
+        if value is None:
+            q, kappa = self.params.q, self.params.kappa
+            k = self.level
+            value = self._brackets[i, j, m] = \
+                (self.qnum(self.data.b(i, j) * m) / m) * self.qnum(k * m) \
+                * (1 - self._p ** m) / (1 - self._pstar ** m) \
+                * kappa ** (-m * self.data.m[i][j]) * q ** (-k * m)
+        return value
 
     def prime_scale(self, m: int) -> complex:
         """a'_{i,+-m} = prime_scale(m) * a_{i,+-m} on the module."""
@@ -163,21 +177,18 @@ class BosonAlgebra:
         for jc in self.data.index_set:
             d = jc + m - 1
             offset = DEGREE_BITS + FIELD_BITS * (d * (d + 1) // 2 + jc)
-            modes.append((jc, offset, mode_unit(jc, m)))
+            modes.append((offset, mode_unit(jc, m), self.mode_commutator(i, m, jc, -m)))
         out: BosonVec = {}
         for st, c in vec.items():
-            for jc, offset, unit in modes:
+            for offset, unit, bracket in modes:
                 mult = (st >> offset) & _FIELD_MASK
                 if mult:
                     s2 = st - unit
-                    out[s2] = out.get(s2, 0j) + c * scale * mult * self.mode_commutator(i, m, jc, -m)
+                    out[s2] = out.get(s2, 0j) + c * scale * mult * bracket
         return out
 
-    def _create(self, out: dict, key: tuple, st: BosonState, c, lo: int, hi: int,
-                shift: int) -> None:
-        """out[t - shift] += the z^t terms (lo <= t <= hi) of the creator exponential on c*st."""
-        if state_degree(st) + hi > MAX_DEGREE:
-            raise DegreeOverflowError(f"degree {state_degree(st)} + {hi} exceeds {MAX_DEGREE}")
+    def _creator_levels(self, key: tuple, hi: int) -> list[dict]:
+        """The z^t terms of the creator exponential, for every t up to at least hi."""
         levels = self._creators.setdefault(key, [{VACUUM: 1.0}])
         sign, prime, i = key
         while len(levels) <= hi:  # t E_t = sum_m m c_m x_{i,m} E_{t-m}
@@ -187,15 +198,39 @@ class BosonAlgebra:
                 accumulate(acc, {a + unit: w for a, w in levels[t - m].items()},
                             m * self._exp_coef(sign, prime, m) / t)
             levels.append(acc)
+        return levels
+
+    def _create(self, out: dict, key: tuple, vec: BosonVec, lo: int, hi: int, shift: int,
+                cap: int | None = None) -> None:
+        """out[t - shift] += the z^t terms (lo <= t <= hi) of the creator exponential on vec.
+
+        Output states above degree ``cap`` are dropped.  Each bucket adds the
+        terms of vec's states in vec's order, so every sum runs in the order of
+        a state-by-state loop; a key written for the first time holds its term.
+        """
+        if not vec:
+            return
+        top = max(st & MAX_DEGREE for st in vec)
+        if (top + hi if cap is None else min(top + hi, cap)) > MAX_DEGREE:
+            raise DegreeOverflowError(f"degree {top} + {hi} exceeds {MAX_DEGREE}")
+        if cap is not None:
+            hi = min(hi, cap - min(st & MAX_DEGREE for st in vec))
+        levels = self._creator_levels(key, hi)
         for t in range(lo, hi + 1):
+            terms = levels[t].items()
+            todo = iter(vec.items() if cap is None else
+                        [(st, c) for st, c in vec.items() if st & MAX_DEGREE <= cap - t])
             tgt = out.get(t - shift)
             if tgt is None:  # a fresh bucket: the terms of one state never collide
-                out[t - shift] = {st + a: c * w for a, w in levels[t].items()}
-                continue
-            get = tgt.get
-            for a, w in levels[t].items():
-                s2 = st + a
-                tgt[s2] = get(s2, 0j) + c * w
+                st, c = next(todo)
+                tgt = out[t - shift] = {st + a: c * w for a, w in terms}
+            setdefault = tgt.setdefault
+            for st, c in todo:
+                for a, w in terms:
+                    s2, x = st + a, c * w
+                    old = setdefault(s2, x)
+                    if old is not x:
+                        tgt[s2] = old + x
 
     def _translate(self, vec: BosonVec, key: tuple) -> dict[int, BosonVec]:
         """The annihilator exponential on vec, keyed by the degree it removes."""
@@ -203,7 +238,7 @@ class BosonAlgebra:
         sign, prime, i = key
         out: dict[int, BosonVec] = {}
         for st, c in vec.items():
-            terms = [(st, c)]
+            terms = [(0, c)]  # (removed monomial, coefficient)
             for field, mult in _fields(st):
                 pairs = shifts.get((field, mult))
                 if pairs is None:  # (x_{d,m} + c_m Br_id(m))^mult
@@ -211,9 +246,12 @@ class BosonAlgebra:
                     x = self._exp_coef(sign, prime, m) * self.mode_commutator(i, m, d, -m)
                     pairs = shifts[field, mult] = [(k * mode_unit(d, m), comb(mult, k) * x ** k)
                                                    for k in range(mult + 1)]
-                terms = [(s - drop, w * x) for s, w in terms for drop, x in pairs]
-            for s, w in terms:
-                tgt = out.setdefault(state_degree(st) - state_degree(s), {})
+                terms = [(r + drop, w * x) for r, w in terms for drop, x in pairs]
+            for r, w in terms:
+                tgt = out.get(r & MAX_DEGREE)
+                if tgt is None:  # not setdefault, which builds an empty dict per term
+                    tgt = out[r & MAX_DEGREE] = {}
+                s = st - r
                 tgt[s] = tgt.get(s, 0j) + w
         return out
 
@@ -242,6 +280,10 @@ class BosonAlgebra:
         scaled: dict[tuple[int, int], BosonVec] = {}
         for u, vec in table.items():
             for t, v in (self._translate(vec, translate) if translate else {0: vec}).items():
+                if kernel is _UNIT_KERNEL:  # c * 1.0 == c: the vector goes in as it is
+                    if abs(u) <= window:
+                        scaled[u, -t] = v
+                    continue
                 for n in range(min(len(kernel), window - abs(u) + 1)):
                     accumulate(scaled.setdefault((u + direction * n, -t - direction * n), {}),
                                v, kernel[n])
@@ -250,9 +292,8 @@ class BosonAlgebra:
             tgt = out.setdefault(u, {})
             if create is None:
                 tgt[e] = v
-                continue
-            for st, c in v.items():
-                self._create(tgt, create, st, c, max(0, -window - e), window - e, -e)
+            else:
+                self._create(tgt, create, v, max(0, -window - e), window - e, -e)
         return out
 
     def apply_current_boson(self, sign: int, i: int, vec: BosonVec,
@@ -269,11 +310,8 @@ class BosonAlgebra:
         prime = sign < 0
         out: dict[int, BosonVec] = {}
         for tplus, v1 in self._translate(vec, (-sign, prime, i)).items():
-            for st, c in v1.items():
-                hi = zmax + tplus
-                if out_cap is not None:
-                    hi = min(hi, out_cap - state_degree(st))
-                self._create(out, (sign, prime, i), st, c, max(0, zmin + tplus), hi, tplus)
+            self._create(out, (sign, prime, i), v1, max(0, zmin + tplus), zmax + tplus, tplus,
+                         out_cap)
         return out
 
 
@@ -372,43 +410,75 @@ def check_exchange(rel_id: int, alg: BosonAlgebra, i: int, j: int,
     modes of other colors commute with every operator involved and are
     dropped from the basis.
     """
-    rel = next(r for r in _EXCHANGE_TABLE if r.rel_id == rel_id)
+    rel = next((r for r in _EXCHANGE_TABLE if r.rel_id == rel_id), None)
+    if rel is None:
+        raise ValueError(f"no exchange relation {rel_id!r}; the ids are 1..{len(EXCHANGE_IDS)}")
+    for color in (i, j):
+        if color not in alg.data.index_set:
+            raise ValueError(f"color {color!r} outside the index set "
+                             f"0..{len(alg.data.index_set) - 1}")
+    for name, size in (("max_degree", max_degree), ("window", window)):
+        if size < 0:
+            raise ValueError(f"{name} {size} must be >= 0")
     if rel.kind == "commutator":
         return _check_commutator(rel, alg, i, j, max_degree, window)
+    return max((_table_residual(lhs, rhs, window)
+                for lhs, rhs in _exchange_sides(rel, alg, i, j, max_degree, window)), default=0.0)
+
+
+def _table_residual(lhs: dict, rhs: dict, window: int) -> float:
+    """max over |A|, |B| <= window of vector_residual(lhs[B][A], rhs[A][B]).
+
+    Only the cells present in either table are visited; an empty pair of
+    cells has residual 0.
+    """
     worst = 0.0
-    for lhs, rhs in _exchange_sides(rel, alg, i, j, max_degree, window):
-        for A in range(-window, window + 1):
-            for B in range(-window, window + 1):
-                worst = max(worst, vector_residual(lhs.get(B, {}).get(A, {}),
-                                                   rhs.get(A, {}).get(B, {})))
+    for B, row in lhs.items():
+        if abs(B) <= window:
+            for A, left in row.items():
+                if abs(A) <= window:
+                    worst = max(worst, vector_residual(left, rhs.get(A, {}).get(B, {})))
+    for A, row in rhs.items():
+        if abs(A) <= window:
+            for B, right in row.items():
+                if abs(B) <= window and A not in lhs.get(B, {}):
+                    worst = max(worst, vector_residual({}, right))
     return worst
 
 
 def _check_commutator(rel: ExchangeRelation, alg: BosonAlgebra, i: int, j: int,
                       max_degree: int, window: int) -> float:
+    """[a_{i,-l}, E+] = coeff z^{-l} E+ and [a_{i,l}, E-] = coeff z^{l} E- for l = 1..4.
+
+    The dressing of each basis state is built once and serves every l, on the
+    window itself: E+ is an annihilator part, which no window cuts, and the
+    comparison at z^e, |e| <= window, reads E- at z^e and z^(e-l) only.
+    """
     q, kappa = alg.params.q, alg.params.kappa
     k = alg.level
     b = alg.data.b(i, j)
     mm = alg.data.m[i][j]
-    worst = 0.0
     mode_sign = rel.left[0][1]
     edesc = _parts(rel.left[1], j)
+    coeffs = []
     for ell in range(1, 5):
         if rel.comm_coeff == "full_minus":
             coeff = -(alg.qnum(b * ell) / ell) * (1 - alg._p ** ell) / (1 - alg._pstar ** ell) \
                 * kappa ** (-mode_sign * ell * mm) * q ** (-k * ell)
         else:
             coeff = (alg.qnum(b * ell) / ell) * kappa ** (-mode_sign * ell * mm)
-        w = window + ell
+        coeffs.append(coeff)
 
-        def dressing(v: BosonVec) -> dict[int, BosonVec]:
-            return alg._compose(edesc, {0: v}, w, _UNIT_KERNEL, 0).get(0, {})
+    def dressing(v: BosonVec) -> dict[int, BosonVec]:
+        return alg._compose(edesc, {0: v}, window, _UNIT_KERNEL, 0).get(0, {})
 
-        # [a_{i,-l}, E+] = coeff z^{-l} E+ and [a_{i,l}, E-] = coeff z^{l} E-
-        for st in basis_states((i, j), max_degree):
-            vec = {st: 1.0 + 0j}
+    worst = 0.0
+    for st in basis_states((i, j), max_degree):
+        vec = {st: 1.0 + 0j}
+        dressed = dressing(vec)
+        for ell, coeff in enumerate(coeffs, 1):
             worst = max(worst, mode_bracket_residual(alg, i, mode_sign * ell, coeff,
-                                                     dressing, vec, dressing(vec), window))
+                                                     dressing, vec, dressed, window))
     return worst
 
 
@@ -416,9 +486,9 @@ def mode_bracket_residual(alg: BosonAlgebra, i: int, m: int, coeff, op, vec: Bos
                           op_vec: dict[int, BosonVec], window: int) -> float:
     """Residual of [a_{i,m}, O(z)] vec = coeff z^m O(z) vec, coefficient-wise.
 
-    ``op`` applies O(z) to a boson vector as {z-exponent: vector}, exact on
-    a window wider than |m| + ``window``; ``op_vec`` is op(vec), which callers
-    reuse over m.  The comparison runs over z-exponents in [-window, window].
+    ``op`` applies O(z) to a boson vector as {z-exponent: vector}, exact at
+    every z^e and z^(e-m) with |e| <= ``window``, which the comparison reads;
+    ``op_vec`` is op(vec), which callers reuse over m.
     """
     lhs = {ze: v2 for ze, v1 in op_vec.items() if (v2 := alg.apply_mode(i, m, v1))}
     pre = alg.apply_mode(i, m, vec)

@@ -1,12 +1,14 @@
 from dataclasses import replace
+from math import comb, isnan
 
 import pytest
 from boson_oracle import OracleBoson, as_tuples
 
 from eqtor import boson
 from eqtor.boson import (MAX_DEGREE, BosonAlgebra, DegreeOverflowError, EXCHANGE_IDS,
-                         VACUUM, accumulate, basis_states, check_exchange, mode_unit,
-                         state_add_mode, state_degree, state_modes, vector_residual)
+                         VACUUM, accumulate, basis_states, check_exchange,
+                         mode_bracket_residual, mode_unit, state_add_mode, state_degree,
+                         state_modes, vector_residual)
 from eqtor.cartan import cartan_data
 from eqtor.ellcore import Params, poch_pairs_series
 from eqtor.relcheck import pair_classes
@@ -250,6 +252,123 @@ def test_exchange_kernel_side_matches_parent_path(data):
                     assert vector_residual(acc, got) <= 1e-13, (rel.rel_id, i, j, st, A, B)
                     compared += len(acc)
     assert compared > 0
+
+
+# -- the per-vector engine against the per-term path it replaced ---------------
+
+class PerTermAlgebra(BosonAlgebra):
+    """The engine with the creator run one input term at a time, and the removed
+    monomials of the annihilator subtracted factor by factor."""
+
+    def _create(self, out, key, vec, lo, hi, shift, cap=None):
+        for st, c in vec.items():
+            top = hi if cap is None else min(hi, cap - state_degree(st))
+            if state_degree(st) + top > MAX_DEGREE:
+                raise DegreeOverflowError(f"degree {state_degree(st)} + {top}")
+            levels = self._creator_levels(key, top)
+            for t in range(lo, top + 1):
+                tgt = out.get(t - shift)
+                if tgt is None:
+                    out[t - shift] = {st + a: c * w for a, w in levels[t].items()}
+                    continue
+                get = tgt.get
+                for a, w in levels[t].items():
+                    s2 = st + a
+                    tgt[s2] = get(s2, 0j) + c * w
+
+    def _translate(self, vec, key):
+        sign, prime, i = key
+        out = {}
+        for st, c in vec.items():
+            terms = [(st, c)]
+            for field, mult in boson._fields(st):
+                d, m = boson._field_mode(field)
+                x = self._exp_coef(sign, prime, m) * self.mode_commutator(i, m, d, -m)
+                pairs = [(k * mode_unit(d, m), comb(mult, k) * x ** k)
+                         for k in range(mult + 1)]
+                terms = [(s - drop, w * x) for s, w in terms for drop, x in pairs]
+            for s, w in terms:
+                tgt = out.setdefault(state_degree(st) - state_degree(s), {})
+                tgt[s] = tgt.get(s, 0j) + w
+        return out
+
+
+def per_cell_residual(left, right):
+    get = right.get
+    worst = max((abs(a - get(key, 0j)) / (1 + abs(a)) for key, a in left.items()), default=0.0)
+    return max(worst, max((abs(b) for key, b in right.items() if key not in left), default=0.0))
+
+
+def per_cell_check_exchange(rel_id, alg, i, j, max_degree, window):
+    """check_exchange as one residual per window cell, and one dressing per l for 1-4."""
+    rel = next(r for r in boson._EXCHANGE_TABLE if r.rel_id == rel_id)
+    worst = 0.0
+    if rel.kind == "commutator":
+        q, kappa, k = alg.params.q, alg.params.kappa, alg.level
+        b, mm = alg.data.b(i, j), alg.data.m[i][j]
+        mode_sign = rel.left[0][1]
+        edesc = boson._parts(rel.left[1], j)
+        for ell in range(1, 5):
+            if rel.comm_coeff == "full_minus":
+                coeff = -(alg.qnum(b * ell) / ell) * (1 - alg._p ** ell) \
+                    / (1 - alg._pstar ** ell) * kappa ** (-mode_sign * ell * mm) * q ** (-k * ell)
+            else:
+                coeff = (alg.qnum(b * ell) / ell) * kappa ** (-mode_sign * ell * mm)
+
+            def dressing(v, w=window + ell):
+                return alg._compose(edesc, {0: v}, w, boson._UNIT_KERNEL, 0).get(0, {})
+
+            for st in basis_states((i, j), max_degree):
+                vec = {st: 1.0 + 0j}
+                worst = max(worst, mode_bracket_residual(alg, i, mode_sign * ell, coeff,
+                                                         dressing, vec, dressing(vec), window))
+        return worst
+    for lhs, rhs in boson._exchange_sides(rel, alg, i, j, max_degree, window):
+        for A in range(-window, window + 1):
+            for B in range(-window, window + 1):
+                worst = max(worst, per_cell_residual(lhs.get(B, {}).get(A, {}),
+                                                     rhs.get(A, {}).get(B, {})))
+    return worst
+
+
+@pytest.mark.parametrize("data", [A2, D4], ids=["A2", "D4"])
+def test_exchange_equals_per_term_path(data):
+    alg, ref = make_alg(data), PerTermAlgebra(data, P1)
+    for rel_id in EXCHANGE_IDS:
+        for i, j in pair_classes(data):
+            got = check_exchange(rel_id, alg, i, j, max_degree=2, window=3)
+            want = per_cell_check_exchange(rel_id, ref, i, j, max_degree=2, window=3)
+            assert got == want, (rel_id, i, j)
+
+
+@pytest.mark.parametrize("out_cap", [None, 4])
+def test_current_equals_per_term_path(out_cap):
+    alg, ref = make_alg(), PerTermAlgebra(A2, P1)
+    for vec in ORACLE_VECS:
+        for sign in (+1, -1):
+            for i in (0, 1):
+                got = alg.apply_current_boson(sign, i, vec, -4, 3, out_cap)
+                want = ref.apply_current_boson(sign, i, vec, -4, 3, out_cap)
+                # the same entries, written in the same order
+                assert [(ze, list(v.items())) for ze, v in got.items()] == \
+                    [(ze, list(v.items())) for ze, v in want.items()]
+
+
+@pytest.mark.parametrize("rel_id,i,j,max_degree,window,bad", [
+    (17, 0, 1, 2, 3, "17"), (1, 0, 3, 2, 3, "color 3"), (5, -1, 0, 2, 3, "color -1"),
+    (5, 0, 1, -1, 3, "max_degree -1"), (5, 0, 1, 2, -1, "window -1")])
+def test_exchange_bad_input_fails_loudly(rel_id, i, j, max_degree, window, bad):
+    with pytest.raises(ValueError, match=bad):
+        check_exchange(rel_id, make_alg(), i, j, max_degree, window)
+
+
+def test_vector_residual_keeps_nan():
+    nan = complex("nan")
+    one = {1: 1.0 + 0j, 2: 2.0 + 0j}
+    assert vector_residual(one, one) == 0.0
+    for left, right in (({2: 2.0 + 0j, 1: nan}, one), (one, {1: 1.0 + 0j, 2: 2.0 + 0j, 3: nan}),
+                        ({1: nan, 2: 9.0 + 0j}, one)):
+        assert isnan(vector_residual(left, right))
 
 
 def test_basis_states_enumeration():
