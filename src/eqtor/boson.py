@@ -108,6 +108,15 @@ def vector_residual(left: dict, right: dict) -> float:
     return worst
 
 
+def worst_residual(residuals) -> float:
+    """The max of the residuals, 0.0 for none, NaN if any is NaN: every check folds here."""
+    worst = 0.0
+    for r in residuals:
+        if r > worst or r != r:
+            worst = r
+    return worst
+
+
 def accumulate(tgt: dict, vec: dict, scale=1) -> None:
     """tgt += scale * vec."""
     get = tgt.get
@@ -422,28 +431,26 @@ def check_exchange(rel_id: int, alg: BosonAlgebra, i: int, j: int,
             raise ValueError(f"{name} {size} must be >= 0")
     if rel.kind == "commutator":
         return _check_commutator(rel, alg, i, j, max_degree, window)
-    return max((_table_residual(lhs, rhs, window)
-                for lhs, rhs in _exchange_sides(rel, alg, i, j, max_degree, window)), default=0.0)
+    return worst_residual(r for lhs, rhs in _exchange_sides(rel, alg, i, j, max_degree, window)
+                          for r in _cell_residuals(lhs, rhs, window))
 
 
-def _table_residual(lhs: dict, rhs: dict, window: int) -> float:
-    """max over |A|, |B| <= window of vector_residual(lhs[B][A], rhs[A][B]).
+def _cell_residuals(lhs: dict, rhs: dict, window: int):
+    """vector_residual(lhs[B][A], rhs[A][B]) for |A|, |B| <= window.
 
     Only the cells present in either table are visited; an empty pair of
     cells has residual 0.
     """
-    worst = 0.0
     for B, row in lhs.items():
         if abs(B) <= window:
             for A, left in row.items():
                 if abs(A) <= window:
-                    worst = max(worst, vector_residual(left, rhs.get(A, {}).get(B, {})))
+                    yield vector_residual(left, rhs.get(A, {}).get(B, {}))
     for A, row in rhs.items():
         if abs(A) <= window:
             for B, right in row.items():
                 if abs(B) <= window and A not in lhs.get(B, {}):
-                    worst = max(worst, vector_residual({}, right))
-    return worst
+                    yield vector_residual({}, right)
 
 
 def _check_commutator(rel: ExchangeRelation, alg: BosonAlgebra, i: int, j: int,
@@ -472,14 +479,14 @@ def _check_commutator(rel: ExchangeRelation, alg: BosonAlgebra, i: int, j: int,
     def dressing(v: BosonVec) -> dict[int, BosonVec]:
         return alg._compose(edesc, {0: v}, window, _UNIT_KERNEL, 0).get(0, {})
 
-    worst = 0.0
+    residuals = []
     for st in basis_states((i, j), max_degree):
         vec = {st: 1.0 + 0j}
         dressed = dressing(vec)
         for ell, coeff in enumerate(coeffs, 1):
-            worst = max(worst, mode_bracket_residual(alg, i, mode_sign * ell, coeff,
-                                                     dressing, vec, dressed, window))
-    return worst
+            residuals.append(mode_bracket_residual(alg, i, mode_sign * ell, coeff,
+                                                   dressing, vec, dressed, window))
+    return worst_residual(residuals)
 
 
 def mode_bracket_residual(alg: BosonAlgebra, i: int, m: int, coeff, op, vec: BosonVec,
@@ -495,8 +502,7 @@ def mode_bracket_residual(alg: BosonAlgebra, i: int, m: int, coeff, op, vec: Bos
     if pre:
         for ze, v2 in op(pre).items():
             accumulate(lhs.setdefault(ze, {}), v2, -1)
-    worst = 0.0
-    for ze in range(-window, window + 1):
-        acc = {st: coeff * c for st, c in op_vec.get(ze - m, {}).items()}
-        worst = max(worst, vector_residual(lhs.get(ze, {}), acc))
-    return worst
+    return worst_residual(
+        vector_residual(lhs.get(ze, {}),
+                        {st: coeff * c for st, c in op_vec.get(ze - m, {}).items()})
+        for ze in range(-window, window + 1))

@@ -12,16 +12,18 @@ import argparse
 import cmath
 import functools
 import json
+import math
 import random
 import sys
 
+from .boson import worst_residual
 from .ellcore import (Params, PoleProximityError, gkernel_branches, pf_expand,
                       pochratio_series, qpoch, theta)
 from .fock01 import (FockBasisVector, VectorBasis, apply_xminus, apply_xplus, phi_action,
                      vector_rep_apply)
 from .partitions import ColoredPartition
-from .relcheck import (RelationReport, fock_suite, heisenberg_suite, level1_suite,
-                       reports_to_json, vector_suite)
+from .relcheck import (LEVEL1_MAX_DEGREE, RelationReport, fock_suite, heisenberg_suite,
+                       level1_suite, reports_to_json, vector_suite)
 
 USAGE_ERROR = 2
 RELATION_ERROR = 1
@@ -227,7 +229,7 @@ def cmd_expand(args) -> int:
             if args.n < 1 or args.samples < 1:
                 raise ValueError("--n and --samples must be >= 1")
             rng = random.Random(params.seed)
-            worst, compared, skipped = 0.0, 0, 0
+            residuals, skipped = [], 0
             for _ in range(args.samples):
                 a = [cmath.rect(rng.uniform(0.5, 1.5), rng.uniform(0, 2 * cmath.pi))
                      for _ in range(args.n)]
@@ -235,25 +237,19 @@ def cmd_expand(args) -> int:
                      for _ in range(args.n)]
                 for _ in range(10):
                     t = cmath.rect(rng.uniform(0.5, 1.5), rng.uniform(0, 2 * cmath.pi))
-                    prod_a = t
-                    for x in a:
-                        prod_a *= x
-                    prod_b = 1.0 + 0j
-                    for x in b:
-                        prod_b *= x
                     try:
-                        lhs, rhs = pf_expand(a, b + [prod_a / prod_b], t, params)
+                        lhs, rhs = pf_expand(a, b + [math.prod(a, start=t)
+                                                     / math.prod(b, start=1.0 + 0j)], t, params)
                     except PoleProximityError:
                         skipped += 1
                         continue
-                    worst = max(worst, abs(lhs - rhs) / (1 + abs(lhs)))
-                    compared += 1
-            if not compared:
+                    residuals.append(abs(lhs - rhs) / (1 + abs(lhs)))
+            if not residuals:
                 print("error: every instance fell near a pole; nothing was compared",
                       file=sys.stderr)
                 return RELATION_ERROR
-            print(f"{compared} balanced instances compared, {skipped} skipped near a pole; "
-                  f"max residual: {worst:.3e}")
+            print(f"{len(residuals)} balanced instances compared, {skipped} skipped near a "
+                  f"pole; max residual: {worst_residual(residuals):.3e}")
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
@@ -316,9 +312,9 @@ def build_parser() -> argparse.ArgumentParser:
         sv[name].add_argument("--k", type=int, default=0, help="root color")
     sv["fock"].add_argument("--max-size", dest="max_size", type=int, default=6,
                             help="largest partition size of the basis states")
-    for name in ("heisenberg", "level1"):
+    for name, degree in (("heisenberg", 4), ("level1", LEVEL1_MAX_DEGREE)):
         sv[name].add_argument("--type", default="A2", help="affine type tag")
-        sv[name].add_argument("--degree", type=int, default=4, help="largest boson degree")
+        sv[name].add_argument("--degree", type=int, default=degree, help="largest boson degree")
         sv[name].add_argument("--window", type=int, default=6,
                               help="largest |z-exponent| compared")
     sv["level1"].add_argument("--a", type=int, default=0, help="fundamental index")

@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass
 
 from .boson import (BosonAlgebra, BosonVec, VACUUM, accumulate, basis_states,
-                    mode_bracket_residual, state_degree, vector_residual)
+                    mode_bracket_residual, state_degree, vector_residual, worst_residual)
 from .cartan import CartanData, Cocycle, DynWeight, cartan_data, cocycle_build
 from .ellcore import (Params, hash_once, pochratio_series, scalar_exp, scalar_like,
                       theta_coefficient)
@@ -167,7 +167,7 @@ def check_zalg2(mod: Level1Module, samples: int, rng: random.Random, window: int
     q, kappa = params.q, params.kappa
     s = q ** 2  # q^{2k} at k = 1
     order = max(window, 3)
-    worst = 0.0
+    residuals = []
     data = mod.data
     for v in mod.sample_vectors(samples, rng):
         for sign in (+1, -1):
@@ -188,8 +188,8 @@ def check_zalg2(mod: Level1Module, samples: int, rng: random.Random, window: int
                            for n in range(order + 1)}
                     rhs = {(ezb + n, ewb + 1 - n): -kappa ** (-mm) * cr[n] * c1b * c2b
                            for n in range(order + 1)}
-                    worst = max(worst, vector_residual(lhs, rhs))
-    return worst
+                    residuals.append(vector_residual(lhs, rhs))
+    return worst_residual(residuals)
 
 
 def check_zalg3(mod: Level1Module, samples: int, rng: random.Random, window: int) -> float:
@@ -203,7 +203,7 @@ def check_zalg3(mod: Level1Module, samples: int, rng: random.Random, window: int
     q, kappa = params.q, params.kappa
     s = q ** 2
     depth = 2 * window
-    worst = 0.0
+    residuals = []
     data = mod.data
     for v in mod.sample_vectors(samples, rng):
         for i in data.index_set:
@@ -231,8 +231,8 @@ def check_zalg3(mod: Level1Module, samples: int, rng: random.Random, window: int
                         b_ = (q ** (nb - e) - q ** (e - nb)) / (q - 1 / q)
                     else:
                         b_ = 0j
-                    worst = max(worst, abs(a_ - b_) / (1 + abs(a_)))
-    return worst
+                    residuals.append(abs(a_ - b_) / (1 + abs(a_)))
+    return worst_residual(residuals)
 
 
 def serre_reduction_residual(q: complex, km: complex, z1: complex, z2: complex,
@@ -314,23 +314,16 @@ def _serre_sample(mod: Level1Module, rng: random.Random) -> tuple[complex, compl
     q, kappa = mod.params.q, mod.params.kappa
     while True:
         z1, z2, w = (rng.uniform(0.6, 1.5) * _cis(rng) for _ in range(3))
-        ok = True
-        for x in (z2 / z1, z1 / z2):
-            if abs(x - 1) < 0.15:
-                ok = False
-        for zc in (z1, z2):
-            for kp in (kappa, 1 / kappa, 1.0):
-                for pole in (q * w / kp, w / (q * kp), kp * q * w, kp * w / q):
-                    if abs(zc - pole) < 0.1:
-                        ok = False
-        if ok:
+        if not (any(abs(x - 1) < 0.15 for x in (z2 / z1, z1 / z2))
+                or any(abs(zc - pole) < 0.1 for zc in (z1, z2) for kp in (kappa, 1 / kappa, 1.0)
+                       for pole in (q * w / kp, w / (q * kp), kp * q * w, kp * w / q))):
             return z1, z2, w
 
 
 def check_zalg_serre(mod: Level1Module, sign: int, samples: int,
                      rng: random.Random) -> float:
     """Serre-family relation: scalar reduction identity plus operator evaluation."""
-    worst = 0.0
+    residuals = []
     q, kappa = mod.params.q, mod.params.kappa
     pairs = mod.data.adjacent_pairs()
     vs = mod.sample_vectors(3, rng)
@@ -338,9 +331,9 @@ def check_zalg_serre(mod: Level1Module, sign: int, samples: int,
         z1, z2, w = (scalar_like(x, q) for x in _serre_sample(mod, rng))
         i, j = pairs[rng.randrange(len(pairs))]
         km = kappa ** mod.data.m[i][j]
-        worst = max(worst, serre_reduction_residual(q, km, z1, z2, w, minus=sign < 0))
-        worst = max(worst, _zalg_serre_operator(mod, sign, i, j, vs[t % len(vs)], z1, z2, w))
-    return worst
+        residuals.append(serre_reduction_residual(q, km, z1, z2, w, minus=sign < 0))
+        residuals.append(_zalg_serre_operator(mod, sign, i, j, vs[t % len(vs)], z1, z2, w))
+    return worst_residual(residuals)
 
 
 def check_zalgebra(rel_id: str, mod: Level1Module, samples: int, window: int) -> float:
@@ -391,7 +384,7 @@ def check_mode_current_bracket(mod: Level1Module, i: int, j: int, sign: int,
     params = mod.params
     q, kappa = params.q, params.kappa
     data = mod.data
-    worst = 0.0
+    residuals = []
     wide = window + BRACKET_MODES
     lv, bvec = vec
 
@@ -406,8 +399,8 @@ def check_mode_current_bracket(mod: Level1Module, i: int, j: int, sign: int,
                 * q ** (-m) * kappa ** (-m * mm)
         else:
             coeff = -(alg.qnum(b * m) / m) * kappa ** (-m * mm)
-        worst = max(worst, mode_bracket_residual(alg, i, m, coeff, current, bvec, cur, window))
-    return worst
+        residuals.append(mode_bracket_residual(alg, i, m, coeff, current, bvec, cur, window))
+    return worst_residual(residuals)
 
 
 def check_xx_quadratic_level1(mod: Level1Module, sign: int, vec: ModuleVec,
@@ -461,15 +454,15 @@ def check_xx_quadratic_level1(mod: Level1Module, sign: int, vec: ModuleVec,
             wl = [tn * cc1 ** n for n, tn in zip(ns, tns)]
             wr = [-kappa ** (-mm) * tn * cc2 ** n for n, tn in zip(ns, tns)]
             op1, op2 = paths[j, i], paths[i, j]
-            worst = 0.0
+            residuals = []
             for A in range(-window, window + 1):
                 for B in range(-window, window + 1):
                     accL, accR = {}, {}
                     for n, cl, cr in zip(ns, wl, wr):
                         accumulate(accL, op1.get((B - n, A - 1 + n), {}), cl)
                         accumulate(accR, op2.get((A - n, B - 1 + n), {}), cr)
-                    worst = max(worst, vector_residual(accL, accR))
-            out[i, j] = worst
+                    residuals.append(vector_residual(accL, accR))
+            out[i, j] = worst_residual(residuals)
     return out
 
 
@@ -481,15 +474,14 @@ def check_highest_weight(mod: Level1Module, window: int) -> float:
     every z-exponent < 0 coefficient of x-_i(z) v must vanish.
     """
     lv, v = mod.highest_vector()
-    worst = 0.0
+    killed = []
     for i in mod.data.index_set:
         plus = mod.current_apply(+1, i, lv, v, -window, 0)
         minus = mod.current_apply(-1, i, lv, v, -window, -1)
-        killed = ([vv for ze, vv in plus.items() if ze <= 0]
-                  + [vv for ze, vv in minus.items() if ze < 0]
-                  + [mod.boson.apply_mode(i, m, v) for m in range(1, 4)])
-        worst = max([worst] + [abs(c) for vv in killed for c in vv.values()])
-    return worst
+        killed += ([vv for ze, vv in plus.items() if ze <= 0]
+                   + [vv for ze, vv in minus.items() if ze < 0]
+                   + [mod.boson.apply_mode(i, m, v) for m in range(1, 4)])
+    return worst_residual(abs(c) for vv in killed for c in vv.values())
 
 
 def check_level(mod: Level1Module, samples: int, rng: random.Random) -> float:
@@ -526,7 +518,7 @@ def check_phi_phi_level1(mod: Level1Module, i: int, j: int, samples: int,
         cpl = (q - 1 / q) ** 2 / ((1 - p ** m) * (1 - p ** m))
         outer.append(cpl * mod.boson.mode_commutator(i, m, j, -m))
         inner.append(cpl * mod.boson.mode_commutator(j, m, i, -m) * p ** (2 * m))
-    worst = 0.0
+    residuals = []
     for _ in range(samples):
         x = rng.uniform(0.25, 0.45) * _cis(rng)  # inside the kernel-series disc
         zx, wx = q ** k * x, q ** (-k) / x
@@ -539,5 +531,5 @@ def check_phi_phi_level1(mod: Level1Module, i: int, j: int, samples: int,
                 * params.theta_p(q ** (-b) * kappa ** (-mm) * q ** (-k) * x, star=True)
                 / params.theta_p(q ** (-b) * kappa ** (-mm) * q ** k * x)
                 / params.theta_p(q ** b * kappa ** (-mm) * q ** (-k) * x, star=True))
-        worst = max(worst, abs(kernel - mult) / (1 + abs(mult)))
-    return worst
+        residuals.append(abs(kernel - mult) / (1 + abs(mult)))
+    return worst_residual(residuals)

@@ -3,8 +3,10 @@
 Every check evaluates both sides of a defining relation on a set of basis
 states, substitutes the delta support of each action term into the
 prefactors, and compares the two sides termwise on canonical (state, support)
-keys.  Residuals are relative with a +1 regularization:
-|c_lhs - c_rhs| / (1 + |c_lhs|).  Samples whose
+keys.  Every check, here and in the boson and level-1 modules, reduces its
+residuals by one policy: |l - r| / (1 + |l|) per entry, the max over samples
+(boson.worst_residual, and RelationReport.record by the same rule), and a NaN
+anywhere is the worst case, so its report fails.  Samples whose
 prefactors fall inside the guard radius of a theta zero are skipped and
 counted; everything on the exact support lattice needs no guard.  Theta
 values live on the Params: one memo per parameter point, keyed by argument
@@ -33,6 +35,7 @@ from .level1 import (L1_THETA_TERMS, PHI_PHI_ORDER, Level1Module, ZALG_IDS,
 # check sizes that no caller varies; the sampling seed is Params.seed
 SERRE_MAX_SIZE = 4   # partition size of the Serre states
 Z_SAMPLES = 10       # generic z points per phi-x sample
+LEVEL1_MAX_DEGREE = 2  # largest boson degree of the level-1 sample vectors
 
 LEVEL1_RELATION_IDS = ZALG_IDS + (
     "l1_bracket_plus", "l1_bracket_minus", "l1_xpxp", "l1_highest",
@@ -60,9 +63,10 @@ class RelationReport:
 
     def record(self, residual: float, label: str | Callable[[], str]) -> None:
         """Count one sample; ``label`` is a string or a function that makes one,
-        called only when this sample becomes the worst."""
+        called only when this sample becomes the worst.  By the rule of
+        boson.worst_residual, a NaN sample is the worst, so the report fails."""
         self.samples += 1
-        if residual > self.max_residual:
+        if residual > self.max_residual or residual != residual:
             self.max_residual = residual
             self.worst_case = label() if callable(label) else label
 
@@ -373,7 +377,7 @@ def check_serre(rep, sign: int, states) -> RelationReport:
                                 lat = (szs[sigma[t - 1]] / sw) * Lat(mm)
                                 pref *= gker(lat, flip * b_ij)
                             _accumulate(total, (state, szs[0], szs[1], sw), pref * co)
-                scale = max((abs(c) for c in total.values()), default=0.0)
+                scale = max(abs(c) for c in total.values()) if total else 0.0
                 for key, val in total.items():
                     report.record(abs(val) / (1 + scale), f"{rel} i={i} j={j} state={v}")
                 if not total:
@@ -554,29 +558,30 @@ def heisenberg_suite(params: Params, type_tag: str, degree: int = 4,
 
 
 def level1_suite(params: Params, type_tag: str, fundamental: int,
-                 degree: int = 4, window: int = 6) -> list[RelationReport]:
+                 degree: int = LEVEL1_MAX_DEGREE, window: int = 6) -> list[RelationReport]:
     _require_sizes(degree=degree, window=window)
+    if degree > LEVEL1_MAX_DEGREE:
+        raise ValueError(f"degree must be <= {LEVEL1_MAX_DEGREE} in the level1 suite, got {degree}")
     mod = Level1Module.make(type_tag, fundamental, params)
     rng = random.Random(mod.params.seed ^ 0x11F1)
     reports = []
     label = f"level1({type_tag}, a={fundamental})"
     for rid in ZALG_IDS:
         rpt = RelationReport(rid, label, mod.params)
-        res = check_zalgebra(rid, mod, samples=24, window=window)
-        rpt.record(res, rid)
+        rpt.record(check_zalgebra(rid, mod, samples=24, window=window), rid)
         if rid == "zalg1":
             rpt.notes = ("structural: z_apply ignores the boson state, so both orderings "
                          "agree by construction and this check cannot fail")
         reports.append(rpt)
-    vecs = sample_module_vectors(mod, min(2, degree), 4, rng)
+    vecs = sample_module_vectors(mod, degree, 4, rng)
     for sign, rid in ((+1, "l1_bracket_plus"), (-1, "l1_bracket_minus")):
         rpt = RelationReport(rid, label, mod.params)
         for i in mod.data.index_set:
             for j in mod.data.index_set:
-                res = check_mode_current_bracket(mod, i, j, sign, vecs[0], window=3)
-                rpt.record(res, f"{rid} i={i} j={j}")
-        res = check_mode_current_bracket(mod, 0, 1, sign, vecs[-1], window=3)
-        rpt.record(res, f"{rid} sampled state")
+                rpt.record(check_mode_current_bracket(mod, i, j, sign, vecs[0], window=3),
+                           f"{rid} i={i} j={j}")
+        rpt.record(check_mode_current_bracket(mod, 0, 1, sign, vecs[-1], window=3),
+                   f"{rid} sampled state")
         reports.append(rpt)
     rpt = RelationReport("l1_xpxp", label, mod.params)
     for vec in vecs[:2]:

@@ -8,10 +8,10 @@ from eqtor import boson
 from eqtor.boson import (MAX_DEGREE, BosonAlgebra, DegreeOverflowError, EXCHANGE_IDS,
                          VACUUM, accumulate, basis_states, check_exchange,
                          mode_bracket_residual, mode_unit, state_add_mode, state_degree,
-                         state_modes, vector_residual)
+                         state_modes, vector_residual, worst_residual)
 from eqtor.cartan import cartan_data
 from eqtor.ellcore import Params, poch_pairs_series
-from eqtor.relcheck import pair_classes
+from eqtor.relcheck import heisenberg_suite, pair_classes
 
 P1 = Params(level_k=1)
 A2 = cartan_data("A2")
@@ -369,6 +369,26 @@ def test_vector_residual_keeps_nan():
     for left, right in (({2: 2.0 + 0j, 1: nan}, one), (one, {1: 1.0 + 0j, 2: 2.0 + 0j, 3: nan}),
                         ({1: nan, 2: 9.0 + 0j}, one)):
         assert isnan(vector_residual(left, right))
+    # the fold every check reduces its residuals with: 0.0 for none, NaN wherever it sits
+    assert worst_residual([]) == 0.0 and worst_residual(iter([2e-16, 3.0, 1.0])) == 3.0
+    for residuals in ([float("nan"), 3.0, 1.0], [1.0, 3.0, float("nan")]):
+        assert isnan(worst_residual(residuals))
+
+
+def _nan_ecoef(monkeypatch):
+    # the dressing coefficient of mode 2 is NaN
+    ecoef = BosonAlgebra.ecoef
+    monkeypatch.setattr(BosonAlgebra, "ecoef",
+                        lambda self, m: float("nan") if m == 2 else ecoef(self, m))
+
+
+def test_nan_in_the_engine_fails_its_exchange_relation(monkeypatch):
+    _nan_ecoef(monkeypatch)
+    for rel_id in (2, 5, 10):
+        assert isnan(check_exchange(rel_id, make_alg(), 0, 1, max_degree=2, window=3))
+    reports = {r.relation_id: r for r in heisenberg_suite(Params(), "A2", degree=1, window=2)}
+    assert isnan(reports["heis_10"].max_residual)
+    assert all(r.status == "fail" for r in reports.values())
 
 
 def test_basis_states_enumeration():

@@ -1,8 +1,10 @@
 import json
+from math import isnan
 
 import pytest
 
 from eqtor import cli
+from eqtor.boson import BosonAlgebra
 from eqtor.cli import main, parse_complex
 from eqtor.ellcore import PoleProximityError
 
@@ -180,7 +182,9 @@ def test_verify_level1_zalg2_small_window(capsys):
     ("fock", "--N", "3", "--max-size", "-1"),
     ("level1", "--type", "A2", "--a", "0", "--degree", "-1"),
     ("vector", "--N", "3", "--k", "3"),
-], ids=["window", "max_size", "degree", "vector_k"])
+    # the level1 suite samples boson degree 2 at most; a larger one was read as 2
+    ("level1", "--type", "A2", "--a", "0", "--degree", "3"),
+], ids=["window", "max_size", "degree", "vector_k", "level1_degree"])
 def test_verify_rejects_bad_sizes(capsys, argv):
     # a negative size used to check nothing and report every relation as passed
     code, out, err = run(capsys, "verify", *argv)
@@ -286,3 +290,22 @@ def test_report_rejects_non_reports(capsys, tmp_path, content, want):
     assert code == want
     if want == 2:
         assert "report objects" in err
+
+
+def test_nan_report_fails_end_to_end(capsys, tmp_path, monkeypatch):
+    # a NaN dressing coefficient makes every heis residual NaN
+    ecoef = BosonAlgebra.ecoef
+    monkeypatch.setattr(BosonAlgebra, "ecoef",
+                        lambda self, m: float("nan") if m == 2 else ecoef(self, m))
+    path = tmp_path / "nan.json"
+    code, _, _ = run(capsys, "verify", "heisenberg", "--degree", "1", "--window", "2",
+                     "--json", "--output", str(path))
+    assert code == 1
+    rows = json.loads(path.read_text())
+    assert len(rows) == 16
+    assert all(isnan(r["max_residual"]) and r["status"] == "fail" for r in rows)
+    code, out, _ = run(capsys, "report", str(path))
+    assert code == 1
+    lines = out.splitlines()
+    assert all(line.endswith(",nan,fail") for line in lines[1:17])
+    assert lines[17] == "# 0/16 relations pass"

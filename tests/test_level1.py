@@ -1,5 +1,6 @@
 import random
 from dataclasses import replace
+from math import isnan
 
 import pytest
 
@@ -495,3 +496,36 @@ def test_level1_mutant_turns_red(rel_id, monkeypatch):
     LEVEL1_MUTANTS[rel_id](monkeypatch)
     bad = LEVEL1_CHECKS[rel_id](mod)
     assert bad >= P.tol, bad
+
+
+# -- a NaN residual fails its report ------------------------------------------
+
+def _nan_mode_bracket(monkeypatch):
+    # the mode bracket [a_{i,m}, a_{j,-m}] is NaN for |m| = 3
+    bracket = BosonAlgebra.mode_commutator
+    monkeypatch.setattr(BosonAlgebra, "mode_commutator", lambda self, i, m, j, n:
+                        complex("nan") if abs(m) == 3 else bracket(self, i, m, j, n))
+
+
+def test_nan_in_a_level1_check_fails_its_report(monkeypatch):
+    _nan_mode_bracket(monkeypatch)
+    reports = {r.relation_id: r for r in level1_suite(P, "A2", 0, degree=1, window=3)}
+    for rid in ("l1_bracket_plus", "l1_bracket_minus", "l1_xpxp", "l1_phiphi_pm"):
+        assert isnan(reports[rid].max_residual), rid
+        assert reports[rid].status == "fail"
+
+
+def test_nan_on_the_highest_vector_is_not_killed(monkeypatch):
+    # x+ leaves a NaN at z^0 of the highest vector, where it must give zero
+    current_apply = Level1Module.current_apply
+
+    def mutant(self, sign, i, lv, vec, zmin, zmax, out_cap=None):
+        return {**current_apply(self, sign, i, lv, vec, zmin, zmax, out_cap),
+                0: {VACUUM: complex("nan")}}
+    monkeypatch.setattr(Level1Module, "current_apply", mutant)
+    assert isnan(check_highest_weight(module(), window=3))
+
+
+def test_level1_suite_rejects_a_degree_it_does_not_sample():
+    with pytest.raises(ValueError, match="<= 2"):
+        level1_suite(P, "A2", 0, degree=3)

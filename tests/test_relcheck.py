@@ -1,6 +1,8 @@
+import itertools
 import json
 from dataclasses import replace
 from functools import cache
+from math import isnan
 
 import pytest
 
@@ -178,6 +180,18 @@ def test_phi_checks_compute_each_theta_once(monkeypatch):
         assert run_relation(rep, rel_id, 3).status == "pass"
     assert calls
     assert len(calls) == len(set(calls))
+
+
+def test_nan_theta_fails_the_phi_checks(monkeypatch):
+    # every 7th theta evaluation is NaN
+    theta, calls = ellcore.theta, itertools.count(1)
+    monkeypatch.setattr(ellcore, "theta", lambda *args, **kwargs: complex("nan")
+                        if next(calls) % 7 == 0 else theta(*args, **kwargs))
+    rep = FockRep(replace(P), 3, 0)
+    for rel_id in ("phixp", "phixm", "phiphi_pp", "phiphi_pm"):
+        report = run_relation(rep, rel_id, 3)
+        assert isnan(report.max_residual), rel_id
+        assert report.status == "fail" and report.worst_case
 
 
 def test_run_relation_unknown():
