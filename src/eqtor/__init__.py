@@ -1,7 +1,7 @@
 """Elliptic quantum toroidal algebra representations and relation checks."""
 
 from .boson import BosonAlgebra, check_exchange
-from .cartan import CartanData, Cocycle, DynWeight, cartan_data, cocycle_build
+from .cartan import CartanData, Cocycle, DynWeight, cartan_data
 from .ellcore import (BalanceError, DeltaTerm, Lat, ParameterError, Params,
                       PoleProximityError, ThetaRatioSpec, gkernel,
                       pf_expand, phi_delta_difference, pochratio_series, qpoch, theta)
@@ -22,7 +22,7 @@ __all__ = [
     "PoleProximityError", "RelationReport", "ThetaRatioSpec",
     "VectorBasis", "VectorRep",
     "apply_xminus", "apply_xplus", "boxes_by_color", "cartan_data", "check_exchange",
-    "check_zalgebra", "cocycle_build", "coeff_minus", "coeff_plus", "dim_vector",
+    "check_zalgebra", "coeff_minus", "coeff_plus", "dim_vector",
     "fock_suite", "gkernel", "heisenberg_suite", "level1_suite",
     "pf_expand", "phi_action", "phi_delta_difference", "pochratio_series", "qpoch",
     "run_suite", "tensor_apply", "theta", "vector_rep_apply",

@@ -21,14 +21,13 @@ class CartanData:
     ``a`` is the Cartan matrix over the index set I = {0, .., n}, ``m`` the
     cyclic twist matrix (nonzero only for A-type), ``colabels`` the affine
     marks, the positive null vector of a with colabel 1 at node 0 (so
-    a . colabels = 0), and d the symmetrizers (all 1 here).
+    a . colabels = 0).
     """
 
     tag: str
     a: tuple[tuple[int, ...], ...]
     m: tuple[tuple[int, ...], ...]
     colabels: tuple[int, ...]
-    d: tuple[int, ...]
 
     @property
     def index_set(self) -> range:
@@ -39,8 +38,8 @@ class CartanData:
         return len(self.a) - 1
 
     def b(self, i: int, j: int) -> int:
-        """Symmetrized matrix entry b_ij = d_i a_ij."""
-        return self.d[i] * self.a[i][j]
+        """Symmetrized entry b_ij = d_i a_ij = a_ij: every supported type is simply laced."""
+        return self.a[i][j]
 
     def adjacent_pairs(self) -> list[tuple[int, int]]:
         return [(i, j) for i in self.index_set for j in self.index_set
@@ -119,7 +118,6 @@ def cartan_data(tag: str) -> CartanData:
         a=tuple(tuple(row) for row in a),
         m=tuple(tuple(row) for row in m),
         colabels=colabels,
-        d=tuple(1 for _ in range(n + 1)),
     )
     for i in data.index_set:
         if sum(data.a[i][j] * data.colabels[j] for j in data.index_set) != 0:
@@ -180,6 +178,16 @@ class DynWeight:
                    for i in data.index_set for j in data.index_set)
 
 
+# sign -> (root, R_Q) shift at its color of x+_j and Z+_j (+1), x-_j and Z-_j (-1)
+# and phi_j (0)
+_GRADING_SHIFTS = {+1: (+1, -1), -1: (-1, 0), 0: (0, -1)}
+
+
+def graded(weight: DynWeight, sign: int, color: int) -> DynWeight:
+    """``weight`` after one generator of ``color``: x+-_j or Z+-_j for sign +-1, phi_j for 0."""
+    return weight.shifted(color, *_GRADING_SHIFTS[sign])
+
+
 # ---------------------------------------------------------------------------
 # twisted group-algebra cocycle
 # ---------------------------------------------------------------------------
@@ -216,8 +224,3 @@ class Cocycle:
         sgn, kexp = self.sign_kappa(beta1, beta2)
         return sgn * kappa ** kexp
 
-
-def cocycle_build(data: CartanData) -> Cocycle:
-    if any(d != 1 for d in data.d):
-        raise ValueError("cocycle twist requires simply-laced data")
-    return Cocycle(data)

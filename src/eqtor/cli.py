@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import csv
 import functools
+import io
 import json
 import math
 import random
@@ -268,10 +270,12 @@ def cmd_report(args) -> int:
         print(f"error: {args.input} must hold a JSON list of report objects", file=sys.stderr)
         return USAGE_ERROR
     cols = ["relation_id", "rep", "samples", "skipped", "max_residual", "status"]
-    lines = [",".join(cols)]
-    for row in data:
-        lines.append(",".join(str(row.get(c, "")) for c in cols))
-    text = "\n".join(lines)
+    buf = io.StringIO()
+    # a field such as rep "heisenberg(A2, k=1)" holds a comma; the writer quotes it
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(cols)
+    writer.writerows([str(row.get(c, "")) for c in cols] for row in data)
+    text = buf.getvalue().rstrip("\n")
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")

@@ -200,9 +200,6 @@ class Lat:
     def __truediv__(self, other: "Lat") -> "Lat":
         return Lat(self.kappa_e - other.kappa_e, self.q_e - other.q_e, self.u_e - other.u_e)
 
-    def __pow__(self, n: int) -> "Lat":
-        return Lat(self.kappa_e * n, self.q_e * n, self.u_e * n)
-
     @property
     def is_unit(self) -> bool:
         return self.kappa_e == 0 and self.q_e == 0 and self.u_e == 0
@@ -220,6 +217,7 @@ LAT_Q2 = Lat(q_e=2)
 # ---------------------------------------------------------------------------
 
 _GENERICITY_RANGE = 8
+_GENERICITY_RADIUS = 1e-8  # fixed: the pass tolerance does not decide which points are legal
 
 
 @dataclass(frozen=True)
@@ -228,8 +226,8 @@ class Params:
 
     Admissibility: |p| < |q|^2 and |p q^{-2 level_k}| < |q|^2, keeping every
     theta argument met by the suites well separated from the zero set.
-    Genericity: kappa^n q^m must stay ``tol``-far from 1 for all exponents
-    with |n|, |m| <= 8.
+    Genericity: kappa^n q^m must stay farther than 1e-8 from 1 for all
+    exponents with |n|, |m| <= 8; ``tol`` is only the pass/fail bound.
     """
 
     q: complex = 0.9 * cmath.exp(0.3j)
@@ -265,16 +263,12 @@ class Params:
             for m in range(-_GENERICITY_RANGE, _GENERICITY_RANGE + 1):
                 if n == 0 and m <= 0:
                     continue
-                if abs(self.kappa ** n * self.q ** m - 1) <= self.tol:
+                if abs(self.kappa ** n * self.q ** m - 1) <= _GENERICITY_RADIUS:
                     raise ParameterError(f"degenerate parameters: kappa^{n} q^{m} ~ 1")
 
     @property
     def p_star(self) -> complex:
         return self.p * self.q ** (-2 * self.level_k)
-
-    @property
-    def q1(self) -> complex:
-        return self.kappa / self.q
 
     def with_level(self, k: int) -> "Params":
         return replace(self, level_k=k)
@@ -306,8 +300,8 @@ class Params:
             raise ParameterError(f"theta({lat}) nearly vanishes; parameters not generic enough")
         return value
 
-    def qpoch_p(self, z, star: bool = False):
-        return qpoch(z, self.p_star if star else self.p, self.trunc_M)
+    def qpoch_p(self, z):
+        return qpoch(z, self.p, self.trunc_M)
 
     def theta_p(self, z, star: bool = False):
         """theta_{p or p*}(z), computed once per (z, nome) at this parameter point.

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cartan import CartanData, DynWeight, gl_cartan
+from .cartan import CartanData, DynWeight, gl_cartan, graded
 from .ellcore import LAT_Q2, DeltaTerm, Lat, Params, ThetaRatioSpec, hash_once
 from .partitions import (ColoredPartition, boxes_by_color, coeff_minus, coeff_plus,
                          partitions_up_to, row_addable_condition,
@@ -64,7 +64,7 @@ def apply_xplus(color: int, v: FockBasisVector, params: Params) -> list[DeltaTer
     lam = v.partition
     add, _ = boxes_by_color(lam, color)
     cp = vertex_constant(+1, params)
-    wt = v.weight.shifted(color, +1, -1)
+    wt = graded(v.weight, +1, color)
     return [DeltaTerm(LAT_Q2 * support_lat(box), cp * coeff_plus(lam, box, color, params),
                       FockBasisVector(lam.add_box(box), wt))
             for box in add]
@@ -74,50 +74,55 @@ def apply_xminus(color: int, v: FockBasisVector, params: Params) -> list[DeltaTe
     lam = v.partition
     _, rem = boxes_by_color(lam, color)
     cm = vertex_constant(-1, params)
-    wt = v.weight.shifted(color, -1, 0)
+    wt = graded(v.weight, -1, color)
     return [DeltaTerm(LAT_Q2 * support_lat(box), cm * coeff_minus(lam, box, color, params),
                       FockBasisVector(lam.remove_box(box), wt))
             for box in rem]
 
 
-def phi_action(color: int, v: FockBasisVector, params: Params, form: str = "box") -> PhiAction:
+def phi_action(color: int, v: FockBasisVector, params: Params) -> PhiAction:
     """Eigenvalue of the diagonal current on |lam> as a balanced theta ratio.
 
-    Box form: removable boxes contribute q theta(u_R/z)/theta(q^2 u_R/z),
-    addable ones q^{-1} theta(q^4 u_A/z)/theta(q^2 u_A/z).  The row form
-    multiplies the row-end candidates instead; its tail is truncated exactly
-    (removable side to l(lam), addable side one row further).
+    Removable boxes contribute q theta(u_R/z)/theta(q^2 u_R/z), addable ones
+    q^{-1} theta(q^4 u_A/z)/theta(q^2 u_A/z).
     """
     lam = v.partition
-    shift = DynWeight.zero(lam.n_colors).shifted(color, 0, -1)
-    if form == "box":
-        add, rem = boxes_by_color(lam, color)
-        numer, denom = [], []
-        for r in rem:
-            ur = support_lat(r)
-            numer.append(ur)
-            denom.append(LAT_Q2 * ur)
-        for a in add:
-            ua = support_lat(a)
-            numer.append(LAT_Q2 * LAT_Q2 * ua)
-            denom.append(LAT_Q2 * ua)
-        scalar = params.q ** (len(rem) - len(add))
-        return PhiAction(ThetaRatioSpec(tuple(numer), tuple(denom), scalar), shift)
-    if form == "row":
-        numer, denom = [], []
-        scalar = 1.0 + 0j
-        for s in range(1, lam.length + 2):
-            us = row_support_lat(lam, s)
-            if s <= lam.length and row_removable_condition(lam, s, color):
-                numer.append(Lat(-1, -1) * us)   # q3 u_s
-                denom.append(Lat(-1, 1) * us)    # q1^{-1} u_s
-                scalar *= params.q
-            if row_addable_condition(lam, s, color):
-                numer.append(Lat(0, 2) * us)     # q1^{-1} q3^{-1} u_s
-                denom.append(us)
-                scalar /= params.q
-        return PhiAction(ThetaRatioSpec(tuple(numer), tuple(denom), scalar), shift)
-    raise ValueError(f"unknown form {form!r}")
+    add, rem = boxes_by_color(lam, color)
+    numer, denom = [], []
+    for r in rem:
+        ur = support_lat(r)
+        numer.append(ur)
+        denom.append(LAT_Q2 * ur)
+    for a in add:
+        ua = support_lat(a)
+        numer.append(LAT_Q2 * LAT_Q2 * ua)
+        denom.append(LAT_Q2 * ua)
+    scalar = params.q ** (len(rem) - len(add))
+    shift = graded(DynWeight.zero(lam.n_colors), 0, color)
+    return PhiAction(ThetaRatioSpec(tuple(numer), tuple(denom), scalar), shift)
+
+
+def phi_action_rows(color: int, v: FockBasisVector, params: Params) -> PhiAction:
+    """``phi_action`` as a product over the row-end candidates, a cross-oracle of it.
+
+    The tail is truncated exactly: removable side to l(lam), addable side one
+    row further.
+    """
+    lam = v.partition
+    numer, denom = [], []
+    scalar = 1.0 + 0j
+    for s in range(1, lam.length + 2):
+        us = row_support_lat(lam, s)
+        if s <= lam.length and row_removable_condition(lam, s, color):
+            numer.append(Lat(-1, -1) * us)   # q3 u_s
+            denom.append(Lat(-1, 1) * us)    # q1^{-1} u_s
+            scalar *= params.q
+        if row_addable_condition(lam, s, color):
+            numer.append(Lat(0, 2) * us)     # q1^{-1} q3^{-1} u_s
+            denom.append(us)
+            scalar /= params.q
+    shift = graded(DynWeight.zero(lam.n_colors), 0, color)
+    return PhiAction(ThetaRatioSpec(tuple(numer), tuple(denom), scalar), shift)
 
 
 def kplus_exponent(v: FockBasisVector, color: int) -> int:
@@ -163,14 +168,14 @@ def vector_rep_apply(gen: str, color: int, basis: VectorBasis, params: Params,
         if (color + j + 1) % n != k % n:
             return []
         return [DeltaTerm(_vec_support(j + 1, spectral), vertex_constant(+1, params),
-                          VectorBasis(j + 1, n, k, basis.weight.shifted(color, +1, -1)))]
+                          VectorBasis(j + 1, n, k, graded(basis.weight, +1, color)))]
     if gen == "x-":
         if (color + j) % n != k % n:
             return []
         return [DeltaTerm(_vec_support(j, spectral), vertex_constant(-1, params),
-                          VectorBasis(j - 1, n, k, basis.weight.shifted(color, -1, 0)))]
+                          VectorBasis(j - 1, n, k, graded(basis.weight, -1, color)))]
     if gen == "phi":
-        shift = DynWeight.zero(n).shifted(color, 0, -1)
+        shift = graded(DynWeight.zero(n), 0, color)
         if (color + j) % n == k % n:
             spec = ThetaRatioSpec(
                 (Lat(j, -j - 2) * spectral,),   # q1^{j+1} q3
@@ -228,39 +233,31 @@ def tensor_apply(m: int, gen: str, color: int, lam: ColoredPartition, params: Pa
     if lam.length >= m:
         raise ValueError(f"partition of length {lam.length} needs more than {m} slots")
     n, k = lam.n_colors, lam.root_color
+    # the one factor the stabilized tail can leave: the addable-type one at slot m+1
+    tail = [m + 1] if (color + _slot_index(lam, m + 1) + 1) % n == k % n else []
     if gen == "phi":
         numer, denom = [], []
         scalar = 1.0 + 0j
-        slots = list(range(1, m + 1))
-        jt = _slot_index(lam, m + 1)
-        if (color + jt + 1) % n == k % n:
-            slots.append(m + 1)  # addable-type survivor of the stabilized tail
-        for slot in slots:
+        for slot in list(range(1, m + 1)) + tail:
             act = vector_rep_apply("phi", color, VectorBasis(_slot_index(lam, slot), n, k),
                                    params, spectral=_slot_spectral(slot))
             numer.extend(act.spec.numer_shifts)
             denom.extend(act.spec.denom_shifts)
             scalar *= act.spec.scalar_prefactor
-        shift = DynWeight.zero(n).shifted(color, 0, -1)
+        shift = graded(DynWeight.zero(n), 0, color)
         return PhiAction(ThetaRatioSpec(tuple(numer), tuple(denom), scalar), shift)
     if gen not in ("x+", "x-"):
         raise ValueError(f"unknown generator {gen!r}")
     out = []
     plus = gen == "x+"
-    wt = DynWeight.zero(n).shifted(color, +1 if plus else -1, -1 if plus else 0)
+    wt = graded(DynWeight.zero(n), +1 if plus else -1, color)
     for a in range(1, m + 1):
         vb = VectorBasis(_slot_index(lam, a), n, k)
         act = vector_rep_apply(gen, color, vb, params, spectral=_slot_spectral(a))
         for term in act:
             support = term.support
             coeff = term.coeff
-            if plus:
-                passive = range(1, a)
-            else:
-                passive = list(range(a + 1, m + 1))
-                jm1 = _slot_index(lam, m + 1)
-                if (color + jm1 + 1) % n == k % n:
-                    passive.append(m + 1)  # stabilized tail survivor
+            passive = range(1, a) if plus else list(range(a + 1, m + 1)) + tail
             for slot in passive:
                 coeff *= _phi_factor_at(lam, slot, color, support, params)
                 if coeff == 0:

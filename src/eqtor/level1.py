@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .boson import (BosonAlgebra, BosonVec, VACUUM, accumulate, basis_states,
                     mode_bracket_residual, state_degree, vector_residual, worst_residual)
-from .cartan import CartanData, Cocycle, DynWeight, cartan_data, cocycle_build
+from .cartan import CartanData, Cocycle, DynWeight, cartan_data, graded
 from .ellcore import (Params, hash_once, pochratio_series, scalar_exp, scalar_like,
                       theta_coefficient)
 
@@ -61,7 +61,7 @@ class Level1Module:
         self.data = data
         self.fundamental = a
         self.params = params
-        self.cocycle: Cocycle = cocycle_build(data)
+        self.cocycle = Cocycle(data)
         self.boson = BosonAlgebra(data, params)
         # one object per lattice vector, so equal keys compare by identity
         self._lattice: dict[LatticeVector, LatticeVector] = {}
@@ -100,14 +100,8 @@ class Level1Module:
         alpha = tuple((1 if c == j else 0) * sign for c in range(size))
         coeff = self.cocycle.value(alpha, v.beta, self.params.kappa)
         beta2 = tuple(b + a_ for b, a_ in zip(v.beta, alpha))
-        n = self.pair_h(v, j)
-        if sign > 0:
-            exp = n + 1
-            wt = v.weight.shifted(j, +1, -1)
-        else:
-            exp = -n + 1
-            wt = v.weight.shifted(j, -1, 0)
-        lv2 = LatticeVector(beta2, v.fundamental, wt)
+        exp = sign * self.pair_h(v, j) + 1
+        lv2 = LatticeVector(beta2, v.fundamental, graded(v.weight, sign, j))
         image = self._z_images[key] = exp, self._lattice.setdefault(lv2, lv2), coeff
         return image
 
@@ -228,7 +222,7 @@ def check_zalg3(mod: Level1Module, samples: int, rng: random.Random, window: int
                 for e in range(ez - depth, ezb + depth + 1):
                     a_ = lhs.get(e, 0j)
                     if i == j and ez + ew == 0:
-                        b_ = (q ** (nb - e) - q ** (e - nb)) / (q - 1 / q)
+                        b_ = mod.boson.qnum(nb - e)
                     else:
                         b_ = 0j
                     residuals.append(abs(a_ - b_) / (1 + abs(a_)))
@@ -263,6 +257,19 @@ def serre_reduction_residual(q: complex, km: complex, z1: complex, z2: complex,
     return abs(val)
 
 
+def serre_terms(two):
+    """The six terms of the adjacent-color Serre sum: (sigma, r, word, weight).
+
+    sigma orders the two same-color currents at z_1, z_2.  The word lists the
+    currents as operators, left to right: the first r of them (their z slot,
+    sigma[0] then sigma[1]), the adjacent-color current at w (None), then the
+    rest.  The weight is (-1)^r [2]_q^{[r = 1]}, with [2]_q = ``two``.
+    """
+    for sigma in ((0, 1), (1, 0)):
+        for r in range(3):
+            yield sigma, r, sigma[:r] + (None,) + sigma[r:], (-1) ** r * (two if r == 1 else 1.0)
+
+
 def _zalg_serre_operator(mod: Level1Module, sign: int, i: int, j: int,
                          v: LatticeVector, z1: complex, z2: complex, w: complex) -> float:
     """Rational evaluation of the full a=2 Z-Serre sum on a lattice vector."""
@@ -280,28 +287,25 @@ def _zalg_serre_operator(mod: Level1Module, sign: int, i: int, j: int,
         k1 = lambda x: 1 / (1 - q * kappa ** (-mm) * x)
         k2 = lambda x: 1 / (1 - q * kappa ** mm * x)
 
+    zs = (z1, z2)
     total = 0j
     scale = 0.0
-    for sigma in ((0, 1), (1, 0)):
-        zs = ((z1, z2)[sigma[0]], (z1, z2)[sigma[1]])
-        for r in range(3):
-            pref = kii(zs[1] / zs[0]) * (-1) ** r * (two if r == 1 else 1.0)
-            for t in range(1, r + 1):
-                pref *= k1(w / zs[t - 1])
-            for t in range(r + 1, 3):
-                pref *= k2(zs[t - 1] / w)
-            ops = ([(i, sigma[t - 1]) for t in range(1, r + 1)] + [(j, None)]
-                   + [(i, sigma[t - 1]) for t in range(r + 1, 3)])
-            cur = v
-            coeff = 1.0 + 0j
-            exps = [0, 0, 0]
-            for color, vi in reversed(ops):
-                e, cur, c = mod.z_apply(sign, color, cur)
-                coeff *= c
-                exps[2 if vi is None else vi] += e
-            val = coeff * z1 ** exps[0] * z2 ** exps[1] * w ** exps[2]
-            total += pref * val
-            scale = max(scale, abs(pref * val))
+    for sigma, r, word, weight in serre_terms(two):
+        pref = kii(zs[sigma[1]] / zs[sigma[0]]) * weight
+        for slot in word[:r]:
+            pref *= k1(w / zs[slot])
+        for slot in word[r + 1:]:
+            pref *= k2(zs[slot] / w)
+        cur = v
+        coeff = 1.0 + 0j
+        exps = [0, 0, 0]
+        for slot in reversed(word):
+            e, cur, c = mod.z_apply(sign, j if slot is None else i, cur)
+            coeff *= c
+            exps[2 if slot is None else slot] += e
+        val = coeff * z1 ** exps[0] * z2 ** exps[1] * w ** exps[2]
+        total += pref * val
+        scale = max(scale, abs(pref * val))
     return abs(total) / (1 + scale)
 
 

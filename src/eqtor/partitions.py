@@ -142,60 +142,48 @@ def _content_lt(a: Box, b: Box) -> bool:
     return a[0] - a[1] < b[0] - b[1]
 
 
-def coeff_plus(lam: ColoredPartition, box: Box, color: int, params: Params,
-               form: str = "box") -> complex:
+def coeff_plus(lam: ColoredPartition, box: Box, color: int, params: Params) -> complex:
     """Structure coefficient of the box-adding current at an addable box.
 
-    ``form='box'`` multiplies the finite products over same-color addable
-    and removable boxes of smaller content; ``form='row'`` evaluates the
-    equivalent row-indexed product (used as a cross-oracle).
+    Multiplies the finite products over same-color addable and removable
+    boxes of smaller content; ``row_coeff_plus`` is the row-indexed form.
     """
     add, rem = boxes_by_color(lam, color)
     if box not in add:
         raise ValueError(f"{box} is not an addable box of color {color}")
-    if form == "box":
-        uX = support_lat(box)
-        out = 1.0 + 0j
-        for r in rem:
-            if _content_lt(r, box):
-                ratio = uX / support_lat(r)
-                out *= params.theta_lat(LAT_Q2 * ratio) / params.theta_lat(ratio) / params.q
-        for a in add:
-            if _content_lt(a, box):
-                ratio = uX / support_lat(a)
-                out *= params.q * params.theta_lat(ratio / LAT_Q2) / params.theta_lat(ratio)
-        return out
-    if form == "row":
-        return _row_coeff_plus(lam, box[0], color, params)
-    raise ValueError(f"unknown form {form!r}")
+    uX = support_lat(box)
+    out = 1.0 + 0j
+    for r in rem:
+        if _content_lt(r, box):
+            ratio = uX / support_lat(r)
+            out *= params.theta_lat(LAT_Q2 * ratio) / params.theta_lat(ratio) / params.q
+    for a in add:
+        if _content_lt(a, box):
+            ratio = uX / support_lat(a)
+            out *= params.q * params.theta_lat(ratio / LAT_Q2) / params.theta_lat(ratio)
+    return out
 
 
-def coeff_minus(lam: ColoredPartition, box: Box, color: int, params: Params,
-                form: str = "box", tail_rows: int = 0) -> complex:
+def coeff_minus(lam: ColoredPartition, box: Box, color: int, params: Params) -> complex:
     """Structure coefficient of the box-removing current at a removable box.
 
-    The row form's infinite tail is evaluated by its pairwise cancellation:
-    the removable-side product stops at row l(lam) + tail_rows*N and the
-    addable-side product one row later, which is exact for any tail_rows >= 0.
+    Multiplies the finite products over same-color boxes of larger content;
+    ``row_coeff_minus`` is the row-indexed form.
     """
     add, rem = boxes_by_color(lam, color)
     if box not in rem:
         raise ValueError(f"{box} is not a removable box of color {color}")
-    if form == "box":
-        uX = support_lat(box)
-        out = 1.0 + 0j
-        for r in rem:
-            if _content_lt(box, r):
-                ratio = support_lat(r) / uX
-                out *= params.q * params.theta_lat(ratio / LAT_Q2) / params.theta_lat(ratio)
-        for a in add:
-            if _content_lt(box, a):
-                ratio = support_lat(a) / uX
-                out *= params.theta_lat(LAT_Q2 * ratio) / params.theta_lat(ratio) / params.q
-        return out
-    if form == "row":
-        return _row_coeff_minus(lam, box[0], color, params, tail_rows)
-    raise ValueError(f"unknown form {form!r}")
+    uX = support_lat(box)
+    out = 1.0 + 0j
+    for r in rem:
+        if _content_lt(box, r):
+            ratio = support_lat(r) / uX
+            out *= params.q * params.theta_lat(ratio / LAT_Q2) / params.theta_lat(ratio)
+    for a in add:
+        if _content_lt(box, a):
+            ratio = support_lat(a) / uX
+            out *= params.theta_lat(LAT_Q2 * ratio) / params.theta_lat(ratio) / params.q
+    return out
 
 
 def row_removable_condition(lam: ColoredPartition, s: int, color: int) -> bool:
@@ -207,7 +195,11 @@ def row_addable_condition(lam: ColoredPartition, s: int, color: int) -> bool:
     return (lam.row(s) + color + 1) % lam.n_colors == (s + lam.root_color) % lam.n_colors
 
 
-def _row_coeff_plus(lam: ColoredPartition, i: int, color: int, params: Params) -> complex:
+def row_coeff_plus(lam: ColoredPartition, i: int, color: int, params: Params) -> complex:
+    """``coeff_plus`` at the addable box ending row i, as a product over the rows above.
+
+    An independent evaluation, used as a cross-oracle of the box form.
+    """
     ui = row_support_lat(lam, i)
     out = 1.0 + 0j
     for s in range(1, i):
@@ -220,8 +212,14 @@ def _row_coeff_plus(lam: ColoredPartition, i: int, color: int, params: Params) -
     return out
 
 
-def _row_coeff_minus(lam: ColoredPartition, i: int, color: int, params: Params,
-                     tail_rows: int = 0) -> complex:
+def row_coeff_minus(lam: ColoredPartition, i: int, color: int, params: Params,
+                    tail_rows: int = 0) -> complex:
+    """``coeff_minus`` at the removable box ending row i, as a product over the rows below.
+
+    The infinite tail is evaluated by its pairwise cancellation: the
+    removable-side product stops at row l(lam) + tail_rows*N and the
+    addable-side product one row later, which is exact for any tail_rows >= 0.
+    """
     ui = row_support_lat(lam, i)
     out = 1.0 + 0j
     stop = lam.length + tail_rows * lam.n_colors

@@ -3,10 +3,12 @@
 Every check evaluates both sides of a defining relation on a set of basis
 states, substitutes the delta support of each action term into the
 prefactors, and compares the two sides termwise on canonical (state, support)
-keys.  Every check, here and in the boson and level-1 modules, reduces its
-residuals by one policy: |l - r| / (1 + |l|) per entry, the max over samples
-(boson.worst_residual, and RelationReport.record by the same rule), and a NaN
-anywhere is the worst case, so its report fails.  Samples whose
+keys.  Every check, here and in the boson and level-1 modules, folds its
+residuals by one rule: the max over samples (boson.worst_residual, and
+RelationReport.record by the same rule), and a NaN anywhere is the worst
+case, so its report fails.  Most compare entries by |l - r| / (1 + |l|); the
+phi-phi checks read |num/den - 1| (level 0) or |l - r| / (1 + |r|) (level 1),
+and the Serre sums |sum| / (1 + the largest entry or term).  Samples whose
 prefactors fall inside the guard radius of a theta zero are skipped and
 counted; everything on the exact support lattice needs no guard.  Theta
 values live on the Params: one memo per parameter point, keyed by argument
@@ -30,7 +32,7 @@ from .fock01 import FockRep, VectorRep
 from .level1 import (L1_THETA_TERMS, PHI_PHI_ORDER, Level1Module, ZALG_IDS,
                      check_highest_weight, check_level, check_mode_current_bracket,
                      check_phi_phi_level1, check_xx_quadratic_level1, check_zalgebra,
-                     sample_module_vectors)
+                     sample_module_vectors, serre_terms)
 
 # check sizes that no caller varies; the sampling seed is Params.seed
 SERRE_MAX_SIZE = 4   # partition size of the Serre states
@@ -350,33 +352,23 @@ def check_serre(rep, sign: int, states) -> RelationReport:
                 mm = data.m[i][j]
                 b_ij = data.b(i, j)
                 total: dict = {}
-                for sigma in ((0, 1), (1, 0)):
-                    for r in range(3):
-                        seq = ([("z", sigma[t - 1], i) for t in range(1, r + 1)]
-                               + [("w", None, j)]
-                               + [("z", sigma[t - 1], i) for t in range(r + 1, 3)])
-                        chains = [((), v, 1.0 + 0j)]
-                        for tag, vi, color in reversed(seq):
-                            nxt = []
-                            for assign, state, co in chains:
-                                for term in x(sign, color, state):
-                                    nxt.append((assign + (((tag, vi), term.support),),
-                                                term.payload, co * term.coeff))
-                            chains = nxt
-                        for assign, state, co in chains:
-                            dd = dict(assign)
-                            szs = [dd[("z", 0)], dd[("z", 1)]]
-                            sw = dd[("w", None)]
-                            s1, s2 = szs[sigma[0]], szs[sigma[1]]
-                            pref = gker(s2 / s1, flip * data.b(i, i))
-                            pref *= (-1) ** r * (two if r == 1 else 1.0)
-                            for t in range(1, r + 1):
-                                lat = (sw / szs[sigma[t - 1]]) * Lat(-mm)
-                                pref *= gker(lat, flip * b_ij)
-                            for t in range(r + 1, 3):
-                                lat = (szs[sigma[t - 1]] / sw) * Lat(mm)
-                                pref *= gker(lat, flip * b_ij)
-                            _accumulate(total, (state, szs[0], szs[1], sw), pref * co)
+                for sigma, r, word, weight in serre_terms(two):
+                    # chains: (support of each slot, state, coefficient), the
+                    # word applied right to left
+                    chains = [({}, v, 1.0 + 0j)]
+                    for slot in reversed(word):
+                        chains = [({**at, slot: term.support}, term.payload, co * term.coeff)
+                                  for at, state, co in chains
+                                  for term in x(sign, j if slot is None else i, state)]
+                    for at, state, co in chains:
+                        sw = at[None]
+                        pref = gker(at[sigma[1]] / at[sigma[0]], flip * data.b(i, i))
+                        pref *= weight
+                        for slot in word[:r]:
+                            pref *= gker((sw / at[slot]) * Lat(-mm), flip * b_ij)
+                        for slot in word[r + 1:]:
+                            pref *= gker((at[slot] / sw) * Lat(mm), flip * b_ij)
+                        _accumulate(total, (state, at[0], at[1], sw), pref * co)
                 scale = max(abs(c) for c in total.values()) if total else 0.0
                 for key, val in total.items():
                     report.record(abs(val) / (1 + scale), f"{rel} i={i} j={j} state={v}")
@@ -574,18 +566,19 @@ def level1_suite(params: Params, type_tag: str, fundamental: int,
                          "agree by construction and this check cannot fail")
         reports.append(rpt)
     vecs = sample_module_vectors(mod, degree, 4, rng)
+    bracket_window = min(window, 3)
     for sign, rid in ((+1, "l1_bracket_plus"), (-1, "l1_bracket_minus")):
         rpt = RelationReport(rid, label, mod.params)
         for i in mod.data.index_set:
             for j in mod.data.index_set:
-                rpt.record(check_mode_current_bracket(mod, i, j, sign, vecs[0], window=3),
+                rpt.record(check_mode_current_bracket(mod, i, j, sign, vecs[0], bracket_window),
                            f"{rid} i={i} j={j}")
-        rpt.record(check_mode_current_bracket(mod, 0, 1, sign, vecs[-1], window=3),
+        rpt.record(check_mode_current_bracket(mod, 0, 1, sign, vecs[-1], bracket_window),
                    f"{rid} sampled state")
         reports.append(rpt)
     rpt = RelationReport("l1_xpxp", label, mod.params)
     for vec in vecs[:2]:
-        res = check_xx_quadratic_level1(mod, +1, vec, window=2)
+        res = check_xx_quadratic_level1(mod, +1, vec, window=min(window, 2))
         for i in mod.data.index_set:
             for j in mod.data.index_set:
                 rpt.record(res[i, j], f"l1_xpxp i={i} j={j}")

@@ -13,13 +13,14 @@ from eqtor.boson import BosonAlgebra, EXCHANGE_IDS, VACUUM, check_exchange, stat
 from eqtor.cartan import cartan_data
 from eqtor.ellcore import Params, gkernel_branches, pf_expand, theta
 from eqtor.fock01 import (FockBasisVector, FockRep, apply_xminus, apply_xplus,
-                          phi_action, tensor_apply, vertex_constant,
+                          phi_action, phi_action_rows, tensor_apply, vertex_constant,
                           vertex_constant_product)
 from eqtor.level1 import (LatticeVector, Level1Module, check_highest_weight,
                           check_mode_current_bracket, check_xx_quadratic_level1,
                           check_zalgebra)
 from eqtor.partitions import (ColoredPartition, boxes_by_color, coeff_minus,
-                              coeff_plus, partitions_up_to)
+                              coeff_plus, partitions_up_to, row_coeff_minus,
+                              row_coeff_plus)
 from eqtor.relcheck import check_serre, check_xpxm, fock_suite, pair_classes
 
 P = Params()
@@ -121,17 +122,17 @@ def test_criterion_05_row_vs_box_forms():
                 for j in range(n):
                     add, rem = boxes_by_color(lam, j)
                     for box in add:
-                        bx = coeff_plus(lam, box, j, P, form="box")
-                        rw = coeff_plus(lam, box, j, P, form="row")
+                        bx = coeff_plus(lam, box, j, P)
+                        rw = row_coeff_plus(lam, box[0], j, P)
                         worst = max(worst, abs(bx - rw) / (1 + abs(bx)))
                     for box in rem:
-                        bx = coeff_minus(lam, box, j, P, form="box")
-                        r0 = coeff_minus(lam, box, j, P, form="row")
-                        r1 = coeff_minus(lam, box, j, P, form="row", tail_rows=1)
+                        bx = coeff_minus(lam, box, j, P)
+                        r0 = row_coeff_minus(lam, box[0], j, P)
+                        r1 = row_coeff_minus(lam, box[0], j, P, tail_rows=1)
                         worst = max(worst, abs(bx - r0) / (1 + abs(bx)))
                         tail = max(tail, abs(r0 - r1))
-                    sb = phi_action(j, v, P, form="box").spec
-                    sr = phi_action(j, v, P, form="row").spec
+                    sb = phi_action(j, v, P).spec
+                    sr = phi_action_rows(j, v, P).spec
                     z = 1.9 * P.u
                     a, b = sb.evaluate(z, P), sr.evaluate(z, P)
                     worst = max(worst, abs(a - b) / (1 + abs(a)))

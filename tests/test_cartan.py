@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eqtor.cartan import DynWeight, cartan_data, cocycle_build, gl_cartan
+from eqtor.cartan import Cocycle, DynWeight, cartan_data, gl_cartan
 from eqtor.ellcore import Params
 
 P = Params()
@@ -64,7 +64,7 @@ def test_level1_fundamental_indices():
 
 def test_cocycle_diagonal_and_ratio():
     data = cartan_data("A2")
-    coc = cocycle_build(data)
+    coc = Cocycle(data)
     size = len(data.a)
     for i in data.index_set:
         e = tuple(1 if c == i else 0 for c in range(size))
@@ -80,7 +80,7 @@ def test_cocycle_diagonal_and_ratio():
 @pytest.mark.parametrize("tag", ["A2", "A3", "D4"])
 def test_cocycle_commutator_identity_seeded(tag):
     data = cartan_data(tag)
-    coc = cocycle_build(data)
+    coc = Cocycle(data)
     rng = random.Random(7)
     size = len(data.a)
     for _ in range(200):
@@ -100,7 +100,7 @@ def test_cocycle_commutator_identity_seeded(tag):
        st.lists(st.integers(-2, 2), min_size=3, max_size=3))
 def test_cocycle_bimultiplicative(b1, b2, b3):
     data = cartan_data("A2")
-    coc = cocycle_build(data)
+    coc = Cocycle(data)
     s = tuple(x + y for x, y in zip(b1, b2))
     lhs = coc.value(tuple(s), tuple(b3), P.kappa)
     rhs = coc.value(tuple(b1), tuple(b3), P.kappa) * coc.value(tuple(b2), tuple(b3), P.kappa)

@@ -1,9 +1,11 @@
+import csv
+import inspect
 import json
 from math import isnan
 
 import pytest
 
-from eqtor import cli
+from eqtor import cli, relcheck
 from eqtor.boson import BosonAlgebra
 from eqtor.cli import main, parse_complex
 from eqtor.ellcore import PoleProximityError
@@ -158,6 +160,28 @@ def test_report_csv(capsys, tmp_path):
     assert "13/13 relations pass" in out
 
 
+@pytest.mark.parametrize("suite", [
+    ("heisenberg", "--degree", "1", "--window", "2"),
+    ("level1", "--degree", "1", "--window", "1"),
+], ids=["heisenberg", "level1"])
+def test_report_csv_quotes_fields(capsys, tmp_path, suite):
+    # their rep field holds a comma, e.g. "heisenberg(A2, k=1)"
+    src = tmp_path / "r.json"
+    code, _, _ = run(capsys, "verify", *suite, "--json", "--output", str(src))
+    assert code == 0
+    csv_path = tmp_path / "r.csv"
+    assert run(capsys, "report", str(src), "--output", str(csv_path))[0] == 0
+    reports = json.loads(src.read_text())
+    with open(csv_path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["relation_id", "rep", "samples", "skipped", "max_residual", "status"]
+    assert len(rows) == len(reports) + 1
+    for row, rpt in zip(rows[1:], reports):
+        assert len(row) == 6
+        assert (row[0], row[1], row[5]) == (rpt["relation_id"], rpt["rep"], rpt["status"])
+        assert "," in row[1]
+
+
 def test_usage_error_exit_code():
     assert main(["verify"]) == 2
     assert main(["nonsense"]) == 2
@@ -175,6 +199,30 @@ def test_verify_level1_zalg2_small_window(capsys):
     assert code == 0
     zalg2 = next(r for r in json.loads(out) if r["relation_id"] == "zalg2")
     assert zalg2["status"] == "pass" and zalg2["max_residual"] < 1e-12
+
+
+def _recording(original, name, seen):
+    signature = inspect.signature(original)
+
+    def wrapped(*args, **kwargs):
+        seen.add((name, signature.bind(*args, **kwargs).arguments["window"]))
+        return original(*args, **kwargs)
+    return wrapped
+
+
+@pytest.mark.parametrize("degree", ["1", "2"])
+def test_verify_level1_window_reaches_every_check(capsys, monkeypatch, degree):
+    # the mode brackets and l1_xpxp run at min(window, 3) and min(window, 2)
+    seen = set()
+    for name in ("check_mode_current_bracket", "check_xx_quadratic_level1"):
+        monkeypatch.setattr(relcheck, name, _recording(getattr(relcheck, name), name, seen))
+    code, out, _ = run(capsys, "verify", "level1", "--type", "A2", "--a", "0",
+                       "--degree", degree, "--window", "1", "--json")
+    assert code == 0
+    assert seen == {("check_mode_current_bracket", 1), ("check_xx_quadratic_level1", 1)}
+    by_id = {r["relation_id"]: r for r in json.loads(out)}
+    for rid in ("l1_bracket_plus", "l1_bracket_minus", "l1_xpxp"):
+        assert by_id[rid]["max_residual"] < 2e-15, rid
 
 
 @pytest.mark.parametrize("argv", [

@@ -257,7 +257,6 @@ def test_lat_arithmetic():
     b = Lat(0, 3, 0)
     assert (a * b) == Lat(1, 1, 1)
     assert (a / b) == Lat(1, -5, 1)
-    assert (b ** 2) == Lat(0, 6, 0)
     assert abs(a.value(P) - P.kappa * P.q ** -2 * P.u) < 1e-15
 
 
@@ -268,6 +267,13 @@ def test_params_validation():
         Params(q=1.0)  # q^1 = 1 is degenerate
     with pytest.raises(ParameterError):
         Params(kappa=complex(P.q) ** -1)  # kappa q = 1
+    # the genericity radius is fixed at 1e-8: the pass tolerance neither widens
+    # it (a loose tol used to reject the default point) nor narrows it
+    assert Params(tol=0.3).tol == 0.3
+    near = P.q * (1 + 5e-10)  # kappa q^-1 within 1e-9 of 1
+    for tol in (0.3, 1e-12):
+        with pytest.raises(ParameterError):
+            Params(kappa=near, tol=tol)
     p1 = Params(level_k=1)
     assert abs(p1.p_star - p1.p * p1.q ** -2) < 1e-16
 

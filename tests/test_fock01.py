@@ -6,7 +6,7 @@ from eqtor.cartan import DynWeight
 from eqtor.ellcore import Lat, Params
 from eqtor.fock01 import (FockBasisVector, FockRep, VectorBasis, VectorRep,
                           apply_xminus, apply_xplus, kplus_exponent, phi_action,
-                          tensor_apply, vector_rep_apply, vertex_constant,
+                          phi_action_rows, tensor_apply, vector_rep_apply, vertex_constant,
                           vertex_constant_product)
 from eqtor.partitions import ColoredPartition, partitions_up_to
 
@@ -104,8 +104,8 @@ def test_phi_row_vs_box_forms():
     for parts in partitions_up_to(6):
         v = state(parts)
         for j in range(3):
-            bx = phi_action(j, v, P, form="box").spec
-            rw = phi_action(j, v, P, form="row").spec
+            bx = phi_action(j, v, P).spec
+            rw = phi_action_rows(j, v, P).spec
             for scale in (1.8, 0.55, 2.4):
                 z = scale * P.u * (1 + 0.13j)
                 a, b = bx.evaluate(z, P), rw.evaluate(z, P)

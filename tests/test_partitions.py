@@ -4,7 +4,8 @@ from hypothesis import given, settings, strategies as st
 from eqtor.ellcore import Params
 from eqtor.partitions import (ColoredPartition, boxes_by_color, coeff_minus,
                               coeff_plus, dim_vector, partitions_up_to,
-                              row_support_lat, support_lat)
+                              row_coeff_minus, row_coeff_plus, row_support_lat,
+                              support_lat)
 
 P = Params()
 
@@ -76,7 +77,7 @@ def test_support_row_box_consistency():
                 assert abs(left - right) < 1e-13 * abs(right)
             for box in rem:
                 left = support_lat(box).value(P) * P.q ** 2
-                right = row_support_lat(lp, box[0]).value(P) / P.q1
+                right = row_support_lat(lp, box[0]).value(P) / (P.kappa / P.q)  # q1 = kappa/q
                 assert abs(left - right) < 1e-13 * abs(right)
 
 
@@ -117,12 +118,12 @@ def test_box_row_agreement(n):
             for j in range(n):
                 add, rem = boxes_by_color(lp, j)
                 for box in add:
-                    bx = coeff_plus(lp, box, j, P, form="box")
-                    rw = coeff_plus(lp, box, j, P, form="row")
+                    bx = coeff_plus(lp, box, j, P)
+                    rw = row_coeff_plus(lp, box[0], j, P)
                     worst = max(worst, abs(bx - rw) / (1 + abs(bx)))
                 for box in rem:
-                    bx = coeff_minus(lp, box, j, P, form="box")
-                    rw = coeff_minus(lp, box, j, P, form="row")
+                    bx = coeff_minus(lp, box, j, P)
+                    rw = row_coeff_minus(lp, box[0], j, P)
                     worst = max(worst, abs(bx - rw) / (1 + abs(bx)))
     assert worst < 1e-9
 
@@ -134,8 +135,8 @@ def test_row_tail_truncation_stable():
         for j in range(3):
             _, rem = boxes_by_color(lp, j)
             for box in rem:
-                r0 = coeff_minus(lp, box, j, P, form="row", tail_rows=0)
-                r1 = coeff_minus(lp, box, j, P, form="row", tail_rows=1)
+                r0 = row_coeff_minus(lp, box[0], j, P, tail_rows=0)
+                r1 = row_coeff_minus(lp, box[0], j, P, tail_rows=1)
                 worst = max(worst, abs(r0 - r1))
     assert worst < 1e-12
 
@@ -144,7 +145,7 @@ def test_single_box_coeff_minus_has_single_tail_factor():
     # removing the only box: the surviving factor is the new-row addable
     # candidate at row 2; evaluate it directly
     lp = lam([1])
-    got = coeff_minus(lp, (1, 1), 0, P, form="box")
+    got = coeff_minus(lp, (1, 1), 0, P)
     add, _ = boxes_by_color(lp, 0)
     assert add == []  # nothing of color 0 beyond the root for (1)
     # box form: products over larger-content boxes of color 0 in (1): none

@@ -73,11 +73,21 @@ def test_serre_nontrivial_samples():
     assert report.samples > 50
 
 
-def test_phi_x_skip_accounting():
-    rep = FockRep(P, 3, 0)
-    report = check_phi_x(rep, +1, rep.states(2))
-    assert report.status == "pass"
-    assert report.skipped <= 0.2 * report.samples
+def test_phi_x_skip_accounting(monkeypatch):
+    # On the vacuum only x+_0 acts, with the one support u, so there are
+    # 3 colors i x Z_SAMPLES points = 30 samples.  For i = 0 (b = 2, m = 0)
+    # the multiplier divides by theta(q^2 u / z), which vanishes at z = q^2 u;
+    # for i = 1, 2 that point is generic.  Each such point is one skip, and
+    # more than 20 % skipped (6 of 30) fails the report.
+    generic = _phi_x_points(P)
+    for on_zero, status in ((0, "pass"), (2, "pass"), (7, "fail")):
+        points = [P.q ** 2 * P.u] * on_zero + generic[on_zero:]
+        monkeypatch.setattr("eqtor.relcheck._phi_x_points", lambda params: points)
+        rep = FockRep(replace(P), 3, 0)
+        report = check_phi_x(rep, +1, rep.states(0))
+        assert (report.samples, report.skipped) == (3 * Z_SAMPLES, on_zero)
+        assert report.max_residual < 1e-12
+        assert report.status == status, on_zero
 
 
 # name -> (handle class, root color, basis size); N = 3 throughout

@@ -18,6 +18,20 @@ def test_no_assert_statements(path):
     assert not lines, f"{path.name}: assert statement at line(s) {lines}"
 
 
+def _defaulted_parameters(tree) -> int:
+    return sum(len(node.args.defaults) + sum(d is not None for d in node.args.kw_defaults)
+               for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)))
+
+
+def test_defaulted_parameter_count_is_pinned():
+    # each defaulted parameter is a switch some caller may turn; one that only
+    # tests turn, or nothing does, is deleted, so a new one moves this pin
+    total = sum(_defaulted_parameters(ast.parse(path.read_text(encoding="utf-8")))
+                for path in SOURCES)
+    assert total <= 27, f"{total} defaulted parameters in src/eqtor"
+
+
 def test_every_export_exists():
     # a name left in __all__ after its object is deleted breaks `from eqtor import *`
     missing = [name for name in eqtor.__all__ if not hasattr(eqtor, name)]
