@@ -142,6 +142,9 @@ class BosonAlgebra:
         self._shifts: dict[tuple, dict[tuple, list]] = {}
         self._brackets: dict[tuple, complex] = {}       # (i, j, m) -> [a_{i,m}, a_{j,-m}]
 
+    def describe(self) -> str:
+        return f"heisenberg({self.data.tag}, k={self.level})"
+
     def qnum(self, n: int) -> complex:
         q = self.params.q
         return (q ** n - q ** (-n)) / (q - 1 / q)

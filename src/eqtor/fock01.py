@@ -18,8 +18,7 @@ from dataclasses import dataclass
 from .cartan import CartanData, DynWeight, gl_cartan, graded
 from .ellcore import LAT_Q2, DeltaTerm, Lat, Params, ThetaRatioSpec, hash_once
 from .partitions import (ColoredPartition, boxes_by_color, coeff_minus, coeff_plus,
-                         partitions_up_to, row_addable_condition,
-                         row_removable_condition, row_support_lat, support_lat)
+                         partitions_up_to, support_lat)
 
 
 @dataclass(frozen=True)
@@ -98,29 +97,6 @@ def phi_action(color: int, v: FockBasisVector, params: Params) -> PhiAction:
         numer.append(LAT_Q2 * LAT_Q2 * ua)
         denom.append(LAT_Q2 * ua)
     scalar = params.q ** (len(rem) - len(add))
-    shift = graded(DynWeight.zero(lam.n_colors), 0, color)
-    return PhiAction(ThetaRatioSpec(tuple(numer), tuple(denom), scalar), shift)
-
-
-def phi_action_rows(color: int, v: FockBasisVector, params: Params) -> PhiAction:
-    """``phi_action`` as a product over the row-end candidates, a cross-oracle of it.
-
-    The tail is truncated exactly: removable side to l(lam), addable side one
-    row further.
-    """
-    lam = v.partition
-    numer, denom = [], []
-    scalar = 1.0 + 0j
-    for s in range(1, lam.length + 2):
-        us = row_support_lat(lam, s)
-        if s <= lam.length and row_removable_condition(lam, s, color):
-            numer.append(Lat(-1, -1) * us)   # q3 u_s
-            denom.append(Lat(-1, 1) * us)    # q1^{-1} u_s
-            scalar *= params.q
-        if row_addable_condition(lam, s, color):
-            numer.append(Lat(0, 2) * us)     # q1^{-1} q3^{-1} u_s
-            denom.append(us)
-            scalar /= params.q
     shift = graded(DynWeight.zero(lam.n_colors), 0, color)
     return PhiAction(ThetaRatioSpec(tuple(numer), tuple(denom), scalar), shift)
 

@@ -73,6 +73,9 @@ class Level1Module:
     def make(cls, type_tag: str, a: int, params: Params) -> "Level1Module":
         return cls(cartan_data(type_tag), a, params)
 
+    def describe(self) -> str:
+        return f"level1({self.data.tag}, a={self.fundamental})"
+
     def pair_h(self, v: LatticeVector, i: int) -> int:
         """<beta + flam_a, h_i>; flam_0 = 0."""
         s = sum(v.beta[j] * self.data.a[j][i] for j in self.data.index_set)
@@ -146,9 +149,6 @@ class Level1Module:
 # ---------------------------------------------------------------------------
 # Z-algebra relation checks at k = 1
 # ---------------------------------------------------------------------------
-
-ZALG_IDS = ("zalg1", "zalg2", "zalg3", "zalg4", "zalg5")
-
 
 def check_zalg2(mod: Level1Module, samples: int, rng: random.Random, window: int) -> float:
     """Quadratic Z+-Z+- exchange, coefficient-wise in the exponent window.
@@ -343,9 +343,8 @@ def check_zalg_serre(mod: Level1Module, sign: int, samples: int,
 def check_zalgebra(rel_id: str, mod: Level1Module, samples: int, window: int) -> float:
     """Residual of one Z-algebra relation on module vectors sampled by Params.seed.
 
-    zalg1, [a_{i,m}, Z+-_j] = 0, holds by construction: on (boson Fock) x W
-    the Z-operators act on the lattice factor alone and the modes on the
-    boson factor alone, so it has nothing to compare and reads 0.0.
+    zalg1, [a_{i,m}, Z+-_j] = 0, has nothing to compare and reads 0.0; the
+    relation registry of eqtor.relcheck says why.
     """
     rng = random.Random(mod.params.seed)
     few, many = max(4, samples // 3), max(10, samples)

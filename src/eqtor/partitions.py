@@ -132,12 +132,6 @@ def support_lat(box: Box) -> Lat:
     return Lat(kappa_e=y - x, q_e=-x - y, u_e=1)
 
 
-def row_support_lat(lam: ColoredPartition, a: int) -> Lat:
-    """Row support u_a = q1^{lam_a} q3^{a-1} u."""
-    la = lam.row(a)
-    return Lat(kappa_e=la - (a - 1), q_e=-la - (a - 1), u_e=1)
-
-
 def _content_lt(a: Box, b: Box) -> bool:
     return a[0] - a[1] < b[0] - b[1]
 
@@ -146,7 +140,7 @@ def coeff_plus(lam: ColoredPartition, box: Box, color: int, params: Params) -> c
     """Structure coefficient of the box-adding current at an addable box.
 
     Multiplies the finite products over same-color addable and removable
-    boxes of smaller content; ``row_coeff_plus`` is the row-indexed form.
+    boxes of smaller content.
     """
     add, rem = boxes_by_color(lam, color)
     if box not in add:
@@ -167,8 +161,7 @@ def coeff_plus(lam: ColoredPartition, box: Box, color: int, params: Params) -> c
 def coeff_minus(lam: ColoredPartition, box: Box, color: int, params: Params) -> complex:
     """Structure coefficient of the box-removing current at a removable box.
 
-    Multiplies the finite products over same-color boxes of larger content;
-    ``row_coeff_minus`` is the row-indexed form.
+    Multiplies the finite products over same-color boxes of larger content.
     """
     add, rem = boxes_by_color(lam, color)
     if box not in rem:
@@ -183,53 +176,6 @@ def coeff_minus(lam: ColoredPartition, box: Box, color: int, params: Params) -> 
         if _content_lt(box, a):
             ratio = support_lat(a) / uX
             out *= params.theta_lat(LAT_Q2 * ratio) / params.theta_lat(ratio) / params.q
-    return out
-
-
-def row_removable_condition(lam: ColoredPartition, s: int, color: int) -> bool:
-    # right end of row s carries content `color`
-    return (lam.row(s) + color) % lam.n_colors == (s + lam.root_color) % lam.n_colors
-
-
-def row_addable_condition(lam: ColoredPartition, s: int, color: int) -> bool:
-    return (lam.row(s) + color + 1) % lam.n_colors == (s + lam.root_color) % lam.n_colors
-
-
-def row_coeff_plus(lam: ColoredPartition, i: int, color: int, params: Params) -> complex:
-    """``coeff_plus`` at the addable box ending row i, as a product over the rows above.
-
-    An independent evaluation, used as a cross-oracle of the box form.
-    """
-    ui = row_support_lat(lam, i)
-    out = 1.0 + 0j
-    for s in range(1, i):
-        ratio = ui / row_support_lat(lam, s)
-        if row_removable_condition(lam, s, color):
-            # q^{-1} theta(q3^{-1} r)/theta(q1 r)
-            out *= params.theta_lat(Lat(1, 1) * ratio) / params.theta_lat(Lat(1, -1) * ratio) / params.q
-        if row_addable_condition(lam, s, color):
-            out *= params.q * params.theta_lat(Lat(0, -2) * ratio) / params.theta_lat(ratio)
-    return out
-
-
-def row_coeff_minus(lam: ColoredPartition, i: int, color: int, params: Params,
-                    tail_rows: int = 0) -> complex:
-    """``coeff_minus`` at the removable box ending row i, as a product over the rows below.
-
-    The infinite tail is evaluated by its pairwise cancellation: the
-    removable-side product stops at row l(lam) + tail_rows*N and the
-    addable-side product one row later, which is exact for any tail_rows >= 0.
-    """
-    ui = row_support_lat(lam, i)
-    out = 1.0 + 0j
-    stop = lam.length + tail_rows * lam.n_colors
-    for s in range(i + 1, stop + 2):
-        ratio = row_support_lat(lam, s) / ui
-        if s <= stop and row_removable_condition(lam, s, color):
-            # q theta(q1 q3 r)/theta(r)
-            out *= params.q * params.theta_lat(Lat(0, -2) * ratio) / params.theta_lat(ratio)
-        if row_addable_condition(lam, s, color):
-            out *= params.theta_lat(Lat(1, 1) * ratio) / params.theta_lat(Lat(1, -1) * ratio) / params.q
     return out
 
 

@@ -14,6 +14,11 @@ counted; everything on the exact support lattice needs no guard.  Theta
 values live on the Params: one memo per parameter point, keyed by argument
 and nome, so checks on one point share them and no value reaches another
 point.  Module actions are memoized for one check and dropped when it returns.
+
+One registry, ``_CHECKS``, maps every relation id of the fock, vector,
+heisenberg and level1 suites to its row: the handle classes whose suites run
+it, its check, and for a structural relation the reason it cannot fail.
+``run_relation`` runs any id alone; each suite is ``run_suite`` over its rows.
 """
 
 from __future__ import annotations
@@ -24,25 +29,21 @@ import random
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 from functools import cache
+from itertools import product
 
 from .boson import BosonAlgebra, EXCHANGE_IDS, check_exchange
 from .cartan import cartan_data
 from .ellcore import GUARD, Lat, Params, gkernel, phi_delta_difference, theta_zero_distance
 from .fock01 import FockRep, VectorRep
-from .level1 import (L1_THETA_TERMS, PHI_PHI_ORDER, Level1Module, ZALG_IDS,
-                     check_highest_weight, check_level, check_mode_current_bracket,
-                     check_phi_phi_level1, check_xx_quadratic_level1, check_zalgebra,
-                     sample_module_vectors, serre_terms)
+from .level1 import (L1_THETA_TERMS, PHI_PHI_ORDER, Level1Module, check_highest_weight,
+                     check_level, check_mode_current_bracket, check_phi_phi_level1,
+                     check_xx_quadratic_level1, check_zalgebra, sample_module_vectors,
+                     serre_terms)
 
 # check sizes that no caller varies; the sampling seed is Params.seed
 SERRE_MAX_SIZE = 4   # partition size of the Serre states
 Z_SAMPLES = 10       # generic z points per phi-x sample
 LEVEL1_MAX_DEGREE = 2  # largest boson degree of the level-1 sample vectors
-
-LEVEL1_RELATION_IDS = ZALG_IDS + (
-    "l1_bracket_plus", "l1_bracket_minus", "l1_xpxp", "l1_highest",
-    "l1_level", "l1_phiphi_pm",
-)
 
 
 @dataclass
@@ -289,9 +290,6 @@ def check_phi_phi(rep, kind: str) -> RelationReport:
     params = rep.params
     rel = "phiphi_pp" if kind == "pp" else "phiphi_pm"
     report = RelationReport(rel, rep.describe(), params)
-    report.notes = ("structural at level zero: p* = p makes the multiplier exactly one and "
-                    "the diagonal currents commute on the weight basis, so no perturbation "
-                    "of the module can fail this check")
     rng = random.Random(params.seed ^ 0xF1F1)
     data = rep.cartan
     qk = params.q ** params.level_k
@@ -452,68 +450,8 @@ def check_kappa0(rep, states) -> RelationReport:
 
 
 # ---------------------------------------------------------------------------
-# suites
+# dressing exchanges and the level-(1,l) module
 # ---------------------------------------------------------------------------
-
-def _basis(rep, size: int | None) -> list:
-    """The basis states up to a partition size, or the one finite basis (size None)."""
-    return rep.states() if size is None else rep.states(size)
-
-
-# relation id -> check(rep, max_size); its order is the suite order
-_CHECKS = {
-    "xpxp": lambda rep, size: check_quadratic(rep, +1, _basis(rep, size)),
-    "xmxm": lambda rep, size: check_quadratic(rep, -1, _basis(rep, size)),
-    "xpxm": lambda rep, size: check_xpxm(rep, _basis(rep, size)),
-    "phixp": lambda rep, size: check_phi_x(rep, +1, _basis(rep, size)),
-    "phixm": lambda rep, size: check_phi_x(rep, -1, _basis(rep, size)),
-    "phiphi_pp": lambda rep, size: check_phi_phi(rep, "pp"),
-    "phiphi_pm": lambda rep, size: check_phi_phi(rep, "pm"),
-    "serre_plus": lambda rep, size: check_serre(rep, +1, rep.states(SERRE_MAX_SIZE)),
-    "serre_minus": lambda rep, size: check_serre(rep, -1, rep.states(SERRE_MAX_SIZE)),
-    "grading_gf": lambda rep, size: check_grading(rep, "gf", _basis(rep, size)),
-    "grading_gK": lambda rep, size: check_grading(rep, "gK", _basis(rep, size)),
-    "dedf": lambda rep, size: check_dedf(rep, _basis(rep, size)),
-    "kappa0": lambda rep, size: check_kappa0(
-        rep, _basis(rep, None if size is None else min(size + 2, 8))),
-}
-FOCK_RELATION_IDS = tuple(_CHECKS)
-VECTOR_RELATION_IDS = tuple(r for r in FOCK_RELATION_IDS
-                            if not r.startswith("serre"))
-
-
-def _require_sizes(**sizes: int) -> None:
-    """A negative size would leave a check with nothing to evaluate and report it as a pass."""
-    for name, value in sizes.items():
-        if value < 0:
-            raise ValueError(f"{name} must be >= 0, got {value}")
-
-
-def run_relation(rep, rel_id: str, max_size: int | None) -> RelationReport:
-    """One relation on the basis states up to ``max_size`` (Serre and kappa0 size their own).
-
-    The vector representation has one finite basis and takes None.
-    """
-    if rel_id not in _CHECKS:
-        raise ValueError(f"unknown relation {rel_id!r}")
-    if max_size is not None:
-        _require_sizes(max_size=max_size)
-    return _CHECKS[rel_id](rep, max_size)
-
-
-def run_suite(rep, relation_ids, max_size: int | None) -> list[RelationReport]:
-    """Deterministic run of the listed relations on one handle, seeded by its Params.seed."""
-    return [run_relation(rep, rel, max_size) for rel in relation_ids]
-
-
-def fock_suite(params: Params, n_colors: int, root_color: int,
-               max_size: int = 6) -> list[RelationReport]:
-    return run_suite(FockRep(params, n_colors, root_color), FOCK_RELATION_IDS, max_size)
-
-
-def vector_suite(params: Params, n_colors: int, root_color: int) -> list[RelationReport]:
-    return run_suite(VectorRep(params, n_colors, root_color), VECTOR_RELATION_IDS, None)
-
 
 def pair_classes(data) -> list[tuple[int, int]]:
     """One representative color pair per (b_ij, m_ij) class.
@@ -530,77 +468,210 @@ def pair_classes(data) -> list[tuple[int, int]]:
     return sorted(seen.values())
 
 
+def _report(handle, rid: str, notes: str, samples) -> RelationReport:
+    """The report of a check that returns residuals, from its (residual, label) samples."""
+    report = RelationReport(rid, handle.describe(), handle.params, notes=notes)
+    for residual, label in samples:
+        report.record(residual, label)
+    return report
+
+
+def _color_pairs(handle):
+    return product(handle.data.index_set, repeat=2)
+
+
+def _exchange(n: int):
+    """Dressing exchange n, one residual per (b_ij, m_ij) class of color pairs."""
+    notes = ("module action carries the cyclic kappa twist of the mode bracket; "
+             "color pairs deduplicated by (b_ij, m_ij) class")
+    return lambda alg, rid, size: _report(alg, rid, notes, (
+        (check_exchange(n, alg, i, j, max_degree=size[0], window=size[1]),
+         f"{rid} i={i} j={j} b={alg.data.b(i, j)} m={alg.data.m[i][j]}")
+        for i, j in pair_classes(alg.data)))
+
+
+def _module_vectors(mod: Level1Module, degree: int) -> list:
+    """The four sampled module vectors of the bracket and l1_xpxp checks, the same on every call."""
+    return sample_module_vectors(mod, degree, 4, random.Random(mod.params.seed ^ 0x11F1))
+
+
+def _zalgebra(mod: Level1Module, rid: str, size) -> RelationReport:
+    return _report(mod, rid, "", [(check_zalgebra(rid, mod, samples=24, window=size[1]), rid)])
+
+
+def _bracket(sign: int):
+    """Every color pair on the highest vector, and one pair on a sampled vector."""
+    def samples(mod, rid, degree, window):
+        vecs, window = _module_vectors(mod, degree), min(window, 3)
+        for i, j in _color_pairs(mod):
+            yield check_mode_current_bracket(mod, i, j, sign, vecs[0], window), f"{rid} i={i} j={j}"
+        yield check_mode_current_bracket(mod, 0, 1, sign, vecs[-1], window), f"{rid} sampled state"
+    return lambda mod, rid, size: _report(mod, rid, "", samples(mod, rid, *size))
+
+
+def _l1_xpxp(mod: Level1Module, rid: str, size) -> RelationReport:
+    res = [check_xx_quadratic_level1(mod, +1, vec, window=min(size[1], 2))
+           for vec in _module_vectors(mod, size[0])[:2]]
+    return _report(mod, rid, f"theta kernels stop at Laurent order |n| <= {L1_THETA_TERMS}; "
+                   "in high precision the residual is bounded by that tail",
+                   ((r[i, j], f"{rid} i={i} j={j}") for r in res for i, j in _color_pairs(mod)))
+
+
+# l1_level and l1_phiphi_pm read no module vector, so each draws from a stream of its
+# own and its samples do not move with the degree
+def _l1_level(mod: Level1Module, rid: str, size) -> RelationReport:
+    expo = mod.level_exponent()
+    return _report(mod, rid, f"prod_i (K+_i)^(colabel) acts by q^{expo} times a uniform R_Q shift",
+                   [(check_level(mod, 8, random.Random(mod.params.seed ^ 0x1E7E)),
+                     f"central exponent {expo}")])
+
+
+def _l1_phiphi_pm(mod: Level1Module, rid: str, size) -> RelationReport:
+    rng = random.Random(mod.params.seed ^ 0x9F1F)
+    return _report(mod, rid, f"kernel series stops at order {PHI_PHI_ORDER}; in high precision "
+                   "the residual is bounded by that tail",
+                   ((check_phi_phi_level1(mod, i, j, 4, rng), f"pm i={i} j={j}")
+                    for i, j in _color_pairs(mod)))
+
+
+# ---------------------------------------------------------------------------
+# the relation registry and the suites
+# ---------------------------------------------------------------------------
+
+def _basis(rep, size: int | None) -> list:
+    """The basis states up to a partition size, or the one finite basis (size None)."""
+    return rep.states() if size is None else rep.states(size)
+
+
+@dataclass(frozen=True)
+class Relation:
+    """One registry row.  ``check(handle, rel_id, size)`` has run_relation's signature and
+    looks every check function up when it runs, so a wrapped one is the one called."""
+
+    handles: tuple[type, ...]  # the handle classes whose suites run it, the first its own
+    check: Callable[..., RelationReport]
+    structural: str = ""       # why no perturbation can fail it, for a structural relation
+
+
+_LEVEL0 = (FockRep, VectorRep)
+_PHI_PHI_REASON = ("structural at level zero: p* = p makes the multiplier exactly one and "
+                   "the diagonal currents commute on the weight basis, so no perturbation "
+                   "of the module can fail this check")
+
+# relation id -> its row; the rows of one handle class, in order, are that suite
+_CHECKS = {
+    "xpxp": Relation(_LEVEL0, lambda rep, rid, size: check_quadratic(rep, +1, _basis(rep, size))),
+    "xmxm": Relation(_LEVEL0, lambda rep, rid, size: check_quadratic(rep, -1, _basis(rep, size))),
+    "xpxm": Relation(_LEVEL0, lambda rep, rid, size: check_xpxm(rep, _basis(rep, size))),
+    "phixp": Relation(_LEVEL0, lambda rep, rid, size: check_phi_x(rep, +1, _basis(rep, size))),
+    "phixm": Relation(_LEVEL0, lambda rep, rid, size: check_phi_x(rep, -1, _basis(rep, size))),
+    "phiphi_pp": Relation(_LEVEL0, lambda rep, rid, size: check_phi_phi(rep, "pp"),
+                          _PHI_PHI_REASON),
+    "phiphi_pm": Relation(_LEVEL0, lambda rep, rid, size: check_phi_phi(rep, "pm"),
+                          _PHI_PHI_REASON),
+    "serre_plus": Relation((FockRep,), lambda rep, rid, size:
+                           check_serre(rep, +1, rep.states(SERRE_MAX_SIZE))),
+    "serre_minus": Relation((FockRep,), lambda rep, rid, size:
+                            check_serre(rep, -1, rep.states(SERRE_MAX_SIZE))),
+    "grading_gf": Relation(_LEVEL0, lambda rep, rid, size:
+                           check_grading(rep, "gf", _basis(rep, size))),
+    "grading_gK": Relation(_LEVEL0, lambda rep, rid, size:
+                           check_grading(rep, "gK", _basis(rep, size))),
+    "dedf": Relation(_LEVEL0, lambda rep, rid, size: check_dedf(rep, _basis(rep, size))),
+    "kappa0": Relation(_LEVEL0, lambda rep, rid, size: check_kappa0(
+        rep, _basis(rep, None if size is None else min(size + 2, 8)))),
+    **{f"heis_{n:02d}": Relation((BosonAlgebra,), _exchange(n)) for n in EXCHANGE_IDS},
+    "zalg1": Relation((Level1Module,), _zalgebra,
+                      "structural: z_apply ignores the boson state, so both orderings "
+                      "agree by construction and this check cannot fail"),
+    **{rid: Relation((Level1Module,), _zalgebra) for rid in ("zalg2", "zalg3", "zalg4", "zalg5")},
+    "l1_bracket_plus": Relation((Level1Module,), _bracket(+1)),
+    "l1_bracket_minus": Relation((Level1Module,), _bracket(-1)),
+    "l1_xpxp": Relation((Level1Module,), _l1_xpxp),
+    "l1_highest": Relation((Level1Module,), lambda mod, rid, size: _report(
+        mod, rid, "", [(check_highest_weight(mod, window=size[1]), "annihilation window")])),
+    "l1_level": Relation((Level1Module,), _l1_level),
+    "l1_phiphi_pm": Relation((Level1Module,), _l1_phiphi_pm),
+}
+
+
+def _suite_ids(handle_class: type) -> tuple[str, ...]:
+    return tuple(rid for rid, rel in _CHECKS.items() if handle_class in rel.handles)
+
+
+FOCK_RELATION_IDS = _suite_ids(FockRep)
+VECTOR_RELATION_IDS = _suite_ids(VectorRep)
+HEISENBERG_RELATION_IDS = _suite_ids(BosonAlgebra)
+LEVEL1_RELATION_IDS = _suite_ids(Level1Module)
+
+# handle class -> the names of the sizes run_relation takes for it
+_SIZE_NAMES = {FockRep: ("max_size",), VectorRep: (), BosonAlgebra: ("degree", "window"),
+               Level1Module: ("degree", "window")}
+
+
+def _require_sizes(handle, size) -> None:
+    """The sizes the handle's suite takes, none negative: a negative size would leave a
+    check with nothing to evaluate and report it as a pass."""
+    names = next(n for cls, n in _SIZE_NAMES.items() if isinstance(handle, cls))
+    values = () if size is None else size if isinstance(size, tuple) else (size,)
+    if len(values) != len(names):
+        raise ValueError(f"{type(handle).__name__} takes the sizes ({', '.join(names)}), "
+                         f"got {size!r}")
+    for name, value in zip(names, values):
+        if value < 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
+    if isinstance(handle, Level1Module) and values[0] > LEVEL1_MAX_DEGREE:
+        raise ValueError(f"degree must be <= {LEVEL1_MAX_DEGREE} in the level1 suite, "
+                         f"got {values[0]}")
+
+
+def run_relation(handle, rel_id: str, size) -> RelationReport:
+    """One relation on one handle, seeded by its Params.seed.
+
+    ``size`` is what the handle's suite takes: the largest partition size of
+    the basis states for a FockRep (Serre and kappa0 size their own), None for
+    a VectorRep's one finite basis, and (degree, window) for a BosonAlgebra
+    or a Level1Module.
+    """
+    relation = _CHECKS.get(rel_id)
+    if relation is None:
+        raise ValueError(f"unknown relation {rel_id!r}")
+    if not isinstance(handle, relation.handles):
+        raise ValueError(f"relation {rel_id!r} runs on "
+                         f"{' or '.join(cls.__name__ for cls in relation.handles)}, "
+                         f"not on {type(handle).__name__}")
+    _require_sizes(handle, size)
+    report = relation.check(handle, rel_id, size)
+    if relation.structural:
+        report.notes = relation.structural
+    return report
+
+
+def run_suite(handle, relation_ids, size) -> list[RelationReport]:
+    """Deterministic run of the listed relations on one handle, seeded by its Params.seed."""
+    return [run_relation(handle, rel, size) for rel in relation_ids]
+
+
+def fock_suite(params: Params, n_colors: int, root_color: int,
+               max_size: int = 6) -> list[RelationReport]:
+    return run_suite(FockRep(params, n_colors, root_color), FOCK_RELATION_IDS, max_size)
+
+
+def vector_suite(params: Params, n_colors: int, root_color: int) -> list[RelationReport]:
+    return run_suite(VectorRep(params, n_colors, root_color), VECTOR_RELATION_IDS, None)
+
+
 def heisenberg_suite(params: Params, type_tag: str, degree: int = 4,
                      window: int = 6) -> list[RelationReport]:
     """All dressing-exchange relations on the boson module at level one."""
-    _require_sizes(degree=degree, window=window)
-    data = cartan_data(type_tag)
-    alg = BosonAlgebra(data, params.with_level(1))
-    pairs = pair_classes(data)
-    reports = []
-    for rid in EXCHANGE_IDS:
-        rpt = RelationReport(f"heis_{rid:02d}", f"heisenberg({type_tag}, k=1)", alg.params)
-        rpt.notes = ("module action carries the cyclic kappa twist of the mode bracket; "
-                     "color pairs deduplicated by (b_ij, m_ij) class")
-        for i, j in pairs:
-            res = check_exchange(rid, alg, i, j, max_degree=degree, window=window)
-            rpt.record(res, f"heis_{rid:02d} i={i} j={j} b={data.b(i, j)} m={data.m[i][j]}")
-        reports.append(rpt)
-    return reports
+    return run_suite(BosonAlgebra(cartan_data(type_tag), params.with_level(1)),
+                     HEISENBERG_RELATION_IDS, (degree, window))
 
 
 def level1_suite(params: Params, type_tag: str, fundamental: int,
                  degree: int = LEVEL1_MAX_DEGREE, window: int = 6) -> list[RelationReport]:
-    _require_sizes(degree=degree, window=window)
-    if degree > LEVEL1_MAX_DEGREE:
-        raise ValueError(f"degree must be <= {LEVEL1_MAX_DEGREE} in the level1 suite, got {degree}")
-    mod = Level1Module.make(type_tag, fundamental, params)
-    rng = random.Random(mod.params.seed ^ 0x11F1)
-    reports = []
-    label = f"level1({type_tag}, a={fundamental})"
-    for rid in ZALG_IDS:
-        rpt = RelationReport(rid, label, mod.params)
-        rpt.record(check_zalgebra(rid, mod, samples=24, window=window), rid)
-        if rid == "zalg1":
-            rpt.notes = ("structural: z_apply ignores the boson state, so both orderings "
-                         "agree by construction and this check cannot fail")
-        reports.append(rpt)
-    vecs = sample_module_vectors(mod, degree, 4, rng)
-    bracket_window = min(window, 3)
-    for sign, rid in ((+1, "l1_bracket_plus"), (-1, "l1_bracket_minus")):
-        rpt = RelationReport(rid, label, mod.params)
-        for i in mod.data.index_set:
-            for j in mod.data.index_set:
-                rpt.record(check_mode_current_bracket(mod, i, j, sign, vecs[0], bracket_window),
-                           f"{rid} i={i} j={j}")
-        rpt.record(check_mode_current_bracket(mod, 0, 1, sign, vecs[-1], bracket_window),
-                   f"{rid} sampled state")
-        reports.append(rpt)
-    rpt = RelationReport("l1_xpxp", label, mod.params)
-    for vec in vecs[:2]:
-        res = check_xx_quadratic_level1(mod, +1, vec, window=min(window, 2))
-        for i in mod.data.index_set:
-            for j in mod.data.index_set:
-                rpt.record(res[i, j], f"l1_xpxp i={i} j={j}")
-    rpt.notes = (f"theta kernels stop at Laurent order |n| <= {L1_THETA_TERMS}; in high "
-                 "precision the residual is bounded by that tail")
-    reports.append(rpt)
-    rpt = RelationReport("l1_highest", label, mod.params)
-    rpt.record(check_highest_weight(mod, window=window), "annihilation window")
-    reports.append(rpt)
-    rpt = RelationReport("l1_level", label, mod.params)
-    expo = mod.level_exponent()
-    rpt.record(check_level(mod, 8, rng), f"central exponent {expo}")
-    rpt.notes = f"prod_i (K+_i)^(colabel) acts by q^{expo} times a uniform R_Q shift"
-    reports.append(rpt)
-    rpt = RelationReport("l1_phiphi_pm", label, mod.params)
-    for i in mod.data.index_set:
-        for j in mod.data.index_set:
-            rpt.record(check_phi_phi_level1(mod, i, j, 4, rng), f"pm i={i} j={j}")
-    rpt.notes = (f"kernel series stops at order {PHI_PHI_ORDER}; in high precision the "
-                 "residual is bounded by that tail")
-    reports.append(rpt)
-    return reports
+    return run_suite(Level1Module.make(type_tag, fundamental, params), LEVEL1_RELATION_IDS,
+                     (degree, window))
 
 
 def reports_to_json(reports: list[RelationReport]) -> str:

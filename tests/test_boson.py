@@ -1,8 +1,8 @@
-from dataclasses import replace
 from math import comb, isnan
 
 import pytest
 from boson_oracle import OracleBoson, as_tuples
+from mutants import assert_turns_red
 
 from eqtor import boson
 from eqtor.boson import (MAX_DEGREE, BosonAlgebra, DegreeOverflowError, EXCHANGE_IDS,
@@ -144,56 +144,9 @@ def test_exchange_relations_small_window(rel_id):
     assert check_exchange(rel_id, alg, 0, 1, max_degree=2, window=3) < 1e-10
 
 
-# -- mutation table: every exchange relation can fail --------------------------
-
-def _swap_coefficient(rel):
-    return replace(rel, comm_coeff="plain_plus" if rel.comm_coeff == "full_minus" else "full_minus")
-
-
-def _invert_first_pair(rel):
-    (s1, *rest), *others = rel.kernel
-    return replace(rel, kernel=((-s1, *rest), *others))
-
-
-def _shift_first_pair(rel):
-    (s1, ke, *rest), *others = rel.kernel
-    return replace(rel, kernel=((s1, ke + 1, *rest), *others))
-
-
-def _row(edit):
-    """Mutate the relation's own row of the exchange table."""
-    def mutate(monkeypatch, rel_id):
-        table = [edit(r) if r.rel_id == rel_id else r for r in boson._EXCHANGE_TABLE]
-        monkeypatch.setattr(boson, "_EXCHANGE_TABLE", table)
-    return mutate
-
-
-def _scaled(method):
-    """Scale a coefficient of the module action by 1.01 for every mode."""
-    def mutate(monkeypatch, rel_id):
-        orig = getattr(BosonAlgebra, method)
-        monkeypatch.setattr(BosonAlgebra, method, lambda self, m: 1.01 * orig(self, m))
-    return mutate
-
-
-EXCHANGE_MUTANTS = {
-    1: _row(_swap_coefficient), 2: _scaled("ecoef"),
-    3: _row(_swap_coefficient), 4: _scaled("prime_scale"),
-    5: _row(_invert_first_pair), 6: _scaled("prime_scale"),
-    7: _row(_shift_first_pair), 8: _row(_invert_first_pair),
-    9: _scaled("ecoef"), 10: _row(_shift_first_pair),
-    11: _row(_invert_first_pair), 12: _scaled("ecoef"),
-    13: _row(_shift_first_pair), 14: _row(_invert_first_pair),
-    15: _scaled("prime_scale"), 16: _row(_shift_first_pair),
-}
-
-
 @pytest.mark.parametrize("rel_id", EXCHANGE_IDS)
 def test_exchange_mutant_turns_red(rel_id, monkeypatch):
-    # the unmutated relation is < 1e-10 here (test_exchange_relations_small_window)
-    assert set(EXCHANGE_MUTANTS) == set(EXCHANGE_IDS)
-    EXCHANGE_MUTANTS[rel_id](monkeypatch, rel_id)
-    assert check_exchange(rel_id, make_alg(), 0, 1, max_degree=2, window=3) > 1e-8
+    assert_turns_red(f"heis_{rel_id:02d}", monkeypatch)
 
 
 # -- the kernel multiplied in before the last creator part ---------------------

@@ -1,12 +1,13 @@
 from dataclasses import fields, replace
 
 import pytest
+from row_oracle import phi_action_rows
 
 from eqtor.cartan import DynWeight
 from eqtor.ellcore import Lat, Params
 from eqtor.fock01 import (FockBasisVector, FockRep, VectorBasis, VectorRep,
                           apply_xminus, apply_xplus, kplus_exponent, phi_action,
-                          phi_action_rows, tensor_apply, vector_rep_apply, vertex_constant,
+                          tensor_apply, vector_rep_apply, vertex_constant,
                           vertex_constant_product)
 from eqtor.partitions import ColoredPartition, partitions_up_to
 

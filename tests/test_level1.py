@@ -3,13 +3,14 @@ from dataclasses import replace
 from math import isnan
 
 import pytest
+from mutants import MUTANTS, assert_turns_red
 
 from eqtor.boson import (VACUUM, BosonAlgebra, accumulate, basis_states, state_add_mode,
                          state_degree, vector_residual)
 from eqtor.cartan import Cocycle
 from eqtor.ellcore import Params, theta_coefficient
-from eqtor.level1 import (L1_THETA_TERMS, ZALG_IDS, LatticeVector, Level1Module, check_highest_weight,
-                          check_level, check_mode_current_bracket, check_phi_phi_level1,
+from eqtor.level1 import (L1_THETA_TERMS, LatticeVector, Level1Module, check_highest_weight,
+                          check_mode_current_bracket, check_phi_phi_level1,
                           check_xx_quadratic_level1, check_zalgebra,
                           sample_module_vectors, serre_reduction_residual)
 from eqtor.relcheck import LEVEL1_RELATION_IDS, level1_suite
@@ -376,7 +377,7 @@ def test_z_images_are_built_once(monkeypatch):
         return value(self, *args)
     monkeypatch.setattr(Level1Module, "z_apply", counted_z)
     monkeypatch.setattr(Cocycle, "value", counted_value)
-    for rid in ZALG_IDS:
+    for rid in [r for r in LEVEL1_RELATION_IDS if r.startswith("zalg")]:
         check_zalgebra(rid, mod, samples=15, window=3)
     for sign in (+1, -1):
         check_xx_quadratic_level1(mod, sign, _sampled_vector(mod), window=2)
@@ -396,106 +397,9 @@ def test_level1_suite_cost_does_not_track_the_sample(monkeypatch):
     assert max(counts) <= 3 * min(counts), counts
 
 
-# -- mutation table of the level-1 relations ----------------------------------
-
-def _zalgebra(rid):
-    return lambda mod: check_zalgebra(rid, mod, samples=15, window=3)
-
-
-def _highest_bracket(sign):
-    return lambda mod: check_mode_current_bracket(mod, 0, 1, sign, mod.highest_vector(), window=3)
-
-
-# z_apply ignores the boson state, so zalg1 cannot fail; its report says so
-LEVEL1_STRUCTURAL_IDS = ("zalg1",)
-ZALG_MUTATED = tuple(rid for rid in ZALG_IDS if rid not in LEVEL1_STRUCTURAL_IDS)
-
-# relation id -> its check on a small window, as a residual against Params.tol
-LEVEL1_CHECKS = {
-    **{rid: _zalgebra(rid) for rid in ZALG_MUTATED},
-    "l1_bracket_plus": _highest_bracket(+1),
-    "l1_bracket_minus": _highest_bracket(-1),
-    "l1_xpxp": lambda mod: check_xx_quadratic_level1(mod, +1, mod.highest_vector(),
-                                                     window=2)[0, 1],
-    "l1_highest": lambda mod: check_highest_weight(mod, window=3),
-    "l1_level": lambda mod: check_level(mod, 8, random.Random(3)),
-    "l1_phiphi_pm": lambda mod: check_phi_phi_level1(mod, 0, 1, 3, random.Random(4)),
-}
-
-
-def _cocycle_on_odd_beta0(monkeypatch):
-    # the cocycle scaled by 1.01 on the lattice vectors with odd beta_0
-    z_apply = Level1Module.z_apply
-
-    def mutant(self, sign, j, v):
-        exp, v2, coeff = z_apply(self, sign, j, v)
-        return exp, v2, coeff * (1.01 if v.beta[0] % 2 else 1.0)
-    monkeypatch.setattr(Level1Module, "z_apply", mutant)
-
-
-def _lowered_z_plus_exponent(monkeypatch):
-    # Z+ one power of z lower
-    z_apply = Level1Module.z_apply
-
-    def mutant(self, sign, j, v):
-        exp, v2, coeff = z_apply(self, sign, j, v)
-        return exp - (sign > 0), v2, coeff
-    monkeypatch.setattr(Level1Module, "z_apply", mutant)
-
-
-def _drop_first_translation_terms(primed):
-    # the annihilator exponential of x+ (unprimed) or x- (primed) loses the
-    # terms that lower the degree by one
-    def apply(monkeypatch):
-        translate = BosonAlgebra._translate
-
-        def mutant(self, vec, key):
-            out = translate(self, vec, key)
-            if key[1] == primed:
-                out.pop(1, None)
-            return out
-        monkeypatch.setattr(BosonAlgebra, "_translate", mutant)
-    return apply
-
-
-def _level_exponent_off_by_one(monkeypatch):
-    level_exponent = Level1Module.level_exponent
-    monkeypatch.setattr(Level1Module, "level_exponent", lambda self: 1 + level_exponent(self))
-
-
-def _scaled_mode_bracket(monkeypatch):
-    # the mode bracket [a_{i,m}, a_{j,-m}] scaled by 1.01
-    bracket = BosonAlgebra.mode_commutator
-    monkeypatch.setattr(BosonAlgebra, "mode_commutator",
-                        lambda self, *args: 1.01 * bracket(self, *args))
-
-
-LEVEL1_MUTANTS = {
-    **{rid: _cocycle_on_odd_beta0 for rid in ZALG_MUTATED},
-    "l1_bracket_plus": _drop_first_translation_terms(False),
-    "l1_bracket_minus": _drop_first_translation_terms(True),
-    "l1_xpxp": _cocycle_on_odd_beta0,
-    "l1_highest": _lowered_z_plus_exponent,
-    "l1_level": _level_exponent_off_by_one,
-    "l1_phiphi_pm": _scaled_mode_bracket,
-}
-
-
-def test_level1_mutation_table_covers_every_relation():
-    assert sorted([*LEVEL1_MUTANTS, *LEVEL1_STRUCTURAL_IDS]) == sorted(LEVEL1_RELATION_IDS)
-    assert sorted(LEVEL1_CHECKS) == sorted(LEVEL1_MUTANTS)
-
-
-@pytest.mark.parametrize("rel_id", list(LEVEL1_MUTANTS))
+@pytest.mark.parametrize("rel_id", [r for r in LEVEL1_RELATION_IDS if r in MUTANTS])
 def test_level1_mutant_turns_red(rel_id, monkeypatch):
-    # the mutant runs on a module that already passed the clean check, so
-    # the term tables BosonAlgebra keeps cannot hide it
-    mod = module()
-    clean = LEVEL1_CHECKS[rel_id](mod)
-    assert clean < P.tol
-    LEVEL1_MUTANTS[rel_id](monkeypatch)
-    bad = LEVEL1_CHECKS[rel_id](mod)
-    assert bad >= P.tol, bad
+    assert_turns_red(rel_id, monkeypatch)
 
 
 # -- a NaN residual fails its report ------------------------------------------
@@ -524,6 +428,14 @@ def test_nan_on_the_highest_vector_is_not_killed(monkeypatch):
                 0: {VACUUM: complex("nan")}}
     monkeypatch.setattr(Level1Module, "current_apply", mutant)
     assert isnan(check_highest_weight(module(), window=3))
+
+
+def test_level_and_phiphi_reports_do_not_track_the_degree():
+    # neither check reads the degree, so neither sample may move with it
+    runs = [{r.relation_id: r.to_json_dict() for r in level1_suite(P, "A2", 0, degree=d, window=3)}
+            for d in (0, 1, 2)]
+    for rid in ("l1_level", "l1_phiphi_pm"):
+        assert runs[0][rid] == runs[1][rid] == runs[2][rid], rid
 
 
 def test_level1_suite_rejects_a_degree_it_does_not_sample():

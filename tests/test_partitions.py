@@ -1,11 +1,10 @@
 import pytest
 from hypothesis import given, settings, strategies as st
+from row_oracle import row_coeff_minus, row_coeff_plus, row_support_lat
 
 from eqtor.ellcore import Params
 from eqtor.partitions import (ColoredPartition, boxes_by_color, coeff_minus,
-                              coeff_plus, dim_vector, partitions_up_to,
-                              row_coeff_minus, row_coeff_plus, row_support_lat,
-                              support_lat)
+                              coeff_plus, dim_vector, partitions_up_to, support_lat)
 
 P = Params()
 

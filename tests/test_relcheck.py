@@ -1,21 +1,30 @@
 import itertools
 import json
+import os
+import subprocess
+import sys
+import time
 from dataclasses import replace
 from functools import cache
 from math import isnan
+from pathlib import Path
 
 import pytest
+from mutants import FRESH, MUTANTS, assert_turns_red
 
 import eqtor.ellcore as ellcore
-import eqtor.fock01 as fock01
+from eqtor.boson import BosonAlgebra
+from eqtor.cartan import cartan_data
 from eqtor.ellcore import GUARD, Params, theta_zero_distance
-from eqtor.fock01 import FockRep, PhiAction, VectorRep
+from eqtor.fock01 import FockRep, VectorRep
+from eqtor.level1 import Level1Module
 from eqtor import cli
-from eqtor.relcheck import (FOCK_RELATION_IDS, VECTOR_RELATION_IDS, Z_SAMPLES, _CHECKS,
-                            RelationReport, _basis, _eigenvalues, _phi_x_points,
-                            check_phi_x, check_quadratic, check_serre, check_xpxm,
-                            fock_suite, level1_suite, pair_classes, reports_to_json,
-                            run_relation, run_suite, vector_suite)
+from eqtor.relcheck import (FOCK_RELATION_IDS, HEISENBERG_RELATION_IDS, LEVEL1_RELATION_IDS,
+                            VECTOR_RELATION_IDS, Z_SAMPLES, _CHECKS, RelationReport, _basis,
+                            _eigenvalues, _phi_x_points, check_phi_x, check_quadratic,
+                            check_serre, check_xpxm, fock_suite, heisenberg_suite,
+                            level1_suite, pair_classes, reports_to_json, run_relation,
+                            run_suite, vector_suite)
 
 P = Params()
 
@@ -205,15 +214,56 @@ def test_nan_theta_fails_the_phi_checks(monkeypatch):
 
 
 def test_run_relation_unknown():
-    with pytest.raises(ValueError):
-        run_relation(FockRep(P, 3, 0), "nope", 3)
+    # an unknown id, or an id on the wrong kind of handle or size, names both
+    # instead of raising a TypeError from deep inside the check
+    fock, vector, level1 = FockRep(P, 3, 0), VectorRep(P, 3, 0), Level1Module.make("A2", 0, P)
+    for handle, rel_id, size, match in [
+            (fock, "nope", 3, "unknown relation 'nope'"),
+            (vector, "serre", None, "unknown relation 'serre'"),
+            (vector, "serre_plus", None, "'serre_plus' runs on FockRep, not on VectorRep"),
+            (fock, "heis_05", 3, "'heis_05' runs on BosonAlgebra, not on FockRep"),
+            (level1, "xpxp", (1, 3), "not on Level1Module"),
+            (fock, "kappa0", None, r"FockRep takes the sizes \(max_size\), got None"),
+            (vector, "xpxp", 3, r"VectorRep takes the sizes \(\), got 3"),
+            (level1, "l1_level", 3, r"\(degree, window\), got 3")]:
+        with pytest.raises(ValueError, match=match):
+            run_relation(handle, rel_id, size)
 
 
-def test_dispatch_table_is_the_fock_suite():
-    # one table maps relation ids to checks; its order is the suite order
-    assert tuple(_CHECKS) == FOCK_RELATION_IDS
-    with pytest.raises(ValueError, match="unknown relation"):
-        run_relation(VectorRep(P, 3, 0), "serre", 3)
+def test_registry_lists_every_suite():
+    # one table maps relation ids to checks; the rows of each handle class, in
+    # order, are its suite
+    assert tuple(_CHECKS) == FOCK_RELATION_IDS + HEISENBERG_RELATION_IDS + LEVEL1_RELATION_IDS
+    assert VECTOR_RELATION_IDS == tuple(r for r in FOCK_RELATION_IDS if not r.startswith("serre"))
+    assert (len(FOCK_RELATION_IDS), len(HEISENBERG_RELATION_IDS), len(LEVEL1_RELATION_IDS)) \
+        == (13, 16, 11)
+
+
+# suite -> (its reports, a fresh handle, the size it ran at)
+SUITE_RUNS = {
+    "fock": (lambda: fock_suite(P, 3, 0, max_size=2), lambda: FockRep(P, 3, 0), 2),
+    "vector": (lambda: vector_suite(P, 3, 0), lambda: VectorRep(P, 3, 0), None),
+    **{f"heisenberg_{tag}": (lambda tag=tag: heisenberg_suite(P, tag, degree=2, window=2),
+                             lambda tag=tag: BosonAlgebra(cartan_data(tag), P.with_level(1)),
+                             (2, 2)) for tag in ("A2", "D4")},
+    **{f"level1_{tag}": (lambda tag=tag: level1_suite(P, tag, 0, degree=1, window=3),
+                         lambda tag=tag: Level1Module.make(tag, 0, P), (1, 3))
+       for tag in ("A2", "D4")},
+}
+
+
+@pytest.mark.parametrize("suite", list(SUITE_RUNS))
+def test_every_relation_alone_equals_its_suite_report(suite):
+    # a relation run alone on a fresh handle reads what the suite run reads:
+    # no check depends on the ones before it
+    run, make, size = SUITE_RUNS[suite]
+    reports = run()
+    assert all(r.status == "pass" for r in reports)
+    for report in reports:
+        alone = run_relation(make(), report.relation_id, size)
+        assert alone.to_json_dict() == report.to_json_dict(), report.relation_id
+        # only a structural relation says it is one
+        assert report.notes.startswith("structural") == bool(_CHECKS[report.relation_id].structural)
 
 
 def test_suite_samples_with_params_seed(capsys):
@@ -273,89 +323,43 @@ def test_high_precision_reports_serialize():
     assert max(r["max_residual"] for r in rows) < 1e-25
 
 
-def _reverse_twist(monkeypatch, rep):
-    # the cyclic kappa twist m_ij of the structure kernels, negated
-    m = tuple(tuple(-x for x in row) for row in rep.cartan.m)
-    monkeypatch.setattr(rep, "cartan", replace(rep.cartan, m=m))
-
-
-def _wrap(name, make):
-    # replace fock01.<name> by make(original)
-    return lambda monkeypatch, rep: monkeypatch.setattr(
-        fock01, name, make(getattr(fock01, name)))
-
-
-def _without_scalar(phi_action):
-    def mutant(color, v, params):
-        act = phi_action(color, v, params)
-        return PhiAction(replace(act.spec, scalar_prefactor=1.0 + 0j), act.weight_shift)
-    return mutant
-
-
-def _by_length(coeff):
-    # a matrix element off by a factor that depends on the source partition
-    return lambda lam, box, color, params: coeff(lam, box, color, params) * (1 + 0.01 * lam.length)
-
-
-def _without_rq_shift(apply_xplus):
-    def mutant(color, v, params):
-        return [replace(t, payload=replace(t.payload, weight=t.payload.weight.shifted(color, 0, 1)))
-                for t in apply_xplus(color, v, params)]
-    return mutant
-
-
-def _extra_phi_shift(phi_action):
-    def mutant(color, v, params):
-        act = phi_action(color, v, params)
-        return PhiAction(act.spec, act.weight_shift.shifted(color, 0, 1))
-    return mutant
-
-
-# relation id -> one targeted perturbation of the Fock handle or its module
-FOCK_MUTANTS = {
-    "xpxp": _reverse_twist,
-    "xmxm": _reverse_twist,
-    "xpxm": _wrap("vertex_constant", lambda f: lambda sign, params: 1.07 * f(sign, params)),
-    "phixp": _wrap("phi_action", _without_scalar),
-    "phixm": _wrap("phi_action", _without_scalar),
-    "serre_plus": _wrap("coeff_plus", _by_length),
-    "serre_minus": _wrap("coeff_minus", _by_length),
-    "grading_gf": _wrap("apply_xplus", _without_rq_shift),
-    "grading_gK": _wrap("phi_action", _extra_phi_shift),
-    "dedf": _wrap("coeff_plus", lambda f: lambda lam, box, color, params:
-                  f(lam, box, color, params) * params.u),
-    "kappa0": _wrap("kplus_exponent", lambda f: lambda v, color:
-                    len(fock01.boxes_by_color(v.partition, color)[1])),
-}
-# at level zero these cannot fail as written; their reports say so
-FOCK_STRUCTURAL_IDS = ("phiphi_pp", "phiphi_pm")
-
-
-def test_fock_mutation_table_covers_every_relation():
-    assert sorted([*FOCK_MUTANTS, *FOCK_STRUCTURAL_IDS]) == sorted(FOCK_RELATION_IDS)
-
-
-@pytest.mark.parametrize("rel_id", list(FOCK_MUTANTS))
+@pytest.mark.parametrize("rel_id", [r for r in FOCK_RELATION_IDS if r in MUTANTS])
 def test_fock_mutant_turns_red(rel_id, monkeypatch):
-    # the mutant runs on a handle that already ran the clean check: no
-    # memoized action may carry over from one check to the next
-    rep = FockRep(P, 3, 0)
-    clean = run_relation(rep, rel_id, 2)
-    assert clean.status == "pass", (clean.max_residual, clean.worst_case)
-    FOCK_MUTANTS[rel_id](monkeypatch, rep)
-    bad = run_relation(rep, rel_id, 2)
-    assert bad.status == "fail", (bad.max_residual, bad.worst_case)
+    assert_turns_red(rel_id, monkeypatch)
 
 
-@pytest.mark.parametrize("rel_id", FOCK_STRUCTURAL_IDS)
-def test_fock_structural_relations_say_so(rel_id):
-    report = run_relation(FockRep(P, 3, 0), rel_id, 2)
+def test_mutant_table_covers_every_relation():
+    # every relation that can fail has a mutant, and a structural one has none
+    structural = {rid for rid, rel in _CHECKS.items() if rel.structural}
+    assert structural == {"phiphi_pp", "phiphi_pm", "zalg1"}
+    assert sorted(MUTANTS) == sorted(set(_CHECKS) - structural)
+
+
+@pytest.mark.parametrize("rel_id", [rid for rid, rel in _CHECKS.items() if rel.structural])
+def test_structural_relations_say_so(rel_id):
+    make, size = FRESH[_CHECKS[rel_id].handles[0]]
+    report = run_relation(make(), rel_id, size)
     assert report.status == "pass"
-    assert report.notes.startswith("structural at level zero")
+    assert report.notes == _CHECKS[rel_id].structural
+    assert report.notes.startswith("structural")
 
 
-def test_zalg1_report_is_marked_structural():
-    reports = {r.relation_id: r for r in level1_suite(P, "A2", 0, degree=1, window=3)}
-    assert reports["zalg1"].status == "pass"
-    assert reports["zalg1"].notes.startswith("structural: z_apply ignores the boson state")
-    assert not reports["zalg2"].notes.startswith("structural")
+def test_traced_run_sees_every_layer_and_relation():
+    # perfbench/worker.py in "trace" mode on the smoke lists: a layer that no
+    # longer reaches its traced name reads 0 calls and reports no error
+    root = Path(__file__).resolve().parent.parent
+    workloads = json.loads((root / "perfbench" / "workloads.json").read_text())
+    spec = {"argv": [argv + ["--json"] for argv in workloads["workloads"]["smoke"]["argv"]],
+            "mode": "trace", "t0": time.monotonic()}
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), EQTOR_THREADS="1")
+    proc = subprocess.run([sys.executable, str(root / "perfbench" / "worker.py"), json.dumps(spec)],
+                          stdout=subprocess.PIPE, env=env, cwd=root, text=True, timeout=120,
+                          check=True)
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert [run["code"] for run in result["runs"]] == [0] * len(spec["argv"])
+    layers = result["layers"]
+    unused = {name for name, calls in layers.items() if name.endswith(".calls") and not calls}
+    # no production caller
+    assert unused <= {"ellcore.ThetaRatioSpec.evaluate.calls", "boson.BosonAlgebra.apply_E.calls"}
+    for rid in FOCK_RELATION_IDS + HEISENBERG_RELATION_IDS + LEVEL1_RELATION_IDS:
+        assert f"relcheck.run_relation.{rid}.total_s" in layers, rid
