@@ -82,6 +82,12 @@ def state_modes(state: BosonState) -> tuple:
     return tuple(sorted((_field_mode(f), n) for f, n in _fields(state)))
 
 
+def state_label(state: BosonState) -> str:
+    """The state as its product of modes a_{c,-m}^n, written a{c}(-{m})^n; vac for the vacuum."""
+    modes = [f"a{c}(-{m})" + (f"^{n}" if n > 1 else "") for (c, m), n in state_modes(state)]
+    return "".join(modes) or "vac"
+
+
 def basis_states(colors, max_degree: int) -> list[BosonState]:
     """All monomials in modes of the given colors with degree <= max_degree."""
     out = frontier = {VACUUM}
@@ -105,15 +111,6 @@ def vector_residual(left: dict, right: dict) -> float:
             r = abs(b)
             if r > worst or r != r:
                 worst = r
-    return worst
-
-
-def worst_residual(residuals) -> float:
-    """The max of the residuals, 0.0 for none, NaN if any is NaN: every check folds here."""
-    worst = 0.0
-    for r in residuals:
-        if r > worst or r != r:
-            worst = r
     return worst
 
 
@@ -178,11 +175,10 @@ class BosonAlgebra:
 
     # -- module action ------------------------------------------------------
 
-    def apply_mode(self, i: int, m: int, vec: BosonVec, prime: bool = False) -> BosonVec:
-        """a_{i,m} (a'_{i,m} if prime): a creator for m < 0, a derivation for m > 0."""
-        scale = self.prime_scale(abs(m)) if prime else 1.0
+    def apply_mode(self, i: int, m: int, vec: BosonVec) -> BosonVec:
+        """a_{i,m}: a creator for m < 0, a derivation for m > 0."""
         if m < 0:
-            return {state_add_mode(st, i, -m): c * scale for st, c in vec.items()}
+            return {state_add_mode(st, i, -m): c for st, c in vec.items()}
         # read only the fields of mode m: field d(d+1)/2 + jc with d = jc + m - 1,
         # increasing with the color, as _fields yields them
         modes = []
@@ -196,7 +192,7 @@ class BosonAlgebra:
                 mult = (st >> offset) & _FIELD_MASK
                 if mult:
                     s2 = st - unit
-                    out[s2] = out.get(s2, 0j) + c * scale * mult * bracket
+                    out[s2] = out.get(s2, 0j) + c * mult * bracket
         return out
 
     def _creator_levels(self, key: tuple, hi: int) -> list[dict]:
@@ -398,7 +394,7 @@ def _parts(desc: tuple, i: int) -> tuple:
 
 def _exchange_sides(rel: ExchangeRelation, alg: BosonAlgebra, i: int, j: int,
                     max_degree: int, window: int):
-    """Per basis monomial v, A(z) B(w) v read [w][z] and K B(w) A(z) v read [z][w].
+    """Per basis monomial v: v, A(z) B(w) v read [w][z] and K B(w) A(z) v read [z][w].
 
     K runs in w/z against E+ and in z/w against E-, the sign of A's exponents.
     """
@@ -409,18 +405,18 @@ def _exchange_sides(rel: ExchangeRelation, alg: BosonAlgebra, i: int, j: int,
         vec = {0: {st: 1.0 + 0j}}
         after_w = alg._compose(wop, vec, window, _UNIT_KERNEL, 0).get(0, {})
         after_z = alg._compose(zop, vec, window, _UNIT_KERNEL, 0).get(0, {})
-        yield (alg._compose(zop, after_w, window, _UNIT_KERNEL, 0),
+        yield (st, alg._compose(zop, after_w, window, _UNIT_KERNEL, 0),
                alg._compose(wop, after_z, window, ker, direction))
 
 
-def check_exchange(rel_id: int, alg: BosonAlgebra, i: int, j: int,
-                   max_degree: int, window: int) -> float:
-    """Max coefficient residual of one dressing-exchange relation.
+def check_exchange(report, rel_id: int, alg: BosonAlgebra, i: int, j: int,
+                   max_degree: int, window: int) -> None:
+    """Record the coefficient residuals of one dressing-exchange relation into ``report``.
 
     Matrix elements between monomials in the colors {i, j} of degree up to
-    max_degree are compared for both orderings within the exponent window;
-    modes of other colors commute with every operator involved and are
-    dropped from the basis.
+    max_degree are compared for both orderings within the exponent window,
+    one sample per (basis state, A, B) cell; modes of other colors commute
+    with every operator involved and are dropped from the basis.
     """
     rel = next((r for r in _EXCHANGE_TABLE if r.rel_id == rel_id), None)
     if rel is None:
@@ -433,13 +429,15 @@ def check_exchange(rel_id: int, alg: BosonAlgebra, i: int, j: int,
         if size < 0:
             raise ValueError(f"{name} {size} must be >= 0")
     if rel.kind == "commutator":
-        return _check_commutator(rel, alg, i, j, max_degree, window)
-    return worst_residual(r for lhs, rhs in _exchange_sides(rel, alg, i, j, max_degree, window)
-                          for r in _cell_residuals(lhs, rhs, window))
+        _check_commutator(report, rel, alg, i, j, max_degree, window)
+        return
+    for st, lhs, rhs in _exchange_sides(rel, alg, i, j, max_degree, window):
+        for A, B, r in _cell_residuals(lhs, rhs, window):
+            report.record(r, lambda: f"i={i} j={j} state={state_label(st)} A={A} B={B}")
 
 
 def _cell_residuals(lhs: dict, rhs: dict, window: int):
-    """vector_residual(lhs[B][A], rhs[A][B]) for |A|, |B| <= window.
+    """(A, B, vector_residual(lhs[B][A], rhs[A][B])) for |A|, |B| <= window.
 
     Only the cells present in either table are visited; an empty pair of
     cells has residual 0.
@@ -448,21 +446,22 @@ def _cell_residuals(lhs: dict, rhs: dict, window: int):
         if abs(B) <= window:
             for A, left in row.items():
                 if abs(A) <= window:
-                    yield vector_residual(left, rhs.get(A, {}).get(B, {}))
+                    yield A, B, vector_residual(left, rhs.get(A, {}).get(B, {}))
     for A, row in rhs.items():
         if abs(A) <= window:
             for B, right in row.items():
                 if abs(B) <= window and A not in lhs.get(B, {}):
-                    yield vector_residual({}, right)
+                    yield A, B, vector_residual({}, right)
 
 
-def _check_commutator(rel: ExchangeRelation, alg: BosonAlgebra, i: int, j: int,
-                      max_degree: int, window: int) -> float:
+def _check_commutator(report, rel: ExchangeRelation, alg: BosonAlgebra, i: int, j: int,
+                      max_degree: int, window: int) -> None:
     """[a_{i,-l}, E+] = coeff z^{-l} E+ and [a_{i,l}, E-] = coeff z^{l} E- for l = 1..4.
 
     The dressing of each basis state is built once and serves every l, on the
     window itself: E+ is an annihilator part, which no window cuts, and the
     comparison at z^e, |e| <= window, reads E- at z^e and z^(e-l) only.
+    One sample per (basis state, l, z^e).
     """
     q, kappa = alg.params.q, alg.params.kappa
     k = alg.level
@@ -482,19 +481,18 @@ def _check_commutator(rel: ExchangeRelation, alg: BosonAlgebra, i: int, j: int,
     def dressing(v: BosonVec) -> dict[int, BosonVec]:
         return alg._compose(edesc, {0: v}, window, _UNIT_KERNEL, 0).get(0, {})
 
-    residuals = []
     for st in basis_states((i, j), max_degree):
         vec = {st: 1.0 + 0j}
         dressed = dressing(vec)
         for ell, coeff in enumerate(coeffs, 1):
-            residuals.append(mode_bracket_residual(alg, i, mode_sign * ell, coeff,
-                                                   dressing, vec, dressed, window))
-    return worst_residual(residuals)
+            for e, r in mode_bracket_residual(alg, i, mode_sign * ell, coeff, dressing, vec,
+                                              dressed, window):
+                report.record(r, lambda: f"i={i} j={j} state={state_label(st)} l={ell} z^{e}")
 
 
 def mode_bracket_residual(alg: BosonAlgebra, i: int, m: int, coeff, op, vec: BosonVec,
-                          op_vec: dict[int, BosonVec], window: int) -> float:
-    """Residual of [a_{i,m}, O(z)] vec = coeff z^m O(z) vec, coefficient-wise.
+                          op_vec: dict[int, BosonVec], window: int):
+    """(e, residual at z^e) of [a_{i,m}, O(z)] vec = coeff z^m O(z) vec, for |e| <= ``window``.
 
     ``op`` applies O(z) to a boson vector as {z-exponent: vector}, exact at
     every z^e and z^(e-m) with |e| <= ``window``, which the comparison reads;
@@ -505,7 +503,6 @@ def mode_bracket_residual(alg: BosonAlgebra, i: int, m: int, coeff, op, vec: Bos
     if pre:
         for ze, v2 in op(pre).items():
             accumulate(lhs.setdefault(ze, {}), v2, -1)
-    return worst_residual(
-        vector_residual(lhs.get(ze, {}),
-                        {st: coeff * c for st, c in op_vec.get(ze - m, {}).items()})
-        for ze in range(-window, window + 1))
+    for ze in range(-window, window + 1):
+        yield ze, vector_residual(lhs.get(ze, {}),
+                                  {st: coeff * c for st, c in op_vec.get(ze - m, {}).items()})

@@ -18,7 +18,6 @@ import math
 import random
 import sys
 
-from .boson import worst_residual
 from .ellcore import (Params, PoleProximityError, gkernel_branches, pf_expand,
                       pochratio_series, qpoch, theta)
 from .fock01 import (FockBasisVector, VectorBasis, apply_xminus, apply_xplus, phi_action,
@@ -146,6 +145,10 @@ def cmd_verify(args) -> int:
     return emit_reports(reports, args)
 
 
+def _pair(z) -> list[float]:
+    return [z.real, z.imag]
+
+
 def cmd_act(args) -> int:
     try:
         params = build_params(args)
@@ -155,42 +158,30 @@ def cmd_act(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    rows: list[dict] = []
     if args.rep == "fock":
         v = FockBasisVector(lam, FockBasisVector.vacuum(args.N, args.k).weight)
         if args.gen in ("x+", "x-"):
             out = (apply_xplus if args.gen == "x+" else apply_xminus)(args.color, v, params)
-            for t in out:
-                sup = t.support.value(params)
-                rows.append({
-                    "support": [sup.real, sup.imag],
-                    "coeff": [t.coeff.real, t.coeff.imag],
-                    "result": str(t.payload.partition),
-                    "weight_shift": {"root": t.payload.weight.root, "rq": t.payload.weight.rq},
-                })
+            rows = [{"support": _pair(t.support.value(params)), "coeff": _pair(t.coeff),
+                     "result": str(t.payload.partition),
+                     "weight_shift": {"root": t.payload.weight.root, "rq": t.payload.weight.rq}}
+                    for t in out]
         else:
             act = phi_action(args.color, v, params)
-            for nsh, dsh in zip(act.spec.numer_shifts, act.spec.denom_shifts):
-                nv, dv = nsh.value(params), dsh.value(params)
-                rows.append({"theta_numer": [nv.real, nv.imag],
-                             "theta_denom": [dv.real, dv.imag]})
-            rows.append({"scalar": [act.spec.scalar_prefactor.real,
-                                    act.spec.scalar_prefactor.imag],
-                         "weight_shift": {"root": act.weight_shift.root,
-                                          "rq": act.weight_shift.rq}})
+            spec, shift = act.spec, act.weight_shift
+            rows = [{"theta_numer": _pair(n.value(params)), "theta_denom": _pair(d.value(params))}
+                    for n, d in zip(spec.numer_shifts, spec.denom_shifts)]
+            rows.append({"scalar": _pair(spec.scalar_prefactor),
+                         "weight_shift": {"root": shift.root, "rq": shift.rq}})
     else:
         basis = VectorBasis(args.index, args.N, args.k)
         out = vector_rep_apply(args.gen, args.color, basis, params)
         if args.gen == "phi":
-            rows.append({"scalar": [out.spec.scalar_prefactor.real,
-                                    out.spec.scalar_prefactor.imag],
-                         "factors": len(out.spec.numer_shifts)})
+            rows = [{"scalar": _pair(out.spec.scalar_prefactor),
+                     "factors": len(out.spec.numer_shifts)}]
         else:
-            for t in out:
-                sup = t.support.value(params)
-                rows.append({"support": [sup.real, sup.imag],
-                             "coeff": [t.coeff.real, t.coeff.imag],
-                             "result": t.payload.index})
+            rows = [{"support": _pair(t.support.value(params)), "coeff": _pair(t.coeff),
+                     "result": t.payload.index} for t in out]
     if args.json:
         print(json.dumps(rows, indent=2, sort_keys=True))
     elif not rows:
@@ -231,7 +222,7 @@ def cmd_expand(args) -> int:
             if args.n < 1 or args.samples < 1:
                 raise ValueError("--n and --samples must be >= 1")
             rng = random.Random(params.seed)
-            residuals, skipped = [], 0
+            report = RelationReport("pf", "theta partial fractions", params)
             for _ in range(args.samples):
                 a = [cmath.rect(rng.uniform(0.5, 1.5), rng.uniform(0, 2 * cmath.pi))
                      for _ in range(args.n)]
@@ -243,15 +234,15 @@ def cmd_expand(args) -> int:
                         lhs, rhs = pf_expand(a, b + [math.prod(a, start=t)
                                                      / math.prod(b, start=1.0 + 0j)], t, params)
                     except PoleProximityError:
-                        skipped += 1
+                        report.skip()
                         continue
-                    residuals.append(abs(lhs - rhs) / (1 + abs(lhs)))
-            if not residuals:
+                    report.record(abs(lhs - rhs) / (1 + abs(lhs)), "")
+            if report.samples == report.skipped:
                 print("error: every instance fell near a pole; nothing was compared",
                       file=sys.stderr)
                 return RELATION_ERROR
-            print(f"{len(residuals)} balanced instances compared, {skipped} skipped near a "
-                  f"pole; max residual: {worst_residual(residuals):.3e}")
+            print(f"{report.samples - report.skipped} balanced instances compared, "
+                  f"{report.skipped} skipped near a pole; max residual: {report.max_residual:.3e}")
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -252,8 +252,8 @@ class Params:
                 raise ParameterError(f"{name} must be finite and nonzero")
         if self.trunc_M < 1:
             raise ParameterError("trunc_M must be positive")
-        if self.tol <= 0:
-            raise ParameterError("tol must be positive")
+        if not (self.tol > 0 and math.isfinite(self.tol)):
+            raise ParameterError(f"tol must be finite and positive, got {self.tol}")
         q2 = abs(self.q) ** 2
         if not abs(self.p) < min(1.0, q2):
             raise ParameterError(f"|p|={abs(self.p):.4g} outside the admissible regime |p| < |q|^2")

@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass
 
 from .boson import (BosonAlgebra, BosonVec, VACUUM, accumulate, basis_states,
-                    mode_bracket_residual, state_degree, vector_residual, worst_residual)
+                    mode_bracket_residual, state_degree, state_label, vector_residual)
 from .cartan import CartanData, Cocycle, DynWeight, cartan_data, graded
 from .ellcore import (Params, hash_once, pochratio_series, scalar_exp, scalar_like,
                       theta_coefficient)
@@ -150,18 +150,18 @@ class Level1Module:
 # Z-algebra relation checks at k = 1
 # ---------------------------------------------------------------------------
 
-def check_zalg2(mod: Level1Module, samples: int, rng: random.Random, window: int) -> float:
+def check_zalg2(report, mod: Level1Module, samples: int, rng: random.Random,
+                window: int) -> None:
     """Quadratic Z+-Z+- exchange, coefficient-wise in the exponent window.
 
     The Pochhammer-ratio prefactors telescope to polynomials of degree at
     most three, so every (z, w)-coefficient of both sides is reached once the
-    series run to order max(window, 3).
+    series run to order max(window, 3).  One sample per (vector, sign, i, j).
     """
     params = mod.params
     q, kappa = params.q, params.kappa
     s = q ** 2  # q^{2k} at k = 1
     order = max(window, 3)
-    residuals = []
     data = mod.data
     for v in mod.sample_vectors(samples, rng):
         for sign in (+1, -1):
@@ -176,28 +176,29 @@ def check_zalg2(mod: Level1Module, samples: int, rng: random.Random, window: int
                     ez, v2, c2 = mod.z_apply(sign, i, v1)
                     ezb, v1b, c1b = mod.z_apply(sign, i, v)
                     ewb, v2b, c2b = mod.z_apply(sign, j, v1b)
+                    label = f"lv={v.beta} sign={sign:+d} i={i} j={j}"
                     if (v2.beta, v2.weight) != (v2b.beta, v2b.weight):
-                        return 1.0
+                        report.record(1.0, f"{label}: the orderings' lattice vectors differ")
+                        continue
                     lhs = {(ez + 1 - n, ew + n): cl[n] * c1 * c2
                            for n in range(order + 1)}
                     rhs = {(ezb + n, ewb + 1 - n): -kappa ** (-mm) * cr[n] * c1b * c2b
                            for n in range(order + 1)}
-                    residuals.append(vector_residual(lhs, rhs))
-    return worst_residual(residuals)
+                    report.record(vector_residual(lhs, rhs), label)
 
 
-def check_zalg3(mod: Level1Module, samples: int, rng: random.Random, window: int) -> float:
+def check_zalg3(report, mod: Level1Module, samples: int, rng: random.Random,
+                window: int) -> None:
     """Z+ against Z-: the kernel difference equals the delta-supported K+- terms.
 
     Both kernels carry kappa^{-m} on the w/z side and kappa^{+m} on the z/w
     side.  Coefficients are compared on the exponent band where both
-    one-sided expansions are exact.
+    one-sided expansions are exact, one sample per (vector, i, j, z^e).
     """
     params = mod.params
     q, kappa = params.q, params.kappa
     s = q ** 2
     depth = 2 * window
-    residuals = []
     data = mod.data
     for v in mod.sample_vectors(samples, rng):
         for i in data.index_set:
@@ -213,7 +214,9 @@ def check_zalg3(mod: Level1Module, samples: int, rng: random.Random, window: int
                 ewb, v2b, co2b = mod.z_apply(-1, j, v1b)
                 # both orderings reach one lattice vector at one total degree
                 if (v2.beta, v2.weight, ez + ew) != (v2b.beta, v2b.weight, ezb + ewb):
-                    return 1.0
+                    report.record(1.0, f"lv={v.beta} i={i} j={j}: the orderings' lattice "
+                                       "vectors or degrees differ")
+                    continue
                 # the w-exponent is determined by the z-exponent, so key on z
                 lhs: dict = {}
                 accumulate(lhs, {ez - n: c1[n] * co1 * co2 for n in range(depth + 1)})
@@ -225,12 +228,12 @@ def check_zalg3(mod: Level1Module, samples: int, rng: random.Random, window: int
                         b_ = mod.boson.qnum(nb - e)
                     else:
                         b_ = 0j
-                    residuals.append(abs(a_ - b_) / (1 + abs(a_)))
-    return worst_residual(residuals)
+                    report.record(abs(a_ - b_) / (1 + abs(a_)),
+                                  lambda: f"lv={v.beta} i={i} j={j} z^{e}")
 
 
 def serre_reduction_residual(q: complex, km: complex, z1: complex, z2: complex,
-                             w: complex, minus: bool = False) -> float:
+                             w: complex, minus: bool) -> float:
     """Residual of the scalar identity underlying the current Serre relations.
 
     After normal ordering, the adjacent-color Serre sum collapses onto one
@@ -324,10 +327,9 @@ def _serre_sample(mod: Level1Module, rng: random.Random) -> tuple[complex, compl
             return z1, z2, w
 
 
-def check_zalg_serre(mod: Level1Module, sign: int, samples: int,
-                     rng: random.Random) -> float:
-    """Serre-family relation: scalar reduction identity plus operator evaluation."""
-    residuals = []
+def check_zalg_serre(report, mod: Level1Module, sign: int, samples: int,
+                     rng: random.Random) -> None:
+    """Serre-family relation: scalar reduction identity plus operator evaluation per sample."""
     q, kappa = mod.params.q, mod.params.kappa
     pairs = mod.data.adjacent_pairs()
     vs = mod.sample_vectors(3, rng)
@@ -335,27 +337,29 @@ def check_zalg_serre(mod: Level1Module, sign: int, samples: int,
         z1, z2, w = (scalar_like(x, q) for x in _serre_sample(mod, rng))
         i, j = pairs[rng.randrange(len(pairs))]
         km = kappa ** mod.data.m[i][j]
-        residuals.append(serre_reduction_residual(q, km, z1, z2, w, minus=sign < 0))
-        residuals.append(_zalg_serre_operator(mod, sign, i, j, vs[t % len(vs)], z1, z2, w))
-    return worst_residual(residuals)
+        report.record(serre_reduction_residual(q, km, z1, z2, w, minus=sign < 0),
+                      lambda: f"reduction i={i} j={j} sample#{t}")
+        v = vs[t % len(vs)]
+        report.record(_zalg_serre_operator(mod, sign, i, j, v, z1, z2, w),
+                      lambda: f"lv={v.beta} i={i} j={j} sample#{t}")
 
 
-def check_zalgebra(rel_id: str, mod: Level1Module, samples: int, window: int) -> float:
-    """Residual of one Z-algebra relation on module vectors sampled by Params.seed.
+def check_zalgebra(report, rel_id: str, mod: Level1Module, samples: int, window: int) -> None:
+    """Record one Z-algebra relation on module vectors sampled by Params.seed into ``report``.
 
-    zalg1, [a_{i,m}, Z+-_j] = 0, has nothing to compare and reads 0.0; the
-    relation registry of eqtor.relcheck says why.
+    zalg1, [a_{i,m}, Z+-_j] = 0, has nothing to compare and records one 0.0;
+    the relation registry of eqtor.relcheck says why.
     """
     rng = random.Random(mod.params.seed)
     few, many = max(4, samples // 3), max(10, samples)
-    checks = {"zalg1": lambda: 0.0,
-              "zalg2": lambda: check_zalg2(mod, few, rng, window),
-              "zalg3": lambda: check_zalg3(mod, few, rng, window),
-              "zalg4": lambda: check_zalg_serre(mod, +1, many, rng),
-              "zalg5": lambda: check_zalg_serre(mod, -1, many, rng)}
+    checks = {"zalg1": lambda: report.record(0.0, ""),
+              "zalg2": lambda: check_zalg2(report, mod, few, rng, window),
+              "zalg3": lambda: check_zalg3(report, mod, few, rng, window),
+              "zalg4": lambda: check_zalg_serre(report, mod, +1, many, rng),
+              "zalg5": lambda: check_zalg_serre(report, mod, -1, many, rng)}
     if rel_id not in checks:
         raise ValueError(f"unknown Z-algebra relation {rel_id!r}")
-    return checks[rel_id]()
+    checks[rel_id]()
 
 
 # ---------------------------------------------------------------------------
@@ -380,14 +384,18 @@ def sample_module_vectors(mod: Level1Module, max_degree: int, count: int,
     return out
 
 
-def check_mode_current_bracket(mod: Level1Module, i: int, j: int, sign: int,
-                               vec: ModuleVec, window: int) -> float:
-    """[a_{i,m}, x+-_j(z)] = +-([b_ij m]/m) f(m) z^m x+-_j(z) on matrix elements."""
+def _vec_label(vec: ModuleVec) -> str:
+    lv, bvec = vec
+    return f"lv={lv.beta} state={'+'.join(map(state_label, bvec))}"
+
+
+def check_mode_current_bracket(report, mod: Level1Module, i: int, j: int, sign: int,
+                               vec: ModuleVec, window: int) -> None:
+    """[a_{i,m}, x+-_j(z)] = +-([b_ij m]/m) f(m) z^m x+-_j(z), one sample per (m, z^e)."""
     alg = mod.boson
     params = mod.params
     q, kappa = params.q, params.kappa
     data = mod.data
-    residuals = []
     wide = window + BRACKET_MODES
     lv, bvec = vec
 
@@ -402,20 +410,20 @@ def check_mode_current_bracket(mod: Level1Module, i: int, j: int, sign: int,
                 * q ** (-m) * kappa ** (-m * mm)
         else:
             coeff = -(alg.qnum(b * m) / m) * kappa ** (-m * mm)
-        residuals.append(mode_bracket_residual(alg, i, m, coeff, current, bvec, cur, window))
-    return worst_residual(residuals)
+        for e, r in mode_bracket_residual(alg, i, m, coeff, current, bvec, cur, window):
+            report.record(r, lambda: f"{_vec_label(vec)} i={i} j={j} m={m} z^{e}")
 
 
-def check_xx_quadratic_level1(mod: Level1Module, sign: int, vec: ModuleVec,
-                              window: int) -> dict[tuple[int, int], float]:
+def check_xx_quadratic_level1(report, mod: Level1Module, sign: int, vec: ModuleVec,
+                              window: int) -> None:
     """Quadratic current relation with theta kernels, coefficient-wise.
 
     z theta_s(q^{+-b} kap^{-m} w/z) x_i(z) x_j(w)
         = -w kap^{-m} theta_s(q^{+-b} kap^{m} z/w) x_j(w) x_i(z),
     s = p* for the raising family and p for the lowering one; the theta
     Laurent tail beyond |n| = L1_THETA_TERMS falls below 1e-18 at the default
-    parameter point.  Returns the residual of every ordered color pair (i, j);
-    a pair whose orderings reach different lattice vectors gives 1.0.  The
+    parameter point.  One sample per ordered color pair (i, j) and cell (A, B);
+    a pair whose orderings reach different lattice vectors records 1.0.  The
     path of pair (i, j) that applies x_j first is the one pair (j, i)
     compares on its other side, so each ordered path is built once.
     """
@@ -444,11 +452,11 @@ def check_xx_quadratic_level1(mod: Level1Module, sign: int, vec: ModuleVec,
                                                            top - ea - eac).items()}
     ns = range(-L1_THETA_TERMS, L1_THETA_TERMS + 1)
     tns = [theta_coefficient(n, base) for n in ns]
-    out = {}
     for i in colors:
         for j in colors:
             if reach[j, i] != reach[i, j]:
-                out[i, j] = 1.0
+                report.record(1.0, f"{_vec_label(vec)} i={i} j={j}: the orderings' lattice "
+                                   "vectors differ")
                 continue
             b = data.b(i, j) * (1 if sign > 0 else -1)
             mm = data.m[i][j]
@@ -457,46 +465,50 @@ def check_xx_quadratic_level1(mod: Level1Module, sign: int, vec: ModuleVec,
             wl = [tn * cc1 ** n for n, tn in zip(ns, tns)]
             wr = [-kappa ** (-mm) * tn * cc2 ** n for n, tn in zip(ns, tns)]
             op1, op2 = paths[j, i], paths[i, j]
-            residuals = []
             for A in range(-window, window + 1):
                 for B in range(-window, window + 1):
                     accL, accR = {}, {}
                     for n, cl, cr in zip(ns, wl, wr):
                         accumulate(accL, op1.get((B - n, A - 1 + n), {}), cl)
                         accumulate(accR, op2.get((A - n, B - 1 + n), {}), cr)
-                    residuals.append(vector_residual(accL, accR))
-            out[i, j] = worst_residual(residuals)
-    return out
+                    report.record(vector_residual(accL, accR),
+                                  lambda: f"{_vec_label(vec)} i={i} j={j} A={A} B={B}")
 
 
-def check_highest_weight(mod: Level1Module, window: int) -> float:
+def check_highest_weight(report, mod: Level1Module, window: int) -> None:
     """Raising-side modes must kill the highest vector exactly.
 
     x+_{i,n} (n >= 0), x-_{i,n} (n > 0) and a_{i,n} (n > 0) all annihilate
     1 (x) e^{flam_a}: every z-exponent <= 0 coefficient of x+_i(z) v and
-    every z-exponent < 0 coefficient of x-_i(z) v must vanish.
+    every z-exponent < 0 coefficient of x-_i(z) v must vanish.  Each
+    coefficient is one sample, and an image with no terms one exact 0.0.
     """
     lv, v = mod.highest_vector()
-    killed = []
     for i in mod.data.index_set:
         plus = mod.current_apply(+1, i, lv, v, -window, 0)
         minus = mod.current_apply(-1, i, lv, v, -window, -1)
-        killed += ([vv for ze, vv in plus.items() if ze <= 0]
-                   + [vv for ze, vv in minus.items() if ze < 0]
-                   + [mod.boson.apply_mode(i, m, v) for m in range(1, 4)])
-    return worst_residual(abs(c) for vv in killed for c in vv.values())
+        images = [(f"x+_{i}", {ze: vv for ze, vv in plus.items() if ze <= 0}),
+                  (f"x-_{i}", {ze: vv for ze, vv in minus.items() if ze < 0}),
+                  *((f"a_{i},{m}", {0: mod.boson.apply_mode(i, m, v)}) for m in range(1, 4))]
+        for name, image in images:
+            terms = [(ze, st, c) for ze, vv in image.items() for st, c in vv.items()]
+            for ze, st, c in terms:
+                report.record(abs(c), lambda: f"{name} z^{ze} state={state_label(st)}")
+            if not terms:
+                report.record(0.0, "")
 
 
-def check_level(mod: Level1Module, samples: int, rng: random.Random) -> float:
-    """prod_i (K+_i)^{colabel_i} acts by q^{level_exponent} on sampled vectors: 0.0, else 1.0."""
+def check_level(report, mod: Level1Module, samples: int, rng: random.Random) -> None:
+    """prod_i (K+_i)^{colabel_i} acts by q^{level_exponent}: 0.0 per sampled vector, else 1.0."""
     expo = mod.level_exponent()
-    ok = all(sum(mod.data.colabels[c] * mod.pair_h(lv, c) for c in mod.data.index_set) == expo
-             for lv in mod.sample_vectors(samples, rng))
-    return 0.0 if ok else 1.0
+    for lv in mod.sample_vectors(samples, rng):
+        total = sum(mod.data.colabels[c] * mod.pair_h(lv, c) for c in mod.data.index_set)
+        report.record(float(total != expo),
+                      lambda: f"lv={lv.beta} central exponent {total}, not {expo}")
 
 
-def check_phi_phi_level1(mod: Level1Module, i: int, j: int, samples: int,
-                         rng: random.Random) -> float:
+def check_phi_phi_level1(report, mod: Level1Module, i: int, j: int, samples: int,
+                         rng: random.Random) -> None:
     """phi+_i(z) phi-_j(w) exchange multiplier at level 1, at sampled w/z.
 
     Normal-ordering both products gives the reordering kernel
@@ -521,8 +533,7 @@ def check_phi_phi_level1(mod: Level1Module, i: int, j: int, samples: int,
         cpl = (q - 1 / q) ** 2 / ((1 - p ** m) * (1 - p ** m))
         outer.append(cpl * mod.boson.mode_commutator(i, m, j, -m))
         inner.append(cpl * mod.boson.mode_commutator(j, m, i, -m) * p ** (2 * m))
-    residuals = []
-    for _ in range(samples):
+    for t in range(samples):
         x = rng.uniform(0.25, 0.45) * _cis(rng)  # inside the kernel-series disc
         zx, wx = q ** k * x, q ** (-k) / x
         acc = 0j
@@ -534,5 +545,4 @@ def check_phi_phi_level1(mod: Level1Module, i: int, j: int, samples: int,
                 * params.theta_p(q ** (-b) * kappa ** (-mm) * q ** (-k) * x, star=True)
                 / params.theta_p(q ** (-b) * kappa ** (-mm) * q ** k * x)
                 / params.theta_p(q ** b * kappa ** (-mm) * q ** (-k) * x, star=True))
-        residuals.append(abs(kernel - mult) / (1 + abs(mult)))
-    return worst_residual(residuals)
+        report.record(abs(kernel - mult) / (1 + abs(mult)), lambda: f"i={i} j={j} sample#{t}")

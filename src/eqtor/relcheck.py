@@ -3,11 +3,15 @@
 Every check evaluates both sides of a defining relation on a set of basis
 states, substitutes the delta support of each action term into the
 prefactors, and compares the two sides termwise on canonical (state, support)
-keys.  Every check, here and in the boson and level-1 modules, folds its
-residuals by one rule: the max over samples (boson.worst_residual, and
-RelationReport.record by the same rule), and a NaN anywhere is the worst
-case, so its report fails.  Most compare entries by |l - r| / (1 + |l|); the
-phi-phi checks read |num/den - 1| (level 0) or |l - r| / (1 + |r|) (level 1),
+keys.  Every check, here and in the boson and level-1 modules, takes the
+report of its relation as its first argument, records each sample into it
+with a label made only when the sample becomes the worst, and returns
+nothing.  RelationReport.record is the one fold: the max over samples, and
+a NaN anywhere is the worst case, so its report fails.  Labels locate the
+sample in at most 100 characters: a Fock state by its partition, a vector
+state as [u]_j, a support by its kappa, q, u exponents, a boson state by
+its modes, a lattice vector by its beta.  Most compare entries by
+|l - r| / (1 + |l|); the phi-phi checks read |num/den - 1| (level 0) or |l - r| / (1 + |r|) (level 1),
 and the Serre sums |sum| / (1 + the largest entry or term).  Samples whose
 prefactors fall inside the guard radius of a theta zero are skipped and
 counted; everything on the exact support lattice needs no guard.  Theta
@@ -18,7 +22,8 @@ point.  Module actions are memoized for one check and dropped when it returns.
 One registry, ``_CHECKS``, maps every relation id of the fock, vector,
 heisenberg and level1 suites to its row: the handle classes whose suites run
 it, its check, and for a structural relation the reason it cannot fail.
-``run_relation`` runs any id alone; each suite is ``run_suite`` over its rows.
+``run_relation`` builds the report and runs any id alone; each suite is
+``run_suite`` over its rows.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from itertools import product
 from .boson import BosonAlgebra, EXCHANGE_IDS, check_exchange
 from .cartan import cartan_data
 from .ellcore import GUARD, Lat, Params, gkernel, phi_delta_difference, theta_zero_distance
-from .fock01 import FockRep, VectorRep
+from .fock01 import FockRep, VectorBasis, VectorRep
 from .level1 import (L1_THETA_TERMS, PHI_PHI_ORDER, Level1Module, check_highest_weight,
                      check_level, check_mode_current_bracket, check_phi_phi_level1,
                      check_xx_quadratic_level1, check_zalgebra, sample_module_vectors,
@@ -66,8 +71,9 @@ class RelationReport:
 
     def record(self, residual: float, label: str | Callable[[], str]) -> None:
         """Count one sample; ``label`` is a string or a function that makes one,
-        called only when this sample becomes the worst.  By the rule of
-        boson.worst_residual, a NaN sample is the worst, so the report fails."""
+        called only when this sample becomes the worst.  The max over samples is
+        the program's one fold of residuals: a NaN sample is the worst, wherever
+        it comes, so the report fails."""
         self.samples += 1
         if residual > self.max_residual or residual != residual:
             self.max_residual = residual
@@ -80,31 +86,14 @@ class RelationReport:
     def to_json_dict(self) -> dict:
         """Plain JSON types only: mpmath scalars of a high-precision run become floats."""
         p = self.params
-
-        def pair(z) -> list[float]:
-            z = complex(z)
-            return [z.real, z.imag]
-
-        return {
-            "relation_id": self.relation_id,
-            "rep": self.rep,
-            "params": {
-                "q": pair(p.q),
-                "kappa": pair(p.kappa),
-                "p": pair(p.p),
-                "u": pair(p.u),
-                "level_k": p.level_k,
-                "trunc_M": p.trunc_M,
-                "tol": float(p.tol),
-                "seed": p.seed,
-            },
-            "samples": self.samples,
-            "skipped": self.skipped,
-            "max_residual": float(self.max_residual),
-            "worst_case": self.worst_case,
-            "status": self.status,
-            "notes": self.notes,
-        }
+        point = {name: [complex(z).real, complex(z).imag]
+                 for name, z in (("q", p.q), ("kappa", p.kappa), ("p", p.p), ("u", p.u))}
+        return {"relation_id": self.relation_id, "rep": self.rep,
+                "params": {**point, "level_k": p.level_k, "trunc_M": p.trunc_M,
+                           "tol": float(p.tol), "seed": p.seed},
+                "samples": self.samples, "skipped": self.skipped,
+                "max_residual": float(self.max_residual), "worst_case": self.worst_case,
+                "status": self.status, "notes": self.notes}
 
 
 def _eigenvalues(rep, points):
@@ -137,24 +126,32 @@ def _accumulate(table: dict, key, value: complex) -> None:
     table[key] = table.get(key, 0j) + value
 
 
+def _name(x) -> str:
+    """A basis state by its partition or vector index, a support by its kappa, q, u exponents."""
+    if isinstance(x, Lat):
+        return f"k{x.kappa_e}q{x.q_e}u{x.u_e}"
+    return f"[u]_{x.index}" if isinstance(x, VectorBasis) else str(x.partition)
+
+
 def _compare_tables(lhs: dict, rhs: dict, report: RelationReport,
                     label: Callable[[], str]) -> None:
-    """``label()`` names the compared tables; it is formatted only for a new worst."""
+    """``label()`` names the compared tables; it is formatted only for a new worst.
+
+    Each key names its output state and supports."""
     for key in set(lhs) | set(rhs):
         a = lhs.get(key, 0j)
         b = rhs.get(key, 0j)
-        report.record(abs(a - b) / (1 + abs(a)), lambda: f"{label()} {key!r}"[:160])
+        report.record(abs(a - b) / (1 + abs(a)),
+                      lambda: f"{label()} -> {' '.join(map(_name, key))}")
 
 
 # ---------------------------------------------------------------------------
 # quadratic current relations
 # ---------------------------------------------------------------------------
 
-def check_quadratic(rep, sign: int, states) -> RelationReport:
+def check_quadratic(report: RelationReport, rep, sign: int, states) -> None:
     """z theta(q^{+-b} kap^{-m} w/z) x_i(z) x_j(w) = -w kap^{-m} theta(...) x_j(w) x_i(z)."""
     params = rep.params
-    rel = "xpxp" if sign > 0 else "xmxm"
-    report = RelationReport(rel, rep.describe(), params)
     data = rep.cartan
     star = sign > 0  # p* side for the raising family (p* = p at level zero)
     x = cache(rep.x)
@@ -178,11 +175,11 @@ def check_quadratic(rep, sign: int, states) -> RelationReport:
                         pref = (-params.kappa ** (-mm) * sw.value(params)
                                 * params.theta_lat(arg, star=star))
                         _accumulate(rhs, (tw.payload, sz, sw), pref * tz.coeff * tw.coeff)
-                _compare_tables(lhs, rhs, report, lambda: f"{rel} i={i} j={j} state={v}")
-    return report
+                _compare_tables(lhs, rhs, report,
+                                lambda: f"{report.relation_id} i={i} j={j} state={_name(v)}")
 
 
-def check_xpxm(rep, states) -> RelationReport:
+def check_xpxm(report: RelationReport, rep, states) -> None:
     """[x+_i(z), x-_j(w)] against the expansion difference of the diagonal current.
 
     For i = j the off-diagonal channels must cancel termwise and the diagonal
@@ -190,7 +187,6 @@ def check_xpxm(rep, states) -> RelationReport:
     eigenvalue function divided by q - q^{-1}; for i != j everything cancels.
     """
     params = rep.params
-    report = RelationReport("xpxm", rep.describe(), params)
     q = params.q
     x = cache(rep.x)
     for v in states:
@@ -212,8 +208,8 @@ def check_xpxm(rep, states) -> RelationReport:
                     for support, coeff in phi_delta_difference(act.spec, params):
                         _accumulate(rhs, (diag_payload, support, support),
                                     coeff / (q - 1 / q))
-                _compare_tables(lhs, rhs, report, lambda: f"xpxm i={i} j={j} state={v}")
-    return report
+                _compare_tables(lhs, rhs, report,
+                                lambda: f"{report.relation_id} i={i} j={j} state={_name(v)}")
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +223,7 @@ def _phi_x_points(params: Params) -> list:
             for _ in range(Z_SAMPLES)]
 
 
-def check_phi_x(rep, x_sign: int, states) -> RelationReport:
+def check_phi_x(report: RelationReport, rep, x_sign: int, states) -> None:
     """Conjugation of a ladder current by a diagonal current.
 
     phi_i(z) x+_j(w) phi_i(z)^{-1} multiplies by
@@ -238,8 +234,6 @@ def check_phi_x(rep, x_sign: int, states) -> RelationReport:
     (level-zero handles have k = 0, so the q^{-+k/2} shifts drop).
     """
     params = rep.params
-    rel = "phixp" if x_sign > 0 else "phixm"
-    report = RelationReport(rel, rep.describe(), params)
     zs = _phi_x_points(params)
     data = rep.cartan
     star = x_sign > 0
@@ -274,12 +268,11 @@ def check_phi_x(rep, x_sign: int, states) -> RelationReport:
                             continue
                         lhs = lhs_eig[zidx]
                         rhs = mult * rhs_eig[zidx]
-                        report.record(abs(lhs - rhs) / (1 + abs(lhs)),
-                                      lambda: f"{rel} i={i} j={j} state={v} z#{zidx}")
-    return report
+                        report.record(abs(lhs - rhs) / (1 + abs(lhs)), lambda: (
+                            f"{report.relation_id} i={i} j={j} state={_name(v)} z#{zidx}"))
 
 
-def check_phi_phi(rep, kind: str) -> RelationReport:
+def check_phi_phi(report: RelationReport, rep, kind: str) -> None:
     """Exchange of two diagonal currents.
 
     On a weight basis both currents act by scalars, so the operator exchange
@@ -288,8 +281,6 @@ def check_phi_phi(rep, kind: str) -> RelationReport:
     inverses (for the +- pairing the q^{+-k} arguments coincide at k = 0).
     """
     params = rep.params
-    rel = "phiphi_pp" if kind == "pp" else "phiphi_pm"
-    report = RelationReport(rel, rep.describe(), params)
     rng = random.Random(params.seed ^ 0xF1F1)
     data = rep.cartan
     qk = params.q ** params.level_k
@@ -298,7 +289,6 @@ def check_phi_phi(rep, kind: str) -> RelationReport:
             b, mm = data.b(i, j), data.m[i][j]
             for t in range(6):
                 x = rng.uniform(0.5, 1.8) * cmath.exp(1j * rng.uniform(0, 2 * cmath.pi))
-                label = f"{rel} i={i} j={j} sample#{t}"
                 args = [params.q ** b * params.kappa ** (-mm),
                         params.q ** (-b) * params.kappa ** (-mm)]
                 if kind == "pm":
@@ -314,15 +304,15 @@ def check_phi_phi(rep, kind: str) -> RelationReport:
                 if abs(den) < 1e-12:
                     report.skip()
                     continue
-                report.record(abs(num / den - 1), label)
-    return report
+                report.record(abs(num / den - 1),
+                              lambda: f"{report.relation_id} i={i} j={j} sample#{t}")
 
 
 # ---------------------------------------------------------------------------
 # Serre relations
 # ---------------------------------------------------------------------------
 
-def check_serre(rep, sign: int, states) -> RelationReport:
+def check_serre(report: RelationReport, rep, sign: int, states) -> None:
     """Cubic Serre relation for adjacent colors, termwise on delta-support keys.
 
     The antisymmetrized sum over orderings of two same-color currents around
@@ -331,8 +321,6 @@ def check_serre(rep, sign: int, states) -> RelationReport:
     the support lattice are exact.
     """
     params = rep.params
-    rel = "serre_plus" if sign > 0 else "serre_minus"
-    report = RelationReport(rel, rep.describe(), params)
     q = params.q
     flip = 1 if sign > 0 else -1
     two = q + 1 / q
@@ -368,18 +356,18 @@ def check_serre(rep, sign: int, states) -> RelationReport:
                             pref *= gker((at[slot] / sw) * Lat(mm), flip * b_ij)
                         _accumulate(total, (state, at[0], at[1], sw), pref * co)
                 scale = max(abs(c) for c in total.values()) if total else 0.0
-                for key, val in total.items():
-                    report.record(abs(val) / (1 + scale), f"{rel} i={i} j={j} state={v}")
+                for val in total.values():
+                    report.record(abs(val) / (1 + scale),
+                                  lambda: f"{report.relation_id} i={i} j={j} state={_name(v)}")
                 if not total:
-                    report.record(0.0, f"{rel} i={i} j={j} state={v} (empty)")
-    return report
+                    report.record(0.0, "")
 
 
 # ---------------------------------------------------------------------------
 # grading, degree and level bookkeeping
 # ---------------------------------------------------------------------------
 
-def check_grading(rep, kind: str, states) -> RelationReport:
+def check_grading(report: RelationReport, rep, kind: str, states) -> None:
     """Dynamical-weight bookkeeping of the currents, as exact integers.
 
     Conjugating a test function q^{<mu, P>} (and q^{<nu, P+h>}) by a
@@ -387,8 +375,6 @@ def check_grading(rep, kind: str, states) -> RelationReport:
     lattice shift: x+_j by (-<Q_j, mu>, +<alpha_j, nu>), x-_j by (0, -<alpha_j, nu>),
     and the diagonal current by (-<Q_j, mu>, 0).
     """
-    rel = "grading_gf" if kind == "gf" else "grading_gK"
-    report = RelationReport(rel, rep.describe(), rep.params)
     rng = random.Random(rep.params.seed ^ 0x6124)
     data = rep.cartan
     size = len(data.a)
@@ -406,7 +392,8 @@ def check_grading(rep, kind: str, states) -> RelationReport:
                             want_rq = -sum(data.a[j][c] * mu[c] for c in range(size)) if sign > 0 else 0
                             want_root = sign * sum(mu[c] * data.a[c][j] for c in range(size))
                             bad = int(drq != want_rq) + int(droot != want_root)
-                            report.record(float(bad), f"{rel} x{'+' if sign > 0 else '-'}_{j} state={v}")
+                            report.record(float(bad), lambda: f"{report.relation_id} "
+                                          f"x{'+' if sign > 0 else '-'}_{j} state={_name(v)}")
             else:
                 act = rep.phi(j, v)
                 for mu in mus:
@@ -414,15 +401,14 @@ def check_grading(rep, kind: str, states) -> RelationReport:
                     droot = act.weight_shift.pair_root(mu, data)
                     want = -sum(data.a[j][c] * mu[c] for c in range(size))
                     bad = int(drq != want) + int(droot != 0)
-                    report.record(float(bad), f"{rel} phi_{j} state={v}")
-    return report
+                    report.record(float(bad),
+                                  lambda: f"{report.relation_id} phi_{j} state={_name(v)}")
 
 
-def check_dedf(rep, states) -> RelationReport:
+def check_dedf(report: RelationReport, rep, states) -> None:
     """Degree bookkeeping: rescaling the spectral parameter shifts every
     delta support by the same factor and leaves all coefficients unchanged,
     which is the module-level content of conjugation by the grading element."""
-    report = RelationReport("dedf", rep.describe(), rep.params)
     params2 = replace(rep.params, u=rep.params.q * rep.params.u)
     rep2 = type(rep)(params2, rep.n_colors, rep.root_color)
     for v in states[: 12]:
@@ -435,18 +421,17 @@ def check_dedf(rep, states) -> RelationReport:
                     b = t2.get(key, 0j)
                     ok = key[1].u_e == 1
                     report.record(abs(a - b) / (1 + abs(a)) + (0.0 if ok else 1.0),
-                                  f"dedf x_{j} state={v}")
-    return report
+                                  lambda: f"{report.relation_id} x{'+' if sign > 0 else '-'}_{j} "
+                                          f"state={_name(v)} -> {' '.join(map(_name, key))}")
 
 
-def check_kappa0(rep, states) -> RelationReport:
+def check_kappa0(report: RelationReport, rep, states) -> None:
     """Product of the diagonal constant parts: exact integer exponent count."""
-    report = RelationReport("kappa0", rep.describe(), rep.params)
     expected = rep.kappa0_exponent
     for v in states:
         total = sum(rep.kplus_exponent(j, v) for j in rep.colors())
-        report.record(float(abs(total - expected)), f"kappa0 state={v}")
-    return report
+        report.record(float(abs(total - expected)),
+                      lambda: f"{report.relation_id} state={_name(v)}")
 
 
 # ---------------------------------------------------------------------------
@@ -468,26 +453,18 @@ def pair_classes(data) -> list[tuple[int, int]]:
     return sorted(seen.values())
 
 
-def _report(handle, rid: str, notes: str, samples) -> RelationReport:
-    """The report of a check that returns residuals, from its (residual, label) samples."""
-    report = RelationReport(rid, handle.describe(), handle.params, notes=notes)
-    for residual, label in samples:
-        report.record(residual, label)
-    return report
-
-
 def _color_pairs(handle):
     return product(handle.data.index_set, repeat=2)
 
 
 def _exchange(n: int):
-    """Dressing exchange n, one residual per (b_ij, m_ij) class of color pairs."""
-    notes = ("module action carries the cyclic kappa twist of the mode bracket; "
-             "color pairs deduplicated by (b_ij, m_ij) class")
-    return lambda alg, rid, size: _report(alg, rid, notes, (
-        (check_exchange(n, alg, i, j, max_degree=size[0], window=size[1]),
-         f"{rid} i={i} j={j} b={alg.data.b(i, j)} m={alg.data.m[i][j]}")
-        for i, j in pair_classes(alg.data)))
+    """Dressing exchange n on one representative color pair per (b_ij, m_ij) class."""
+    def check(alg, report, size):
+        report.notes = ("module action carries the cyclic kappa twist of the mode bracket; "
+                        "color pairs deduplicated by (b_ij, m_ij) class")
+        for i, j in pair_classes(alg.data):
+            check_exchange(report, n, alg, i, j, *size)
+    return check
 
 
 def _module_vectors(mod: Level1Module, degree: int) -> list:
@@ -495,43 +472,41 @@ def _module_vectors(mod: Level1Module, degree: int) -> list:
     return sample_module_vectors(mod, degree, 4, random.Random(mod.params.seed ^ 0x11F1))
 
 
-def _zalgebra(mod: Level1Module, rid: str, size) -> RelationReport:
-    return _report(mod, rid, "", [(check_zalgebra(rid, mod, samples=24, window=size[1]), rid)])
+def _zalgebra(mod: Level1Module, report: RelationReport, size) -> None:
+    check_zalgebra(report, report.relation_id, mod, samples=24, window=size[1])
 
 
 def _bracket(sign: int):
     """Every color pair on the highest vector, and one pair on a sampled vector."""
-    def samples(mod, rid, degree, window):
-        vecs, window = _module_vectors(mod, degree), min(window, 3)
+    def check(mod, report, size):
+        vecs, window = _module_vectors(mod, size[0]), min(size[1], 3)
         for i, j in _color_pairs(mod):
-            yield check_mode_current_bracket(mod, i, j, sign, vecs[0], window), f"{rid} i={i} j={j}"
-        yield check_mode_current_bracket(mod, 0, 1, sign, vecs[-1], window), f"{rid} sampled state"
-    return lambda mod, rid, size: _report(mod, rid, "", samples(mod, rid, *size))
+            check_mode_current_bracket(report, mod, i, j, sign, vecs[0], window)
+        check_mode_current_bracket(report, mod, 0, 1, sign, vecs[-1], window)
+    return check
 
 
-def _l1_xpxp(mod: Level1Module, rid: str, size) -> RelationReport:
-    res = [check_xx_quadratic_level1(mod, +1, vec, window=min(size[1], 2))
-           for vec in _module_vectors(mod, size[0])[:2]]
-    return _report(mod, rid, f"theta kernels stop at Laurent order |n| <= {L1_THETA_TERMS}; "
-                   "in high precision the residual is bounded by that tail",
-                   ((r[i, j], f"{rid} i={i} j={j}") for r in res for i, j in _color_pairs(mod)))
+def _l1_xpxp(mod: Level1Module, report: RelationReport, size) -> None:
+    report.notes = (f"theta kernels stop at Laurent order |n| <= {L1_THETA_TERMS}; "
+                    "in high precision the residual is bounded by that tail")
+    for vec in _module_vectors(mod, size[0])[:2]:
+        check_xx_quadratic_level1(report, mod, +1, vec, window=min(size[1], 2))
 
 
 # l1_level and l1_phiphi_pm read no module vector, so each draws from a stream of its
 # own and its samples do not move with the degree
-def _l1_level(mod: Level1Module, rid: str, size) -> RelationReport:
-    expo = mod.level_exponent()
-    return _report(mod, rid, f"prod_i (K+_i)^(colabel) acts by q^{expo} times a uniform R_Q shift",
-                   [(check_level(mod, 8, random.Random(mod.params.seed ^ 0x1E7E)),
-                     f"central exponent {expo}")])
+def _l1_level(mod: Level1Module, report: RelationReport, size) -> None:
+    report.notes = (f"prod_i (K+_i)^(colabel) acts by q^{mod.level_exponent()} "
+                    "times a uniform R_Q shift")
+    check_level(report, mod, 8, random.Random(mod.params.seed ^ 0x1E7E))
 
 
-def _l1_phiphi_pm(mod: Level1Module, rid: str, size) -> RelationReport:
+def _l1_phiphi_pm(mod: Level1Module, report: RelationReport, size) -> None:
+    report.notes = (f"kernel series stops at order {PHI_PHI_ORDER}; in high precision "
+                    "the residual is bounded by that tail")
     rng = random.Random(mod.params.seed ^ 0x9F1F)
-    return _report(mod, rid, f"kernel series stops at order {PHI_PHI_ORDER}; in high precision "
-                   "the residual is bounded by that tail",
-                   ((check_phi_phi_level1(mod, i, j, 4, rng), f"pm i={i} j={j}")
-                    for i, j in _color_pairs(mod)))
+    for i, j in _color_pairs(mod):
+        check_phi_phi_level1(report, mod, i, j, 4, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -545,11 +520,12 @@ def _basis(rep, size: int | None) -> list:
 
 @dataclass(frozen=True)
 class Relation:
-    """One registry row.  ``check(handle, rel_id, size)`` has run_relation's signature and
-    looks every check function up when it runs, so a wrapped one is the one called."""
+    """One registry row.  ``check(handle, report, size)`` records into the report that
+    run_relation hands it (h, r in the rows), and looks every check function up when it
+    runs, so a wrapped one is the one called."""
 
     handles: tuple[type, ...]  # the handle classes whose suites run it, the first its own
-    check: Callable[..., RelationReport]
+    check: Callable[..., None]
     structural: str = ""       # why no perturbation can fail it, for a structural relation
 
 
@@ -560,26 +536,22 @@ _PHI_PHI_REASON = ("structural at level zero: p* = p makes the multiplier exactl
 
 # relation id -> its row; the rows of one handle class, in order, are that suite
 _CHECKS = {
-    "xpxp": Relation(_LEVEL0, lambda rep, rid, size: check_quadratic(rep, +1, _basis(rep, size))),
-    "xmxm": Relation(_LEVEL0, lambda rep, rid, size: check_quadratic(rep, -1, _basis(rep, size))),
-    "xpxm": Relation(_LEVEL0, lambda rep, rid, size: check_xpxm(rep, _basis(rep, size))),
-    "phixp": Relation(_LEVEL0, lambda rep, rid, size: check_phi_x(rep, +1, _basis(rep, size))),
-    "phixm": Relation(_LEVEL0, lambda rep, rid, size: check_phi_x(rep, -1, _basis(rep, size))),
-    "phiphi_pp": Relation(_LEVEL0, lambda rep, rid, size: check_phi_phi(rep, "pp"),
-                          _PHI_PHI_REASON),
-    "phiphi_pm": Relation(_LEVEL0, lambda rep, rid, size: check_phi_phi(rep, "pm"),
-                          _PHI_PHI_REASON),
-    "serre_plus": Relation((FockRep,), lambda rep, rid, size:
-                           check_serre(rep, +1, rep.states(SERRE_MAX_SIZE))),
-    "serre_minus": Relation((FockRep,), lambda rep, rid, size:
-                            check_serre(rep, -1, rep.states(SERRE_MAX_SIZE))),
-    "grading_gf": Relation(_LEVEL0, lambda rep, rid, size:
-                           check_grading(rep, "gf", _basis(rep, size))),
-    "grading_gK": Relation(_LEVEL0, lambda rep, rid, size:
-                           check_grading(rep, "gK", _basis(rep, size))),
-    "dedf": Relation(_LEVEL0, lambda rep, rid, size: check_dedf(rep, _basis(rep, size))),
-    "kappa0": Relation(_LEVEL0, lambda rep, rid, size: check_kappa0(
-        rep, _basis(rep, None if size is None else min(size + 2, 8)))),
+    "xpxp": Relation(_LEVEL0, lambda h, r, size: check_quadratic(r, h, +1, _basis(h, size))),
+    "xmxm": Relation(_LEVEL0, lambda h, r, size: check_quadratic(r, h, -1, _basis(h, size))),
+    "xpxm": Relation(_LEVEL0, lambda h, r, size: check_xpxm(r, h, _basis(h, size))),
+    "phixp": Relation(_LEVEL0, lambda h, r, size: check_phi_x(r, h, +1, _basis(h, size))),
+    "phixm": Relation(_LEVEL0, lambda h, r, size: check_phi_x(r, h, -1, _basis(h, size))),
+    "phiphi_pp": Relation(_LEVEL0, lambda h, r, size: check_phi_phi(r, h, "pp"), _PHI_PHI_REASON),
+    "phiphi_pm": Relation(_LEVEL0, lambda h, r, size: check_phi_phi(r, h, "pm"), _PHI_PHI_REASON),
+    "serre_plus": Relation((FockRep,), lambda h, r, size:
+                           check_serre(r, h, +1, h.states(SERRE_MAX_SIZE))),
+    "serre_minus": Relation((FockRep,), lambda h, r, size:
+                            check_serre(r, h, -1, h.states(SERRE_MAX_SIZE))),
+    "grading_gf": Relation(_LEVEL0, lambda h, r, size: check_grading(r, h, "gf", _basis(h, size))),
+    "grading_gK": Relation(_LEVEL0, lambda h, r, size: check_grading(r, h, "gK", _basis(h, size))),
+    "dedf": Relation(_LEVEL0, lambda h, r, size: check_dedf(r, h, _basis(h, size))),
+    "kappa0": Relation(_LEVEL0, lambda h, r, size: check_kappa0(
+        r, h, _basis(h, None if size is None else min(size + 2, 8)))),
     **{f"heis_{n:02d}": Relation((BosonAlgebra,), _exchange(n)) for n in EXCHANGE_IDS},
     "zalg1": Relation((Level1Module,), _zalgebra,
                       "structural: z_apply ignores the boson state, so both orderings "
@@ -588,8 +560,7 @@ _CHECKS = {
     "l1_bracket_plus": Relation((Level1Module,), _bracket(+1)),
     "l1_bracket_minus": Relation((Level1Module,), _bracket(-1)),
     "l1_xpxp": Relation((Level1Module,), _l1_xpxp),
-    "l1_highest": Relation((Level1Module,), lambda mod, rid, size: _report(
-        mod, rid, "", [(check_highest_weight(mod, window=size[1]), "annihilation window")])),
+    "l1_highest": Relation((Level1Module,), lambda h, r, size: check_highest_weight(r, h, size[1])),
     "l1_level": Relation((Level1Module,), _l1_level),
     "l1_phiphi_pm": Relation((Level1Module,), _l1_phiphi_pm),
 }
@@ -641,9 +612,8 @@ def run_relation(handle, rel_id: str, size) -> RelationReport:
                          f"{' or '.join(cls.__name__ for cls in relation.handles)}, "
                          f"not on {type(handle).__name__}")
     _require_sizes(handle, size)
-    report = relation.check(handle, rel_id, size)
-    if relation.structural:
-        report.notes = relation.structural
+    report = RelationReport(rel_id, handle.describe(), handle.params, notes=relation.structural)
+    relation.check(handle, report, size)
     return report
 
 

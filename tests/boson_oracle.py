@@ -43,24 +43,23 @@ class OracleBoson:
     def __init__(self, alg: BosonAlgebra):
         self.alg = alg
 
-    def apply_creator(self, vec, i, m, scale=1.0):
-        return {tuple_add_mode(st, i, m): c * scale for st, c in vec.items()}
+    def apply_creator(self, vec, i, m):
+        return {tuple_add_mode(st, i, m): c for st, c in vec.items()}
 
-    def apply_annihilation(self, i, m, vec, scale=1.0):
+    def apply_annihilation(self, i, m, vec):
         out = {}
         for st, c in vec.items():
             for key, mult in st:
                 jc, mm = key
                 if mm == m:
                     s2 = tuple_drop_mode(st, key)
-                    out[s2] = out.get(s2, 0j) + c * scale * mult * self.alg.mode_commutator(i, m, jc, -m)
+                    out[s2] = out.get(s2, 0j) + c * mult * self.alg.mode_commutator(i, m, jc, -m)
         return out
 
-    def apply_mode(self, i, m, vec, prime=False):
-        scale = self.alg.prime_scale(abs(m)) if prime else 1.0
+    def apply_mode(self, i, m, vec):
         if m < 0:
-            return self.apply_creator(vec, i, -m, scale)
-        return self.apply_annihilation(i, m, vec, scale)
+            return self.apply_creator(vec, i, -m)
+        return self.apply_annihilation(i, m, vec)
 
     def _exp_mode_series(self, vec, i, coef, creator, tmax):
         out = {0: dict(vec)}

@@ -8,6 +8,7 @@ import cmath
 import random
 
 import pytest
+from collect import PairMax, checked
 from row_oracle import phi_action_rows, row_coeff_minus, row_coeff_plus
 
 from eqtor.boson import BosonAlgebra, EXCHANGE_IDS, VACUUM, check_exchange, state_add_mode
@@ -93,8 +94,7 @@ def test_criterion_03_ladder_commutator_vs_expansion_difference():
     worst = 0.0
     for k in range(3):
         rep = FockRep(P, 3, k)
-        rpt = check_xpxm(rep, rep.states(6))
-        worst = max(worst, rpt.max_residual)
+        worst = max(worst, checked(check_xpxm, rep, rep.states(6)).max_residual)
     report(3, "[x+, x-] against the residue expansion", worst, TOL)
 
 
@@ -105,8 +105,7 @@ def test_criterion_04_serre_relations():
             rep = FockRep(P, n, k)
             states = rep.states(4)
             for sign in (+1, -1):
-                rpt = check_serre(rep, sign, states)
-                worst = max(worst, rpt.max_residual)
+                worst = max(worst, checked(check_serre, rep, sign, states).max_residual)
     report(4, "cubic Serre relations N=3,4", worst, TOL)
 
 
@@ -188,8 +187,8 @@ def test_criterion_08_dressing_exchange_relations(tag):
     worst = 0.0
     for rel_id in EXCHANGE_IDS:
         for i, j in pair_classes(data):
-            worst = max(worst, check_exchange(rel_id, alg, i, j,
-                                              max_degree=4, window=6))
+            worst = max(worst, checked(check_exchange, rel_id, alg, i, j,
+                                       max_degree=4, window=6).max_residual)
     report(8, f"sixteen dressing-exchange relations on {tag}", worst, TOL)
 
 
@@ -198,13 +197,13 @@ def test_criterion_09_z_algebra_relations(tag, a):
     mod = Level1Module.make(tag, a, P)
     worst = 0.0
     for rel in ("zalg1", "zalg2", "zalg3", "zalg4", "zalg5"):
-        worst = max(worst, check_zalgebra(rel, mod, samples=50, window=6))
+        worst = max(worst, checked(check_zalgebra, rel, mod, samples=50, window=6).max_residual)
     report(9, f"Z-operator relations on {tag} (a={a})", worst, TOL)
 
 
 def test_criterion_10_level1_full_currents():
     mod = Level1Module.make("A2", 0, P)
-    hw = check_highest_weight(mod, window=6)
+    hw = checked(check_highest_weight, mod, window=6).max_residual
     assert hw == 0.0, "highest-weight annihilation must be exact"
     lv = LatticeVector.highest(mod.data, 0)
     vecs = [
@@ -217,9 +216,9 @@ def test_criterion_10_level1_full_currents():
         for i in range(3):
             for j in range(3):
                 for sign in (+1, -1):
-                    worst = max(worst, check_mode_current_bracket(
-                        mod, i, j, sign, vec, window=2))
-        pairs = check_xx_quadratic_level1(mod, +1, vec, window=2)
+                    worst = max(worst, checked(check_mode_current_bracket, mod, i, j, sign,
+                                               vec, window=2).max_residual)
+        pairs = PairMax(check_xx_quadratic_level1, mod, +1, vec, window=2).pairs
         assert len(pairs) == 9
         worst = max(worst, *pairs.values())
     report(10, "level-(1,l) current brackets and quadratic relation", worst, TOL)

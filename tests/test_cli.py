@@ -191,6 +191,18 @@ def test_usage_error_exit_code():
     assert main(["expand", "sine"]) == 2
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "config_inf"])
+def test_verify_rejects_a_non_finite_tol(capsys, tmp_path, tol):
+    # --tol nan failed every relation with exit 1; --tol inf, or Infinity in a
+    # config, passed every one with exit 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"tol": Infinity}')
+    argv = ("--config", str(cfg)) if tol == "config_inf" else ("--tol", tol)
+    code, out, err = run(capsys, "verify", "vector", "--N", "3", *argv)
+    assert code == 2 and out == ""
+    assert "tol must be finite and positive" in err
+
+
 def test_verify_level1_zalg2_small_window(capsys):
     # the Z+-Z+- series are degree-3 polynomials: a window below 3 must not
     # truncate them into a false failure

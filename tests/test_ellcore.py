@@ -270,6 +270,10 @@ def test_params_validation():
     # the genericity radius is fixed at 1e-8: the pass tolerance neither widens
     # it (a loose tol used to reject the default point) nor narrows it
     assert Params(tol=0.3).tol == 0.3
+    # a NaN tol failed every report and an infinite one passed every finite residual
+    for tol in (0.0, -1e-8, float("nan"), float("inf")):
+        with pytest.raises(ParameterError, match="tol must be finite and positive"):
+            Params(tol=tol)
     near = P.q * (1 + 5e-10)  # kappa q^-1 within 1e-9 of 1
     for tol in (0.3, 1e-12):
         with pytest.raises(ParameterError):

@@ -3,6 +3,7 @@ from dataclasses import replace
 from math import isnan
 
 import pytest
+from collect import PairMax, checked
 from mutants import MUTANTS, assert_turns_red
 
 from eqtor.boson import (VACUUM, BosonAlgebra, accumulate, basis_states, state_add_mode,
@@ -75,7 +76,7 @@ def test_z_order_exchange_ratio():
 @pytest.mark.parametrize("tag,a", [("A2", 0), ("A3", 1), ("D4", 0)])
 def test_zalgebra_relations(rel, tag, a):
     mod = Level1Module.make(tag, a, P)
-    assert check_zalgebra(rel, mod, samples=15, window=6) < 1e-8
+    assert checked(check_zalgebra, rel, mod, samples=15, window=6).max_residual < 1e-8
 
 
 def test_serre_reduction_identity_sampled():
@@ -86,13 +87,14 @@ def test_serre_reduction_identity_sampled():
         z1, z2, w = (cmath.rect(rng.uniform(0.5, 1.5), rng.uniform(0, 6.28))
                      for _ in range(3))
         for km in (P.kappa, 1 / P.kappa, 1.0 + 0j):
-            assert serre_reduction_residual(P.q, km, z1, z2, w) < 1e-10
+            assert serre_reduction_residual(P.q, km, z1, z2, w, minus=False) < 1e-10
             assert serre_reduction_residual(P.q, km, z1, z2, w, minus=True) < 1e-10
 
 
 def test_highest_weight_annihilation():
     for tag, a in (("A2", 0), ("A2", 1), ("D4", 1)):
-        assert check_highest_weight(Level1Module.make(tag, a, P), window=5) == 0.0
+        mod = Level1Module.make(tag, a, P)
+        assert checked(check_highest_weight, mod, window=5).max_residual == 0.0
 
 
 def test_current_leading_exponent():
@@ -119,15 +121,17 @@ def test_mode_current_brackets():
     for sign in (+1, -1):
         for i in range(3):
             for j in range(3):
-                assert check_mode_current_bracket(mod, i, j, sign, v, window=3) < 1e-10
-        assert check_mode_current_bracket(mod, 0, 1, sign, w, window=2) < 1e-10
+                bracket = checked(check_mode_current_bracket, mod, i, j, sign, v, window=3)
+                assert bracket.max_residual < 1e-10
+        bracket = checked(check_mode_current_bracket, mod, 0, 1, sign, w, window=2)
+        assert bracket.max_residual < 1e-10
 
 
 def test_xx_quadratic_on_highest():
     mod = module()
-    res = check_xx_quadratic_level1(mod, +1, mod.highest_vector(), window=2)
-    assert sorted(res) == [(i, j) for i in range(3) for j in range(3)]
-    assert max(res.values()) < 1e-9
+    res = PairMax(check_xx_quadratic_level1, mod, +1, mod.highest_vector(), window=2)
+    assert sorted(res.pairs) == [(i, j) for i in range(3) for j in range(3)]
+    assert max(res.pairs.values()) < 1e-9
 
 
 def test_xx_quadratic_detects_lattice_mismatch(monkeypatch):
@@ -144,19 +148,19 @@ def test_xx_quadratic_detects_lattice_mismatch(monkeypatch):
             v2 = replace(v2, weight=replace(v2.weight, rq=rq))
         return exp, v2, coeff
     monkeypatch.setattr(Level1Module, "z_apply", mutant)
-    res = check_xx_quadratic_level1(mod, +1, highest, window=2)
-    assert res[0, 1] >= P.tol
+    res = PairMax(check_xx_quadratic_level1, mod, +1, highest, window=2)
+    assert res.pairs[0, 1] >= P.tol
     # the Z-operator exchanges sample the highest vector first and report the
     # mismatch as a failing residual, not as a crash
     for rel in ("zalg2", "zalg3"):
-        assert check_zalgebra(rel, mod, samples=4, window=2) == 1.0
+        assert checked(check_zalgebra, rel, mod, samples=4, window=2).max_residual == 1.0
 
 
 def test_level1_scalar_checks_run_in_high_precision():
     mod = Level1Module.make("A2", 0, Params().with_precision(40))
-    assert check_phi_phi_level1(mod, 0, 1, 2, random.Random(4)) < 1e-30
+    assert checked(check_phi_phi_level1, mod, 0, 1, 2, random.Random(4)).max_residual < 1e-30
     for rel in ("zalg4", "zalg5"):
-        assert check_zalgebra(rel, mod, samples=10, window=3) < 1e-30
+        assert checked(check_zalgebra, rel, mod, samples=10, window=3).max_residual < 1e-30
 
 
 def test_level1_suite_reaches_40_digits():
@@ -175,7 +179,7 @@ def test_phi_phi_exchange_multiplier():
     mod = module()
     rng = random.Random(4)
     for i, j in ((0, 0), (0, 1), (2, 1)):
-        assert check_phi_phi_level1(mod, i, j, 3, rng) < 1e-9
+        assert checked(check_phi_phi_level1, mod, i, j, 3, rng).max_residual < 1e-9
 
 
 def test_level_exponent_and_centrality():
@@ -273,7 +277,7 @@ def test_xx_quadratic_cap_drops_nothing_read(monkeypatch):
     def residuals(cap_shift):
         with monkeypatch.context() as m:
             terms = _counted_current_apply(m, cap_shift)
-            res = [check_xx_quadratic_level1(mod, sign, vec, window=2)
+            res = [PairMax(check_xx_quadratic_level1, mod, sign, vec, window=2).pairs
                    for sign, vec in cases]
         return res, terms[0]
 
@@ -339,7 +343,7 @@ def test_xx_quadratic_all_pairs_match_per_pair_reference(tag):
     colors = mod.data.index_set
     for vec in (mod.highest_vector(), _sampled_vector(mod)):
         for sign in (+1, -1):
-            got = check_xx_quadratic_level1(mod, sign, vec, window=2)
+            got = PairMax(check_xx_quadratic_level1, mod, sign, vec, window=2).pairs
             want = {(i, j): xx_quadratic_per_pair(mod, sign, i, j, vec, 2)
                     for i in colors for j in colors}
             assert got == want
@@ -357,7 +361,7 @@ def test_xx_quadratic_applies_each_first_current_once(monkeypatch):
             on_input.append(i)
         return inner(self, sign, i, lv, bvec, *args)
     monkeypatch.setattr(Level1Module, "current_apply", counted)
-    check_xx_quadratic_level1(mod, +1, vec, window=2)
+    PairMax(check_xx_quadratic_level1, mod, +1, vec, window=2)
     assert sorted(on_input) == [0, 1, 2]
 
 
@@ -378,9 +382,9 @@ def test_z_images_are_built_once(monkeypatch):
     monkeypatch.setattr(Level1Module, "z_apply", counted_z)
     monkeypatch.setattr(Cocycle, "value", counted_value)
     for rid in [r for r in LEVEL1_RELATION_IDS if r.startswith("zalg")]:
-        check_zalgebra(rid, mod, samples=15, window=3)
+        checked(check_zalgebra, rid, mod, samples=15, window=3)
     for sign in (+1, -1):
-        check_xx_quadratic_level1(mod, sign, _sampled_vector(mod), window=2)
+        PairMax(check_xx_quadratic_level1, mod, sign, _sampled_vector(mod), window=2)
     assert built[0] == len(set(keys)) < len(keys)
 
 
@@ -427,7 +431,7 @@ def test_nan_on_the_highest_vector_is_not_killed(monkeypatch):
         return {**current_apply(self, sign, i, lv, vec, zmin, zmax, out_cap),
                 0: {VACUUM: complex("nan")}}
     monkeypatch.setattr(Level1Module, "current_apply", mutant)
-    assert isnan(check_highest_weight(module(), window=3))
+    assert isnan(checked(check_highest_weight, module(), window=3).max_residual)
 
 
 def test_level_and_phiphi_reports_do_not_track_the_degree():

@@ -1,6 +1,7 @@
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -10,6 +11,7 @@ from math import isnan
 from pathlib import Path
 
 import pytest
+from collect import checked
 from mutants import FRESH, MUTANTS, assert_turns_red
 
 import eqtor.ellcore as ellcore
@@ -21,7 +23,7 @@ from eqtor.level1 import Level1Module
 from eqtor import cli
 from eqtor.relcheck import (FOCK_RELATION_IDS, HEISENBERG_RELATION_IDS, LEVEL1_RELATION_IDS,
                             VECTOR_RELATION_IDS, Z_SAMPLES, _CHECKS, RelationReport, _basis,
-                            _eigenvalues, _phi_x_points, check_phi_x, check_quadratic,
+                            _eigenvalues, _name, _phi_x_points, check_phi_x, check_quadratic,
                             check_serre, check_xpxm, fock_suite, heisenberg_suite,
                             level1_suite, pair_classes, reports_to_json, run_relation,
                             run_suite, vector_suite)
@@ -53,7 +55,7 @@ def test_quadratic_detects_wrong_twist():
     from dataclasses import replace
 
     rep.cartan = replace(rep.cartan, m=tuple(tuple(r) for r in broken))
-    report = check_quadratic(rep, +1, rep.states(3))
+    report = checked(check_quadratic, rep, +1, rep.states(3), rel_id="xpxp")
     assert report.status == "fail"
     assert report.max_residual > 1e-3
 
@@ -64,12 +66,12 @@ def test_xpxm_detects_wrong_constant():
     import eqtor.fock01 as fock01
 
     rep = FockRep(P, 3, 0)
-    good = check_xpxm(rep, rep.states(3))
+    good = checked(check_xpxm, rep, rep.states(3), rel_id="xpxm")
     assert good.status == "pass"
     orig = fock01.vertex_constant
     try:
         fock01.vertex_constant = lambda sign, params: 1.07 * orig(sign, params)
-        bad = check_xpxm(rep, rep.states(3))
+        bad = checked(check_xpxm, rep, rep.states(3), rel_id="xpxm")
     finally:
         fock01.vertex_constant = orig
     assert bad.status == "fail"
@@ -77,7 +79,7 @@ def test_xpxm_detects_wrong_constant():
 
 def test_serre_nontrivial_samples():
     rep = FockRep(P, 4, 1)
-    report = check_serre(rep, +1, rep.states(3))
+    report = checked(check_serre, rep, +1, rep.states(3), rel_id="serre_plus")
     assert report.status == "pass"
     assert report.samples > 50
 
@@ -93,7 +95,7 @@ def test_phi_x_skip_accounting(monkeypatch):
         points = [P.q ** 2 * P.u] * on_zero + generic[on_zero:]
         monkeypatch.setattr("eqtor.relcheck._phi_x_points", lambda params: points)
         rep = FockRep(replace(P), 3, 0)
-        report = check_phi_x(rep, +1, rep.states(0))
+        report = checked(check_phi_x, rep, +1, rep.states(0), rel_id="phixp")
         assert (report.samples, report.skipped) == (3 * Z_SAMPLES, on_zero)
         assert report.max_residual < 1e-12
         assert report.status == status, on_zero
@@ -168,7 +170,7 @@ def _per_point_check_phi_x(rep, x_sign, states):
                         lhs = eigenvalue(term.payload, i, zidx)
                         rhs = mult * eigenvalue(v, i, zidx)
                         report.record(abs(lhs - rhs) / (1 + abs(lhs)),
-                                      lambda: f"{rel} i={i} j={j} state={v} z#{zidx}")
+                                      lambda: f"{rel} i={i} j={j} state={_name(v)} z#{zidx}")
     return report
 
 
@@ -176,7 +178,7 @@ def _per_point_check_phi_x(rep, x_sign, states):
 @pytest.mark.parametrize("handle", list(PHI_X_HANDLES))
 def test_phi_x_matches_per_point_loop(handle, sign):
     rep, states = _phi_x_handle(handle)
-    got = check_phi_x(rep, sign, states)
+    got = checked(check_phi_x, rep, sign, states, rel_id="phixp" if sign > 0 else "phixm")
     rep, states = _phi_x_handle(handle)
     want = _per_point_check_phi_x(rep, sign, states)
     assert got.samples > 0
@@ -266,6 +268,40 @@ def test_every_relation_alone_equals_its_suite_report(suite):
         assert report.notes.startswith("structural") == bool(_CHECKS[report.relation_id].structural)
 
 
+def test_record_keeps_nan_and_needs_a_sample():
+    # the one fold of every check: the max over samples, and a NaN wherever it comes
+    nan = float("nan")
+    for residuals in ([nan, 3e-16, 1e-16], [1e-16, nan, 3e-16], [1e-16, 3e-16, nan]):
+        report = RelationReport("xpxp", "", P)
+        for n, residual in enumerate(residuals):
+            report.record(residual, lambda: f"sample#{n}")
+        assert isnan(report.max_residual) and report.status == "fail"
+        assert report.worst_case == f"sample#{residuals.index(nan)}"
+    report = RelationReport("xpxp", "", P)
+    for residual in (2e-16, 3e-9, 1e-12):
+        report.record(residual, "")
+    assert (report.samples, report.max_residual, report.status) == (3, 3e-9, "pass")
+    assert RelationReport("xpxp", "", P).status == "fail"  # nothing compared
+
+
+def test_reports_sample_finely_and_locate_the_worst_case():
+    # at the smoke sizes of perfbench/workloads.json every check records each
+    # (state, cell), (vector, pair, z^e) or sample point, where a heisenberg or
+    # level-1 check used to return one residual per color pair or per check
+    coarse = {**dict.fromkeys(HEISENBERG_RELATION_IDS, 3), "zalg2": 1, "zalg3": 1,
+              "zalg4": 1, "zalg5": 1, "l1_bracket_plus": 10, "l1_bracket_minus": 10,
+              "l1_xpxp": 18, "l1_highest": 1, "l1_level": 1, "l1_phiphi_pm": 9}
+    reports = (fock_suite(P, 3, 0, max_size=2) + vector_suite(P, 3, 0)
+               + heisenberg_suite(P, "A2", degree=2, window=2)
+               + level1_suite(Params(seed=20240801), "A2", 0, degree=1, window=3))
+    for r in reports:
+        assert r.samples > coarse.get(r.relation_id, 0), r.relation_id
+        assert len(r.worst_case) <= 100, r.worst_case
+        if r.max_residual > 0:  # the color pair, and the state, cell or sample
+            assert re.search(r"\bi=\d+ j=\d+", r.worst_case), r.worst_case
+            assert re.search(r"state=|lv=|A=|sample#|z\^|z#", r.worst_case), r.worst_case
+
+
 def test_suite_samples_with_params_seed(capsys):
     # the library suite and the CLI take the sampling seed from Params.seed alone
     text = reports_to_json(fock_suite(Params(seed=5), 3, 0, max_size=2))
@@ -298,7 +334,7 @@ def test_pair_classes_dedup():
 
 def test_vector_rep_xpxm_channels():
     rep = VectorRep(P, 3, 0)
-    report = check_xpxm(rep, rep.states())
+    report = checked(check_xpxm, rep, rep.states(), rel_id="xpxm")
     assert report.status == "pass"
     assert report.samples > 0
 
