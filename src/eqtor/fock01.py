@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .cartan import CartanData, DynWeight, gl_cartan, graded
 from .ellcore import LAT_Q2, DeltaTerm, Lat, Params, ThetaRatioSpec, hash_once
-from .partitions import (ColoredPartition, boxes_by_color, coeff_minus, coeff_plus,
+from .partitions import (Basis, ColoredPartition, boxes_by_color, coeff_minus, coeff_plus,
                          partitions_up_to, support_lat)
 
 
@@ -31,10 +31,6 @@ class FockBasisVector:
     @classmethod
     def vacuum(cls, n_colors: int, root_color: int = 0) -> "FockBasisVector":
         return cls(ColoredPartition((), n_colors, root_color), DynWeight.zero(n_colors))
-
-    @classmethod
-    def from_parts(cls, parts, n_colors: int, root_color: int = 0) -> "FockBasisVector":
-        return cls(ColoredPartition.make(parts, n_colors, root_color), DynWeight.zero(n_colors))
 
 
 @dataclass(frozen=True)
@@ -253,7 +249,11 @@ def tensor_apply(m: int, gen: str, color: int, lam: ColoredPartition, params: Pa
 # ---------------------------------------------------------------------------
 
 class FockRep:
-    """Level-(0,1) diagonal representation handle."""
+    """Level-(0,1) diagonal representation handle.
+
+    It owns the Basis of its states: every check on it reaches each shape as
+    one partition object, built once, and the shapes go with the handle.
+    """
 
     kappa0_exponent = -1
 
@@ -264,12 +264,13 @@ class FockRep:
         self.n_colors = n_colors
         self.root_color = root_color
         self.cartan: CartanData = gl_cartan(n_colors)
+        self._basis = Basis(n_colors, root_color)
 
     def colors(self) -> range:
         return range(self.n_colors)
 
     def states(self, max_size: int) -> list[FockBasisVector]:
-        return [FockBasisVector.from_parts(ps, self.n_colors, self.root_color)
+        return [FockBasisVector(self._basis[ps], DynWeight.zero(self.n_colors))
                 for ps in partitions_up_to(max_size)]
 
     def x(self, sign: int, color: int, v: FockBasisVector) -> list[DeltaTerm]:

@@ -3,11 +3,14 @@
 Boxes are (row, column) pairs with row, column >= 1; the box (x, y) carries
 the content x - y + k mod N, where k is the root color of the diagram.
 Addable/removable boxes of a fixed color drive the diagonal Fock action;
-the spectral support of each lives on the kappa/q lattice.
+the spectral support of each lives on the kappa/q lattice.  A Basis builds
+each shape of one color rank and root color once, and the partitions it
+hands out grow and shrink within it.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
@@ -100,20 +103,51 @@ class ColoredPartition:
         return out
 
     def add_box(self, box: Box) -> "ColoredPartition":
-        x, y = box
-        if box not in self.addable_boxes():
+        if box not in self._boxes_by_color.get(self.content(box), ((), ()))[0]:
             raise ValueError(f"{box} is not addable")
+        x = box[0]
         ps = list(self.parts) + [0] * (x - len(self.parts))
         ps[x - 1] += 1
-        return ColoredPartition.make(ps, self.n_colors, self.root_color)
+        return self._shape(tuple(ps))
 
     def remove_box(self, box: Box) -> "ColoredPartition":
-        x, y = box
-        if box not in self.removable_boxes():
+        if box not in self._boxes_by_color.get(self.content(box), ((), ()))[1]:
             raise ValueError(f"{box} is not removable")
         ps = list(self.parts)
-        ps[x - 1] -= 1
-        return ColoredPartition.make(ps, self.n_colors, self.root_color)
+        ps[box[0] - 1] -= 1
+        return self._shape(tuple(p for p in ps if p))
+
+    def _shape(self, parts: tuple[int, ...]) -> "ColoredPartition":
+        """The partition with these parts, from this one's basis while that lives."""
+        ref = self.__dict__.get("_basis")
+        basis = ref() if ref is not None else None
+        if basis is None:
+            return ColoredPartition(parts, self.n_colors, self.root_color)
+        return basis[parts]
+
+
+class Basis:
+    """The partitions of one color rank and root color, each shape built once.
+
+    Each partition it hands out refers to it weakly, and add_box and
+    remove_box on that partition return this basis's object for the new
+    shape.  So the box tables and the hash of a shape are computed once for
+    as long as the basis lives, and its owner's end frees every shape.  It
+    holds combinatorics only: no parameter point, coefficient or theta.
+    """
+
+    def __init__(self, n_colors: int, root_color: int):
+        self.n_colors = n_colors
+        self.root_color = root_color
+        self._shapes: dict[tuple[int, ...], ColoredPartition] = {}
+
+    def __getitem__(self, parts: tuple[int, ...]) -> ColoredPartition:
+        lam = self._shapes.get(parts)
+        if lam is None:
+            lam = ColoredPartition(parts, self.n_colors, self.root_color)
+            object.__setattr__(lam, "_basis", weakref.ref(self))
+            self._shapes[parts] = lam
+        return lam
 
 
 def boxes_by_color(lam: ColoredPartition, color: int) -> tuple[list[Box], list[Box]]:

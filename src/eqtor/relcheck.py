@@ -17,7 +17,12 @@ prefactors fall inside the guard radius of a theta zero are skipped and
 counted; everything on the exact support lattice needs no guard.  Theta
 values live on the Params: one memo per parameter point, keyed by argument
 and nome, so checks on one point share them and no value reaches another
-point.  Module actions are memoized for one check and dropped when it returns.
+point.  Module actions are memoized for one check and dropped when it returns;
+the partitions they act on are built once per shape by the FockRep, which
+keeps them for as long as it lives.  The phi-x checks take every theta
+argument on the support lattice and read one theta row and one guard row per
+lattice point over their sample points, so an eigenvalue and a multiplier
+that meet the same point share its thetas.
 
 One registry, ``_CHECKS``, maps every relation id of the fock, vector,
 heisenberg and level1 suites to its row: the handle classes whose suites run
@@ -96,28 +101,45 @@ class RelationReport:
                 "status": self.status, "notes": self.notes}
 
 
-def _eigenvalues(rep, points):
-    """(state, color) -> the phi eigenvalues at every point, as a tuple.
+def _theta_rows(params: Params, points: list):
+    """The rows of the phi-x checks over their sample points, each made once per check.
+
+    ``thetas(shift, star)`` is theta_{p or p*}(w / z), and ``near_zero(shift)`` whether
+    w / z lies inside the guard radius of a theta zero, at every point z, where w is
+    the value of the lattice point ``shift``.  Each theta comes from the Params memo,
+    keyed by argument and nome, so a row shared by an eigenvalue and a multiplier is
+    one set of thetas.
+    """
+    @cache
+    def thetas(shift: Lat, star: bool) -> tuple:
+        w = shift.value(params)
+        return tuple(params.theta_p(w / z, star) for z in points)
+
+    @cache
+    def near_zero(shift: Lat) -> tuple:
+        w = shift.value(params)
+        return tuple(theta_zero_distance(w / z, params.p) < GUARD for z in points)
+
+    return thetas, near_zero
+
+
+def _eigenvalues(rep, thetas):
+    """(state, color) -> the phi eigenvalues at every point of the theta rows, as a tuple.
 
     Each tuple is kept for the one check that asks for it.  Bit-identical to
     ThetaRatioSpec.evaluate at each point: the theta factors are multiplied in
     the order of evaluate_with, and each theta value comes from the Params
     memo, keyed by argument and nome.
     """
-    params = rep.params
-    theta_p = params.theta_p
-
     @cache
     def eigenvalues(state, color):
         spec = rep.phi(color, state).spec
-        out = [spec.scalar_prefactor] * len(points)
+        out = (spec.scalar_prefactor,) * Z_SAMPLES
         for n in spec.numer_shifts:
-            w = n.value(params)
-            out = [e * theta_p(w / z) for e, z in zip(out, points)]
+            out = tuple(e * t for e, t in zip(out, thetas(n, False)))
         for d in spec.denom_shifts:
-            w = d.value(params)
-            out = [e / theta_p(w / z) for e, z in zip(out, points)]
-        return tuple(out)
+            out = tuple(e / t for e, t in zip(out, thetas(d, False)))
+        return out
 
     return eigenvalues
 
@@ -231,29 +253,25 @@ def check_phi_x(report: RelationReport, rep, x_sign: int, states) -> None:
     and x-_j by
         q^{-b} theta_p(q^{b} kap^{-m} w/z) / theta_p(q^{-b} kap^{-m} w/z),
     with w evaluated at each delta support and z sampled generically
-    (level-zero handles have k = 0, so the q^{-+k/2} shifts drop).
+    (level-zero handles have k = 0, so the q^{-+k/2} shifts drop).  The
+    multiplier's arguments are lattice points, support * kap^{-m} q^{-+b}, so
+    eigenvalues and multipliers read one theta row and one guard row per
+    lattice point over the Z_SAMPLES points.
     """
     params = rep.params
-    zs = _phi_x_points(params)
     data = rep.cartan
     star = x_sign > 0
-    x, eigenvalues = cache(rep.x), _eigenvalues(rep, zs)
+    thetas, near_zero = _theta_rows(params, _phi_x_points(params))
+    x, eigenvalues = cache(rep.x), _eigenvalues(rep, thetas)
 
     @cache
     def multipliers(support, b, mm):
         # one per point; None inside the guard radius of a theta zero
-        qb, w0 = params.q ** b, support.value(params)
-        lo = params.q ** -b * params.kappa ** (-mm) * w0
-        hi = qb * params.kappa ** (-mm) * w0
-        out = []
-        for z in zs:
-            args = (lo / z, hi / z)
-            if any(theta_zero_distance(a, params.p) < GUARD for a in args):
-                out.append(None)
-            else:
-                out.append(qb * params.theta_p(args[0], star=star)
-                           / params.theta_p(args[1], star=star))
-        return tuple(out)
+        lo, hi = support * Lat(-mm, -b), support * Lat(-mm, b)
+        qb = params.q ** b
+        return tuple(None if guard_lo or guard_hi else qb * theta_lo / theta_hi
+                     for guard_lo, guard_hi, theta_lo, theta_hi
+                     in zip(near_zero(lo), near_zero(hi), thetas(lo, star), thetas(hi, star)))
 
     for v in states:
         for i in rep.colors():

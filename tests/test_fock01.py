@@ -19,7 +19,7 @@ def vac(n=3, k=0):
 
 
 def state(parts, n=3, k=0):
-    return FockBasisVector.from_parts(parts, n, k)
+    return FockBasisVector(ColoredPartition.make(parts, n, k), DynWeight.zero(n))
 
 
 def test_vertex_constants():

@@ -1,9 +1,11 @@
+import weakref
+
 import pytest
 from hypothesis import given, settings, strategies as st
 from row_oracle import row_coeff_minus, row_coeff_plus, row_support_lat
 
 from eqtor.ellcore import Params
-from eqtor.partitions import (ColoredPartition, boxes_by_color, coeff_minus,
+from eqtor.partitions import (Basis, ColoredPartition, boxes_by_color, coeff_minus,
                               coeff_plus, dim_vector, partitions_up_to, support_lat)
 
 P = Params()
@@ -61,6 +63,33 @@ def test_add_remove_roundtrip():
                 bigger = lp.add_box(box)
                 assert box in bigger.removable_boxes()
                 assert bigger.remove_box(box) == lp
+
+
+def test_add_and_remove_reject_boxes_off_the_table():
+    one = lam([1])
+    for box in [(1, 1), (2, 2), (3, 1), (1, 3), (0, 2)]:
+        with pytest.raises(ValueError, match="is not addable"):
+            one.add_box(box)
+    for box in [(2, 1), (1, 2), (0, 0)]:
+        with pytest.raises(ValueError, match="is not removable"):
+            one.remove_box(box)
+
+
+def test_basis_builds_each_shape_once():
+    basis = Basis(3, 0)
+    empty = basis[()]
+    one = empty.add_box((1, 1))
+    assert one is basis[(1,)] and one.remove_box((1, 1)) is empty
+    assert one.add_box((1, 2)).add_box((2, 1)) is one.add_box((2, 1)).add_box((1, 2))
+    # a partition made outside a basis gets a new, equal one each time
+    free = lam([1])
+    assert free.remove_box((1, 1)) == empty
+    assert free.remove_box((1, 1)) is not free.remove_box((1, 1))
+    # the partitions do not keep their basis alive; once it is gone they build afresh
+    ref = weakref.ref(basis)
+    del basis
+    assert ref() is None
+    assert one.add_box((1, 2)) == lam([2]) and one.add_box((1, 2)) is not one.add_box((1, 2))
 
 
 def test_support_row_box_consistency():

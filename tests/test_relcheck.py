@@ -1,3 +1,4 @@
+import gc
 import itertools
 import json
 import os
@@ -5,6 +6,7 @@ import re
 import subprocess
 import sys
 import time
+import weakref
 from dataclasses import replace
 from functools import cache
 from math import isnan
@@ -17,14 +19,15 @@ from mutants import FRESH, MUTANTS, assert_turns_red
 import eqtor.ellcore as ellcore
 from eqtor.boson import BosonAlgebra
 from eqtor.cartan import cartan_data
-from eqtor.ellcore import GUARD, Params, theta_zero_distance
+from eqtor.ellcore import GUARD, Lat, Params, theta_zero_distance
 from eqtor.fock01 import FockRep, VectorRep
 from eqtor.level1 import Level1Module
+from eqtor.partitions import ColoredPartition
 from eqtor import cli
 from eqtor.relcheck import (FOCK_RELATION_IDS, HEISENBERG_RELATION_IDS, LEVEL1_RELATION_IDS,
                             VECTOR_RELATION_IDS, Z_SAMPLES, _CHECKS, RelationReport, _basis,
-                            _eigenvalues, _name, _phi_x_points, check_phi_x, check_quadratic,
-                            check_serre, check_xpxm, fock_suite, heisenberg_suite,
+                            _eigenvalues, _name, _phi_x_points, _theta_rows, check_phi_x,
+                            check_quadratic, check_serre, check_xpxm, fock_suite, heisenberg_suite,
                             level1_suite, pair_classes, reports_to_json, run_relation,
                             run_suite, vector_suite)
 
@@ -118,7 +121,7 @@ def test_eigenvalue_rows_equal_evaluate(handle):
     rep, states = _phi_x_handle(handle)
     reference = replace(P)  # its own memo: every theta is computed again
     points = _phi_x_points(rep.params)
-    eigenvalues = _eigenvalues(rep, points)
+    eigenvalues = _eigenvalues(rep, _theta_rows(rep.params, points)[0])
     for v in states:
         for i in rep.colors():
             row = eigenvalues(v, i)
@@ -128,7 +131,9 @@ def test_eigenvalue_rows_equal_evaluate(handle):
 
 
 def _per_point_check_phi_x(rep, x_sign, states):
-    """Reference for check_phi_x: one eigenvalue and one multiplier per (state, color, point)."""
+    """Reference for check_phi_x: one eigenvalue and one multiplier per (state, color, point).
+
+    The multiplier's theta arguments are the values of its lattice points, as in the check."""
     params = rep.params
     rel = "phixp" if x_sign > 0 else "phixm"
     report = RelationReport(rel, rep.describe(), params)
@@ -147,9 +152,7 @@ def _per_point_check_phi_x(rep, x_sign, states):
 
     @cache
     def multiplier(support, b, mm, zidx):
-        w0, z = support.value(params), zs[zidx]
-        args = [q_ * params.kappa ** (-mm) * w0 / z
-                for q_ in (params.q ** -b, params.q ** b)]
+        args = [(support * Lat(-mm, e)).value(params) / zs[zidx] for e in (-b, b)]
         if any(theta_zero_distance(a, params.p) < GUARD for a in args):
             return None
         return (params.q ** b
@@ -186,8 +189,9 @@ def test_phi_x_matches_per_point_loop(handle, sign):
             == (want.samples, want.skipped, want.max_residual, want.worst_case))
 
 
-def test_phi_checks_compute_each_theta_once(monkeypatch):
-    # phixp and phixm share their thetas, and so do phiphi_pp and phiphi_pm at level zero
+@pytest.fixture
+def theta_calls(monkeypatch):
+    """The (argument, nome) of every theta evaluated from here on."""
     calls = []
     theta = ellcore.theta
 
@@ -196,11 +200,68 @@ def test_phi_checks_compute_each_theta_once(monkeypatch):
         return theta(z, p, terms)
 
     monkeypatch.setattr(ellcore, "theta", counted)
+    return calls
+
+
+def test_phi_checks_compute_each_theta_once(theta_calls):
+    # phixp and phixm share their thetas, and so do phiphi_pp and phiphi_pm at level zero
     rep = FockRep(replace(P), 3, 0)
     for rel_id in ("phixp", "phixm", "phiphi_pp", "phiphi_pm"):
         assert run_relation(rep, rel_id, 3).status == "pass"
-    assert calls
-    assert len(calls) == len(set(calls))
+    assert theta_calls
+    assert len(theta_calls) == len(set(theta_calls))
+
+
+@pytest.mark.parametrize("handle, most", [("fock3k0", 264), ("vector3", 340)])
+def test_phi_x_reads_the_eigenvalue_thetas_at_the_lattice_point(handle, most, theta_calls):
+    # a multiplier's arguments are lattice points, so they reuse the thetas of the
+    # eigenvalue rows: phixp and phixm together evaluated 635 thetas on fock3k0 and
+    # 800 on vector3 when the multipliers took their arguments in complex arithmetic
+    rep, states = _phi_x_handle(handle)
+    for sign, rel_id in ((+1, "phixp"), (-1, "phixm")):
+        report = checked(check_phi_x, rep, sign, states, rel_id=rel_id)
+        assert report.status == "pass" and not report.skipped
+    assert 0 < len(theta_calls) <= most
+
+
+def test_checks_on_one_fock_rep_share_each_shape(monkeypatch):
+    # every check on one FockRep reaches a shape as the same partition object,
+    # and the shapes die with the handle
+    seen = []
+    x = FockRep.x
+
+    def spy(self, sign, color, v):
+        terms = x(self, sign, color, v)
+        seen[-1].extend([v.partition] + [t.payload.partition for t in terms])
+        return terms
+
+    monkeypatch.setattr(FockRep, "x", spy)
+    rep = FockRep(replace(P), 3, 0)
+    for rel_id in ("xpxm", "phixp"):
+        seen.append([])
+        assert run_relation(rep, rel_id, 3).status == "pass"
+    objects: dict = {}
+    for lam in seen[0] + seen[1]:
+        objects.setdefault(lam.parts, set()).add(id(lam))
+    assert all(len(ids) == 1 for ids in objects.values())
+    assert (2, 1) in {lam.parts for lam in seen[0]} & {lam.parts for lam in seen[1]}
+    ref = weakref.ref(next(lam for lam in seen[1] if lam.parts == (2, 1)))
+    del seen, lam
+    assert ref() is not None
+    del rep
+    assert ref() is None
+
+
+def test_no_partition_outlives_its_suite():
+    # the shapes live in the FockRep a suite builds, not in a module-level table
+    def live():
+        gc.collect()
+        return sum(isinstance(obj, ColoredPartition) for obj in gc.get_objects())
+
+    before = live()
+    for n, k in ((3, 0), (4, 1)):
+        assert all(r.status == "pass" for r in fock_suite(P, n, k, max_size=3))
+        assert live() == before
 
 
 def test_nan_theta_fails_the_phi_checks(monkeypatch):
