@@ -9,9 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Sequence
-
-from .ellcore import hash_once
+from typing import NamedTuple, Sequence
 
 
 @dataclass(frozen=True)
@@ -136,19 +134,16 @@ def gl_cartan(n_colors: int) -> CartanData:
 # dynamical weights
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DynWeight:
+class DynWeight(NamedTuple):
     """Accumulated (root-lattice, R_Q-lattice) shift of an operator string.
 
     ``root`` tracks the h-side weight as coefficients of the simple roots;
     ``rq`` tracks the shift lattice as coefficients of the Q_i.  Both add
-    under composition.
+    under composition; the tuple's repetition raises.
     """
 
     root: tuple[int, ...]
     rq: tuple[int, ...]
-
-    __hash__ = hash_once
 
     @classmethod
     def zero(cls, size: int) -> "DynWeight":
@@ -159,6 +154,11 @@ class DynWeight:
             tuple(x + y for x, y in zip(self.root, other.root)),
             tuple(x + y for x, y in zip(self.rq, other.rq)),
         )
+
+    def __mul__(self, other):
+        raise TypeError("dynamical weights add; they do not multiply")
+
+    __rmul__ = __mul__
 
     def shifted(self, color: int, droot: int, drq: int) -> "DynWeight":
         root = list(self.root)

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field, fields, replace
-from typing import Any, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Any, NamedTuple, Sequence
 
 DEFAULT_TERMS = 40
 GUARD = 1e-4  # skip radius around theta zeros, as a multiplicative distance
@@ -162,32 +162,20 @@ def poch_pairs_series(pairs: Sequence[tuple], order: int) -> list:
     return out
 
 
-def hash_once(self) -> int:
-    """``__hash__`` for frozen dataclasses used as memo keys.
-
-    The value is the dataclass-generated one, the hash of the field tuple, so
-    set iteration order does not change; it is computed on first use and kept
-    on the instance.
-    """
-    try:
-        return self._hash
-    except AttributeError:
-        h = hash(tuple(getattr(self, f.name) for f in fields(self)))
-        object.__setattr__(self, "_hash", h)
-        return h
-
-
 # ---------------------------------------------------------------------------
 # lattice scalars kappa^a q^b u^e
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Lat:
+_tuple_new = tuple.__new__  # builds a tuple subclass without its Python-level __new__
+
+
+class Lat(NamedTuple):
     """Multiplicative lattice scalar kappa^kappa_e * q^q_e * u^u_e.
 
     The delta support of every action term and every theta argument arising
     from a module action lives on this lattice; keeping the exponents exact
-    makes support matching and theta-zero detection exact.
+    makes support matching and theta-zero detection exact.  Lattice points
+    multiply and divide; the tuple's concatenation and repetition raise.
     """
 
     kappa_e: int = 0
@@ -195,14 +183,20 @@ class Lat:
     u_e: int = 0
 
     def __mul__(self, other: "Lat") -> "Lat":
-        return Lat(self.kappa_e + other.kappa_e, self.q_e + other.q_e, self.u_e + other.u_e)
+        return _tuple_new(Lat, (self[0] + other[0], self[1] + other[1], self[2] + other[2]))
 
     def __truediv__(self, other: "Lat") -> "Lat":
-        return Lat(self.kappa_e - other.kappa_e, self.q_e - other.q_e, self.u_e - other.u_e)
+        return _tuple_new(Lat, (self[0] - other[0], self[1] - other[1], self[2] - other[2]))
+
+    def __add__(self, other):
+        raise TypeError("lattice points multiply and divide; they do not add")
+
+    def __rmul__(self, other):
+        raise TypeError(f"cannot multiply {type(other).__name__} by a lattice point")
 
     @property
     def is_unit(self) -> bool:
-        return self.kappa_e == 0 and self.q_e == 0 and self.u_e == 0
+        return self == LAT_ONE
 
     def value(self, params: "Params"):
         return params.kappa ** self.kappa_e * params.q ** self.q_e * params.u ** self.u_e

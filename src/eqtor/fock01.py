@@ -14,19 +14,17 @@ coproduct x+ -> sum_a phi^- x .. x phi^- x x+ x 1 x ..
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cartan import CartanData, DynWeight, gl_cartan, graded
-from .ellcore import LAT_Q2, DeltaTerm, Lat, Params, ThetaRatioSpec, hash_once
+from .ellcore import LAT_Q2, DeltaTerm, Lat, Params, ThetaRatioSpec
 from .partitions import (Basis, ColoredPartition, boxes_by_color, coeff_minus, coeff_plus,
                          partitions_up_to, support_lat)
 
 
-@dataclass(frozen=True)
-class FockBasisVector:
+class FockBasisVector(NamedTuple):
     partition: ColoredPartition
     weight: DynWeight
-
-    __hash__ = hash_once
 
     @classmethod
     def vacuum(cls, n_colors: int, root_color: int = 0) -> "FockBasisVector":
@@ -107,18 +105,22 @@ def kplus_exponent(v: FockBasisVector, color: int) -> int:
 # vector representation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class VectorBasis:
-    """Basis vector [u]^{(k)}_j of the vector representation; weight zero if not given."""
-
+class _VectorBasisFields(NamedTuple):
     index: int
     n_colors: int
-    color_base: int = 0
-    weight: DynWeight = None
+    color_base: int
+    weight: DynWeight
 
-    def __post_init__(self):
-        if self.weight is None:
-            object.__setattr__(self, "weight", DynWeight.zero(self.n_colors))
+
+class VectorBasis(_VectorBasisFields):
+    """Basis vector [u]^{(k)}_j of the vector representation; weight zero if not given."""
+
+    __slots__ = ()
+
+    def __new__(cls, index: int, n_colors: int, color_base: int, weight: DynWeight | None = None):
+        if weight is None:
+            weight = DynWeight.zero(n_colors)
+        return tuple.__new__(cls, (index, n_colors, color_base, weight))
 
 
 def _vec_support(index: int, spectral: Lat) -> Lat:

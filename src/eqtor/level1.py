@@ -16,24 +16,20 @@ from __future__ import annotations
 
 import cmath
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .boson import (BosonAlgebra, BosonVec, VACUUM, accumulate, basis_states,
                     mode_bracket_residual, state_degree, state_label, vector_residual)
 from .cartan import CartanData, Cocycle, DynWeight, cartan_data, graded
-from .ellcore import (Params, hash_once, pochratio_series, scalar_exp, scalar_like,
-                      theta_coefficient)
+from .ellcore import Params, pochratio_series, scalar_exp, scalar_like, theta_coefficient
 
 
-@dataclass(frozen=True)
-class LatticeVector:
+class LatticeVector(NamedTuple):
     """Group-algebra basis vector e^beta e^{flam_a} with weight bookkeeping."""
 
     beta: tuple[int, ...]
     fundamental: int
     weight: DynWeight
-
-    __hash__ = hash_once  # every module-vector key holds one
 
     @classmethod
     def highest(cls, data: CartanData, a: int) -> "LatticeVector":
@@ -476,12 +472,14 @@ def check_xx_quadratic_level1(report, mod: Level1Module, sign: int, vec: ModuleV
 
 
 def check_highest_weight(report, mod: Level1Module, window: int) -> None:
-    """Raising-side modes must kill the highest vector exactly.
+    """Raising-side modes must kill the highest vector exactly, and its image must start right.
 
     x+_{i,n} (n >= 0), x-_{i,n} (n > 0) and a_{i,n} (n > 0) all annihilate
     1 (x) e^{flam_a}: every z-exponent <= 0 coefficient of x+_i(z) v and
     every z-exponent < 0 coefficient of x-_i(z) v must vanish.  Each
     coefficient is one sample, and an image with no terms one exact 0.0.
+    At the lowest exponent z_apply gives, the vacuum coefficient of each
+    x+-_i(z) v must be z_apply's cocycle value: one sample per color and sign.
     """
     lv, v = mod.highest_vector()
     for i in mod.data.index_set:
@@ -496,6 +494,11 @@ def check_highest_weight(report, mod: Level1Module, window: int) -> None:
                 report.record(abs(c), lambda: f"{name} z^{ze} state={state_label(st)}")
             if not terms:
                 report.record(0.0, "")
+        for sign, name in ((+1, f"x+_{i}"), (-1, f"x-_{i}")):
+            e, _, cocycle = mod.z_apply(sign, i, lv)
+            c = mod.current_apply(sign, i, lv, v, e, e).get(e, {}).get(VACUUM, 0j)
+            report.record(abs(c - cocycle) / (1 + abs(c)), lambda: (
+                f"{name} z^{e} state={state_label(VACUUM)}: {c:.6g}, cocycle {cocycle:.6g}"))
 
 
 def check_level(report, mod: Level1Module, samples: int, rng: random.Random) -> None:

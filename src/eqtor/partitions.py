@@ -12,23 +12,27 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterable, Iterator
 
-from .ellcore import LAT_Q2, Lat, Params, hash_once
+from .ellcore import LAT_Q2, Lat, Params
 
 Box = tuple[int, int]
 
 
 @dataclass(frozen=True)
 class ColoredPartition:
-    """A partition with a color rank N >= 3 and a root color k."""
+    """A partition with a color rank N >= 3 and a root color k.
+
+    Its hash, that of its field tuple, is computed once on construction.
+    """
 
     parts: tuple[int, ...]
     n_colors: int
     root_color: int = 0
 
-    __hash__ = hash_once
+    def __hash__(self) -> int:
+        return self._hash
 
     def __post_init__(self):
         if self.n_colors < 3:
@@ -39,6 +43,7 @@ class ColoredPartition:
             raise ValueError("parts must be positive (trailing zeros dropped)")
         if any(self.parts[i] < self.parts[i + 1] for i in range(len(self.parts) - 1)):
             raise ValueError("parts must be weakly decreasing")
+        object.__setattr__(self, "_hash", hash((self.parts, self.n_colors, self.root_color)))
 
     @classmethod
     def make(cls, parts: Iterable[int], n_colors: int, root_color: int = 0) -> "ColoredPartition":
@@ -160,8 +165,9 @@ def boxes_by_color(lam: ColoredPartition, color: int) -> tuple[list[Box], list[B
     return list(add), list(rem)
 
 
+@cache
 def support_lat(box: Box) -> Lat:
-    """Spectral support u_X = q1^y q3^x u of a box as a lattice point."""
+    """Spectral support u_X = q1^y q3^x u of a box as a lattice point, built once per box."""
     x, y = box
     return Lat(kappa_e=y - x, q_e=-x - y, u_e=1)
 

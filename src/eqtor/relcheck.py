@@ -40,6 +40,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, replace
 from functools import cache
 from itertools import product
+from operator import mul, truediv
 
 from .boson import BosonAlgebra, EXCHANGE_IDS, check_exchange
 from .cartan import cartan_data
@@ -136,9 +137,9 @@ def _eigenvalues(rep, thetas):
         spec = rep.phi(color, state).spec
         out = (spec.scalar_prefactor,) * Z_SAMPLES
         for n in spec.numer_shifts:
-            out = tuple(e * t for e, t in zip(out, thetas(n, False)))
+            out = tuple(map(mul, out, thetas(n, False)))
         for d in spec.denom_shifts:
-            out = tuple(e / t for e, t in zip(out, thetas(d, False)))
+            out = tuple(map(truediv, out, thetas(d, False)))
         return out
 
     return eigenvalues
@@ -226,7 +227,7 @@ def check_xpxm(report: RelationReport, rep, states) -> None:
                 rhs: dict = {}
                 if i == j:
                     act = rep.phi(i, v)
-                    diag_payload = replace(v, weight=v.weight + act.weight_shift)
+                    diag_payload = v._replace(weight=v.weight + act.weight_shift)
                     for support, coeff in phi_delta_difference(act.spec, params):
                         _accumulate(rhs, (diag_payload, support, support),
                                     coeff / (q - 1 / q))

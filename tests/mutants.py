@@ -70,7 +70,7 @@ def _by_length(coeff):
 
 def _without_rq_shift(apply_xplus):
     def mutant(color, v, params):
-        return [replace(t, payload=replace(t.payload, weight=t.payload.weight.shifted(color, 0, 1)))
+        return [replace(t, payload=t.payload._replace(weight=t.payload.weight.shifted(color, 0, 1)))
                 for t in apply_xplus(color, v, params)]
     return mutant
 

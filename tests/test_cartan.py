@@ -112,3 +112,9 @@ def test_dynweight_addition():
     b = DynWeight((0, 1, 0), (1, 0, 0))
     assert a + b == DynWeight((1, 1, -1), (1, 2, 0))
     assert DynWeight.zero(3).shifted(1, 2, -1) == DynWeight((0, 2, 0), (0, -1, 0))
+
+
+@pytest.mark.parametrize("op", [lambda w: w * 2, lambda w: 2 * w], ids=["weight*2", "2*weight"])
+def test_dynweight_refuses_tuple_repetition(op):
+    with pytest.raises(TypeError):
+        op(DynWeight((1, 0, -1), (0, 2, 0)))

@@ -258,6 +258,16 @@ def test_lat_arithmetic():
     assert (a * b) == Lat(1, 1, 1)
     assert (a / b) == Lat(1, -5, 1)
     assert abs(a.value(P) - P.kappa * P.q ** -2 * P.u) < 1e-15
+    assert repr(a) == "Lat(kappa_e=1, q_e=-2, u_e=1)"
+
+
+@pytest.mark.parametrize("op", [lambda a: a + a, lambda a: a * 2, lambda a: 2 * a],
+                         ids=["lat+lat", "lat*2", "2*lat"])
+def test_lat_refuses_tuple_arithmetic(op):
+    # a lattice point is a tuple, but concatenation and repetition are no
+    # lattice operations
+    with pytest.raises(TypeError):
+        op(Lat(1, -2, 1))
 
 
 def test_params_validation():

@@ -1,4 +1,4 @@
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import pytest
 from row_oracle import phi_action_rows
@@ -9,6 +9,7 @@ from eqtor.fock01 import (FockBasisVector, FockRep, VectorBasis, VectorRep,
                           apply_xminus, apply_xplus, kplus_exponent, phi_action,
                           tensor_apply, vector_rep_apply, vertex_constant,
                           vertex_constant_product)
+from eqtor.level1 import LatticeVector
 from eqtor.partitions import ColoredPartition, partitions_up_to
 
 P = Params()
@@ -42,15 +43,17 @@ def test_vertex_constants_not_shared_after_replace():
 
 
 def test_memo_keys_hash_as_their_field_tuples():
-    # hashes are kept after first use but equal the dataclass-generated ones,
-    # so set iteration orders do not depend on the caching
+    # every memo key hashes as the tuple of its field values, so the iteration
+    # order of a set of keys is fixed by their values alone
     lam = ColoredPartition.make((3, 1), 4, 1)
     wt = DynWeight((1, 0, -1, 0), (0, 2, 0, 0))
-    for obj in (lam, wt, FockBasisVector(lam, wt)):
-        want = hash(tuple(getattr(obj, f.name) for f in fields(obj)))
+    assert hash(lam) == hash((lam.parts, lam.n_colors, lam.root_color))
+    assert lam == replace(lam) and hash(replace(lam)) == hash(lam)
+    for obj in (wt, FockBasisVector(lam, wt), LatticeVector((1, 0, -1, 0), 2, wt),
+                VectorBasis(-2, 4, 1, wt), Lat(1, -2, 1)):
+        want = hash(tuple(getattr(obj, name) for name in obj._fields))
         assert hash(obj) == want
-        assert hash(obj) == want  # the kept value
-        assert obj == replace(obj) and hash(replace(obj)) == want
+        assert obj == obj._replace() and hash(obj._replace()) == want
 
 
 def test_xplus_on_vacuum():

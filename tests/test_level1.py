@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from math import isnan
 
 import pytest
@@ -14,7 +13,7 @@ from eqtor.level1 import (L1_THETA_TERMS, LatticeVector, Level1Module, check_hig
                           check_mode_current_bracket, check_phi_phi_level1,
                           check_xx_quadratic_level1, check_zalgebra,
                           sample_module_vectors, serre_reduction_residual)
-from eqtor.relcheck import LEVEL1_RELATION_IDS, level1_suite
+from eqtor.relcheck import LEVEL1_RELATION_IDS, level1_suite, run_relation
 
 P = Params()
 
@@ -97,6 +96,23 @@ def test_highest_weight_annihilation():
         assert checked(check_highest_weight, mod, window=5).max_residual == 0.0
 
 
+def test_highest_weight_compares_the_lowest_coefficient(monkeypatch):
+    # a current scaled by 1.01 still has no terms below its lowest exponent;
+    # only the vacuum coefficient there, against z_apply's cocycle, sees it
+    mod = module()
+    assert run_relation(mod, "l1_highest", (1, 3)).status == "pass"
+    current_apply = Level1Module.current_apply
+
+    def mutant(self, *args, **kwargs):
+        return {ze: {st: 1.01 * c for st, c in bv.items()}
+                for ze, bv in current_apply(self, *args, **kwargs).items()}
+    monkeypatch.setattr(Level1Module, "current_apply", mutant)
+    bad = run_relation(mod, "l1_highest", (1, 3))
+    assert bad.status == "fail"
+    assert abs(bad.max_residual - 0.01 / 2.01) < 1e-12, bad.max_residual
+    assert bad.worst_case.startswith("x+_0 z^1 state="), bad.worst_case
+
+
 def test_current_leading_exponent():
     # x+_i(z) on the highest vector starts at z^{<flam_a, h_i> + 1} with
     # unit leading coefficient
@@ -145,7 +161,7 @@ def test_xx_quadratic_detects_lattice_mismatch(monkeypatch):
         exp, v2, coeff = z_apply(self, sign, j, v)
         if sign > 0 and j == 1 and v == highest[0]:
             rq = (v2.weight.rq[0] + 1,) + v2.weight.rq[1:]
-            v2 = replace(v2, weight=replace(v2.weight, rq=rq))
+            v2 = v2._replace(weight=v2.weight._replace(rq=rq))
         return exp, v2, coeff
     monkeypatch.setattr(Level1Module, "z_apply", mutant)
     res = PairMax(check_xx_quadratic_level1, mod, +1, highest, window=2)
