@@ -47,12 +47,6 @@ def vertex_constant(sign: int, params: Params) -> complex:
     return cache[sign]
 
 
-def vertex_constant_product(params: Params) -> complex:
-    """C+ C- = q theta(q^{-2}) / ((q - q^{-1}) (p; p)_oo^2), from the definitions."""
-    q = params.q
-    return q / (q - 1 / q) * params.theta_p(q ** -2) / params.qpoch_p(params.p) ** 2
-
-
 def apply_xplus(color: int, v: FockBasisVector, params: Params) -> list[DeltaTerm]:
     lam = v.partition
     add, _ = boxes_by_color(lam, color)

@@ -1,5 +1,5 @@
-"""Row forms of the Fock structure coefficients and phi eigenvalues: a test-only
-cross-oracle of the box forms that the module actions use."""
+"""Row forms of the Fock structure coefficients and phi eigenvalues, and the closed
+form of C+ C-: a test-only cross-oracle of the forms that the module actions use."""
 
 from __future__ import annotations
 
@@ -7,6 +7,12 @@ from eqtor.cartan import DynWeight, graded
 from eqtor.ellcore import Lat, Params, ThetaRatioSpec
 from eqtor.fock01 import FockBasisVector, PhiAction
 from eqtor.partitions import ColoredPartition
+
+
+def vertex_constant_product(params: Params) -> complex:
+    """C+ C- = q theta(q^{-2}) / ((q - q^{-1}) (p; p)_oo^2), from the definitions."""
+    q = params.q
+    return q / (q - 1 / q) * params.theta_p(q ** -2) / params.qpoch_p(params.p) ** 2
 
 
 def row_support_lat(lam: ColoredPartition, a: int) -> Lat:

@@ -9,13 +9,14 @@ import random
 
 import pytest
 from collect import PairMax, checked
-from row_oracle import phi_action_rows, row_coeff_minus, row_coeff_plus
+from row_oracle import (phi_action_rows, row_coeff_minus, row_coeff_plus,
+                        vertex_constant_product)
 
 from eqtor.boson import BosonAlgebra, EXCHANGE_IDS, VACUUM, check_exchange, state_add_mode
 from eqtor.cartan import cartan_data
 from eqtor.ellcore import Params, gkernel_branches, pf_expand, theta
 from eqtor.fock01 import (FockBasisVector, FockRep, apply_xminus, apply_xplus,
-                          phi_action, tensor_apply, vertex_constant, vertex_constant_product)
+                          phi_action, tensor_apply, vertex_constant)
 from eqtor.level1 import (LatticeVector, Level1Module, check_highest_weight,
                           check_mode_current_bracket, check_xx_quadratic_level1,
                           check_zalgebra)

@@ -3,7 +3,7 @@ from math import comb, isnan
 import pytest
 from boson_oracle import OracleBoson, as_tuples
 from collect import checked
-from mutants import assert_turns_red
+from mutants import FRESH, assert_turns_red
 
 from eqtor import boson
 from eqtor.boson import (MAX_DEGREE, BosonAlgebra, DegreeOverflowError, EXCHANGE_IDS,
@@ -12,7 +12,7 @@ from eqtor.boson import (MAX_DEGREE, BosonAlgebra, DegreeOverflowError, EXCHANGE
                          state_modes, vector_residual)
 from eqtor.cartan import cartan_data
 from eqtor.ellcore import Params, poch_pairs_series
-from eqtor.relcheck import heisenberg_suite, pair_classes
+from eqtor.relcheck import heisenberg_suite, pair_classes, run_relation
 
 P1 = Params(level_k=1)
 A2 = cartan_data("A2")
@@ -177,8 +177,18 @@ def full_product_kernel_side(rel, alg, i, j, vec, max_degree, window):
     return out
 
 
+def with_w_creator(alg, key, row, window):
+    """The creator part keyed ``key`` on a row {w-exponent: vector}, exact for |w| <= window."""
+    out = {}
+    for B, v in row.items():
+        alg._create(out, key, v, max(0, -window - B), window - B, -B)
+    return out
+
+
 @pytest.mark.parametrize("data", [A2, D4], ids=["A2", "D4"])
 def test_exchange_kernel_side_matches_parent_path(data):
+    # against E-, the sides leave off x+-_j's creator part; put it back, then
+    # compare with the whole product
     alg = make_alg(data)
     window, max_degree = 3, 2
     compared = 0
@@ -186,7 +196,10 @@ def test_exchange_kernel_side_matches_parent_path(data):
         if rel.kind != "exchange":
             continue
         for i, j in pair_classes(data):
+            creator = boson._parts(rel.left[1], j)[1]
             for st, _, rhs in boson._exchange_sides(rel, alg, i, j, max_degree, window):
+                if rel.rel_id in ZW_RELATIONS:
+                    rhs = {A: with_w_creator(alg, creator, row, window) for A, row in rhs.items()}
                 want = full_product_kernel_side(rel, alg, i, j, {st: 1.0 + 0j},
                                                 max_degree, window)
                 for (A, B), acc in want.items():
@@ -194,6 +207,27 @@ def test_exchange_kernel_side_matches_parent_path(data):
                     assert vector_residual(acc, got) <= 1e-13, (rel.rel_id, i, j, st, A, B)
                     compared += len(acc)
     assert compared > 0
+
+
+@pytest.mark.parametrize("current,red", [("x+", {9, 13}), ("x-", {11, 15})], ids=["x+", "x-"])
+def test_current_creator_is_checked_against_E_plus(current, red, monkeypatch):
+    # the current's creator part scaled by 1.01^t at z^t: only the E+ relations
+    # of that current see it; against E- it commutes with A and K and drops out
+    levels_of = BosonAlgebra._creator_levels
+    creator = boson._parts((current,), 0)[1][:2]  # (sign, prime); any color
+
+    def scaled(self, key, hi):
+        levels = levels_of(self, key, hi)
+        if key[:2] != creator:
+            return levels
+        return [{a: w * 1.01 ** t for a, w in lvl.items()} for t, lvl in enumerate(levels)]
+
+    monkeypatch.setattr(BosonAlgebra, "_creator_levels", scaled)
+    make, size = FRESH[BosonAlgebra]
+    alg = make()
+    failed = {rel_id for rel_id in EXCHANGE_IDS
+              if run_relation(alg, f"heis_{rel_id:02d}", size).status == "fail"}
+    assert failed == red
 
 
 # -- the per-vector engine against the per-term path it replaced ---------------

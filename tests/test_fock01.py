@@ -1,14 +1,13 @@
 from dataclasses import replace
 
 import pytest
-from row_oracle import phi_action_rows
+from row_oracle import phi_action_rows, vertex_constant_product
 
 from eqtor.cartan import DynWeight
 from eqtor.ellcore import Lat, Params
 from eqtor.fock01 import (FockBasisVector, FockRep, VectorBasis, VectorRep,
                           apply_xminus, apply_xplus, kplus_exponent, phi_action,
-                          tensor_apply, vector_rep_apply, vertex_constant,
-                          vertex_constant_product)
+                          tensor_apply, vector_rep_apply, vertex_constant)
 from eqtor.level1 import LatticeVector
 from eqtor.partitions import ColoredPartition, partitions_up_to
 
