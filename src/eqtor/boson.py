@@ -397,16 +397,19 @@ def _exchange_sides(rel: ExchangeRelation, alg: BosonAlgebra, i: int, j: int,
     """Per basis monomial v: v, A(z) B(w) v read [w][z] and K B(w) A(z) v read [z][w].
 
     K runs in w/z against E+ and in z/w against E-, the sign of A's exponents.
-    Against E-, B's creator part B-(w) is left off both sides: it multiplies,
-    like A and K, so it is the outermost factor of each side, and since
-    B-(w) = 1 + O(w) multiplying by it is injective.  The sides agree exactly
-    when they agree without it.
+    B(w) = B-(w) B+(w) keeps only the factor that does not commute with A(z);
+    the other is left off both sides, and the sides agree exactly when they
+    agree without it.  Against E-, B-(w) multiplies, like A and K, so it is
+    the outermost factor of each side, and multiplying by B-(w) = 1 + O(w) is
+    injective.  Against E+, A and B+(w) are both translations, so B+(w) is
+    the innermost factor of each side, and B+(w) = 1 + O(1/w) maps the span
+    of the basis states of degree <= max_degree onto itself; the relation
+    holds on every B+(w)v exactly when it holds on every v.
     """
     ker = poch_pairs_series(_kernel_pairs(rel, alg, i, j), window)
     direction = -1 if rel.left[0][0] == "E+" else 1
     zop, wop = _parts(rel.left[0], i), _parts(rel.left[1], j)
-    if direction > 0:
-        wop = (wop[0], None)
+    wop = (wop[0], None) if direction > 0 else (None, wop[1])
     for st in basis_states((i, j), max_degree):
         vec = {0: {st: 1.0 + 0j}}
         after_w = alg._compose(wop, vec, window, _UNIT_KERNEL, 0).get(0, {})
@@ -422,9 +425,10 @@ def check_exchange(report, rel_id: int, alg: BosonAlgebra, i: int, j: int,
     Matrix elements between monomials in the colors {i, j} of degree up to
     max_degree are compared for both orderings within the exponent window,
     one sample per (basis state, A, B) cell; modes of other colors commute
-    with every operator involved and are dropped from the basis.  Against E-
-    (relations 10, 12, 14, 16) both sides leave off x+-'s creator part, which
-    is exact (see _exchange_sides); the E+ relations still check that part.
+    with every operator involved and are dropped from the basis.  Both sides
+    leave off the part of x+- that commutes with the dressing, which is exact
+    (see _exchange_sides): the E+ relations 9, 11, 13, 15 check x+-'s creator
+    part, and the E- relations 10, 12, 14, 16 its annihilator part.
     """
     rel = next((r for r in _EXCHANGE_TABLE if r.rel_id == rel_id), None)
     if rel is None:

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import cmath
 import json
+import math
 import random
 from collections.abc import Callable
 from dataclasses import dataclass, replace
@@ -398,28 +399,36 @@ def check_grading(report: RelationReport, rep, kind: str, states) -> None:
     data = rep.cartan
     size = len(data.a)
     mus = [tuple(rng.randint(-3, 3) for _ in range(size)) for _ in range(4)]
+
+    @cache
+    def pairings(weight) -> tuple:
+        """(<rq, mu>, <root, mu>) for every mu, once per weight value."""
+        return tuple((weight.pair_rq(mu, data), weight.pair_root(mu, data)) for mu in mus)
+
+    # the shifts those pairings must take, per mu: under x+_j, x-_j and phi_j (sign 0)
+    want = {}
+    for j in rep.colors():
+        rq = [-sum(data.a[j][c] * mu[c] for c in range(size)) for mu in mus]
+        root = [sum(mu[c] * data.a[c][j] for c in range(size)) for mu in mus]
+        want[j, +1] = list(zip(rq, root))
+        want[j, -1] = [(0, -r) for r in root]
+        want[j, 0] = [(r, 0) for r in rq]
     for v in states[: 10]:
-        base = v.weight
+        base = pairings(v.weight)
         for j in rep.colors():
             if kind == "gf":
                 for sign in (+1, -1):
                     for term in rep.x(sign, j, v):
-                        wt = term.payload.weight
-                        for mu in mus:
-                            drq = wt.pair_rq(mu, data) - base.pair_rq(mu, data)
-                            droot = wt.pair_root(mu, data) - base.pair_root(mu, data)
-                            want_rq = -sum(data.a[j][c] * mu[c] for c in range(size)) if sign > 0 else 0
-                            want_root = sign * sum(mu[c] * data.a[c][j] for c in range(size))
-                            bad = int(drq != want_rq) + int(droot != want_root)
+                        image = pairings(term.payload.weight)
+                        for (rq, root), (rq0, root0), (want_rq, want_root) in \
+                                zip(image, base, want[j, sign]):
+                            bad = int(rq - rq0 != want_rq) + int(root - root0 != want_root)
                             report.record(float(bad), lambda: f"{report.relation_id} "
                                           f"x{'+' if sign > 0 else '-'}_{j} state={_name(v)}")
             else:
-                act = rep.phi(j, v)
-                for mu in mus:
-                    drq = act.weight_shift.pair_rq(mu, data)
-                    droot = act.weight_shift.pair_root(mu, data)
-                    want = -sum(data.a[j][c] * mu[c] for c in range(size))
-                    bad = int(drq != want) + int(droot != 0)
+                shift = pairings(rep.phi(j, v).weight_shift)
+                for (drq, droot), (want_rq, want_root) in zip(shift, want[j, 0]):
+                    bad = int(drq != want_rq) + int(droot != want_root)
                     report.record(float(bad),
                                   lambda: f"{report.relation_id} phi_{j} state={_name(v)}")
 
@@ -621,7 +630,9 @@ def run_relation(handle, rel_id: str, size) -> RelationReport:
     ``size`` is what the handle's suite takes: the largest partition size of
     the basis states for a FockRep (Serre and kappa0 size their own), None for
     a VectorRep's one finite basis, and (degree, window) for a BosonAlgebra
-    or a Level1Module.
+    or a Level1Module.  An ArithmeticError inside the check (an overflow at
+    a parameter point the check's series do not reach) ends the check with a
+    NaN sample labelled by the exception, so the report fails.
     """
     relation = _CHECKS.get(rel_id)
     if relation is None:
@@ -632,7 +643,10 @@ def run_relation(handle, rel_id: str, size) -> RelationReport:
                          f"not on {type(handle).__name__}")
     _require_sizes(handle, size)
     report = RelationReport(rel_id, handle.describe(), handle.params, notes=relation.structural)
-    relation.check(handle, report, size)
+    try:
+        relation.check(handle, report, size)
+    except ArithmeticError as exc:
+        report.record(math.nan, f"{rel_id}: {type(exc).__name__}: {exc}")
     return report
 
 

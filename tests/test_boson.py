@@ -185,9 +185,28 @@ def with_w_creator(alg, key, row, window):
     return out
 
 
+def with_w_annihilator(alg, key, st, sides):
+    """The side of ``st`` with the annihilator part keyed ``key`` (None: none) put back.
+
+    B+(w) st is a sum of terms c w^-t st' over basis states st' of degree at most
+    st's, so the side of st is the sum of c times the side of st' read at w^(B + t).
+    ``sides`` maps each st' to its side, exact out to the w-reach window + max_degree.
+    """
+    out = {}
+    terms = alg._translate({st: 1.0 + 0j}, key) if key else {0: {st: 1.0 + 0j}}
+    for t, vec in terms.items():
+        for st2, c in vec.items():
+            for A, row in sides[st2].items():
+                tgt = out.setdefault(A, {})
+                for B, v in row.items():
+                    accumulate(tgt.setdefault(B - t, {}), v, c)
+    return out
+
+
 @pytest.mark.parametrize("data", [A2, D4], ids=["A2", "D4"])
 def test_exchange_kernel_side_matches_parent_path(data):
-    # against E-, the sides leave off x+-_j's creator part; put it back, then
+    # the sides leave off the part of x+-_j that commutes with A: against E-
+    # its creator part, against E+ its annihilator part.  Put it back, then
     # compare with the whole product
     alg = make_alg(data)
     window, max_degree = 3, 2
@@ -196,10 +215,17 @@ def test_exchange_kernel_side_matches_parent_path(data):
         if rel.kind != "exchange":
             continue
         for i, j in pair_classes(data):
-            creator = boson._parts(rel.left[1], j)[1]
-            for st, _, rhs in boson._exchange_sides(rel, alg, i, j, max_degree, window):
-                if rel.rel_id in ZW_RELATIONS:
-                    rhs = {A: with_w_creator(alg, creator, row, window) for A, row in rhs.items()}
+            annihilator, creator = boson._parts(rel.left[1], j)
+            if rel.rel_id in ZW_RELATIONS:
+                sides = {st: {A: with_w_creator(alg, creator, row, window)
+                              for A, row in rhs.items()}
+                         for st, _, rhs in boson._exchange_sides(rel, alg, i, j, max_degree,
+                                                                 window)}
+            else:
+                wide = {st: rhs for st, _, rhs in boson._exchange_sides(
+                    rel, alg, i, j, max_degree, window + max_degree)}
+                sides = {st: with_w_annihilator(alg, annihilator, st, wide) for st in wide}
+            for st, rhs in sides.items():
                 want = full_product_kernel_side(rel, alg, i, j, {st: 1.0 + 0j},
                                                 max_degree, window)
                 for (A, B), acc in want.items():
@@ -207,6 +233,14 @@ def test_exchange_kernel_side_matches_parent_path(data):
                     assert vector_residual(acc, got) <= 1e-13, (rel.rel_id, i, j, st, A, B)
                     compared += len(acc)
     assert compared > 0
+
+
+def failed_exchange_relations():
+    """The ids of the exchange relations that fail on a fresh algebra at the mutant sizes."""
+    make, size = FRESH[BosonAlgebra]
+    alg = make()
+    return {rel_id for rel_id in EXCHANGE_IDS
+            if run_relation(alg, f"heis_{rel_id:02d}", size).status == "fail"}
 
 
 @pytest.mark.parametrize("current,red", [("x+", {9, 13}), ("x-", {11, 15})], ids=["x+", "x-"])
@@ -223,11 +257,25 @@ def test_current_creator_is_checked_against_E_plus(current, red, monkeypatch):
         return [{a: w * 1.01 ** t for a, w in lvl.items()} for t, lvl in enumerate(levels)]
 
     monkeypatch.setattr(BosonAlgebra, "_creator_levels", scaled)
-    make, size = FRESH[BosonAlgebra]
-    alg = make()
-    failed = {rel_id for rel_id in EXCHANGE_IDS
-              if run_relation(alg, f"heis_{rel_id:02d}", size).status == "fail"}
-    assert failed == red
+    assert failed_exchange_relations() == red
+
+
+@pytest.mark.parametrize("current,red", [("x+", {10, 14}), ("x-", {12, 16})], ids=["x+", "x-"])
+def test_current_annihilator_is_checked_against_E_minus(current, red, monkeypatch):
+    # the current's annihilator part scaled by 1.01^t on the terms removing degree
+    # t: only the E- relations of that current see it; against E+ it commutes
+    # with A and drops out
+    translate = BosonAlgebra._translate
+    annihilator = boson._parts((current,), 0)[0][:2]  # (sign, prime); any color
+
+    def scaled(self, vec, key):
+        out = translate(self, vec, key)
+        if key[:2] != annihilator:
+            return out
+        return {t: {s: c * 1.01 ** t for s, c in v.items()} for t, v in out.items()}
+
+    monkeypatch.setattr(BosonAlgebra, "_translate", scaled)
+    assert failed_exchange_relations() == red
 
 
 # -- the per-vector engine against the per-term path it replaced ---------------

@@ -369,3 +369,17 @@ def test_nan_report_fails_end_to_end(capsys, tmp_path, monkeypatch):
     lines = out.splitlines()
     assert all(line.endswith(",nan,fail") for line in lines[1:17])
     assert lines[17] == "# 0/16 relations pass"
+
+
+def test_verify_overflow_in_a_check_fails_its_report(capsys):
+    # Params admits this point, but the l1_phiphi_pm kernel series overflows
+    # there: the report fails with the exception as its worst case, every
+    # report is printed, and no traceback escapes
+    code, out, err = run(capsys, "verify", "level1", "--q", "0.6,0.1", "--kappa", "1.2,0.1",
+                         "--p", "0.1,0", "--json")
+    assert code == 1 and err == ""
+    rows = json.loads(out)
+    assert len(rows) == len(relcheck.LEVEL1_RELATION_IDS)
+    phiphi = next(r for r in rows if r["relation_id"] == "l1_phiphi_pm")
+    assert isnan(phiphi["max_residual"]) and phiphi["status"] == "fail"
+    assert phiphi["worst_case"].startswith("l1_phiphi_pm: OverflowError")
