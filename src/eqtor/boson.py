@@ -413,7 +413,7 @@ def _exchange_sides(rel: ExchangeRelation, alg: BosonAlgebra, i: int, j: int,
     for st in basis_states((i, j), max_degree):
         vec = {0: {st: 1.0 + 0j}}
         after_w = alg._compose(wop, vec, window, _UNIT_KERNEL, 0).get(0, {})
-        after_z = alg._compose(zop, vec, window, _UNIT_KERNEL, 0).get(0, {})
+        after_z = alg.apply_E(-direction, rel.left[0][1], i, vec[0], window)
         yield (st, alg._compose(zop, after_w, window, _UNIT_KERNEL, 0),
                alg._compose(wop, after_z, window, ker, direction))
 
@@ -480,7 +480,7 @@ def _check_commutator(report, rel: ExchangeRelation, alg: BosonAlgebra, i: int, 
     b = alg.data.b(i, j)
     mm = alg.data.m[i][j]
     mode_sign = rel.left[0][1]
-    edesc = _parts(rel.left[1], j)
+    esign, family = (1 if rel.left[1][0] == "E+" else -1), rel.left[1][1]
     coeffs = []
     for ell in range(1, 5):
         if rel.comm_coeff == "full_minus":
@@ -491,7 +491,7 @@ def _check_commutator(report, rel: ExchangeRelation, alg: BosonAlgebra, i: int, 
         coeffs.append(coeff)
 
     def dressing(v: BosonVec) -> dict[int, BosonVec]:
-        return alg._compose(edesc, {0: v}, window, _UNIT_KERNEL, 0).get(0, {})
+        return alg.apply_E(esign, family, j, v, window)
 
     for st in basis_states((i, j), max_degree):
         vec = {st: 1.0 + 0j}

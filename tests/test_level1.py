@@ -1,3 +1,4 @@
+import cmath
 import random
 from math import isnan
 
@@ -12,7 +13,7 @@ from eqtor.ellcore import Params, theta_coefficient
 from eqtor.level1 import (L1_THETA_TERMS, LatticeVector, Level1Module, check_highest_weight,
                           check_mode_current_bracket, check_phi_phi_level1,
                           check_xx_quadratic_level1, check_zalgebra,
-                          sample_module_vectors, serre_reduction_residual)
+                          sample_module_vectors)
 from eqtor.relcheck import LEVEL1_RELATION_IDS, level1_suite, run_relation
 
 P = Params()
@@ -78,16 +79,59 @@ def test_zalgebra_relations(rel, tag, a):
     assert checked(check_zalgebra, rel, mod, samples=15, window=6).max_residual < 1e-8
 
 
-def test_serre_reduction_identity_sampled():
-    rng = random.Random(31)
-    import cmath
+def serre_reduction_residual(q: complex, km: complex, z1: complex, z2: complex,
+                             w: complex, minus: bool, R=None) -> float:
+    """Residual of the scalar identity underlying the current Serre relations.
 
-    for _ in range(50):
-        z1, z2, w = (cmath.rect(rng.uniform(0.5, 1.5), rng.uniform(0, 6.28))
-                     for _ in range(3))
+    After normal ordering, the adjacent-color Serre sum collapses onto one
+    monomial times this antisymmetrized combination (R = -km is the
+    group-algebra exchange ratio); it vanishes identically.  The identity
+    reads only q, kappa and the points, so zalg4 and zalg5 check the Z-Serre
+    sums of the module and this test checks the identity.
+    """
+    R = -km if R is None else R
+    two = q + 1 / q
+
+    def term(za, zb):
+        if not minus:
+            kii = (1 - zb / za / q ** 2) * (1 - zb / za)
+            f1 = lambda zc: 1 - km * zc / (q * w)
+            f2 = lambda zc: 1 - w / (km * q * zc)
+        else:
+            kii = (1 - zb / za) * (1 - q ** 2 * zb / za)
+            f1 = lambda zc: 1 - q * km * zc / w
+            f2 = lambda zc: 1 - q * w / (km * zc)
+        return kii * (f1(za) * f1(zb) * (za / zb)
+                      - two * f2(zb) * f1(za) * (za / w) * R
+                      + f2(za) * f2(zb) * (za ** 2 / w ** 2) * R ** 2)
+
+    return abs(term(z1, z2) + term(z2, z1))
+
+
+def _serre_points(count: int):
+    rng = random.Random(31)
+    for _ in range(count):
+        yield tuple(cmath.rect(rng.uniform(0.5, 1.5), rng.uniform(0, 6.28)) for _ in range(3))
+
+
+def test_serre_reduction_identity_sampled():
+    for z1, z2, w in _serre_points(50):
         for km in (P.kappa, 1 / P.kappa, 1.0 + 0j):
             assert serre_reduction_residual(P.q, km, z1, z2, w, minus=False) < 1e-10
             assert serre_reduction_residual(P.q, km, z1, z2, w, minus=True) < 1e-10
+
+
+@pytest.mark.parametrize("minus", [False, True])
+def test_serre_reduction_identity_fails_for_a_wrong_ratio(minus):
+    # the exchange ratio R scaled by 1.01 leaves the identity at some sampled point
+    z1, z2, w = next(_serre_points(1))
+    assert serre_reduction_residual(P.q, P.kappa, z1, z2, w, minus, R=-1.01 * P.kappa) > 1e-8
+
+
+def test_level1_suite_worst_sample_is_a_module_vector():
+    # no report of the suite has a scalar identity in q and kappa as its worst sample
+    worst = max(level1_suite(Params(), "A2", 0), key=lambda r: r.max_residual)
+    assert worst.worst_case.startswith("lv="), (worst.relation_id, worst.worst_case)
 
 
 def test_highest_weight_annihilation():

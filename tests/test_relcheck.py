@@ -204,7 +204,7 @@ def theta_calls(monkeypatch):
 
 
 def test_phi_checks_compute_each_theta_once(theta_calls):
-    # phixp and phixm share their thetas, and so do phiphi_pp and phiphi_pm at level zero
+    # phixp and phixm share their thetas; phiphi_pp and phiphi_pm at level zero read none
     rep = FockRep(replace(P), 3, 0)
     for rel_id in ("phixp", "phixm", "phiphi_pp", "phiphi_pm"):
         assert run_relation(rep, rel_id, 3).status == "pass"
@@ -270,7 +270,7 @@ def test_nan_theta_fails_the_phi_checks(monkeypatch):
     monkeypatch.setattr(ellcore, "theta", lambda *args, **kwargs: complex("nan")
                         if next(calls) % 7 == 0 else theta(*args, **kwargs))
     rep = FockRep(replace(P), 3, 0)
-    for rel_id in ("phixp", "phixm", "phiphi_pp", "phiphi_pm"):
+    for rel_id in ("phixp", "phixm"):
         report = run_relation(rep, rel_id, 3)
         assert isnan(report.max_residual), rel_id
         assert report.status == "fail" and report.worst_case
@@ -433,10 +433,17 @@ def test_mutant_table_covers_every_relation():
 
 
 @pytest.mark.parametrize("rel_id", [rid for rid, rel in _CHECKS.items() if rel.structural])
-def test_structural_relations_say_so(rel_id):
+def test_structural_relations_say_so(rel_id, monkeypatch):
+    # a structural row compares nothing: it records one exact 0.0 and evaluates no theta
     make, size = FRESH[_CHECKS[rel_id].handles[0]]
-    report = run_relation(make(), rel_id, size)
-    assert report.status == "pass"
+    handle = make()
+
+    def no_theta(*args, **kwargs):
+        raise RuntimeError("a structural relation evaluated a theta")
+
+    monkeypatch.setattr(Params, "theta_p", no_theta)
+    report = run_relation(handle, rel_id, size)
+    assert (report.status, report.samples, report.max_residual) == ("pass", 1, 0.0)
     assert report.notes == _CHECKS[rel_id].structural
     assert report.notes.startswith("structural")
 
@@ -457,6 +464,6 @@ def test_traced_run_sees_every_layer_and_relation():
     layers = result["layers"]
     unused = {name for name, calls in layers.items() if name.endswith(".calls") and not calls}
     # no production caller
-    assert unused <= {"ellcore.ThetaRatioSpec.evaluate.calls", "boson.BosonAlgebra.apply_E.calls"}
+    assert unused <= {"ellcore.ThetaRatioSpec.evaluate.calls"}
     for rid in FOCK_RELATION_IDS + HEISENBERG_RELATION_IDS + LEVEL1_RELATION_IDS:
         assert f"relcheck.run_relation.{rid}.total_s" in layers, rid
