@@ -97,7 +97,7 @@ def param_parser() -> argparse.ArgumentParser:
     sub.add_argument("--kappa", type=parse_complex, help="cyclic twist parameter (re,im)")
     sub.add_argument("--p", type=parse_complex, help="elliptic nome (re,im)")
     sub.add_argument("--u", type=parse_complex, help="spectral parameter (re,im)")
-    sub.add_argument("--terms", type=int, help="product/series truncation length")
+    sub.add_argument("--terms", type=int, help="truncation of every Pochhammer, theta and kernel")
     sub.add_argument("--tol", type=float, help="pass/fail tolerance")
     sub.add_argument("--seed", type=int, help="sampling seed")
     sub.add_argument("--config", help="JSON object with the keys " + ", ".join(CONFIG_KEYS)

@@ -7,10 +7,11 @@ Conventions used throughout:
     g_b(z; s)  = (s q^b z; s)_oo / (s q^{-b} z; s)_oo
     delta(z)   = sum_{n in Z} z^n
 
-All infinite products are truncated at ``terms`` factors; the relative
-truncation error is O(|s|^terms).  Scalars are Python complex by default;
-passing mpmath numbers (see ``Params.with_precision``) switches the same
-code paths to arbitrary precision.
+All infinite products are truncated at ``terms`` factors, which every
+caller passes (the suites pass ``Params.trunc_M``, set by ``--terms``); the
+relative truncation error is O(|s|^terms).  Scalars are Python complex by
+default; passing mpmath numbers (see ``Params.with_precision``) switches the
+same code paths to arbitrary precision.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Any, NamedTuple, Sequence
 
-DEFAULT_TERMS = 40
 GUARD = 1e-4  # skip radius around theta zeros, as a multiplicative distance
 
 
@@ -61,7 +61,7 @@ def scalar_like(z: complex, ref):
     return mpmath.mpc(z)
 
 
-def qpoch(z, s, terms: int = DEFAULT_TERMS):
+def qpoch(z, s, terms: int):
     """Truncated q-Pochhammer product prod_{n=0}^{terms-1} (1 - z s^n)."""
     if terms < 1:
         raise ValueError("terms must be >= 1")
@@ -80,19 +80,19 @@ def qpoch(z, s, terms: int = DEFAULT_TERMS):
     return out
 
 
-def theta(z, p, terms: int = DEFAULT_TERMS):
+def theta(z, p, terms: int):
     """Jacobi odd theta theta_p(z) = (z;p)_oo (p/z;p)_oo, truncated."""
     if z == 0:
         raise ValueError("theta argument must be nonzero")
     return qpoch(z, p, terms) * qpoch(p / z, p, terms)
 
 
-def theta_coefficient(n: int, p):
-    """Laurent coefficient of z^n in theta_p(z).
+def theta_coefficient(n: int, p, terms: int):
+    """Laurent coefficient of z^n in theta_p(z), (p;p)_oo truncated at ``terms`` factors.
 
     By the triple product, theta_p(z) = sum_n (-1)^n p^{n(n-1)/2} z^n / (p;p)_oo.
     """
-    return (-1) ** n * p ** (n * (n - 1) // 2) / qpoch(p, p)
+    return (-1) ** n * p ** (n * (n - 1) // 2) / qpoch(p, p, terms)
 
 
 def theta_zero_distance(z, p) -> float:
@@ -103,7 +103,7 @@ def theta_zero_distance(z, p) -> float:
     return min(abs(w - 1), abs(w / complex(p) - 1), abs(w * complex(p) - 1))
 
 
-def gkernel_branches(z, s, b: int, q, terms: int = DEFAULT_TERMS):
+def gkernel_branches(z, s, b: int, q, terms: int):
     """Both evaluations of the structure kernel g_b(z; s).
 
     Returns (series, pochhammer) where ``series`` is
@@ -122,7 +122,7 @@ def gkernel_branches(z, s, b: int, q, terms: int = DEFAULT_TERMS):
     return scalar_exp(acc), pochhammer
 
 
-def gkernel(z, s, b: int, q, terms: int = DEFAULT_TERMS):
+def gkernel(z, s, b: int, q, terms: int):
     """Structure kernel g_b(z; s) = (s q^b z;s)_oo/(s q^{-b} z;s)_oo."""
     if not all(_isfinite(x) for x in (z, s, q)):
         raise ValueError("non-finite argument")
@@ -229,7 +229,7 @@ class Params:
     p: complex = 0.05 * cmath.exp(0.2j)
     u: complex = 1.3 * cmath.exp(0.1j)
     level_k: int = 0
-    trunc_M: int = DEFAULT_TERMS
+    trunc_M: int = 40
     tol: float = 1e-8
     seed: int = 20240801
     # per instance: every construction, dataclasses.replace included, starts empty
@@ -321,7 +321,8 @@ class DeltaTerm:
 
     A level-0 action is a list of these.  Multiplying by a function of the
     formal variable z is evaluation at the support (the delta-substitution
-    rule).
+    rule).  A non-finite coefficient is kept: it is a fault of the module,
+    not bad input, and the report that reads it fails.
     """
 
     support: Lat
@@ -331,8 +332,6 @@ class DeltaTerm:
     def __post_init__(self):
         if not isinstance(self.support, Lat) and self.support == 0:
             raise ValueError("delta support must be nonzero")
-        if not _isfinite(self.coeff):
-            raise ValueError("coefficient must be finite")
 
 
 # ---------------------------------------------------------------------------

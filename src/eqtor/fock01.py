@@ -27,7 +27,7 @@ class FockBasisVector(NamedTuple):
     weight: DynWeight
 
     @classmethod
-    def vacuum(cls, n_colors: int, root_color: int = 0) -> "FockBasisVector":
+    def vacuum(cls, n_colors: int, root_color: int) -> "FockBasisVector":
         return cls(ColoredPartition((), n_colors, root_color), DynWeight.zero(n_colors))
 
 
@@ -253,7 +253,7 @@ class FockRep:
 
     kappa0_exponent = -1
 
-    def __init__(self, params: Params, n_colors: int, root_color: int = 0):
+    def __init__(self, params: Params, n_colors: int, root_color: int):
         if params.level_k != 0:
             params = params.with_level(0)
         self.params = params
@@ -288,7 +288,7 @@ class VectorRep:
     kappa0_exponent = 0
     MAX_INDEX = 4
 
-    def __init__(self, params: Params, n_colors: int, root_color: int = 0):
+    def __init__(self, params: Params, n_colors: int, root_color: int):
         if not 0 <= root_color < n_colors:
             raise ValueError("root color out of range")
         if params.level_k != 0:

@@ -29,7 +29,7 @@ class ColoredPartition:
 
     parts: tuple[int, ...]
     n_colors: int
-    root_color: int = 0
+    root_color: int
 
     def __hash__(self) -> int:
         return self._hash
@@ -46,12 +46,12 @@ class ColoredPartition:
         object.__setattr__(self, "_hash", hash((self.parts, self.n_colors, self.root_color)))
 
     @classmethod
-    def make(cls, parts: Iterable[int], n_colors: int, root_color: int = 0) -> "ColoredPartition":
+    def make(cls, parts: Iterable[int], n_colors: int, root_color: int) -> "ColoredPartition":
         ps = [int(x) for x in parts if int(x) != 0]
         return cls(tuple(ps), n_colors, root_color)
 
     @classmethod
-    def from_string(cls, text: str, n_colors: int, root_color: int = 0) -> "ColoredPartition":
+    def from_string(cls, text: str, n_colors: int, root_color: int) -> "ColoredPartition":
         text = text.strip()
         parts = [int(t) for t in text.split(",") if t.strip()] if text else []
         return cls.make(parts, n_colors, root_color)

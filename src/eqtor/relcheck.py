@@ -628,7 +628,7 @@ def run_suite(handle, relation_ids, size) -> list[RelationReport]:
 
 
 def fock_suite(params: Params, n_colors: int, root_color: int,
-               max_size: int = 6) -> list[RelationReport]:
+               max_size: int) -> list[RelationReport]:
     return run_suite(FockRep(params, n_colors, root_color), FOCK_RELATION_IDS, max_size)
 
 
@@ -636,15 +636,15 @@ def vector_suite(params: Params, n_colors: int, root_color: int) -> list[Relatio
     return run_suite(VectorRep(params, n_colors, root_color), VECTOR_RELATION_IDS, None)
 
 
-def heisenberg_suite(params: Params, type_tag: str, degree: int = 4,
-                     window: int = 6) -> list[RelationReport]:
+def heisenberg_suite(params: Params, type_tag: str, degree: int,
+                     window: int) -> list[RelationReport]:
     """All dressing-exchange relations on the boson module at level one."""
     return run_suite(BosonAlgebra(cartan_data(type_tag), params.with_level(1)),
                      HEISENBERG_RELATION_IDS, (degree, window))
 
 
 def level1_suite(params: Params, type_tag: str, fundamental: int,
-                 degree: int = LEVEL1_MAX_DEGREE, window: int = 6) -> list[RelationReport]:
+                 degree: int, window: int) -> list[RelationReport]:
     return run_suite(Level1Module.make(type_tag, fundamental, params), LEVEL1_RELATION_IDS,
                      (degree, window))
 

@@ -40,8 +40,8 @@ def test_criterion_01_special_function_core():
     for _ in range(100):
         z = cmath.rect(rng.uniform(0.3, 2.5), rng.uniform(0, 6.28))
         p = cmath.rect(rng.uniform(0.01, 0.3), rng.uniform(0, 6.28))
-        lhs = theta(p * z, p)
-        worst = max(worst, abs(lhs + theta(z, p) / z) / (1 + abs(lhs)))
+        lhs = theta(p * z, p, 40)
+        worst = max(worst, abs(lhs + theta(z, p, 40) / z) / (1 + abs(lhs)))
     for b in range(-3, 4):
         for _ in range(100):
             z = cmath.rect(rng.uniform(0.05, 1.1), rng.uniform(0, 6.28))

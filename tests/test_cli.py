@@ -5,6 +5,8 @@ from math import isnan
 
 import pytest
 
+import eqtor.ellcore as ellcore
+import eqtor.fock01 as fock01
 from eqtor import cli, relcheck
 from eqtor.boson import BosonAlgebra
 from eqtor.cli import main, parse_complex
@@ -383,3 +385,30 @@ def test_verify_overflow_in_a_check_fails_its_report(capsys):
     phiphi = next(r for r in rows if r["relation_id"] == "l1_phiphi_pm")
     assert isnan(phiphi["max_residual"]) and phiphi["status"] == "fail"
     assert phiphi["worst_case"].startswith("l1_phiphi_pm: OverflowError")
+
+
+def test_verify_nan_module_coefficient_fails_its_reports(capsys, monkeypatch):
+    # a NaN from the module is a fault of the module, not bad input: it reaches
+    # the reports that read x+ coefficients, which fail, and the CLI exits 1
+    monkeypatch.setattr(fock01, "coeff_plus", lambda *args: complex("nan"))
+    code, out, err = run(capsys, "verify", "fock", "--N", "3", "--max-size", "2", "--json")
+    assert code == 1 and err == ""
+    rows = json.loads(out)
+    assert len(rows) == len(relcheck.FOCK_RELATION_IDS)
+    failed = {r["relation_id"] for r in rows if r["status"] == "fail"}
+    assert failed == {"xpxp", "xpxm", "serre_plus", "dedf"}
+    assert all(isnan(r["max_residual"]) for r in rows if r["relation_id"] in failed)
+
+
+def test_verify_terms_sets_every_pochhammer_truncation(capsys, monkeypatch):
+    # every Pochhammer product of the run, under its thetas, kernels and theta
+    # Laurent coefficients too, stops at the --terms factor count
+    terms, qpoch = [], ellcore.qpoch
+
+    def counted(z, s, n):
+        terms.append(n)
+        return qpoch(z, s, n)
+    monkeypatch.setattr(ellcore, "qpoch", counted)
+    code, _, _ = run(capsys, "verify", "level1", "--type", "A2", "--a", "0", "--terms", "30")
+    assert code == 0
+    assert terms and set(terms) == {30}

@@ -23,18 +23,18 @@ def test_qpoch_trivial_cases():
 
 def test_qpoch_rejects_bad_input():
     with pytest.raises(ValueError):
-        qpoch(float("nan"), 0.3)
+        qpoch(float("nan"), 0.3, 40)
     with pytest.raises(ValueError):
-        qpoch(0.5, 1.2)
+        qpoch(0.5, 1.2, 40)
     with pytest.raises(ValueError):
         qpoch(0.5, 0.3, terms=0)
 
 
 def test_theta_trivial_cases():
-    assert theta(1, P.p) == 0
-    assert theta(2, 0) == pytest.approx(-1)
+    assert theta(1, P.p, 40) == 0
+    assert theta(2, 0, 40) == pytest.approx(-1)
     with pytest.raises(ValueError):
-        theta(0, P.p)
+        theta(0, P.p, 40)
 
 
 def test_theta_quasi_periodicity_seeded():
@@ -42,32 +42,32 @@ def test_theta_quasi_periodicity_seeded():
     for _ in range(100):
         z = cmath.rect(rng.uniform(0.3, 2.5), rng.uniform(0, 2 * math.pi))
         p = cmath.rect(rng.uniform(0.01, 0.3), rng.uniform(0, 2 * math.pi))
-        lhs = theta(p * z, p)
-        rhs = -theta(z, p) / z
+        lhs = theta(p * z, p, 40)
+        rhs = -theta(z, p, 40) / z
         assert abs(lhs - rhs) <= 1e-12 * (1 + abs(lhs))
 
 
 def test_theta_reflection_derived():
     # theta(p z) = -z^{-1} theta(z) evaluated from the defining product
     z, p = 0.7 + 0.2j, 0.1
-    assert abs(theta(p * z, p) + theta(z, p) / z) < 1e-12
+    assert abs(theta(p * z, p, 40) + theta(z, p, 40) / z) < 1e-12
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.floats(0.3, 2.0), st.floats(0, 6.28))
 def test_theta_laurent_expansion(r, phi):
     z = cmath.rect(r, phi)
-    total = sum(theta_coefficient(n, P.p) * z ** n for n in range(-12, 13))
-    assert abs(total - theta(z, P.p)) < 1e-12 * (1 + abs(total))
+    total = sum(theta_coefficient(n, P.p, 40) * z ** n for n in range(-12, 13))
+    assert abs(total - theta(z, P.p, 40)) < 1e-12 * (1 + abs(total))
 
 
 def test_gkernel_trivial_cases():
-    assert gkernel(0.3, 0, 2, P.q) == pytest.approx(1)
-    assert gkernel(0, 0.2, 2, P.q) == pytest.approx(1)
+    assert gkernel(0.3, 0, 2, P.q, 40) == pytest.approx(1)
+    assert gkernel(0, 0.2, 2, P.q, 40) == pytest.approx(1)
 
 
 def test_gkernel_dual_branch():
-    series, poch = gkernel_branches(0.3, 0.2, 2, 0.9)
+    series, poch = gkernel_branches(0.3, 0.2, 2, 0.9, 40)
     assert abs(series - poch) < 1e-12
     rng = random.Random(5)
     for b in range(-3, 4):
@@ -178,7 +178,7 @@ def test_phi_delta_difference_lowest_weight():
     assert len(out) == 1
     support, coeff = out[0]
     assert support == Lat(0, 0, 1)
-    expected = theta(q ** -2, P.p) * (-q) / qpoch(P.p, P.p) ** 2
+    expected = theta(q ** -2, P.p, 40) * (-q) / qpoch(P.p, P.p, 40) ** 2
     assert abs(coeff - expected) < 1e-12 * (1 + abs(expected))
 
 
@@ -338,10 +338,10 @@ def test_theta_lat_raises_on_a_memoized_near_zero():
 def test_theta_coefficient_keeps_high_precision():
     import mpmath
 
-    theta_coefficient(3, P.p)  # a double-precision call must not leak into mpmath mode
+    theta_coefficient(3, P.p, 40)  # a double-precision call must not leak into mpmath mode
     hp = Params().with_precision(40)
     exact = -hp.p ** 3 / qpoch(hp.p, hp.p, 200)
-    assert abs(theta_coefficient(3, hp.p) - exact) < mpmath.mpf(10) ** -35
+    assert abs(theta_coefficient(3, hp.p, hp.trunc_M) - exact) < mpmath.mpf(10) ** -35
 
 
 def test_with_precision_sets_the_requested_digits(monkeypatch):

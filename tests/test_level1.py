@@ -130,7 +130,7 @@ def test_serre_reduction_identity_fails_for_a_wrong_ratio(minus):
 
 def test_level1_suite_worst_sample_is_a_module_vector():
     # no report of the suite has a scalar identity in q and kappa as its worst sample
-    worst = max(level1_suite(Params(), "A2", 0), key=lambda r: r.max_residual)
+    worst = max(level1_suite(Params(), "A2", 0, degree=2, window=6), key=lambda r: r.max_residual)
     assert worst.worst_case.startswith("lv="), (worst.relation_id, worst.worst_case)
 
 
@@ -376,7 +376,7 @@ def xx_quadratic_per_pair(mod, sign, i, j, vec, window):
     cc1 = q ** b * kappa ** (-mm)
     cc2 = q ** b * kappa ** mm
     ns = range(-L1_THETA_TERMS, L1_THETA_TERMS + 1)
-    tns = [theta_coefficient(n, base) for n in ns]
+    tns = [theta_coefficient(n, base, params.trunc_M) for n in ns]
     wl = [tn * cc1 ** n for n, tn in zip(ns, tns)]
     wr = [-kappa ** (-mm) * tn * cc2 ** n for n, tn in zip(ns, tns)]
     worst = 0.0
@@ -456,7 +456,7 @@ def test_level1_suite_cost_does_not_track_the_sample(monkeypatch):
     counts = []
     for seed in (11, 12, 13, 14):
         terms[0] = 0
-        level1_suite(Params(seed=seed), "A2", 0)
+        level1_suite(Params(seed=seed), "A2", 0, degree=2, window=6)
         counts.append(terms[0])
     assert max(counts) <= 3 * min(counts), counts
 
@@ -504,4 +504,4 @@ def test_level_and_phiphi_reports_do_not_track_the_degree():
 
 def test_level1_suite_rejects_a_degree_it_does_not_sample():
     with pytest.raises(ValueError, match="<= 2"):
-        level1_suite(P, "A2", 0, degree=3)
+        level1_suite(P, "A2", 0, degree=3, window=6)

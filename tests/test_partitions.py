@@ -22,8 +22,8 @@ def test_partition_validation():
         ColoredPartition((2, 1), 2, 0)
     with pytest.raises(ValueError):
         ColoredPartition((2,), 3, 5)
-    assert ColoredPartition.from_string("3,1,1", 3).parts == (3, 1, 1)
-    assert ColoredPartition.from_string("", 3).parts == ()
+    assert ColoredPartition.from_string("3,1,1", 3, 0).parts == (3, 1, 1)
+    assert ColoredPartition.from_string("", 3, 0).parts == ()
 
 
 def test_boxes_by_color_empty_diagram():

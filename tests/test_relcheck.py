@@ -17,10 +17,11 @@ from collect import checked
 from mutants import FRESH, MUTANTS, assert_turns_red
 
 import eqtor.ellcore as ellcore
+import eqtor.fock01 as fock01
 from eqtor.boson import BosonAlgebra
-from eqtor.cartan import cartan_data
+from eqtor.cartan import Cocycle, cartan_data
 from eqtor.ellcore import GUARD, Lat, Params, theta_zero_distance
-from eqtor.fock01 import FockRep, VectorRep
+from eqtor.fock01 import FockRep, PhiAction, VectorRep
 from eqtor.level1 import Level1Module
 from eqtor.partitions import ColoredPartition
 from eqtor import cli
@@ -66,8 +67,6 @@ def test_quadratic_detects_wrong_twist():
 def test_xpxm_detects_wrong_constant():
     # scaling the ladder constants breaks the diagonal match against the
     # expansion difference
-    import eqtor.fock01 as fock01
-
     rep = FockRep(P, 3, 0)
     good = checked(check_xpxm, rep, rep.states(3), rel_id="xpxm")
     assert good.status == "pass"
@@ -195,7 +194,7 @@ def theta_calls(monkeypatch):
     calls = []
     theta = ellcore.theta
 
-    def counted(z, p, terms=ellcore.DEFAULT_TERMS):
+    def counted(z, p, terms):
         calls.append((z, p))
         return theta(z, p, terms)
 
@@ -327,6 +326,35 @@ def test_every_relation_alone_equals_its_suite_report(suite):
         assert alone.to_json_dict() == report.to_json_dict(), report.relation_id
         # only a structural relation says it is one
         assert report.notes.startswith("structural") == bool(_CHECKS[report.relation_id].structural)
+
+
+# the relations whose checks read no coefficient of the module: exact integer
+# bookkeeping, or one exact 0.0 for a structural relation
+READS_NO_COEFFICIENT = {"grading_gf", "grading_gK", "kappa0", "l1_level",
+                        "phiphi_pp", "phiphi_pm", "zalg1"}
+
+
+@pytest.mark.parametrize("suite", list(SUITE_RUNS))
+def test_poisoned_coefficients_fail_every_report_that_reads_one(suite, monkeypatch):
+    # every coefficient source of the four handles returns NaN; a report that
+    # still passes reads no module code
+    nan = complex("nan")
+
+    def nan_scalar(act):
+        return PhiAction(replace(act.spec, scalar_prefactor=nan), act.weight_shift)
+    phi_action, vector_rep_apply = fock01.phi_action, fock01.vector_rep_apply
+    for name in ("coeff_plus", "coeff_minus", "vertex_constant"):
+        monkeypatch.setattr(fock01, name, lambda *args: nan)
+    monkeypatch.setattr(fock01, "phi_action", lambda *args: nan_scalar(phi_action(*args)))
+    monkeypatch.setattr(fock01, "vector_rep_apply", lambda gen, *args: (
+        nan_scalar(vector_rep_apply(gen, *args)) if gen == "phi" else vector_rep_apply(gen, *args)))
+    monkeypatch.setattr(BosonAlgebra, "mode_commutator", lambda *args: nan)
+    monkeypatch.setattr(BosonAlgebra, "ecoef", lambda *args: nan)
+    monkeypatch.setattr(Cocycle, "value", lambda *args: nan)
+    reports = SUITE_RUNS[suite][0]()
+    passed = {r.relation_id for r in reports if r.status == "pass"}
+    assert passed == READS_NO_COEFFICIENT & {r.relation_id for r in reports}
+    assert all(isnan(r.max_residual) for r in reports if r.relation_id not in passed)
 
 
 def test_record_keeps_nan_and_needs_a_sample():
