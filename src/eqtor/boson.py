@@ -305,15 +305,14 @@ class BosonAlgebra:
         return out
 
     def apply_current_boson(self, sign: int, i: int, vec: BosonVec,
-                            zmin: int, zmax: int,
-                            out_cap: int | None = None) -> dict[int, BosonVec]:
+                            zmin: int, zmax: int, out_cap: int | None) -> dict[int, BosonVec]:
         """Boson factor of the level-k vertex current, exact on [zmin, zmax].
 
         x+ carries exp(+sum c_m a_{-m} z^m) exp(-sum c_m a_{m} z^{-m}); x-
         the primed mirror.  The group-algebra factor of the full current
         commutes with every dressing exponential and is handled elsewhere.
         ``out_cap`` discards output states above that degree (matrix-element
-        targets of known degree never need them).
+        targets of known degree never need them); None keeps every state.
         """
         prime = sign < 0
         out: dict[int, BosonVec] = {}

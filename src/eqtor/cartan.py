@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cache
 from typing import NamedTuple, Sequence
 
 
@@ -146,6 +147,7 @@ class DynWeight(NamedTuple):
     rq: tuple[int, ...]
 
     @classmethod
+    @cache
     def zero(cls, size: int) -> "DynWeight":
         return cls((0,) * size, (0,) * size)
 
@@ -183,8 +185,13 @@ class DynWeight(NamedTuple):
 _GRADING_SHIFTS = {+1: (+1, -1), -1: (-1, 0), 0: (0, -1)}
 
 
+@cache
 def graded(weight: DynWeight, sign: int, color: int) -> DynWeight:
-    """``weight`` after one generator of ``color``: x+-_j or Z+-_j for sign +-1, phi_j for 0."""
+    """``weight`` after one generator of ``color``: x+-_j or Z+-_j for sign +-1, phi_j for 0.
+
+    Built once per argument tuple: weights are immutable, and a Fock check meets
+    few distinct ones many times.
+    """
     return weight.shifted(color, *_GRADING_SHIFTS[sign])
 
 

@@ -71,11 +71,15 @@ def qpoch(z, s, terms: int):
         raise ValueError("need |s| < 1")
     out = z * 0 + 1
     zs = z
-    fast = isinstance(out, complex)
+    if not isinstance(out, complex):  # mpmath: every factor, at the working precision
+        for _ in range(terms):
+            out = out * (1 - zs)
+            zs = zs * s
+        return out
     for _ in range(terms):
         out = out * (1 - zs)
         zs = zs * s
-        if fast and abs(zs) < 1e-30:
+        if abs(zs) < 1e-30:
             break
     return out
 
@@ -87,12 +91,13 @@ def theta(z, p, terms: int):
     return qpoch(z, p, terms) * qpoch(p / z, p, terms)
 
 
-def theta_coefficient(n: int, p, terms: int):
-    """Laurent coefficient of z^n in theta_p(z), (p;p)_oo truncated at ``terms`` factors.
+def theta_coefficient(n: int, p, pp):
+    """Laurent coefficient of z^n in theta_p(z), given pp = (p;p)_oo.
 
-    By the triple product, theta_p(z) = sum_n (-1)^n p^{n(n-1)/2} z^n / (p;p)_oo.
+    By the triple product, theta_p(z) = sum_n (-1)^n p^{n(n-1)/2} z^n / (p;p)_oo;
+    a caller that reads several coefficients computes (p;p)_oo once.
     """
-    return (-1) ** n * p ** (n * (n - 1) // 2) / qpoch(p, p, terms)
+    return (-1) ** n * p ** (n * (n - 1) // 2) / pp
 
 
 def theta_zero_distance(z, p) -> float:
@@ -234,7 +239,13 @@ class Params:
     seed: int = 20240801
     # per instance: every construction, dataclasses.replace included, starts empty
     _theta_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # (lattice point, star) -> the value theta_lat returned
+    _lat_thetas: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # the phi-x rows over the sample points: (shift, star) -> thetas, shift -> guards
+    _phi_x_thetas: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _phi_x_guards: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _vertex_constants: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _nome_pochhammers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.validate()
@@ -285,17 +296,29 @@ class Params:
 
         Lattice points other than the unit stay away from p^Z at a generic
         parameter point, so the only exact zero is the unit itself; a value
-        that nearly vanishes raises on every call, memoized or not.
+        that nearly vanishes raises on every call, memoized or not.  A value is
+        kept by lattice point, so a repeated point computes no power.
         """
-        if lat.is_unit:
-            return 0j
-        value = self.theta_p(lat.value(self), star)
-        if abs(value) < 1e-10:
-            raise ParameterError(f"theta({lat}) nearly vanishes; parameters not generic enough")
+        value = self._lat_thetas.get((lat, star))
+        if value is None:
+            if lat.is_unit:
+                return 0j
+            value = self.theta_p(lat.value(self), star)
+            if abs(value) < 1e-10:
+                raise ParameterError(f"theta({lat}) nearly vanishes; parameters not generic enough")
+            self._lat_thetas[lat, star] = value
         return value
 
     def qpoch_p(self, z):
         return qpoch(z, self.p, self.trunc_M)
+
+    def nome_pochhammer(self, star: bool):
+        """(s;s)_oo for the nome s = p* (star) or p, computed once per instance."""
+        value = self._nome_pochhammers.get(star)
+        if value is None:
+            nome = self.p_star if star else self.p
+            value = self._nome_pochhammers[star] = qpoch(nome, nome, self.trunc_M)
+        return value
 
     def theta_p(self, z, star: bool = False):
         """theta_{p or p*}(z), computed once per (z, nome) at this parameter point.
@@ -402,7 +425,7 @@ def phi_delta_difference(spec: ThetaRatioSpec, params: Params) -> list[tuple]:
             if theta_zero_distance(dvals[t] / dvals[s], params.p) < GUARD:
                 raise PoleProximityError(
                     f"denominator shifts {s} and {t} coincide modulo p^Z")
-    pp2 = params.qpoch_p(params.p) ** 2
+    pp2 = params.nome_pochhammer(False) ** 2
     out = []
     for s, dsh in enumerate(spec.denom_shifts):
         c = spec.scalar_prefactor / pp2

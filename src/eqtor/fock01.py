@@ -14,12 +14,13 @@ coproduct x+ -> sum_a phi^- x .. x phi^- x x+ x 1 x ..
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import NamedTuple
 
 from .cartan import CartanData, DynWeight, gl_cartan, graded
 from .ellcore import LAT_Q2, DeltaTerm, Lat, Params, ThetaRatioSpec
-from .partitions import (Basis, ColoredPartition, boxes_by_color, coeff_minus, coeff_plus,
-                         partitions_up_to, support_lat)
+from .partitions import (Basis, Box, ColoredPartition, boxes_by_color, coeff_minus,
+                         coeff_plus, partitions_up_to, support_lat)
 
 
 class FockBasisVector(NamedTuple):
@@ -43,8 +44,15 @@ def vertex_constant(sign: int, params: Params) -> complex:
     """C+- = (p q^{+-2}; p)_oo / (p; p)_oo, computed once per parameter point."""
     cache = params._vertex_constants
     if sign not in cache:
-        cache[sign] = params.qpoch_p(params.p * params.q ** (2 * sign)) / params.qpoch_p(params.p)
+        numer = params.qpoch_p(params.p * params.q ** (2 * sign))
+        cache[sign] = numer / params.nome_pochhammer(False)
     return cache[sign]
+
+
+@cache
+def x_support(box: Box) -> Lat:
+    """Delta support q^2 u_X of the ladder currents' term at a box, built once per box."""
+    return LAT_Q2 * support_lat(box)
 
 
 def apply_xplus(color: int, v: FockBasisVector, params: Params) -> list[DeltaTerm]:
@@ -52,7 +60,7 @@ def apply_xplus(color: int, v: FockBasisVector, params: Params) -> list[DeltaTer
     add, _ = boxes_by_color(lam, color)
     cp = vertex_constant(+1, params)
     wt = graded(v.weight, +1, color)
-    return [DeltaTerm(LAT_Q2 * support_lat(box), cp * coeff_plus(lam, box, color, params),
+    return [DeltaTerm(x_support(box), cp * coeff_plus(lam, box, color, params),
                       FockBasisVector(lam.add_box(box), wt))
             for box in add]
 
@@ -62,7 +70,7 @@ def apply_xminus(color: int, v: FockBasisVector, params: Params) -> list[DeltaTe
     _, rem = boxes_by_color(lam, color)
     cm = vertex_constant(-1, params)
     wt = graded(v.weight, -1, color)
-    return [DeltaTerm(LAT_Q2 * support_lat(box), cm * coeff_minus(lam, box, color, params),
+    return [DeltaTerm(x_support(box), cm * coeff_minus(lam, box, color, params),
                       FockBasisVector(lam.remove_box(box), wt))
             for box in rem]
 
@@ -77,13 +85,11 @@ def phi_action(color: int, v: FockBasisVector, params: Params) -> PhiAction:
     add, rem = boxes_by_color(lam, color)
     numer, denom = [], []
     for r in rem:
-        ur = support_lat(r)
-        numer.append(ur)
-        denom.append(LAT_Q2 * ur)
+        numer.append(support_lat(r))
+        denom.append(x_support(r))
     for a in add:
-        ua = support_lat(a)
-        numer.append(LAT_Q2 * LAT_Q2 * ua)
-        denom.append(LAT_Q2 * ua)
+        numer.append(LAT_Q2 * x_support(a))
+        denom.append(x_support(a))
     scalar = params.q ** (len(rem) - len(add))
     shift = graded(DynWeight.zero(lam.n_colors), 0, color)
     return PhiAction(ThetaRatioSpec(tuple(numer), tuple(denom), scalar), shift)
@@ -261,13 +267,19 @@ class FockRep:
         self.root_color = root_color
         self.cartan: CartanData = gl_cartan(n_colors)
         self._basis = Basis(n_colors, root_color)
+        self._states: dict[int, tuple[FockBasisVector, ...]] = {}
 
     def colors(self) -> range:
         return range(self.n_colors)
 
-    def states(self, max_size: int) -> list[FockBasisVector]:
-        return [FockBasisVector(self._basis[ps], DynWeight.zero(self.n_colors))
-                for ps in partitions_up_to(max_size)]
+    def states(self, max_size: int) -> tuple[FockBasisVector, ...]:
+        """The basis states up to ``max_size`` boxes, built once per size for the handle's life."""
+        out = self._states.get(max_size)
+        if out is None:
+            out = self._states[max_size] = tuple(
+                FockBasisVector(self._basis[ps], DynWeight.zero(self.n_colors))
+                for ps in partitions_up_to(max_size))
+        return out
 
     def x(self, sign: int, color: int, v: FockBasisVector) -> list[DeltaTerm]:
         return (apply_xplus if sign > 0 else apply_xminus)(color, v, self.params)

@@ -418,7 +418,8 @@ def check_xx_quadratic_level1(report, mod: Level1Module, sign: int, vec: ModuleV
                            for e2, v2 in mod.current_apply(sign, c, lv_a, v1, -wide, wide,
                                                            top - ea - eac).items()}
     ns = range(-L1_THETA_TERMS, L1_THETA_TERMS + 1)
-    tns = [theta_coefficient(n, base, params.trunc_M) for n in ns]
+    pp = params.nome_pochhammer(sign > 0)
+    tns = [theta_coefficient(n, base, pp) for n in ns]
     for i in colors:
         for j in colors:
             if reach[j, i] != reach[i, j]:

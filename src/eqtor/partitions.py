@@ -108,27 +108,33 @@ class ColoredPartition:
         return out
 
     def add_box(self, box: Box) -> "ColoredPartition":
-        if box not in self._boxes_by_color.get(self.content(box), ((), ()))[0]:
-            raise ValueError(f"{box} is not addable")
-        x = box[0]
-        ps = list(self.parts) + [0] * (x - len(self.parts))
-        ps[x - 1] += 1
-        return self._shape(tuple(ps))
+        return self._move(box, +1)
 
     def remove_box(self, box: Box) -> "ColoredPartition":
-        if box not in self._boxes_by_color.get(self.content(box), ((), ()))[1]:
-            raise ValueError(f"{box} is not removable")
-        ps = list(self.parts)
-        ps[box[0] - 1] -= 1
-        return self._shape(tuple(p for p in ps if p))
+        return self._move(box, -1)
 
-    def _shape(self, parts: tuple[int, ...]) -> "ColoredPartition":
-        """The partition with these parts, from this one's basis while that lives."""
+    def _move(self, box: Box, sign: int) -> "ColoredPartition":
+        """The partition with ``box`` added (sign +1) or removed (-1).
+
+        Inside a basis each move is made once and kept in its table; a box that
+        is not addable or not removable raises on every call.
+        """
         ref = self.__dict__.get("_basis")
         basis = ref() if ref is not None else None
+        if basis is not None:
+            lam = basis._moves.get((self.parts, box, sign))
+            if lam is not None:
+                return lam
+        add, rem = boxes_by_color(self, self.content(box))
+        if box not in (add if sign > 0 else rem):
+            raise ValueError(f"{box} is not {'addable' if sign > 0 else 'removable'}")
+        ps = list(self.parts) + [0] * (box[0] - len(self.parts))
+        ps[box[0] - 1] += sign
+        parts = tuple(p for p in ps if p)
         if basis is None:
             return ColoredPartition(parts, self.n_colors, self.root_color)
-        return basis[parts]
+        lam = basis._moves[self.parts, box, sign] = basis[parts]
+        return lam
 
 
 class Basis:
@@ -136,15 +142,18 @@ class Basis:
 
     Each partition it hands out refers to it weakly, and add_box and
     remove_box on that partition return this basis's object for the new
-    shape.  So the box tables and the hash of a shape are computed once for
-    as long as the basis lives, and its owner's end frees every shape.  It
-    holds combinatorics only: no parameter point, coefficient or theta.
+    shape.  So the box tables, the hash of a shape and each box move are
+    computed once for as long as the basis lives, and its owner's end frees
+    every shape.  It holds combinatorics only: no parameter point,
+    coefficient or theta.
     """
 
     def __init__(self, n_colors: int, root_color: int):
         self.n_colors = n_colors
         self.root_color = root_color
         self._shapes: dict[tuple[int, ...], ColoredPartition] = {}
+        # (parts, box, +1 to add or -1 to remove) -> the shape that move reaches
+        self._moves: dict[tuple, ColoredPartition] = {}
 
     def __getitem__(self, parts: tuple[int, ...]) -> ColoredPartition:
         lam = self._shapes.get(parts)
@@ -155,14 +164,14 @@ class Basis:
         return lam
 
 
-def boxes_by_color(lam: ColoredPartition, color: int) -> tuple[list[Box], list[Box]]:
+def boxes_by_color(lam: ColoredPartition, color: int) -> tuple[tuple[Box, ...], ...]:
     """(addable, removable) boxes of the given color, in increasing content order.
 
-    For same-color candidate boxes of one diagram the integer-content order
-    coincides with row order; this is checked rather than assumed.
+    The partition's stored tuples, not copies.  For same-color candidate boxes
+    of one diagram the integer-content order coincides with row order; this is
+    checked rather than assumed.
     """
-    add, rem = lam._boxes_by_color.get(color, ((), ()))
-    return list(add), list(rem)
+    return lam._boxes_by_color.get(color, ((), ()))
 
 
 @cache

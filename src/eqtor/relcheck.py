@@ -16,11 +16,19 @@ and the Serre sums |sum| / (1 + the largest entry or term).  The level-0
 phi-phi exchanges compare nothing and record one exact 0.0 (_PHI_PHI_REASON
 says why).  Samples whose prefactors fall inside the guard radius of a theta
 zero are skipped and counted; everything on the exact support lattice needs
-no guard.  Theta values live on the Params: one memo per parameter point,
-keyed by argument and nome, so checks on one point share them and no value
-reaches another point.  Module actions are memoized for one check and dropped when it returns;
-the partitions they act on are built once per shape by the FockRep, which
-keeps them for as long as it lives.  The phi-x checks take every theta
+no guard.
+
+Each derived value is built once and kept where its life matches what it
+reads.  The Params instance keeps what reads only the parameter point: the
+theta memo by argument and nome, theta_lat's values by lattice point, the
+phi-x theta and guard rows (phixp and phixm share them), the vertex constants
+and (p;p)_oo, so checks on one point share them and no value reaches another
+point.  The FockRep's partitions.Basis keeps combinatorics: each shape and
+each box move, for as long as the handle lives; the handle keeps its state
+lists.  Pure-function caches keep what reads only immutable arguments:
+cartan.graded, DynWeight.zero and the box supports.  Module actions, phi
+eigenvalue rows, phi-x multipliers and Serre kernels are memoized for one
+check and dropped when it returns.  The phi-x checks take every theta
 argument on the support lattice and read one theta row and one guard row per
 lattice point over their sample points, so an eigenvalue and a multiplier
 that meet the same point share its thetas.
@@ -38,7 +46,7 @@ import cmath
 import json
 import math
 import random
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
 from functools import cache
 from itertools import product
@@ -104,24 +112,33 @@ class RelationReport:
                 "status": self.status, "notes": self.notes}
 
 
-def _theta_rows(params: Params, points: list):
-    """The rows of the phi-x checks over their sample points, each made once per check.
+def _theta_rows(params: Params):
+    """The rows of the phi-x checks over their sample points, each made once per Params.
 
     ``thetas(shift, star)`` is theta_{p or p*}(w / z), and ``near_zero(shift)`` whether
-    w / z lies inside the guard radius of a theta zero, at every point z, where w is
-    the value of the lattice point ``shift``.  Each theta comes from the Params memo,
-    keyed by argument and nome, so a row shared by an eigenvalue and a multiplier is
-    one set of thetas.
+    w / z lies inside the guard radius of a theta zero, at every point z of
+    _phi_x_points(params), where w is the value of the lattice point ``shift``.  The
+    rows read only the parameter point, so they are kept on the Params, and phixp and
+    phixm share them.  Each theta comes from the Params memo, keyed by argument and
+    nome, so a row shared by an eigenvalue and a multiplier is one set of thetas.
     """
-    @cache
-    def thetas(shift: Lat, star: bool) -> tuple:
-        w = shift.value(params)
-        return tuple(params.theta_p(w / z, star) for z in points)
+    points = _phi_x_points(params)
+    theta_rows, guard_rows = params._phi_x_thetas, params._phi_x_guards
 
-    @cache
+    def thetas(shift: Lat, star: bool) -> tuple:
+        row = theta_rows.get((shift, star))
+        if row is None:
+            w = shift.value(params)
+            row = theta_rows[shift, star] = tuple(params.theta_p(w / z, star) for z in points)
+        return row
+
     def near_zero(shift: Lat) -> tuple:
-        w = shift.value(params)
-        return tuple(theta_zero_distance(w / z, params.p) < GUARD for z in points)
+        row = guard_rows.get(shift)
+        if row is None:
+            w = shift.value(params)
+            row = guard_rows[shift] = tuple(theta_zero_distance(w / z, params.p) < GUARD
+                                            for z in points)
+        return row
 
     return thetas, near_zero
 
@@ -180,28 +197,31 @@ def check_quadratic(report: RelationReport, rep, sign: int, states) -> None:
     data = rep.cartan
     star = sign > 0  # p* side for the raising family (p* = p at level zero)
     x = cache(rep.x)
+    # per color pair, once: the theta-argument shifts kap^{-+m} q^b of the two sides
+    # and the rhs scalar -kap^{-m}
+    pairs = []
+    for i in rep.colors():
+        for j in rep.colors():
+            b = data.b(i, j) * (1 if sign > 0 else -1)
+            mm = data.m[i][j]
+            pairs.append((i, j, Lat(-mm, b), Lat(mm, b), -params.kappa ** (-mm)))
     for v in states:
-        for i in rep.colors():
-            for j in rep.colors():
-                b = data.b(i, j) * (1 if sign > 0 else -1)
-                mm = data.m[i][j]
-                lhs: dict = {}
-                rhs: dict = {}
-                for tw in x(sign, j, v):
-                    for tz in x(sign, i, tw.payload):
-                        sz, sw = tz.support, tw.support
-                        arg = (sw / sz) * Lat(-mm, b)
-                        pref = sz.value(params) * params.theta_lat(arg, star=star)
-                        _accumulate(lhs, (tz.payload, sz, sw), pref * tz.coeff * tw.coeff)
-                for tz in x(sign, i, v):
-                    for tw in x(sign, j, tz.payload):
-                        sz, sw = tz.support, tw.support
-                        arg = (sz / sw) * Lat(mm, b)
-                        pref = (-params.kappa ** (-mm) * sw.value(params)
-                                * params.theta_lat(arg, star=star))
-                        _accumulate(rhs, (tw.payload, sz, sw), pref * tz.coeff * tw.coeff)
-                _compare_tables(lhs, rhs, report,
-                                lambda: f"{report.relation_id} i={i} j={j} state={_name(v)}")
+        for i, j, shift_l, shift_r, scale_r in pairs:
+            lhs: dict = {}
+            rhs: dict = {}
+            for tw in x(sign, j, v):
+                for tz in x(sign, i, tw.payload):
+                    sz, sw = tz.support, tw.support
+                    pref = sz.value(params) * params.theta_lat((sw / sz) * shift_l, star=star)
+                    _accumulate(lhs, (tz.payload, sz, sw), pref * tz.coeff * tw.coeff)
+            for tz in x(sign, i, v):
+                for tw in x(sign, j, tz.payload):
+                    sz, sw = tz.support, tw.support
+                    pref = (scale_r * sw.value(params)
+                            * params.theta_lat((sz / sw) * shift_r, star=star))
+                    _accumulate(rhs, (tw.payload, sz, sw), pref * tz.coeff * tw.coeff)
+            _compare_tables(lhs, rhs, report,
+                            lambda: f"{report.relation_id} i={i} j={j} state={_name(v)}")
 
 
 def check_xpxm(report: RelationReport, rep, states) -> None:
@@ -264,7 +284,7 @@ def check_phi_x(report: RelationReport, rep, x_sign: int, states) -> None:
     params = rep.params
     data = rep.cartan
     star = x_sign > 0
-    thetas, near_zero = _theta_rows(params, _phi_x_points(params))
+    thetas, near_zero = _theta_rows(params)
     x, eigenvalues = cache(rep.x), _eigenvalues(rep, thetas)
 
     @cache
@@ -315,31 +335,35 @@ def check_serre(report: RelationReport, rep, sign: int, states) -> None:
         # g_b(x; p) at the lattice point x (p* = p at level zero)
         return gkernel(lat.value(params), params.p, b, q, params.trunc_M)
 
+    # per Serre term, once: where in its word z_1, z_2 and sigma's two slots sit (w sits at r)
+    terms = [(word, r, weight, word.index(0), word.index(1), word.index(sigma[0]),
+              word.index(sigma[1])) for sigma, r, word, weight in serre_terms(two)]
     data = rep.cartan
     x = cache(rep.x)
     for v in states:
         for i in rep.colors():
             for j in {(i + 1) % rep.n_colors, (i - 1) % rep.n_colors}:
                 mm = data.m[i][j]
-                b_ij = data.b(i, j)
+                b_ii, b_ij = flip * data.b(i, i), flip * data.b(i, j)
+                twist_l, twist_r = Lat(-mm), Lat(mm)
                 total: dict = {}
-                for sigma, r, word, weight in serre_terms(two):
-                    # chains: (support of each slot, state, coefficient), the
-                    # word applied right to left
-                    chains = [({}, v, 1.0 + 0j)]
+                for word, r, weight, z0, z1, first, second in terms:
+                    # chains: (the support of each slot, in word order, state, coefficient),
+                    # the word applied right to left
+                    chains = [((), v, 1.0 + 0j)]
                     for slot in reversed(word):
-                        chains = [({**at, slot: term.support}, term.payload, co * term.coeff)
+                        chains = [((term.support,) + at, term.payload, co * term.coeff)
                                   for at, state, co in chains
                                   for term in x(sign, j if slot is None else i, state)]
                     for at, state, co in chains:
-                        sw = at[None]
-                        pref = gker(at[sigma[1]] / at[sigma[0]], flip * data.b(i, i))
+                        sw = at[r]
+                        pref = gker(at[second] / at[first], b_ii)
                         pref *= weight
-                        for slot in word[:r]:
-                            pref *= gker((sw / at[slot]) * Lat(-mm), flip * b_ij)
-                        for slot in word[r + 1:]:
-                            pref *= gker((at[slot] / sw) * Lat(mm), flip * b_ij)
-                        _accumulate(total, (state, at[0], at[1], sw), pref * co)
+                        for k in range(r):
+                            pref *= gker((sw / at[k]) * twist_l, b_ij)
+                        for k in range(r + 1, len(word)):
+                            pref *= gker((at[k] / sw) * twist_r, b_ij)
+                        _accumulate(total, (state, at[z0], at[z1], sw), pref * co)
                 scale = max(abs(c) for c in total.values()) if total else 0.0
                 for val in total.values():
                     report.record(abs(val) / (1 + scale),
@@ -506,7 +530,7 @@ def _l1_phiphi_pm(mod: Level1Module, report: RelationReport, size) -> None:
 # the relation registry and the suites
 # ---------------------------------------------------------------------------
 
-def _basis(rep, size: int | None) -> list:
+def _basis(rep, size: int | None) -> Sequence:
     """The basis states up to a partition size, or the one finite basis (size None)."""
     return rep.states() if size is None else rep.states(size)
 

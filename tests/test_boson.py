@@ -159,7 +159,7 @@ def full_product_kernel_side(rel, alg, i, j, vec, max_degree, window):
         sign = 1 if desc[0][1] == "+" else -1
         if desc[0][0] == "E":
             return alg.apply_E(sign, desc[1], color, v, window)
-        return alg.apply_current_boson(sign, color, v, lo, hi)
+        return alg.apply_current_boson(sign, color, v, lo, hi, None)
 
     rhs_op = {}
     for ze, v1 in apply(rel.left[0], i, vec, 2 * window).items():

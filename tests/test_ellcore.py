@@ -6,7 +6,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eqtor.ellcore import (BalanceError, DeltaTerm, Lat, ParameterError, Params,
+from eqtor.ellcore import (GUARD, BalanceError, DeltaTerm, Lat, ParameterError, Params,
                            PoleProximityError, ThetaRatioSpec, gkernel,
                            gkernel_branches, pf_expand, phi_delta_difference,
                            poch_pairs_series, pochratio_series, qpoch, theta,
@@ -57,7 +57,7 @@ def test_theta_reflection_derived():
 @given(st.floats(0.3, 2.0), st.floats(0, 6.28))
 def test_theta_laurent_expansion(r, phi):
     z = cmath.rect(r, phi)
-    total = sum(theta_coefficient(n, P.p, 40) * z ** n for n in range(-12, 13))
+    total = sum(theta_coefficient(n, P.p, qpoch(P.p, P.p, 40)) * z ** n for n in range(-12, 13))
     assert abs(total - theta(z, P.p, 40)) < 1e-12 * (1 + abs(total))
 
 
@@ -324,6 +324,58 @@ def test_theta_memo_belongs_to_its_parameter_point(monkeypatch):
     assert all(isinstance(v, mpmath.mpc) for v in hp._theta_cache.values())
 
 
+# every memo a Params instance keeps for its own parameter point
+PARAMS_MEMOS = ("_theta_cache", "_lat_thetas", "_phi_x_thetas", "_phi_x_guards",
+                "_vertex_constants", "_nome_pochhammers")
+
+
+def _filled(params):
+    """params after the checks that fill each of its memos on one Fock handle."""
+    from eqtor.fock01 import FockRep
+    from eqtor.relcheck import run_relation
+
+    rep = FockRep(params, 3, 0)
+    for rel_id in ("xpxp", "xpxm", "phixp", "phixm"):
+        assert run_relation(rep, rel_id, 2).status == "pass"
+    return params
+
+
+def test_params_memos_start_empty_and_serve_only_their_point(monkeypatch):
+    import mpmath
+
+    from eqtor.relcheck import _phi_x_points
+
+    here = _filled(replace(P))
+    assert all(getattr(here, name) for name in PARAMS_MEMOS)
+    monkeypatch.setattr(mpmath.mp, "dps", mpmath.mp.dps)  # restored after the test
+    for fresh in (replace(here), here.with_level(1), here.with_precision(30)):
+        assert all(getattr(fresh, name) == {} for name in PARAMS_MEMOS)
+    # a second point fills its own memos with its own values
+    there = _filled(replace(P, p=0.04 * cmath.exp(0.2j), u=1.2 * cmath.exp(0.1j)))
+    for name in PARAMS_MEMOS:
+        assert getattr(there, name) is not getattr(here, name)
+    for (lat, star), value in there._lat_thetas.items():
+        assert value == theta(lat.value(there), there.p, there.trunc_M)
+        assert abs(value - here.theta_lat(lat, star)) > 1e-6
+    points = _phi_x_points(there)
+    for (shift, star), row in there._phi_x_thetas.items():
+        w = shift.value(there)
+        assert row == tuple(theta(w / z, there.p, there.trunc_M) for z in points)
+        assert row != here._phi_x_thetas.get((shift, star))
+    for shift, row in there._phi_x_guards.items():
+        w = shift.value(there)
+        assert row == tuple(theta_zero_distance(w / z, there.p) < GUARD for z in points)
+    assert there.nome_pochhammer(False) == qpoch(there.p, there.p, there.trunc_M)
+    assert abs(there.nome_pochhammer(False) - here.nome_pochhammer(False)) > 1e-6
+    # at level one the two nomes differ, and so do their lattice thetas and products
+    p1 = here.with_level(1)
+    lat = Lat(1, 2, 1)
+    assert p1.theta_lat(lat) == theta(lat.value(p1), p1.p, p1.trunc_M)
+    assert p1.theta_lat(lat, star=True) == theta(lat.value(p1), p1.p_star, p1.trunc_M)
+    assert p1.nome_pochhammer(False) == qpoch(p1.p, p1.p, p1.trunc_M)
+    assert p1.nome_pochhammer(True) == qpoch(p1.p_star, p1.p_star, p1.trunc_M)
+
+
 def test_theta_lat_raises_on_a_memoized_near_zero():
     # u = p puts the lattice point u^1 on a zero of theta_p
     pz = Params(u=P.p)
@@ -338,10 +390,12 @@ def test_theta_lat_raises_on_a_memoized_near_zero():
 def test_theta_coefficient_keeps_high_precision():
     import mpmath
 
-    theta_coefficient(3, P.p, 40)  # a double-precision call must not leak into mpmath mode
+    # a double-precision call must not leak into mpmath mode
+    theta_coefficient(3, P.p, qpoch(P.p, P.p, 40))
     hp = Params().with_precision(40)
     exact = -hp.p ** 3 / qpoch(hp.p, hp.p, 200)
-    assert abs(theta_coefficient(3, hp.p, hp.trunc_M) - exact) < mpmath.mpf(10) ** -35
+    got = theta_coefficient(3, hp.p, qpoch(hp.p, hp.p, hp.trunc_M))
+    assert abs(got - exact) < mpmath.mpf(10) ** -35
 
 
 def test_with_precision_sets_the_requested_digits(monkeypatch):

@@ -9,7 +9,7 @@ from mutants import MUTANTS, assert_turns_red
 from eqtor.boson import (VACUUM, BosonAlgebra, accumulate, basis_states, state_add_mode,
                          state_degree, vector_residual)
 from eqtor.cartan import Cocycle
-from eqtor.ellcore import Params, theta_coefficient
+from eqtor.ellcore import Params, qpoch, theta_coefficient
 from eqtor.level1 import (L1_THETA_TERMS, LatticeVector, Level1Module, check_highest_weight,
                           check_mode_current_bracket, check_phi_phi_level1,
                           check_xx_quadratic_level1, check_zalgebra,
@@ -376,7 +376,8 @@ def xx_quadratic_per_pair(mod, sign, i, j, vec, window):
     cc1 = q ** b * kappa ** (-mm)
     cc2 = q ** b * kappa ** mm
     ns = range(-L1_THETA_TERMS, L1_THETA_TERMS + 1)
-    tns = [theta_coefficient(n, base, params.trunc_M) for n in ns]
+    pp = qpoch(base, base, params.trunc_M)
+    tns = [theta_coefficient(n, base, pp) for n in ns]
     wl = [tn * cc1 ** n for n, tn in zip(ns, tns)]
     wr = [-kappa ** (-mm) * tn * cc2 ** n for n, tn in zip(ns, tns)]
     worst = 0.0

@@ -29,18 +29,18 @@ def test_partition_validation():
 def test_boxes_by_color_empty_diagram():
     empty = lam([])
     add, rem = boxes_by_color(empty, 0)
-    assert add == [(1, 1)] and rem == []
+    assert add == ((1, 1),) and rem == ()
     for j in (1, 2):
         add, rem = boxes_by_color(empty, j)
-        assert add == [] and rem == []
+        assert add == () and rem == ()
 
 
 def test_boxes_by_color_single_box():
     one = lam([1])
-    assert boxes_by_color(one, 0) == ([], [(1, 1)])
+    assert boxes_by_color(one, 0) == ((), ((1, 1),))
     # content(1,2) = 1-2 = -1 = 2 mod 3; content(2,1) = 1
-    assert boxes_by_color(one, 2) == ([(1, 2)], [])
-    assert boxes_by_color(one, 1) == ([(2, 1)], [])
+    assert boxes_by_color(one, 2) == (((1, 2),), ())
+    assert boxes_by_color(one, 1) == (((2, 1),), ())
 
 
 def test_addable_exceeds_removable_by_one():
@@ -89,6 +89,29 @@ def test_basis_builds_each_shape_once():
     ref = weakref.ref(basis)
     del basis
     assert ref() is None
+    assert one.add_box((1, 2)) == lam([2]) and one.add_box((1, 2)) is not one.add_box((1, 2))
+
+
+def test_basis_makes_each_move_once():
+    basis = Basis(3, 0)
+    one = basis[(1,)]
+    two = one.add_box((1, 2))
+    assert two is basis[(2,)] and one.add_box((1, 2)) is two
+    assert basis._moves[(1,), (1, 2), +1] is two and two.remove_box((1, 2)) is one
+    # a box that is not addable, or not removable, raises on every call, also where
+    # the opposite move is in the table, and no failure is kept
+    one.remove_box((1, 1))
+    moves = dict(basis._moves)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="is not addable"):
+            one.add_box((1, 1))
+        with pytest.raises(ValueError, match="is not removable"):
+            one.remove_box((1, 2))
+    assert basis._moves == moves
+    # the table goes with its basis, and so do the shapes only it reached
+    ref, far = weakref.ref(basis), weakref.ref(two.add_box((1, 3)))
+    del basis, two
+    assert ref() is None and far() is None
     assert one.add_box((1, 2)) == lam([2]) and one.add_box((1, 2)) is not one.add_box((1, 2))
 
 
@@ -175,7 +198,7 @@ def test_single_box_coeff_minus_has_single_tail_factor():
     lp = lam([1])
     got = coeff_minus(lp, (1, 1), 0, P)
     add, _ = boxes_by_color(lp, 0)
-    assert add == []  # nothing of color 0 beyond the root for (1)
+    assert add == ()  # nothing of color 0 beyond the root for (1)
     # box form: products over larger-content boxes of color 0 in (1): none
     assert got == 1
 

@@ -120,7 +120,7 @@ def test_eigenvalue_rows_equal_evaluate(handle):
     rep, states = _phi_x_handle(handle)
     reference = replace(P)  # its own memo: every theta is computed again
     points = _phi_x_points(rep.params)
-    eigenvalues = _eigenvalues(rep, _theta_rows(rep.params, points)[0])
+    eigenvalues = _eigenvalues(rep, _theta_rows(rep.params)[0])
     for v in states:
         for i in rep.colors():
             row = eigenvalues(v, i)
@@ -209,6 +209,24 @@ def test_phi_checks_compute_each_theta_once(theta_calls):
         assert run_relation(rep, rel_id, 3).status == "pass"
     assert theta_calls
     assert len(theta_calls) == len(set(theta_calls))
+
+
+def test_phi_checks_compute_each_guard_once(monkeypatch):
+    # phixp and phixm share their guard rows, kept on the Params: each argument
+    # meets theta_zero_distance once over both checks
+    calls = []
+    distance = theta_zero_distance
+
+    def counted(z, p):
+        calls.append((z, p))
+        return distance(z, p)
+
+    monkeypatch.setattr("eqtor.relcheck.theta_zero_distance", counted)
+    rep = FockRep(replace(P), 3, 0)
+    for rel_id in ("phixp", "phixm"):
+        assert run_relation(rep, rel_id, 3).status == "pass"
+    assert calls
+    assert len(calls) == len(set(calls))
 
 
 @pytest.mark.parametrize("handle, most", [("fock3k0", 264), ("vector3", 340)])
