@@ -21,7 +21,7 @@ from typing import NamedTuple
 from .boson import (BosonAlgebra, BosonVec, VACUUM, accumulate, basis_states,
                     mode_bracket_residual, state_degree, state_label, vector_residual)
 from .cartan import CartanData, Cocycle, DynWeight, cartan_data, graded
-from .ellcore import Params, pochratio_series, scalar_exp, scalar_like, theta_coefficient
+from .ellcore import Params, pochratio_series, scalar_like, theta_coefficient
 
 
 class LatticeVector(NamedTuple):
@@ -333,7 +333,7 @@ def check_zalgebra(report, rel_id: str, mod: Level1Module, samples: int, window:
 # full-current checks at level (1, l)
 # ---------------------------------------------------------------------------
 
-PHI_PHI_ORDER = 140  # terms of the phi+ phi- kernel series
+PHI_PHI_MODES = 16   # modes m <= 16 of the phi+ phi- log coefficients
 L1_THETA_TERMS = 6   # theta Laurent terms |n| <= 6 in the l1_xpxp kernels
 BRACKET_MODES = 4    # modes a_{i,m}, 0 < |m| <= 4, in the mode-current brackets
 
@@ -482,42 +482,38 @@ def check_level(report, mod: Level1Module, samples: int, rng: random.Random) -> 
                       lambda: f"lv={lv.beta} central exponent {total}, not {expo}")
 
 
-def check_phi_phi_level1(report, mod: Level1Module, i: int, j: int, samples: int,
-                         rng: random.Random) -> None:
-    """phi+_i(z) phi-_j(w) exchange multiplier at level 1, at sampled w/z.
+def check_phi_phi_level1(report, mod: Level1Module, i: int, j: int) -> None:
+    """phi+_i(z) phi-_j(w) exchange multiplier at level 1, on the coefficients of its logarithm.
 
-    Normal-ordering both products gives the reordering kernel
+    Normal-ordering both products gives the reordering kernel, with x = w/z,
 
-        exp(-(q-1/q)^2 sum_m [ Br_ij(m) (q^k x)^m - p^{2m} Br_ji(m) (q^{-k}/x)^m ]
-            / (m-independent (1-p^m)^2 factors)),    x = w/z,
+        exp(-(q-1/q)^2 sum_m [ Br_ij(m) (q^k x)^m - p^{2m} Br_ji(m) (q^{-k}/x)^m ] / (1-p^m)^2),
 
-    with Br the mode bracket; it must equal the theta-ratio multiplier
+    Br_ij(m) = [a_{i,m}, a_{j,-m}]; it must equal the theta-ratio multiplier
     theta_p(q^b kap^{-mm} q^k x) theta_p*(q^{-b} kap^{-mm} q^{-k} x)
-    / (theta_p(q^{-b} kap^{-mm} q^k x) theta_p*(q^b kap^{-mm} q^{-k} x)).
+    / (theta_p(q^{-b} kap^{-mm} q^k x) theta_p*(q^b kap^{-mm} q^{-k} x)).  Since
+    log theta_s(y x) = -sum_m [(y x)^m + (s/(y x))^m] / (m (1 - s^m)), both sides
+    are exponentials of two-sided series in x whose coefficients are closed forms,
+    and the relation holds exactly when the x^m and x^-m coefficients agree for
+    every m.  One sample per m = 1..PHI_PHI_MODES and side.
     """
     params = mod.params
-    q, kappa = params.q, params.kappa
+    q, kappa, p = params.q, params.kappa, params.p
     k = 1
-    p = params.p
-    data = mod.data
-    b, mm = data.b(i, j), data.m[i][j]
-    # the x-independent factors of each series term, multiplied in the same
-    # left-to-right order as the x-dependent ones below
-    outer, inner = [], []
-    for m in range(1, PHI_PHI_ORDER + 1):
-        cpl = (q - 1 / q) ** 2 / ((1 - p ** m) * (1 - p ** m))
-        outer.append(cpl * mod.boson.mode_commutator(i, m, j, -m))
-        inner.append(cpl * mod.boson.mode_commutator(j, m, i, -m) * p ** (2 * m))
-    for t in range(samples):
-        x = rng.uniform(0.25, 0.45) * _cis(rng)  # inside the kernel-series disc
-        zx, wx = q ** k * x, q ** (-k) / x
-        acc = 0j
-        for m, (co, ci) in enumerate(zip(outer, inner), 1):
-            acc -= co * zx ** m
-            acc += ci * wx ** m
-        kernel = scalar_exp(acc)
-        mult = (params.theta_p(q ** b * kappa ** (-mm) * q ** k * x)
-                * params.theta_p(q ** (-b) * kappa ** (-mm) * q ** (-k) * x, star=True)
-                / params.theta_p(q ** (-b) * kappa ** (-mm) * q ** k * x)
-                / params.theta_p(q ** b * kappa ** (-mm) * q ** (-k) * x, star=True))
-        report.record(abs(kernel - mult) / (1 + abs(mult)), lambda: f"i={i} j={j} sample#{t}")
+    b, mm = mod.data.b(i, j), mod.data.m[i][j]
+    # (y, s, power) of each factor theta_s(y x)^power of the multiplier
+    thetas = ((q ** (b + k) * kappa ** (-mm), p, 1),
+              (q ** (-b - k) * kappa ** (-mm), params.p_star, 1),
+              (q ** (k - b) * kappa ** (-mm), p, -1),
+              (q ** (b - k) * kappa ** (-mm), params.p_star, -1))
+    for m in range(1, PHI_PHI_MODES + 1):
+        lift = (q - 1 / q) ** 2 / (1 - p ** m) ** 2
+        # (x^m, x^-m) coefficients of the kernel's logarithm and of the multiplier's
+        sides = ((-lift * mod.boson.mode_commutator(i, m, j, -m) * q ** (k * m),
+                  -sum(power * y ** m / (1 - s ** m) for y, s, power in thetas) / m,
+                  f"z^{-m} w^{m}"),
+                 (lift * mod.boson.mode_commutator(j, m, i, -m) * p ** (2 * m) * q ** (-k * m),
+                  -sum(power * (s / y) ** m / (1 - s ** m) for y, s, power in thetas) / m,
+                  f"z^{m} w^{-m}"))
+        for kernel, mult, where in sides:
+            report.record(abs(kernel - mult) / (1 + abs(kernel)), lambda: f"i={i} j={j} {where}")

@@ -10,9 +10,9 @@ nothing.  RelationReport.record is the one fold: the max over samples, and
 a NaN anywhere is the worst case, so its report fails.  Labels locate the
 sample in at most 100 characters: a Fock state by its partition, a vector
 state as [u]_j, a support by its kappa, q, u exponents, a boson state by
-its modes, a lattice vector by its beta.  Most compare entries by
-|l - r| / (1 + |l|); the level-1 phi-phi check reads |l - r| / (1 + |r|),
-and the Serre sums |sum| / (1 + the largest entry or term).  The level-0
+its modes, a lattice vector by its beta.  Every check with two sides
+compares entries by |l - r| / (1 + |l|); the Serre sums read
+|sum| / (1 + the largest entry or term).  The level-0
 phi-phi exchanges compare nothing and record one exact 0.0 (_PHI_PHI_REASON
 says why).  Samples whose prefactors fall inside the guard radius of a theta
 zero are skipped and counted; everything on the exact support lattice needs
@@ -56,7 +56,7 @@ from .boson import BosonAlgebra, EXCHANGE_IDS, check_exchange
 from .cartan import cartan_data
 from .ellcore import GUARD, Lat, Params, gkernel, phi_delta_difference, theta_zero_distance
 from .fock01 import FockRep, VectorBasis, VectorRep
-from .level1 import (L1_THETA_TERMS, PHI_PHI_ORDER, Level1Module, check_highest_weight,
+from .level1 import (L1_THETA_TERMS, PHI_PHI_MODES, Level1Module, check_highest_weight,
                      check_level, check_mode_current_bracket, check_phi_phi_level1,
                      check_xx_quadratic_level1, check_zalgebra, sample_module_vectors,
                      serre_terms)
@@ -510,8 +510,8 @@ def _l1_xpxp(mod: Level1Module, report: RelationReport, size) -> None:
         check_xx_quadratic_level1(report, mod, +1, vec, window=min(size[1], 2))
 
 
-# l1_level and l1_phiphi_pm read no module vector, so each draws from a stream of its
-# own and its samples do not move with the degree
+# l1_level reads no module vector, so it draws from a stream of its own and its
+# samples do not move with the degree
 def _l1_level(mod: Level1Module, report: RelationReport, size) -> None:
     report.notes = (f"prod_i (K+_i)^(colabel) acts by q^{mod.level_exponent()} "
                     "times a uniform R_Q shift")
@@ -519,11 +519,10 @@ def _l1_level(mod: Level1Module, report: RelationReport, size) -> None:
 
 
 def _l1_phiphi_pm(mod: Level1Module, report: RelationReport, size) -> None:
-    report.notes = (f"kernel series stops at order {PHI_PHI_ORDER}; in high precision "
-                    "the residual is bounded by that tail")
-    rng = random.Random(mod.params.seed ^ 0x9F1F)
+    report.notes = (f"x^(+-m) coefficients of log kernel and log theta ratio, "
+                    f"m = 1..{PHI_PHI_MODES}, each a closed form")
     for i, j in _color_pairs(mod):
-        check_phi_phi_level1(report, mod, i, j, 4, rng)
+        check_phi_phi_level1(report, mod, i, j)
 
 
 # ---------------------------------------------------------------------------

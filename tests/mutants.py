@@ -15,7 +15,7 @@ from eqtor.boson import BosonAlgebra
 from eqtor.cartan import cartan_data
 from eqtor.ellcore import Params
 from eqtor.fock01 import FockRep, PhiAction
-from eqtor.level1 import Level1Module
+from eqtor.level1 import PHI_PHI_MODES, Level1Module
 from eqtor.relcheck import _CHECKS, run_relation
 
 P = Params()
@@ -166,6 +166,14 @@ def _scaled_mode_bracket(monkeypatch, mod):
     bracket = BosonAlgebra.mode_commutator
     monkeypatch.setattr(BosonAlgebra, "mode_commutator",
                         lambda self, *args: 1.01 * bracket(self, *args))
+
+
+def scaled_last_mode_bracket(monkeypatch, mod):
+    # the mode bracket scaled by 1.01 at |m| = PHI_PHI_MODES alone, the last
+    # mode l1_phiphi_pm compares
+    bracket = BosonAlgebra.mode_commutator
+    monkeypatch.setattr(BosonAlgebra, "mode_commutator", lambda self, i, m, j, n:
+                        (1.01 if abs(m) == PHI_PHI_MODES else 1) * bracket(self, i, m, j, n))
 
 
 # registry id -> mutant(monkeypatch, handle)

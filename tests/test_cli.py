@@ -373,18 +373,31 @@ def test_nan_report_fails_end_to_end(capsys, tmp_path, monkeypatch):
     assert lines[17] == "# 0/16 relations pass"
 
 
-def test_verify_overflow_in_a_check_fails_its_report(capsys):
-    # Params admits this point, but the l1_phiphi_pm kernel series overflows
-    # there: the report fails with the exception as its worst case, every
-    # report is printed, and no traceback escapes
-    code, out, err = run(capsys, "verify", "level1", "--q", "0.6,0.1", "--kappa", "1.2,0.1",
-                         "--p", "0.1,0", "--json")
+def test_verify_overflow_in_a_check_fails_its_report(capsys, monkeypatch):
+    # an overflow inside a check fails its report with the exception as its
+    # worst case, every report is printed, and no traceback escapes
+    def overflow(*args):
+        raise OverflowError("numerical result out of range")
+    monkeypatch.setattr(relcheck, "check_phi_phi_level1", overflow)
+    code, out, err = run(capsys, "verify", "level1", "--json")
     assert code == 1 and err == ""
     rows = json.loads(out)
     assert len(rows) == len(relcheck.LEVEL1_RELATION_IDS)
     phiphi = next(r for r in rows if r["relation_id"] == "l1_phiphi_pm")
     assert isnan(phiphi["max_residual"]) and phiphi["status"] == "fail"
     assert phiphi["worst_case"].startswith("l1_phiphi_pm: OverflowError")
+
+
+def test_verify_level1_passes_at_a_point_far_from_the_default(capsys):
+    # at this admissible point a phi+ phi- kernel series in w/z, summed at w/z
+    # near the default point's, overflows; l1_phiphi_pm compares log
+    # coefficients and reads no w/z, so every report passes
+    code, out, err = run(capsys, "verify", "level1", "--q", "0.6,0.1", "--kappa", "1.2,0.1",
+                         "--p", "0.1,0", "--json")
+    assert code == 0 and err == ""
+    rows = json.loads(out)
+    assert len(rows) == len(relcheck.LEVEL1_RELATION_IDS) == 11
+    assert all(r["status"] == "pass" for r in rows), rows
 
 
 def test_verify_nan_module_coefficient_fails_its_reports(capsys, monkeypatch):

@@ -4,15 +4,15 @@ from math import isnan
 
 import pytest
 from collect import PairMax, checked
-from mutants import MUTANTS, assert_turns_red
+from mutants import MUTANTS, assert_turns_red, scaled_last_mode_bracket
 
 from eqtor.boson import (VACUUM, BosonAlgebra, accumulate, basis_states, state_add_mode,
                          state_degree, vector_residual)
 from eqtor.cartan import Cocycle
-from eqtor.ellcore import Params, qpoch, theta_coefficient
-from eqtor.level1 import (L1_THETA_TERMS, LatticeVector, Level1Module, check_highest_weight,
-                          check_mode_current_bracket, check_phi_phi_level1,
-                          check_xx_quadratic_level1, check_zalgebra,
+from eqtor.ellcore import ParameterError, Params, qpoch, theta_coefficient
+from eqtor.level1 import (L1_THETA_TERMS, PHI_PHI_MODES, LatticeVector, Level1Module,
+                          check_highest_weight, check_mode_current_bracket,
+                          check_phi_phi_level1, check_xx_quadratic_level1, check_zalgebra,
                           sample_module_vectors)
 from eqtor.relcheck import LEVEL1_RELATION_IDS, level1_suite, run_relation
 
@@ -218,28 +218,63 @@ def test_xx_quadratic_detects_lattice_mismatch(monkeypatch):
 
 def test_level1_scalar_checks_run_in_high_precision():
     mod = Level1Module.make("A2", 0, Params().with_precision(40))
-    assert checked(check_phi_phi_level1, mod, 0, 1, 2, random.Random(4)).max_residual < 1e-30
+    assert checked(check_phi_phi_level1, mod, 0, 1).max_residual < 1e-30
     for rel in ("zalg4", "zalg5"):
         assert checked(check_zalgebra, rel, mod, samples=10, window=3).max_residual < 1e-30
 
 
 def test_level1_suite_reaches_40_digits():
-    # the two truncated series say so in their notes; at this size every
-    # report still ends below 1e-30
+    # the theta kernels of l1_xpxp say in their note where their series stops,
+    # and l1_phiphi_pm how many modes it compares; at this size every report
+    # still ends below 1e-30
     reports = level1_suite(Params().with_precision(40), "A2", 0, degree=1, window=3)
     assert sorted(r.relation_id for r in reports) == sorted(LEVEL1_RELATION_IDS)
     worst = {r.relation_id: r.max_residual for r in reports}
     assert max(worst.values()) < 1e-30, worst
     notes = {r.relation_id: r.notes for r in reports}
     assert "|n| <= 6" in notes["l1_xpxp"] and "tail" in notes["l1_xpxp"]
-    assert "order 140" in notes["l1_phiphi_pm"] and "tail" in notes["l1_phiphi_pm"]
+    assert f"m = 1..{PHI_PHI_MODES}" in notes["l1_phiphi_pm"]
+    assert "tail" not in notes["l1_phiphi_pm"]
+    assert worst["l1_phiphi_pm"] < 1e-38
 
 
 def test_phi_phi_exchange_multiplier():
     mod = module()
-    rng = random.Random(4)
     for i, j in ((0, 0), (0, 1), (2, 1)):
-        assert checked(check_phi_phi_level1, mod, i, j, 3, rng).max_residual < 1e-9
+        assert checked(check_phi_phi_level1, mod, i, j).max_residual < 1e-9
+
+
+def _admissible_points(seed, count):
+    # |q| 0.6-0.95, |kappa| 0.8-1.25, |u| 0.7-1.5, |p| 0.01-min(0.3, 0.9 |q|^4),
+    # each with a random argument
+    rng = random.Random(seed)
+
+    def draw(lo, hi):
+        return cmath.rect(rng.uniform(lo, hi), rng.uniform(-cmath.pi, cmath.pi))
+    for _ in range(count):
+        q, kappa, u = draw(0.6, 0.95), draw(0.8, 1.25), draw(0.7, 1.5)
+        yield q, kappa, draw(0.01, min(0.3, 0.9 * abs(q) ** 4)), u
+
+
+def test_phi_phi_exchange_passes_at_every_admissible_point():
+    # the log coefficients are closed forms, so no sampled w/z can leave the
+    # annulus where a kernel series converges
+    for q, kappa, p, u in _admissible_points(2026, 40):
+        try:
+            params = Params(q=q, kappa=kappa, p=p, u=u)
+        except ParameterError:
+            continue
+        report = run_relation(Level1Module.make("A2", 0, params), "l1_phiphi_pm", (1, 3))
+        assert report.status == "pass", (q, kappa, p, u, report.max_residual, report.worst_case)
+
+
+def test_phi_phi_exchange_reads_its_last_mode(monkeypatch):
+    mod = module()
+    assert run_relation(mod, "l1_phiphi_pm", (1, 3)).status == "pass"
+    scaled_last_mode_bracket(monkeypatch, mod)
+    bad = run_relation(mod, "l1_phiphi_pm", (1, 3))
+    assert bad.status == "fail", (bad.max_residual, bad.worst_case)
+    assert bad.worst_case.split()[-1] in (f"w^{PHI_PHI_MODES}", f"w^-{PHI_PHI_MODES}")
 
 
 def test_level_exponent_and_centrality():
