@@ -105,6 +105,17 @@ def param_parser() -> argparse.ArgumentParser:
     return sub
 
 
+def _write_output(path: str, text: str) -> bool:
+    """Write text and a newline to path; on failure print one line naming it and return False."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+        return False
+    return True
+
+
 def emit_reports(reports: list[RelationReport], args) -> int:
     if args.json:
         text = reports_to_json(reports)
@@ -115,9 +126,8 @@ def emit_reports(reports: list[RelationReport], args) -> int:
                          f"samples={r.samples} skipped={r.skipped} "
                          f"max_residual={r.max_residual:.3e} worst={r.worst_case}")
         text = "\n".join(lines)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+    if args.output and not _write_output(args.output, text):
+        return USAGE_ERROR
     print(text)
     return 0 if all(r.status == "pass" for r in reports) else RELATION_ERROR
 
@@ -254,7 +264,7 @@ def cmd_report(args) -> int:
     try:
         with open(args.input, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     if not isinstance(data, list) or not all(isinstance(row, dict) for row in data):
@@ -267,9 +277,8 @@ def cmd_report(args) -> int:
     writer.writerow(cols)
     writer.writerows([str(row.get(c, "")) for c in cols] for row in data)
     text = buf.getvalue().rstrip("\n")
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+    if args.output and not _write_output(args.output, text):
+        return USAGE_ERROR
     print(text)
     failed = [row for row in data if row.get("status") != "pass"]
     print(f"# {len(data) - len(failed)}/{len(data)} relations pass")

@@ -238,10 +238,9 @@ class Params:
     tol: float = 1e-8
     seed: int = 20240801
     # per instance: every construction, dataclasses.replace included, starts empty
-    _theta_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # (lattice point, star) -> the value theta_lat returned
+    # lattice point -> the value theta_lat returned
     _lat_thetas: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # the phi-x rows over the sample points: (shift, star) -> thetas, shift -> guards
+    # the phi-x rows over the sample points: shift -> thetas, shift -> guards
     _phi_x_thetas: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _phi_x_guards: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _vertex_constants: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -291,22 +290,23 @@ class Params:
             return mpmath.mpc(z.real, z.imag)
         return replace(self, q=mpc(self.q), kappa=mpc(self.kappa), p=mpc(self.p), u=mpc(self.u))
 
-    def theta_lat(self, lat: Lat, star: bool = False):
-        """theta_{p or p*}(kappa^a q^b u^e) with exact zeros on the unit.
+    def theta_lat(self, lat: Lat):
+        """theta_p(kappa^a q^b u^e) with exact zeros on the unit.
 
         Lattice points other than the unit stay away from p^Z at a generic
         parameter point, so the only exact zero is the unit itself; a value
-        that nearly vanishes raises on every call, memoized or not.  A value is
-        kept by lattice point, so a repeated point computes no power.
+        that nearly vanishes is not kept and raises on every call.  A value is
+        kept by lattice point, so a repeated point computes no power and no
+        theta.  Only the level-zero handles call it, where p* = p.
         """
-        value = self._lat_thetas.get((lat, star))
+        value = self._lat_thetas.get(lat)
         if value is None:
             if lat.is_unit:
                 return 0j
-            value = self.theta_p(lat.value(self), star)
+            value = self.theta_p(lat.value(self))
             if abs(value) < 1e-10:
                 raise ParameterError(f"theta({lat}) nearly vanishes; parameters not generic enough")
-            self._lat_thetas[lat, star] = value
+            self._lat_thetas[lat] = value
         return value
 
     def qpoch_p(self, z):
@@ -320,18 +320,8 @@ class Params:
             value = self._nome_pochhammers[star] = qpoch(nome, nome, self.trunc_M)
         return value
 
-    def theta_p(self, z, star: bool = False):
-        """theta_{p or p*}(z), computed once per (z, nome) at this parameter point.
-
-        The memo is keyed by the argument and the nome's value, so at level
-        zero, where p* = p, both nomes share their entries.
-        """
-        nome = self.p_star if star else self.p
-        key = (z, nome)
-        value = self._theta_cache.get(key)
-        if value is None:
-            value = self._theta_cache[key] = theta(z, nome, self.trunc_M)
-        return value
+    def theta_p(self, z):
+        return theta(z, self.p, self.trunc_M)
 
 
 # ---------------------------------------------------------------------------

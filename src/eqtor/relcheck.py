@@ -19,19 +19,20 @@ zero are skipped and counted; everything on the exact support lattice needs
 no guard.
 
 Each derived value is built once and kept where its life matches what it
-reads.  The Params instance keeps what reads only the parameter point: the
-theta memo by argument and nome, theta_lat's values by lattice point, the
-phi-x theta and guard rows (phixp and phixm share them), the vertex constants
-and (p;p)_oo, so checks on one point share them and no value reaches another
-point.  The FockRep's partitions.Basis keeps combinatorics: each shape and
-each box move, for as long as the handle lives; the handle keeps its state
-lists.  Pure-function caches keep what reads only immutable arguments:
-cartan.graded, DynWeight.zero and the box supports.  Module actions, phi
-eigenvalue rows, phi-x multipliers and Serre kernels are memoized for one
-check and dropped when it returns.  The phi-x checks take every theta
-argument on the support lattice and read one theta row and one guard row per
-lattice point over their sample points, so an eigenvalue and a multiplier
-that meet the same point share its thetas.
+reads.  The Params instance keeps what reads only the parameter point:
+theta_lat's values by lattice point, the phi-x theta and guard rows by shift
+(phixp and phixm share them), the vertex constants and (p;p)_oo, so checks
+on one point share them and no value reaches another point.  The level-zero
+checks read one nome, p, since p* = p there, so each theta is evaluated once
+and kept once.  The FockRep's partitions.Basis keeps combinatorics: each
+shape and each box move, for as long as the handle lives; the handle keeps
+its state lists.  Pure-function caches keep what reads only immutable
+arguments: cartan.graded, DynWeight.zero and the box supports.  Module
+actions, phi eigenvalue rows, phi-x multipliers and Serre kernels are
+memoized for one check and dropped when it returns.  The phi-x checks take
+every theta argument on the support lattice and read one theta row and one
+guard row per lattice point over their sample points, so an eigenvalue and a
+multiplier that meet the same point share its thetas.
 
 One registry, ``_CHECKS``, maps every relation id of the fock, vector,
 heisenberg and level1 suites to its row: the handle classes whose suites run
@@ -115,21 +116,21 @@ class RelationReport:
 def _theta_rows(params: Params):
     """The rows of the phi-x checks over their sample points, each made once per Params.
 
-    ``thetas(shift, star)`` is theta_{p or p*}(w / z), and ``near_zero(shift)`` whether
-    w / z lies inside the guard radius of a theta zero, at every point z of
+    ``thetas(shift)`` is theta_p(w / z), and ``near_zero(shift)`` whether w / z lies
+    inside the guard radius of a theta zero, at every point z of
     _phi_x_points(params), where w is the value of the lattice point ``shift``.  The
-    rows read only the parameter point, so they are kept on the Params, and phixp and
-    phixm share them.  Each theta comes from the Params memo, keyed by argument and
-    nome, so a row shared by an eigenvalue and a multiplier is one set of thetas.
+    rows read only the parameter point, so they are kept on the Params by shift, and
+    phixp and phixm share them; a row shared by an eigenvalue and a multiplier is one
+    set of thetas.
     """
     points = _phi_x_points(params)
     theta_rows, guard_rows = params._phi_x_thetas, params._phi_x_guards
 
-    def thetas(shift: Lat, star: bool) -> tuple:
-        row = theta_rows.get((shift, star))
+    def thetas(shift: Lat) -> tuple:
+        row = theta_rows.get(shift)
         if row is None:
             w = shift.value(params)
-            row = theta_rows[shift, star] = tuple(params.theta_p(w / z, star) for z in points)
+            row = theta_rows[shift] = tuple(params.theta_p(w / z) for z in points)
         return row
 
     def near_zero(shift: Lat) -> tuple:
@@ -148,17 +149,16 @@ def _eigenvalues(rep, thetas):
 
     Each tuple is kept for the one check that asks for it.  Bit-identical to
     ThetaRatioSpec.evaluate at each point: the theta factors are multiplied in
-    the order of evaluate_with, and each theta value comes from the Params
-    memo, keyed by argument and nome.
+    the order of evaluate_with, and each theta row is kept on the Params.
     """
     @cache
     def eigenvalues(state, color):
         spec = rep.phi(color, state).spec
         out = (spec.scalar_prefactor,) * Z_SAMPLES
         for n in spec.numer_shifts:
-            out = tuple(map(mul, out, thetas(n, False)))
+            out = tuple(map(mul, out, thetas(n)))
         for d in spec.denom_shifts:
-            out = tuple(map(truediv, out, thetas(d, False)))
+            out = tuple(map(truediv, out, thetas(d)))
         return out
 
     return eigenvalues
@@ -192,10 +192,13 @@ def _compare_tables(lhs: dict, rhs: dict, report: RelationReport,
 # ---------------------------------------------------------------------------
 
 def check_quadratic(report: RelationReport, rep, sign: int, states) -> None:
-    """z theta(q^{+-b} kap^{-m} w/z) x_i(z) x_j(w) = -w kap^{-m} theta(...) x_j(w) x_i(z)."""
+    """z theta(q^{+-b} kap^{-m} w/z) x_i(z) x_j(w) = -w kap^{-m} theta(...) x_j(w) x_i(z).
+
+    The raising family's theta has nome p* and the lowering family's p; the
+    level-zero handles have k = 0, so both read theta_p.
+    """
     params = rep.params
     data = rep.cartan
-    star = sign > 0  # p* side for the raising family (p* = p at level zero)
     x = cache(rep.x)
     # per color pair, once: the theta-argument shifts kap^{-+m} q^b of the two sides
     # and the rhs scalar -kap^{-m}
@@ -212,13 +215,13 @@ def check_quadratic(report: RelationReport, rep, sign: int, states) -> None:
             for tw in x(sign, j, v):
                 for tz in x(sign, i, tw.payload):
                     sz, sw = tz.support, tw.support
-                    pref = sz.value(params) * params.theta_lat((sw / sz) * shift_l, star=star)
+                    pref = sz.value(params) * params.theta_lat((sw / sz) * shift_l)
                     _accumulate(lhs, (tz.payload, sz, sw), pref * tz.coeff * tw.coeff)
             for tz in x(sign, i, v):
                 for tw in x(sign, j, tz.payload):
                     sz, sw = tz.support, tw.support
                     pref = (scale_r * sw.value(params)
-                            * params.theta_lat((sz / sw) * shift_r, star=star))
+                            * params.theta_lat((sz / sw) * shift_r))
                     _accumulate(rhs, (tw.payload, sz, sw), pref * tz.coeff * tw.coeff)
             _compare_tables(lhs, rhs, report,
                             lambda: f"{report.relation_id} i={i} j={j} state={_name(v)}")
@@ -275,15 +278,15 @@ def check_phi_x(report: RelationReport, rep, x_sign: int, states) -> None:
         q^{b}  theta_{p*}(q^{-b} kap^{-m} w/z) / theta_{p*}(q^{b} kap^{-m} w/z)
     and x-_j by
         q^{-b} theta_p(q^{b} kap^{-m} w/z) / theta_p(q^{-b} kap^{-m} w/z),
-    with w evaluated at each delta support and z sampled generically
-    (level-zero handles have k = 0, so the q^{-+k/2} shifts drop).  The
-    multiplier's arguments are lattice points, support * kap^{-m} q^{-+b}, so
-    eigenvalues and multipliers read one theta row and one guard row per
-    lattice point over the Z_SAMPLES points.
+    with w evaluated at each delta support and z sampled generically.  The
+    level-zero handles have k = 0, so the q^{-+k/2} shifts drop and the nome
+    is p, with p* = p: both families read theta_p.  The multiplier's
+    arguments are lattice points, support * kap^{-m} q^{-+b}, so eigenvalues
+    and multipliers read one theta row and one guard row per lattice point
+    over the Z_SAMPLES points.
     """
     params = rep.params
     data = rep.cartan
-    star = x_sign > 0
     thetas, near_zero = _theta_rows(params)
     x, eigenvalues = cache(rep.x), _eigenvalues(rep, thetas)
 
@@ -294,7 +297,7 @@ def check_phi_x(report: RelationReport, rep, x_sign: int, states) -> None:
         qb = params.q ** b
         return tuple(None if guard_lo or guard_hi else qb * theta_lo / theta_hi
                      for guard_lo, guard_hi, theta_lo, theta_hi
-                     in zip(near_zero(lo), near_zero(hi), thetas(lo, star), thetas(hi, star)))
+                     in zip(near_zero(lo), near_zero(hi), thetas(lo), thetas(hi)))
 
     for v in states:
         for i in rep.colors():

@@ -341,17 +341,30 @@ def test_missing_config_is_a_usage_error(capsys, tmp_path):
     assert "cannot read config" in err
 
 
-@pytest.mark.parametrize("content, want", [
-    ("[1, 2]", 2), ('{"a": 1}', 2), ("[]", 1),
-], ids=["list_of_numbers", "object", "empty"])
-def test_report_rejects_non_reports(capsys, tmp_path, content, want):
-    # [1, 2] and {"a": 1} used to raise AttributeError; [] printed "0/0 pass" with exit 0
+@pytest.mark.parametrize("content, want, message", [
+    (b"[1, 2]", 2, "report objects"), (b'{"a": 1}', 2, "report objects"), (b"[]", 1, ""),
+    (b"\xff\xfe", 2, "can't decode"),
+], ids=["list_of_numbers", "object", "empty", "not_utf8"])
+def test_report_rejects_non_reports(capsys, tmp_path, content, want, message):
+    # [1, 2] and {"a": 1} used to raise AttributeError, and bytes that are not UTF-8 a
+    # UnicodeDecodeError with exit 1; [] printed "0/0 pass" with exit 0
     src = tmp_path / "r.json"
-    src.write_text(content)
+    src.write_bytes(content)
     code, _, err = run(capsys, "report", str(src))
     assert code == want
-    if want == 2:
-        assert "report objects" in err
+    assert message in err
+
+
+@pytest.mark.parametrize("argv", [["verify", "vector", "--json"], ["report", "r.json"]],
+                         ids=["verify", "report"])
+def test_unwritable_output_path_is_a_usage_error(capsys, tmp_path, monkeypatch, argv):
+    # a FileNotFoundError used to end the run with a traceback and exit 1
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "r.json").write_text('[{"relation_id": "xpxp", "status": "pass"}]')
+    target = tmp_path / "missing" / "out"
+    code, out, err = run(capsys, *argv, "--output", str(target))
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [f"error: cannot write {target}: No such file or directory"]
 
 
 def test_nan_report_fails_end_to_end(capsys, tmp_path, monkeypatch):

@@ -296,7 +296,7 @@ def test_theta_cache_not_shared_after_replace():
     lat = Lat(1, 2, 1)
     P.theta_lat(lat)  # fill the original's cache first
     p2 = replace(P, q=0.85 * P.q / abs(P.q))
-    assert p2._theta_cache is not P._theta_cache
+    assert p2._lat_thetas is not P._lat_thetas
     assert p2.theta_lat(lat) == theta(lat.value(p2), p2.p, p2.trunc_M)
     assert abs(p2.theta_lat(lat) - P.theta_lat(lat)) > 1e-3
 
@@ -309,24 +309,20 @@ def test_theta_memo_belongs_to_its_parameter_point(monkeypatch):
     assert other.theta_p(z) == theta(z, other.p, other.trunc_M)
     assert abs(other.theta_p(z) - P.theta_p(z)) > 1e-6
     # every construction starts with an empty memo
-    assert P._theta_cache
-    assert replace(P)._theta_cache == {}
-    assert P.with_level(1)._theta_cache == {}
-    # at level one the two nomes differ, and so do their entries
-    p1 = P.with_level(1)
-    assert p1.theta_p(z, star=True) == theta(z, p1.p_star, p1.trunc_M)
-    assert abs(p1.theta_p(z, star=True) - p1.theta_p(z)) > 1e-6
+    P.theta_lat(Lat(1, 2, 1))
+    assert P._lat_thetas
+    assert replace(P)._lat_thetas == {}
+    assert P.with_level(1)._lat_thetas == {}
     monkeypatch.setattr(mpmath.mp, "dps", mpmath.mp.dps)  # restored after the test
     hp = P.with_precision(30)
-    first = hp.theta_p(hp.u)
-    assert isinstance(first, mpmath.mpc)
-    assert hp.theta_p(hp.u) is first
-    assert all(isinstance(v, mpmath.mpc) for v in hp._theta_cache.values())
+    assert isinstance(hp.theta_p(hp.u), mpmath.mpc)
+    hp.theta_lat(Lat(1, 2, 1))
+    assert all(isinstance(v, mpmath.mpc) for v in hp._lat_thetas.values())
 
 
 # every memo a Params instance keeps for its own parameter point
-PARAMS_MEMOS = ("_theta_cache", "_lat_thetas", "_phi_x_thetas", "_phi_x_guards",
-                "_vertex_constants", "_nome_pochhammers")
+PARAMS_MEMOS = ("_lat_thetas", "_phi_x_thetas", "_phi_x_guards", "_vertex_constants",
+                "_nome_pochhammers")
 
 
 def _filled(params):
@@ -354,24 +350,23 @@ def test_params_memos_start_empty_and_serve_only_their_point(monkeypatch):
     there = _filled(replace(P, p=0.04 * cmath.exp(0.2j), u=1.2 * cmath.exp(0.1j)))
     for name in PARAMS_MEMOS:
         assert getattr(there, name) is not getattr(here, name)
-    for (lat, star), value in there._lat_thetas.items():
+    for lat, value in there._lat_thetas.items():
         assert value == theta(lat.value(there), there.p, there.trunc_M)
-        assert abs(value - here.theta_lat(lat, star)) > 1e-6
+        assert abs(value - here.theta_lat(lat)) > 1e-6
     points = _phi_x_points(there)
-    for (shift, star), row in there._phi_x_thetas.items():
+    for shift, row in there._phi_x_thetas.items():
         w = shift.value(there)
         assert row == tuple(theta(w / z, there.p, there.trunc_M) for z in points)
-        assert row != here._phi_x_thetas.get((shift, star))
+        assert row != here._phi_x_thetas.get(shift)
     for shift, row in there._phi_x_guards.items():
         w = shift.value(there)
         assert row == tuple(theta_zero_distance(w / z, there.p) < GUARD for z in points)
     assert there.nome_pochhammer(False) == qpoch(there.p, there.p, there.trunc_M)
     assert abs(there.nome_pochhammer(False) - here.nome_pochhammer(False)) > 1e-6
-    # at level one the two nomes differ, and so do their lattice thetas and products
+    # at level one the two nomes differ, and so do their Pochhammer products
     p1 = here.with_level(1)
     lat = Lat(1, 2, 1)
     assert p1.theta_lat(lat) == theta(lat.value(p1), p1.p, p1.trunc_M)
-    assert p1.theta_lat(lat, star=True) == theta(lat.value(p1), p1.p_star, p1.trunc_M)
     assert p1.nome_pochhammer(False) == qpoch(p1.p, p1.p, p1.trunc_M)
     assert p1.nome_pochhammer(True) == qpoch(p1.p_star, p1.p_star, p1.trunc_M)
 
@@ -380,11 +375,10 @@ def test_theta_lat_raises_on_a_memoized_near_zero():
     # u = p puts the lattice point u^1 on a zero of theta_p
     pz = Params(u=P.p)
     assert pz.theta_p(pz.u) == 0
-    size = len(pz._theta_cache)
     for _ in range(2):
         with pytest.raises(ParameterError):
             pz.theta_lat(Lat(u_e=1))
-    assert len(pz._theta_cache) == size  # both calls read the entry theta_p made
+    assert pz._lat_thetas == {}  # a near-zero value is never kept
 
 
 def test_theta_coefficient_keeps_high_precision():

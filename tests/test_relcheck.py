@@ -138,7 +138,6 @@ def _per_point_check_phi_x(rep, x_sign, states):
     report = RelationReport(rel, rep.describe(), params)
     zs = _phi_x_points(params)
     data = rep.cartan
-    star = x_sign > 0
     x, phi = cache(rep.x), cache(rep.phi)
 
     @cache
@@ -154,9 +153,7 @@ def _per_point_check_phi_x(rep, x_sign, states):
         args = [(support * Lat(-mm, e)).value(params) / zs[zidx] for e in (-b, b)]
         if any(theta_zero_distance(a, params.p) < GUARD for a in args):
             return None
-        return (params.q ** b
-                * params.theta_p(args[0], star=star)
-                / params.theta_p(args[1], star=star))
+        return params.q ** b * params.theta_p(args[0]) / params.theta_p(args[1])
 
     for v in states:
         for i in rep.colors():
@@ -203,12 +200,17 @@ def theta_calls(monkeypatch):
 
 
 def test_phi_checks_compute_each_theta_once(theta_calls):
-    # phixp and phixm share their thetas; phiphi_pp and phiphi_pm at level zero read none
-    rep = FockRep(replace(P), 3, 0)
-    for rel_id in ("phixp", "phixm", "phiphi_pp", "phiphi_pm"):
-        assert run_relation(rep, rel_id, 3).status == "pass"
-    assert theta_calls
-    assert len(theta_calls) == len(set(theta_calls))
+    # the quadratic, xpxm and phi checks read one nome at level zero, where p* = p:
+    # phixp and phixm share their thetas, phiphi_pp and phiphi_pm read none, and
+    # each theta is kept once, as a lattice theta or in one phi-x row
+    for rep, size in ((FockRep(replace(P), 3, 0), 3), (VectorRep(replace(P), 3, 0), None)):
+        theta_calls.clear()
+        for rel_id in ("xpxp", "xmxm", "xpxm", "phixp", "phixm", "phiphi_pp", "phiphi_pm"):
+            assert run_relation(rep, rel_id, size).status == "pass"
+        assert theta_calls
+        assert len(theta_calls) == len(set(theta_calls))
+        params = rep.params
+        assert len(theta_calls) == len(params._lat_thetas) + Z_SAMPLES * len(params._phi_x_thetas)
 
 
 def test_phi_checks_compute_each_guard_once(monkeypatch):
