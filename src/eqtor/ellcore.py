@@ -240,9 +240,6 @@ class Params:
     # per instance: every construction, dataclasses.replace included, starts empty
     # lattice point -> the value theta_lat returned
     _lat_thetas: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # the phi-x rows over the sample points: shift -> thetas, shift -> guards
-    _phi_x_thetas: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _phi_x_guards: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _vertex_constants: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _nome_pochhammers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 

@@ -14,25 +14,23 @@ its modes, a lattice vector by its beta.  Every check with two sides
 compares entries by |l - r| / (1 + |l|); the Serre sums read
 |sum| / (1 + the largest entry or term).  The level-0
 phi-phi exchanges compare nothing and record one exact 0.0 (_PHI_PHI_REASON
-says why).  Samples whose prefactors fall inside the guard radius of a theta
-zero are skipped and counted; everything on the exact support lattice needs
-no guard.
+says why).  The phi-x exchanges compare theta divisors and constants, so
+they evaluate no theta (check_phi_x says why that is the whole identity).
+Every argument a check meets lies on the exact support lattice, so no
+relation check skips a sample; only ``eqtor expand pf`` skips points near a
+pole.
 
 Each derived value is built once and kept where its life matches what it
 reads.  The Params instance keeps what reads only the parameter point:
-theta_lat's values by lattice point, the phi-x theta and guard rows by shift
-(phixp and phixm share them), the vertex constants and (p;p)_oo, so checks
-on one point share them and no value reaches another point.  The level-zero
-checks read one nome, p, since p* = p there, so each theta is evaluated once
-and kept once.  The FockRep's partitions.Basis keeps combinatorics: each
-shape and each box move, for as long as the handle lives; the handle keeps
-its state lists.  Pure-function caches keep what reads only immutable
-arguments: cartan.graded, DynWeight.zero and the box supports.  Module
-actions, phi eigenvalue rows, phi-x multipliers and Serre kernels are
-memoized for one check and dropped when it returns.  The phi-x checks take
-every theta argument on the support lattice and read one theta row and one
-guard row per lattice point over their sample points, so an eigenvalue and a
-multiplier that meet the same point share its thetas.
+theta_lat's values by lattice point, the vertex constants and (p;p)_oo, so
+checks on one point share them and no value reaches another point.  The
+level-zero checks read one nome, p, since p* = p there, so each theta is
+evaluated once and kept once.  The FockRep's partitions.Basis keeps
+combinatorics: each shape and each box move, for as long as the handle
+lives; the handle keeps its state lists.  Pure-function caches keep what
+reads only immutable arguments: cartan.graded, DynWeight.zero and the box
+supports.  Module actions, Serre kernels and Serre chains are memoized for
+one check and dropped when it returns.
 
 One registry, ``_CHECKS``, maps every relation id of the fock, vector,
 heisenberg and level1 suites to its row: the handle classes whose suites run
@@ -43,19 +41,18 @@ it, its check, and for a structural relation the reason it cannot fail.
 
 from __future__ import annotations
 
-import cmath
 import json
 import math
 import random
+from collections import Counter
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
 from functools import cache
 from itertools import product
-from operator import mul, truediv
 
 from .boson import BosonAlgebra, EXCHANGE_IDS, check_exchange
 from .cartan import cartan_data
-from .ellcore import GUARD, Lat, Params, gkernel, phi_delta_difference, theta_zero_distance
+from .ellcore import Lat, Params, gkernel, phi_delta_difference
 from .fock01 import FockRep, VectorBasis, VectorRep
 from .level1 import (L1_THETA_TERMS, PHI_PHI_MODES, Level1Module, check_highest_weight,
                      check_level, check_mode_current_bracket, check_phi_phi_level1,
@@ -64,7 +61,6 @@ from .level1 import (L1_THETA_TERMS, PHI_PHI_MODES, Level1Module, check_highest_
 
 # check sizes that no caller varies; the sampling seed is Params.seed
 SERRE_MAX_SIZE = 4   # partition size of the Serre states
-Z_SAMPLES = 10       # generic z points per phi-x sample
 LEVEL1_MAX_DEGREE = 2  # largest boson degree of the level-1 sample vectors
 
 
@@ -111,57 +107,6 @@ class RelationReport:
                 "samples": self.samples, "skipped": self.skipped,
                 "max_residual": float(self.max_residual), "worst_case": self.worst_case,
                 "status": self.status, "notes": self.notes}
-
-
-def _theta_rows(params: Params):
-    """The rows of the phi-x checks over their sample points, each made once per Params.
-
-    ``thetas(shift)`` is theta_p(w / z), and ``near_zero(shift)`` whether w / z lies
-    inside the guard radius of a theta zero, at every point z of
-    _phi_x_points(params), where w is the value of the lattice point ``shift``.  The
-    rows read only the parameter point, so they are kept on the Params by shift, and
-    phixp and phixm share them; a row shared by an eigenvalue and a multiplier is one
-    set of thetas.
-    """
-    points = _phi_x_points(params)
-    theta_rows, guard_rows = params._phi_x_thetas, params._phi_x_guards
-
-    def thetas(shift: Lat) -> tuple:
-        row = theta_rows.get(shift)
-        if row is None:
-            w = shift.value(params)
-            row = theta_rows[shift] = tuple(params.theta_p(w / z) for z in points)
-        return row
-
-    def near_zero(shift: Lat) -> tuple:
-        row = guard_rows.get(shift)
-        if row is None:
-            w = shift.value(params)
-            row = guard_rows[shift] = tuple(theta_zero_distance(w / z, params.p) < GUARD
-                                            for z in points)
-        return row
-
-    return thetas, near_zero
-
-
-def _eigenvalues(rep, thetas):
-    """(state, color) -> the phi eigenvalues at every point of the theta rows, as a tuple.
-
-    Each tuple is kept for the one check that asks for it.  Bit-identical to
-    ThetaRatioSpec.evaluate at each point: the theta factors are multiplied in
-    the order of evaluate_with, and each theta row is kept on the Params.
-    """
-    @cache
-    def eigenvalues(state, color):
-        spec = rep.phi(color, state).spec
-        out = (spec.scalar_prefactor,) * Z_SAMPLES
-        for n in spec.numer_shifts:
-            out = tuple(map(mul, out, thetas(n)))
-        for d in spec.denom_shifts:
-            out = tuple(map(truediv, out, thetas(d)))
-        return out
-
-    return eigenvalues
 
 
 def _accumulate(table: dict, key, value: complex) -> None:
@@ -264,56 +209,59 @@ def check_xpxm(report: RelationReport, rep, states) -> None:
 # diagonal-current exchange relations
 # ---------------------------------------------------------------------------
 
-def _phi_x_points(params: Params) -> list:
-    """The Z_SAMPLES generic z points of the phi-x checks, seeded by Params.seed."""
-    rng = random.Random(params.seed ^ 0x5E1F)
-    return [params.u * rng.uniform(1.6, 2.4) * cmath.exp(1j * rng.uniform(0, 2 * cmath.pi))
-            for _ in range(Z_SAMPLES)]
-
-
 def check_phi_x(report: RelationReport, rep, x_sign: int, states) -> None:
-    """Conjugation of a ladder current by a diagonal current.
+    """Conjugation of a ladder current by a diagonal current, on theta divisors.
 
     phi_i(z) x+_j(w) phi_i(z)^{-1} multiplies by
         q^{b}  theta_{p*}(q^{-b} kap^{-m} w/z) / theta_{p*}(q^{b} kap^{-m} w/z)
     and x-_j by
         q^{-b} theta_p(q^{b} kap^{-m} w/z) / theta_p(q^{-b} kap^{-m} w/z),
-    with w evaluated at each delta support and z sampled generically.  The
-    level-zero handles have k = 0, so the q^{-+k/2} shifts drop and the nome
-    is p, with p* = p: both families read theta_p.  The multiplier's
-    arguments are lattice points, support * kap^{-m} q^{-+b}, so eigenvalues
-    and multipliers read one theta row and one guard row per lattice point
-    over the Z_SAMPLES points.
+    with w evaluated at each delta support.  The level-zero handles have
+    k = 0, so the q^{-+k/2} shifts drop and the nome is p, with p* = p.  So
+    on a ladder term X of x+-_j on v the relation reads, for every z,
+
+        phi_i(z) on X  =  q^{+-b} theta(lo/z) / theta(hi/z) * phi_i(z) on v,
+
+    lo, hi = support * kap^{-m} q^{-+b}, support * kap^{-m} q^{+-b}.  Each
+    eigenvalue is s prod theta(n/z) / prod theta(d/z) over lattice shifts, so
+    clearing denominators makes both sides a constant times a product of
+    theta(w/z), w on the lattice: s_L over numer_L + denom_R + (hi,) and
+    q^{+-b} s_R over numer_R + (lo,) + denom_L.  theta(w/z) vanishes, simply,
+    exactly at z in w p^Z.  If the two shift multisets are equal, the two
+    products are the same function, so the sides agree for every z exactly
+    when s_L = q^{+-b} s_R, at any p.  If they differ, then at generic p,
+    where p^Z meets the lattice only at 1, distinct shifts have disjoint zero
+    sets, so some z is a zero of one side of higher order than of the other:
+    the sides differ as functions whatever the constants.  So each term
+    records one sample: |s_L - q^{+-b} s_R| / (1 + |s_L|) when the multisets
+    agree, and 1.0, labelled by the unmatched shifts, when they do not.  The
+    check evaluates no theta and needs no sample point and no guard.
     """
-    params = rep.params
     data = rep.cartan
-    thetas, near_zero = _theta_rows(params)
-    x, eigenvalues = cache(rep.x), _eigenvalues(rep, thetas)
-
-    @cache
-    def multipliers(support, b, mm):
-        # one per point; None inside the guard radius of a theta zero
-        lo, hi = support * Lat(-mm, -b), support * Lat(-mm, b)
-        qb = params.q ** b
-        return tuple(None if guard_lo or guard_hi else qb * theta_lo / theta_hi
-                     for guard_lo, guard_hi, theta_lo, theta_hi
-                     in zip(near_zero(lo), near_zero(hi), thetas(lo), thetas(hi)))
-
+    x, phi = cache(rep.x), cache(rep.phi)
     for v in states:
         for i in rep.colors():
+            rhs = phi(i, v).spec
             for j in rep.colors():
                 b = data.b(i, j) * (1 if x_sign > 0 else -1)
                 mm = data.m[i][j]
+                qb = rep.params.q ** b
                 for term in x(x_sign, j, v):
-                    lhs_eig, rhs_eig = eigenvalues(term.payload, i), eigenvalues(v, i)
-                    for zidx, mult in enumerate(multipliers(term.support, b, mm)):
-                        if mult is None:
-                            report.skip()
-                            continue
-                        lhs = lhs_eig[zidx]
-                        rhs = mult * rhs_eig[zidx]
-                        report.record(abs(lhs - rhs) / (1 + abs(lhs)), lambda: (
-                            f"{report.relation_id} i={i} j={j} state={_name(v)} z#{zidx}"))
+                    lhs = phi(i, term.payload).spec
+                    # the two shift multisets, as sorted lists
+                    left = sorted(lhs.numer_shifts + rhs.denom_shifts
+                                  + (term.support * Lat(-mm, b),))
+                    right = sorted(rhs.numer_shifts + (term.support * Lat(-mm, -b),)
+                                   + lhs.denom_shifts)
+                    if left == right:
+                        s_l = lhs.scalar_prefactor
+                        report.record(abs(s_l - qb * rhs.scalar_prefactor) / (1 + abs(s_l)),
+                                      lambda: f"{report.relation_id} i={i} j={j} state={_name(v)}")
+                    else:
+                        report.record(1.0, lambda: (
+                            f"{report.relation_id} i={i} j={j} state={_name(v)} unmatched "
+                            f"{' '.join(map(_name, sorted(Counter(left) - Counter(right))))} / "
+                            f"{' '.join(map(_name, sorted(Counter(right) - Counter(left))))}"))
 
 
 # ---------------------------------------------------------------------------
@@ -350,14 +298,18 @@ def check_serre(report: RelationReport, rep, sign: int, states) -> None:
                 b_ii, b_ij = flip * data.b(i, i), flip * data.b(i, j)
                 twist_l, twist_r = Lat(-mm), Lat(mm)
                 total: dict = {}
+                chains_at: dict = {}  # r -> the chains of every word with w at slot r
                 for word, r, weight, z0, z1, first, second in terms:
                     # chains: (the support of each slot, in word order, state, coefficient),
-                    # the word applied right to left
-                    chains = [((), v, 1.0 + 0j)]
-                    for slot in reversed(word):
-                        chains = [((term.support,) + at, term.payload, co * term.coeff)
-                                  for at, state, co in chains
-                                  for term in x(sign, j if slot is None else i, state)]
+                    # the word applied right to left; the colors depend on r alone
+                    chains = chains_at.get(r)
+                    if chains is None:
+                        chains = [((), v, 1.0 + 0j)]
+                        for slot in reversed(word):
+                            chains = [((term.support,) + at, term.payload, co * term.coeff)
+                                      for at, state, co in chains
+                                      for term in x(sign, j if slot is None else i, state)]
+                        chains_at[r] = chains
                     for at, state, co in chains:
                         sw = at[r]
                         pref = gker(at[second] / at[first], b_ii)

@@ -13,7 +13,7 @@ import eqtor.fock01 as fock01
 from eqtor import boson
 from eqtor.boson import BosonAlgebra
 from eqtor.cartan import cartan_data
-from eqtor.ellcore import Params
+from eqtor.ellcore import LAT_Q2, Params
 from eqtor.fock01 import FockRep, PhiAction
 from eqtor.level1 import PHI_PHI_MODES, Level1Module
 from eqtor.relcheck import _CHECKS, run_relation
@@ -61,6 +61,21 @@ def _without_scalar(phi_action):
         act = phi_action(color, v, params)
         return PhiAction(replace(act.spec, scalar_prefactor=1.0 + 0j), act.weight_shift)
     return mutant
+
+
+def moved_numerator_shift(monkeypatch, rep):
+    # the first numerator shift of every Fock eigenvalue moved by q^2, its scalar
+    # kept: the eigenvalue's divisor moves and its constant does not
+    phi_action = fock01.phi_action
+
+    def mutant(color, v, params):
+        act = phi_action(color, v, params)
+        numer = act.spec.numer_shifts
+        if not numer:
+            return act
+        spec = replace(act.spec, numer_shifts=(numer[0] * LAT_Q2,) + numer[1:])
+        return PhiAction(spec, act.weight_shift)
+    monkeypatch.setattr(fock01, "phi_action", mutant)
 
 
 def _by_length(coeff):

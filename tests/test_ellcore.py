@@ -6,7 +6,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eqtor.ellcore import (GUARD, BalanceError, DeltaTerm, Lat, ParameterError, Params,
+from eqtor.ellcore import (BalanceError, DeltaTerm, Lat, ParameterError, Params,
                            PoleProximityError, ThetaRatioSpec, gkernel,
                            gkernel_branches, pf_expand, phi_delta_difference,
                            poch_pairs_series, pochratio_series, qpoch, theta,
@@ -321,8 +321,7 @@ def test_theta_memo_belongs_to_its_parameter_point(monkeypatch):
 
 
 # every memo a Params instance keeps for its own parameter point
-PARAMS_MEMOS = ("_lat_thetas", "_phi_x_thetas", "_phi_x_guards", "_vertex_constants",
-                "_nome_pochhammers")
+PARAMS_MEMOS = ("_lat_thetas", "_vertex_constants", "_nome_pochhammers")
 
 
 def _filled(params):
@@ -331,15 +330,13 @@ def _filled(params):
     from eqtor.relcheck import run_relation
 
     rep = FockRep(params, 3, 0)
-    for rel_id in ("xpxp", "xpxm", "phixp", "phixm"):
+    for rel_id in ("xpxp", "xpxm"):
         assert run_relation(rep, rel_id, 2).status == "pass"
     return params
 
 
 def test_params_memos_start_empty_and_serve_only_their_point(monkeypatch):
     import mpmath
-
-    from eqtor.relcheck import _phi_x_points
 
     here = _filled(replace(P))
     assert all(getattr(here, name) for name in PARAMS_MEMOS)
@@ -353,14 +350,6 @@ def test_params_memos_start_empty_and_serve_only_their_point(monkeypatch):
     for lat, value in there._lat_thetas.items():
         assert value == theta(lat.value(there), there.p, there.trunc_M)
         assert abs(value - here.theta_lat(lat)) > 1e-6
-    points = _phi_x_points(there)
-    for shift, row in there._phi_x_thetas.items():
-        w = shift.value(there)
-        assert row == tuple(theta(w / z, there.p, there.trunc_M) for z in points)
-        assert row != here._phi_x_thetas.get(shift)
-    for shift, row in there._phi_x_guards.items():
-        w = shift.value(there)
-        assert row == tuple(theta_zero_distance(w / z, there.p) < GUARD for z in points)
     assert there.nome_pochhammer(False) == qpoch(there.p, there.p, there.trunc_M)
     assert abs(there.nome_pochhammer(False) - here.nome_pochhammer(False)) > 1e-6
     # at level one the two nomes differ, and so do their Pochhammer products

@@ -1,33 +1,33 @@
+import cmath
 import gc
 import itertools
 import json
 import os
+import random
 import re
 import subprocess
 import sys
 import time
 import weakref
 from dataclasses import replace
-from functools import cache
 from math import isnan
 from pathlib import Path
 
 import pytest
 from collect import checked
-from mutants import FRESH, MUTANTS, assert_turns_red
+from mutants import FRESH, MUTANTS, assert_turns_red, moved_numerator_shift
 
 import eqtor.ellcore as ellcore
 import eqtor.fock01 as fock01
 from eqtor.boson import BosonAlgebra
 from eqtor.cartan import Cocycle, cartan_data
-from eqtor.ellcore import GUARD, Lat, Params, theta_zero_distance
+from eqtor.ellcore import Lat, Params, ThetaRatioSpec
 from eqtor.fock01 import FockRep, PhiAction, VectorRep
 from eqtor.level1 import Level1Module
 from eqtor.partitions import ColoredPartition
 from eqtor import cli
 from eqtor.relcheck import (FOCK_RELATION_IDS, HEISENBERG_RELATION_IDS, LEVEL1_RELATION_IDS,
-                            VECTOR_RELATION_IDS, Z_SAMPLES, _CHECKS, RelationReport, _basis,
-                            _eigenvalues, _name, _phi_x_points, _theta_rows, check_phi_x,
+                            VECTOR_RELATION_IDS, _CHECKS, RelationReport, _basis, check_phi_x,
                             check_quadratic, check_serre, check_xpxm, fock_suite, heisenberg_suite,
                             level1_suite, pair_classes, reports_to_json, run_relation,
                             run_suite, vector_suite)
@@ -86,21 +86,19 @@ def test_serre_nontrivial_samples():
     assert report.samples > 50
 
 
-def test_phi_x_skip_accounting(monkeypatch):
-    # On the vacuum only x+_0 acts, with the one support u, so there are
-    # 3 colors i x Z_SAMPLES points = 30 samples.  For i = 0 (b = 2, m = 0)
-    # the multiplier divides by theta(q^2 u / z), which vanishes at z = q^2 u;
-    # for i = 1, 2 that point is generic.  Each such point is one skip, and
-    # more than 20 % skipped (6 of 30) fails the report.
-    generic = _phi_x_points(P)
-    for on_zero, status in ((0, "pass"), (2, "pass"), (7, "fail")):
-        points = [P.q ** 2 * P.u] * on_zero + generic[on_zero:]
-        monkeypatch.setattr("eqtor.relcheck._phi_x_points", lambda params: points)
-        rep = FockRep(replace(P), 3, 0)
-        report = checked(check_phi_x, rep, +1, rep.states(0), rel_id="phixp")
-        assert (report.samples, report.skipped) == (3 * Z_SAMPLES, on_zero)
-        assert report.max_residual < 1e-12
-        assert report.status == status, on_zero
+def test_status_fails_a_report_that_skips_more_than_a_fifth():
+    # a report that skipped more than 20 % of its samples, or compared nothing,
+    # proves nothing
+    for skipped, status in ((0, "pass"), (6, "pass"), (7, "fail")):
+        report = RelationReport("xpxp", "", P)
+        for n in range(30):
+            if n < skipped:
+                report.skip()
+            else:
+                report.record(1e-16, "")
+        assert (report.samples, report.skipped) == (30, skipped)
+        assert report.status == status, skipped
+    assert RelationReport("xpxp", "", P).status == "fail"
 
 
 # name -> (handle class, root color, basis size); N = 3 throughout
@@ -115,74 +113,80 @@ def _phi_x_handle(name):
     return rep, _basis(rep, size)
 
 
-@pytest.mark.parametrize("handle", ["fock3k0", "vector3"])
-def test_eigenvalue_rows_equal_evaluate(handle):
-    rep, states = _phi_x_handle(handle)
-    reference = replace(P)  # its own memo: every theta is computed again
-    points = _phi_x_points(rep.params)
-    eigenvalues = _eigenvalues(rep, _theta_rows(rep.params)[0])
-    for v in states:
-        for i in rep.colors():
-            row = eigenvalues(v, i)
-            assert len(row) == Z_SAMPLES
-            spec = rep.phi(i, v).spec
-            assert row == tuple(spec.evaluate(z, reference) for z in points), (v, i)
+class _Samples(list):
+    """Every residual a check records, in order."""
+
+    relation_id = "phix"
+
+    def record(self, residual, label) -> None:
+        self.append(residual)
 
 
-def _per_point_check_phi_x(rep, x_sign, states):
-    """Reference for check_phi_x: one eigenvalue and one multiplier per (state, color, point).
-
-    The multiplier's theta arguments are the values of its lattice points, as in the check."""
-    params = rep.params
-    rel = "phixp" if x_sign > 0 else "phixm"
-    report = RelationReport(rel, rep.describe(), params)
-    zs = _phi_x_points(params)
-    data = rep.cartan
-    x, phi = cache(rep.x), cache(rep.phi)
-
-    @cache
-    def theta_at(lat, k):
-        return params.theta_p(lat.value(params) / zs[k])
-
-    @cache
-    def eigenvalue(state, color, k):
-        return phi(color, state).spec.evaluate_with(lambda shift: theta_at(shift, k))
-
-    @cache
-    def multiplier(support, b, mm, zidx):
-        args = [(support * Lat(-mm, e)).value(params) / zs[zidx] for e in (-b, b)]
-        if any(theta_zero_distance(a, params.p) < GUARD for a in args):
-            return None
-        return params.q ** b * params.theta_p(args[0]) / params.theta_p(args[1])
-
+def _per_point_phi_x(rep, x_sign, states):
+    """Numeric oracle of check_phi_x: per (state, i, j, term), the largest residual over
+    a few seeded z of phi_i(z) on the term's state against the multiplier times
+    phi_i(z) on v, each side evaluated by ThetaRatioSpec.evaluate."""
+    params, data = rep.params, rep.cartan
+    rng = random.Random(params.seed ^ 0x5E1F)
+    zs = [params.u * rng.uniform(1.6, 2.4) * cmath.exp(1j * rng.uniform(0, 2 * cmath.pi))
+          for _ in range(4)]
+    out = []
     for v in states:
         for i in rep.colors():
             for j in rep.colors():
                 b = data.b(i, j) * (1 if x_sign > 0 else -1)
                 mm = data.m[i][j]
-                for term in x(x_sign, j, v):
-                    for zidx in range(Z_SAMPLES):
-                        mult = multiplier(term.support, b, mm, zidx)
-                        if mult is None:
-                            report.skip()
-                            continue
-                        lhs = eigenvalue(term.payload, i, zidx)
-                        rhs = mult * eigenvalue(v, i, zidx)
-                        report.record(abs(lhs - rhs) / (1 + abs(lhs)),
-                                      lambda: f"{rel} i={i} j={j} state={_name(v)} z#{zidx}")
-    return report
+                for term in rep.x(x_sign, j, v):
+                    lo, hi = (ThetaRatioSpec((term.support * Lat(-mm, e),), (), 1.0 + 0j)
+                              for e in (-b, b))
+                    worst = 0.0
+                    for z in zs:
+                        lhs = rep.phi(i, term.payload).spec.evaluate(z, params)
+                        rhs = (params.q ** b * lo.evaluate(z, params) / hi.evaluate(z, params)
+                               * rep.phi(i, v).spec.evaluate(z, params))
+                        worst = max(worst, abs(lhs - rhs) / (1 + abs(lhs)))
+                    out.append(worst)
+    return out
 
 
 @pytest.mark.parametrize("sign", [+1, -1])
 @pytest.mark.parametrize("handle", list(PHI_X_HANDLES))
 def test_phi_x_matches_per_point_loop(handle, sign):
+    # one sample per (state, i, j, term); the check and its per-point oracle both
+    # read within 1e-12 on every one
     rep, states = _phi_x_handle(handle)
-    got = checked(check_phi_x, rep, sign, states, rel_id="phixp" if sign > 0 else "phixm")
+    got = _Samples()
+    check_phi_x(got, rep, sign, states)
+    want = _per_point_phi_x(rep, sign, states)
+    assert len(got) == len(want) > 0
+    assert max(got) < 1e-12 and max(want) < 1e-12
+
+
+@pytest.mark.parametrize("sign", [+1, -1])
+@pytest.mark.parametrize("handle", ["fock3k0", "fock3k1"])
+def test_phi_x_and_its_oracle_turn_red_on_the_same_terms(handle, sign, monkeypatch):
+    # a numerator shift moved by q^2, its scalar kept: the check reads the divisor,
+    # and each term it fails the oracle fails at some sampled z
     rep, states = _phi_x_handle(handle)
-    want = _per_point_check_phi_x(rep, sign, states)
-    assert got.samples > 0
-    assert ((got.samples, got.skipped, got.max_residual, got.worst_case)
-            == (want.samples, want.skipped, want.max_residual, want.worst_case))
+    moved_numerator_shift(monkeypatch, rep)
+    got = _Samples()
+    check_phi_x(got, rep, sign, states)
+    want = _per_point_phi_x(rep, sign, states)
+    assert len(got) == len(want)
+    assert [g > rep.params.tol for g in got] == [w > rep.params.tol for w in want]
+    assert max(got) == 1.0
+
+
+def test_phi_x_reads_the_divisor(monkeypatch):
+    # the registry mutant of phixp and phixm drops the scalar; this one moves a shift
+    handle = FockRep(replace(P), 3, 0)
+    for rel_id in ("phixp", "phixm"):
+        assert run_relation(handle, rel_id, 2).status == "pass"
+    moved_numerator_shift(monkeypatch, handle)
+    for rel_id in ("phixp", "phixm"):
+        bad = run_relation(handle, rel_id, 2)
+        assert (bad.status, bad.max_residual) == ("fail", 1.0)
+        assert " unmatched " in bad.worst_case and len(bad.worst_case) <= 100, bad.worst_case
 
 
 @pytest.fixture
@@ -201,46 +205,32 @@ def theta_calls(monkeypatch):
 
 def test_phi_checks_compute_each_theta_once(theta_calls):
     # the quadratic, xpxm and phi checks read one nome at level zero, where p* = p:
-    # phixp and phixm share their thetas, phiphi_pp and phiphi_pm read none, and
-    # each theta is kept once, as a lattice theta or in one phi-x row
+    # every theta they evaluate is a lattice theta, kept once on the Params
     for rep, size in ((FockRep(replace(P), 3, 0), 3), (VectorRep(replace(P), 3, 0), None)):
         theta_calls.clear()
         for rel_id in ("xpxp", "xmxm", "xpxm", "phixp", "phixm", "phiphi_pp", "phiphi_pm"):
             assert run_relation(rep, rel_id, size).status == "pass"
         assert theta_calls
         assert len(theta_calls) == len(set(theta_calls))
-        params = rep.params
-        assert len(theta_calls) == len(params._lat_thetas) + Z_SAMPLES * len(params._phi_x_thetas)
+        assert len(theta_calls) == len(rep.params._lat_thetas)
 
 
-def test_phi_checks_compute_each_guard_once(monkeypatch):
-    # phixp and phixm share their guard rows, kept on the Params: each argument
-    # meets theta_zero_distance once over both checks
-    calls = []
-    distance = theta_zero_distance
+@pytest.mark.parametrize("handle", list(PHI_X_HANDLES))
+def test_phi_x_evaluates_no_theta_and_no_guard(handle, theta_calls, monkeypatch):
+    # the phi-x checks compare theta divisors and constants: no theta value, no
+    # sample point near a theta zero; only the ladder coefficients read thetas
+    def no_guard(*args):
+        raise AssertionError("theta_zero_distance called")
 
-    def counted(z, p):
-        calls.append((z, p))
-        return distance(z, p)
-
-    monkeypatch.setattr("eqtor.relcheck.theta_zero_distance", counted)
-    rep = FockRep(replace(P), 3, 0)
-    for rel_id in ("phixp", "phixm"):
-        assert run_relation(rep, rel_id, 3).status == "pass"
-    assert calls
-    assert len(calls) == len(set(calls))
-
-
-@pytest.mark.parametrize("handle, most", [("fock3k0", 264), ("vector3", 340)])
-def test_phi_x_reads_the_eigenvalue_thetas_at_the_lattice_point(handle, most, theta_calls):
-    # a multiplier's arguments are lattice points, so they reuse the thetas of the
-    # eigenvalue rows: phixp and phixm together evaluated 635 thetas on fock3k0 and
-    # 800 on vector3 when the multipliers took their arguments in complex arithmetic
+    monkeypatch.setattr(ellcore, "theta_zero_distance", no_guard)
     rep, states = _phi_x_handle(handle)
+    for v, j, sign in itertools.product(states, rep.colors(), (+1, -1)):
+        rep.x(sign, j, v)  # each lattice theta of the coefficients, kept on the Params
+    theta_calls.clear()
     for sign, rel_id in ((+1, "phixp"), (-1, "phixm")):
         report = checked(check_phi_x, rep, sign, states, rel_id=rel_id)
-        assert report.status == "pass" and not report.skipped
-    assert 0 < len(theta_calls) <= most
+        assert report.status == "pass" and report.samples
+    assert theta_calls == []
 
 
 def test_checks_on_one_fock_rep_share_each_shape(monkeypatch):
@@ -283,11 +273,17 @@ def test_no_partition_outlives_its_suite():
         assert live() == before
 
 
-def test_nan_theta_fails_the_phi_checks(monkeypatch):
-    # every 7th theta evaluation is NaN
-    theta, calls = ellcore.theta, itertools.count(1)
-    monkeypatch.setattr(ellcore, "theta", lambda *args, **kwargs: complex("nan")
-                        if next(calls) % 7 == 0 else theta(*args, **kwargs))
+def test_nan_scalar_fails_the_phi_checks(monkeypatch):
+    # every 7th eigenvalue scalar is NaN: the constant the phi-x checks compare
+    phi_action, calls = fock01.phi_action, itertools.count(1)
+
+    def mutant(color, v, params):
+        act = phi_action(color, v, params)
+        if next(calls) % 7:
+            return act
+        return PhiAction(replace(act.spec, scalar_prefactor=complex("nan")), act.weight_shift)
+
+    monkeypatch.setattr(fock01, "phi_action", mutant)
     rep = FockRep(replace(P), 3, 0)
     for rel_id in ("phixp", "phixm"):
         report = run_relation(rep, rel_id, 3)
@@ -408,7 +404,7 @@ def test_reports_sample_finely_and_locate_the_worst_case():
         assert len(r.worst_case) <= 100, r.worst_case
         if r.max_residual > 0:  # the color pair, and the state, cell or sample
             assert re.search(r"\bi=\d+ j=\d+", r.worst_case), r.worst_case
-            assert re.search(r"state=|lv=|A=|sample#|z\^|z#", r.worst_case), r.worst_case
+            assert re.search(r"state=|lv=|A=|sample#|z\^", r.worst_case), r.worst_case
 
 
 def test_suite_samples_with_params_seed(capsys):
