@@ -215,6 +215,37 @@ def test_phi_checks_compute_each_theta_once(theta_calls):
         assert len(theta_calls) == len(rep.params._lat_thetas)
 
 
+def test_phi_checks_compute_each_guard_once(monkeypatch):
+    # phixp and phixm once shared guard rows that met each sample argument once;
+    # comparing divisors they meet no argument at all, ladder coefficients included
+    calls = []
+    distance = ellcore.theta_zero_distance
+
+    def counted(z, p):
+        calls.append((z, p))
+        return distance(z, p)
+
+    monkeypatch.setattr(ellcore, "theta_zero_distance", counted)
+    rep = FockRep(replace(P), 3, 0)
+    for rel_id in ("phixp", "phixm"):
+        assert run_relation(rep, rel_id, 3).status == "pass"
+    assert calls == []
+
+
+@pytest.mark.parametrize("handle, most", [("fock3k0", 264), ("vector3", 340)])
+def test_phi_x_reads_the_eigenvalue_thetas_at_the_lattice_point(handle, most, theta_calls):
+    # the sampled eigenvalue rows are gone: on a fresh handle the only thetas
+    # phixp and phixm evaluate are the lattice thetas of the ladder coefficients,
+    # each once and kept on the Params (the vector representation's need none)
+    rep, states = _phi_x_handle(handle)
+    for sign, rel_id in ((+1, "phixp"), (-1, "phixm")):
+        report = checked(check_phi_x, rep, sign, states, rel_id=rel_id)
+        assert report.status == "pass" and not report.skipped
+    assert len(theta_calls) <= most
+    assert len(theta_calls) == len(set(theta_calls)) == len(rep.params._lat_thetas)
+    assert bool(theta_calls) == (handle == "fock3k0")
+
+
 @pytest.mark.parametrize("handle", list(PHI_X_HANDLES))
 def test_phi_x_evaluates_no_theta_and_no_guard(handle, theta_calls, monkeypatch):
     # the phi-x checks compare theta divisors and constants: no theta value, no
