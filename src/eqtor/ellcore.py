@@ -217,6 +217,7 @@ LAT_Q2 = Lat(q_e=2)
 
 _GENERICITY_RANGE = 8
 _GENERICITY_RADIUS = 1e-8  # fixed: the pass tolerance does not decide which points are legal
+_DOUBLE_EPS = 2.0 ** -52   # the largest truncation tail a Params admits (see Params)
 
 
 @dataclass(frozen=True)
@@ -227,6 +228,20 @@ class Params:
     theta argument met by the suites well separated from the zero set.
     Genericity: kappa^n q^m must stay farther than 1e-8 from 1 for all
     exponents with |n|, |m| <= 8; ``tol`` is only the pass/fail bound.
+
+    Truncation: every Pochhammer (z; s)_oo stops after trunc_M factors.  The
+    first factor it drops is 1 - z s^trunc_M, and the whole tail moves the
+    product by about |z| |s|^trunc_M / (1 - |s|).  The suites meet z of
+    modulus near 1, so once |s|^trunc_M reaches the double-precision epsilon
+    2^-52 the truncation shows in a double-precision result, and a residual
+    reads the tail instead of the relation: at |p| = 0.656 and trunc_M = 40
+    the tail is 4.7e-8, and the Fock suite fails at 9e-8.  So Params requires
+    |p|^trunc_M < 2^-52, which holds for |p| < 0.406 at the default
+    trunc_M = 40; a larger nome needs a larger ``--terms``.  The bound reads
+    p and not p*: p* enters a product only as (p*; p*)_oo, a common factor of
+    the level-1 theta coefficients that no relation check can see (a level-1
+    suite at |p*| = 0.50 reads the same residuals at trunc_M = 40 and 400),
+    and admissible level-1 points reach |p*| = 0.52.
     """
 
     q: complex = 0.9 * cmath.exp(0.3j)
@@ -260,6 +275,11 @@ class Params:
             raise ParameterError(f"|p|={abs(self.p):.4g} outside the admissible regime |p| < |q|^2")
         if not abs(self.p_star) < min(1.0, q2):
             raise ParameterError("|p q^(-2 level_k)| outside the admissible regime")
+        nome = float(abs(self.p))
+        if not nome ** self.trunc_M < _DOUBLE_EPS:
+            need = math.ceil(math.log(_DOUBLE_EPS) / math.log(nome))
+            raise ParameterError(f"the Pochhammer tail |p|^trunc_M = {nome ** self.trunc_M:.2g} "
+                                 f"shows in double precision; pass --terms {need} or more")
         for n in range(0, _GENERICITY_RANGE + 1):
             for m in range(-_GENERICITY_RANGE, _GENERICITY_RANGE + 1):
                 if n == 0 and m <= 0:

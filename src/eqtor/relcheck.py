@@ -29,8 +29,14 @@ evaluated once and kept once.  The FockRep's partitions.Basis keeps
 combinatorics: each shape and each box move, for as long as the handle
 lives; the handle keeps its state lists.  Pure-function caches keep what
 reads only immutable arguments: cartan.graded, DynWeight.zero and the box
-supports.  Module actions, Serre kernels and Serre chains are memoized for
-one check and dropped when it returns.
+supports.  One suite run keeps the module actions: run_suite builds one
+ActionTable, which asks the module for the ladder terms of every color once
+per (sign, partition) and for phi once per (color, partition), hands it to
+every check of the suite and drops it on return.  run_relation alone, and a
+check called directly with a handle, build their own table, so a module
+patched between two runs of one handle is read afresh; a table kept on the
+handle would hand the second run the first run's terms.  Serre kernels and
+Serre chains are memoized for one check and dropped when it returns.
 
 One registry, ``_CHECKS``, maps every relation id of the fock, vector,
 heisenberg and level1 suites to its row: the handle classes whose suites run
@@ -51,8 +57,8 @@ from functools import cache
 from itertools import product
 
 from .boson import BosonAlgebra, EXCHANGE_IDS, check_exchange
-from .cartan import cartan_data
-from .ellcore import Lat, Params, gkernel, phi_delta_difference
+from .cartan import DynWeight, cartan_data
+from .ellcore import DeltaTerm, Lat, Params, gkernel, phi_delta_difference
 from .fock01 import FockRep, VectorBasis, VectorRep
 from .level1 import (L1_THETA_TERMS, PHI_PHI_MODES, Level1Module, check_highest_weight,
                      check_level, check_mode_current_bracket, check_phi_phi_level1,
@@ -109,6 +115,75 @@ class RelationReport:
                 "status": self.status, "notes": self.notes}
 
 
+class ActionTable:
+    """The ladder and phi actions of one handle, each asked of its module once.
+
+    x+-_j adds or removes a box of color j with a coefficient that reads the
+    partition alone, and shifts the weight of the state by the generator's
+    grading; phi_j reads the partition alone.  So the table asks the handle
+    for the ladder terms of every color once per (sign, state at weight zero)
+    and for phi_j once per (color, state at weight zero).  A state of another
+    weight reads the same terms with each image's weight shifted by its own,
+    a row built once per (sign, state).
+
+    run_suite builds one table for the relations of its handle and drops it
+    when they return; run_relation alone, and a level-zero check called with
+    a handle, build their own.  So a module patched between two runs is read
+    afresh, and nothing the table keeps outlives the run that built it.  A
+    boson or level-1 handle gets a table too, which no check reads.
+    """
+
+    def __init__(self, rep):
+        self.rep = rep
+        self._ladders: dict = {}  # (sign, state) -> per color, the ladder terms on it
+        self._phis: dict = {}     # state without its weight -> per color, phi_j on it
+        self._sums: dict = {}     # (weight, image weight at zero) -> their sum
+
+    def ladders(self, sign: int, v) -> list[list[DeltaTerm]]:
+        """The terms of x+_j (sign +1) or x-_j (-1) on v, for every color j."""
+        row = self._ladders.get((sign, v))
+        if row is None:
+            weight = v.weight
+            zero = DynWeight.zero(len(weight.root))
+            if weight == zero:
+                row = [self.rep.x(sign, color, v) for color in self.rep.colors()]
+            else:
+                row = [[DeltaTerm(t.support, t.coeff,
+                                  t.payload._replace(weight=self._sum(weight, t.payload.weight)))
+                        for t in terms]
+                       for terms in self.ladders(sign, v._replace(weight=zero))]
+            self._ladders[sign, v] = row
+        return row
+
+    def _sum(self, weight, shift):
+        """weight + shift, added once per pair: the few weights a run meets recur."""
+        total = self._sums.get((weight, shift))
+        if total is None:
+            total = self._sums[weight, shift] = weight + shift
+        return total
+
+    def x(self, sign: int, color: int, v) -> list[DeltaTerm]:
+        return self.ladders(sign, v)[color]
+
+    def phis(self, v) -> list:
+        """phi_j on v, for every color j: PhiActions, read at v's shape alone."""
+        shape = v[:-1]  # every state type keeps its weight last
+        row = self._phis.get(shape)
+        if row is None:
+            at_zero = v._replace(weight=DynWeight.zero(len(v.weight.root)))
+            row = self._phis[shape] = [self.rep.phi(color, at_zero)
+                                       for color in self.rep.colors()]
+        return row
+
+    def phi(self, color: int, v):
+        return self.phis(v)[color]
+
+
+def _actions(rep) -> ActionTable:
+    """The table a suite hands its checks, or a new one for a handle called directly."""
+    return rep if isinstance(rep, ActionTable) else ActionTable(rep)
+
+
 def _accumulate(table: dict, key, value: complex) -> None:
     table[key] = table.get(key, 0j) + value
 
@@ -140,36 +215,55 @@ def check_quadratic(report: RelationReport, rep, sign: int, states) -> None:
     """z theta(q^{+-b} kap^{-m} w/z) x_i(z) x_j(w) = -w kap^{-m} theta(...) x_j(w) x_i(z).
 
     The raising family's theta has nome p* and the lowering family's p; the
-    level-zero handles have k = 0, so both read theta_p.
+    level-zero handles have k = 0, so both read theta_p.  Each state's
+    two-step paths are walked once: a path that applies color a and then
+    color c fills the lhs table of (i, j) = (c, a), where x_j(w) acts first,
+    and the rhs table of (a, c), where x_i(z) does.  A color pair that no path
+    reaches compares nothing.  The second step reads the action table at a
+    state of nonzero weight, which the table serves by shifting the weight
+    of the terms it built at weight zero: x+-_j moves a box with a
+    coefficient that reads the partition alone.
     """
+    acts = _actions(rep)
+    rep = acts.rep
     params = rep.params
     data = rep.cartan
-    x = cache(rep.x)
-    # per color pair, once: the theta-argument shifts kap^{-+m} q^b of the two sides
-    # and the rhs scalar -kap^{-m}
-    pairs = []
-    for i in rep.colors():
-        for j in rep.colors():
+    colors = rep.colors()
+    # per color pair (i, j), once: the theta-argument shifts kap^{-+m} q^b of the two
+    # sides and the rhs scalar -kap^{-m}
+    shifts = {}
+    for i in colors:
+        for j in colors:
             b = data.b(i, j) * (1 if sign > 0 else -1)
             mm = data.m[i][j]
-            pairs.append((i, j, Lat(-mm, b), Lat(mm, b), -params.kappa ** (-mm)))
+            shifts[i, j] = (Lat(-mm, b), Lat(mm, b), -params.kappa ** (-mm))
     for v in states:
-        for i, j, shift_l, shift_r, scale_r in pairs:
-            lhs: dict = {}
-            rhs: dict = {}
-            for tw in x(sign, j, v):
-                for tz in x(sign, i, tw.payload):
-                    sz, sw = tz.support, tw.support
-                    pref = sz.value(params) * params.theta_lat((sw / sz) * shift_l)
-                    _accumulate(lhs, (tz.payload, sz, sw), pref * tz.coeff * tw.coeff)
-            for tz in x(sign, i, v):
-                for tw in x(sign, j, tz.payload):
-                    sz, sw = tz.support, tw.support
-                    pref = (scale_r * sw.value(params)
-                            * params.theta_lat((sz / sw) * shift_r))
-                    _accumulate(rhs, (tw.payload, sz, sw), pref * tz.coeff * tw.coeff)
-            _compare_tables(lhs, rhs, report,
-                            lambda: f"{report.relation_id} i={i} j={j} state={_name(v)}")
+        lhs: dict = {}  # (i, j) -> its lhs table
+        rhs: dict = {}
+        for a, first in enumerate(acts.ladders(sign, v)):
+            for t1 in first:
+                s1 = t1.support
+                for c, second in enumerate(acts.ladders(sign, t1.payload)):
+                    if not second:
+                        continue
+                    shift_l = shifts[c, a][0]
+                    _, shift_r, scale_r = shifts[a, c]
+                    left = lhs.setdefault((c, a), {})
+                    right = rhs.setdefault((a, c), {})
+                    for t2 in second:
+                        s2 = t2.support
+                        at_s2 = s2.value(params)
+                        ratio = s1 / s2
+                        # lhs of (c, a): z = s2, w = s1
+                        pref = at_s2 * params.theta_lat(ratio * shift_l)
+                        _accumulate(left, (t2.payload, s2, s1), pref * t2.coeff * t1.coeff)
+                        # rhs of (a, c): z = s1, w = s2
+                        pref = scale_r * at_s2 * params.theta_lat(ratio * shift_r)
+                        _accumulate(right, (t2.payload, s1, s2), pref * t1.coeff * t2.coeff)
+        for i, j in shifts:
+            if (i, j) in lhs or (i, j) in rhs:
+                _compare_tables(lhs.get((i, j), {}), rhs.get((i, j), {}), report,
+                                lambda: f"{report.relation_id} i={i} j={j} state={_name(v)}")
 
 
 def check_xpxm(report: RelationReport, rep, states) -> None:
@@ -178,31 +272,48 @@ def check_xpxm(report: RelationReport, rep, states) -> None:
     For i = j the off-diagonal channels must cancel termwise and the diagonal
     delta(z/w)-channels must reproduce the residue expansion of the
     eigenvalue function divided by q - q^{-1}; for i != j everything cancels.
+    Each state's minus-plus paths (x-_j, then x+_i) are walked once, then its
+    plus-minus paths (x+_i, then x-_j), each filling the commutator table of
+    its (i, j); a color pair that no path reaches and whose diagonal side is
+    empty compares nothing.  As in check_quadratic, the second step reads the
+    action table's weight-shifted terms.
     """
+    acts = _actions(rep)
+    rep = acts.rep
     params = rep.params
     q = params.q
-    x = cache(rep.x)
     for v in states:
+        lhs: dict = {}  # (i, j) -> its commutator table
+        for a, first in enumerate(acts.ladders(-1, v)):
+            for tw in first:
+                for c, second in enumerate(acts.ladders(+1, tw.payload)):
+                    if not second:
+                        continue
+                    table = lhs.setdefault((c, a), {})
+                    for tz in second:
+                        _accumulate(table, (tz.payload, tz.support, tw.support),
+                                    tz.coeff * tw.coeff)
+        for a, first in enumerate(acts.ladders(+1, v)):
+            for tz in first:
+                for c, second in enumerate(acts.ladders(-1, tz.payload)):
+                    if not second:
+                        continue
+                    table = lhs.setdefault((a, c), {})
+                    for tw in second:
+                        _accumulate(table, (tw.payload, tz.support, tw.support),
+                                    -tz.coeff * tw.coeff)
         for i in rep.colors():
             for j in rep.colors():
-                lhs: dict = {}
-                for tw in x(-1, j, v):
-                    for tz in x(+1, i, tw.payload):
-                        _accumulate(lhs, (tz.payload, tz.support, tw.support),
-                                    tz.coeff * tw.coeff)
-                for tz in x(+1, i, v):
-                    for tw in x(-1, j, tz.payload):
-                        _accumulate(lhs, (tw.payload, tz.support, tw.support),
-                                    -tz.coeff * tw.coeff)
                 rhs: dict = {}
                 if i == j:
-                    act = rep.phi(i, v)
+                    act = acts.phi(i, v)
                     diag_payload = v._replace(weight=v.weight + act.weight_shift)
                     for support, coeff in phi_delta_difference(act.spec, params):
                         _accumulate(rhs, (diag_payload, support, support),
                                     coeff / (q - 1 / q))
-                _compare_tables(lhs, rhs, report,
-                                lambda: f"{report.relation_id} i={i} j={j} state={_name(v)}")
+                if rhs or (i, j) in lhs:
+                    _compare_tables(lhs.get((i, j), {}), rhs, report,
+                                    lambda: f"{report.relation_id} i={i} j={j} state={_name(v)}")
 
 
 # ---------------------------------------------------------------------------
@@ -237,17 +348,21 @@ def check_phi_x(report: RelationReport, rep, x_sign: int, states) -> None:
     agree, and 1.0, labelled by the unmatched shifts, when they do not.  The
     check evaluates no theta and needs no sample point and no guard.
     """
+    acts = _actions(rep)
+    rep = acts.rep
     data = rep.cartan
-    x, phi = cache(rep.x), cache(rep.phi)
     for v in states:
+        # per color j, each ladder term of x+-_j on v with phi on its image
+        images = [[(term, acts.phis(term.payload)) for term in terms]
+                  for terms in acts.ladders(x_sign, v)]
         for i in rep.colors():
-            rhs = phi(i, v).spec
+            rhs = acts.phi(i, v).spec
             for j in rep.colors():
                 b = data.b(i, j) * (1 if x_sign > 0 else -1)
                 mm = data.m[i][j]
                 qb = rep.params.q ** b
-                for term in x(x_sign, j, v):
-                    lhs = phi(i, term.payload).spec
+                for term, image in images[j]:
+                    lhs = image[i].spec
                     # the two shift multisets, as sorted lists
                     left = sorted(lhs.numer_shifts + rhs.denom_shifts
                                   + (term.support * Lat(-mm, b),))
@@ -276,6 +391,8 @@ def check_serre(report: RelationReport, rep, sign: int, states) -> None:
     structure kernels, must cancel termwise; vanishing theta prefactors on
     the support lattice are exact.
     """
+    acts = _actions(rep)
+    rep = acts.rep
     params = rep.params
     q = params.q
     flip = 1 if sign > 0 else -1
@@ -290,7 +407,6 @@ def check_serre(report: RelationReport, rep, sign: int, states) -> None:
     terms = [(word, r, weight, word.index(0), word.index(1), word.index(sigma[0]),
               word.index(sigma[1])) for sigma, r, word, weight in serre_terms(two)]
     data = rep.cartan
-    x = cache(rep.x)
     for v in states:
         for i in rep.colors():
             for j in {(i + 1) % rep.n_colors, (i - 1) % rep.n_colors}:
@@ -308,7 +424,7 @@ def check_serre(report: RelationReport, rep, sign: int, states) -> None:
                         for slot in reversed(word):
                             chains = [((term.support,) + at, term.payload, co * term.coeff)
                                       for at, state, co in chains
-                                      for term in x(sign, j if slot is None else i, state)]
+                                      for term in acts.x(sign, j if slot is None else i, state)]
                         chains_at[r] = chains
                     for at, state, co in chains:
                         sw = at[r]
@@ -339,6 +455,8 @@ def check_grading(report: RelationReport, rep, kind: str, states) -> None:
     lattice shift: x+_j by (-<Q_j, mu>, +<alpha_j, nu>), x-_j by (0, -<alpha_j, nu>),
     and the diagonal current by (-<Q_j, mu>, 0).
     """
+    acts = _actions(rep)
+    rep = acts.rep
     rng = random.Random(rep.params.seed ^ 0x6124)
     data = rep.cartan
     size = len(data.a)
@@ -362,7 +480,7 @@ def check_grading(report: RelationReport, rep, kind: str, states) -> None:
         for j in rep.colors():
             if kind == "gf":
                 for sign in (+1, -1):
-                    for term in rep.x(sign, j, v):
+                    for term in acts.x(sign, j, v):
                         image = pairings(term.payload.weight)
                         for (rq, root), (rq0, root0), (want_rq, want_root) in \
                                 zip(image, base, want[j, sign]):
@@ -370,7 +488,7 @@ def check_grading(report: RelationReport, rep, kind: str, states) -> None:
                             report.record(float(bad), lambda: f"{report.relation_id} "
                                           f"x{'+' if sign > 0 else '-'}_{j} state={_name(v)}")
             else:
-                shift = pairings(rep.phi(j, v).weight_shift)
+                shift = pairings(acts.phi(j, v).weight_shift)
                 for (drq, droot), (want_rq, want_root) in zip(shift, want[j, 0]):
                     bad = int(drq != want_rq) + int(droot != want_root)
                     report.record(float(bad),
@@ -380,13 +498,18 @@ def check_grading(report: RelationReport, rep, kind: str, states) -> None:
 def check_dedf(report: RelationReport, rep, states) -> None:
     """Degree bookkeeping: rescaling the spectral parameter shifts every
     delta support by the same factor and leaves all coefficients unchanged,
-    which is the module-level content of conjugation by the grading element."""
+    which is the module-level content of conjugation by the grading element.
+
+    The shifted handle is built here and read directly, so its terms go with
+    the check."""
+    acts = _actions(rep)
+    rep = acts.rep
     params2 = replace(rep.params, u=rep.params.q * rep.params.u)
     rep2 = type(rep)(params2, rep.n_colors, rep.root_color)
     for v in states[: 12]:
         for j in rep.colors():
             for sign in (+1, -1):
-                t1 = {(t.payload, t.support): t.coeff for t in rep.x(sign, j, v)}
+                t1 = {(t.payload, t.support): t.coeff for t in acts.x(sign, j, v)}
                 t2 = {(t.payload, t.support): t.coeff for t in rep2.x(sign, j, v)}
                 for key in set(t1) | set(t2):
                     a = t1.get(key, 0j)
@@ -493,7 +616,8 @@ def _basis(rep, size: int | None) -> Sequence:
 class Relation:
     """One registry row.  ``check(handle, report, size)`` records into the report that
     run_relation hands it (h, r in the rows), and looks every check function up when it
-    runs, so a wrapped one is the one called."""
+    runs, so a wrapped one is the one called.  A level-zero row gets the run's
+    ActionTable as its handle (t in the rows), and reads the handle as ``t.rep``."""
 
     handles: tuple[type, ...]  # the handle classes whose suites run it, the first its own
     check: Callable[..., None]
@@ -514,22 +638,24 @@ def _nothing_to_compare(handle, report: RelationReport, size) -> None:
 
 # relation id -> its row; the rows of one handle class, in order, are that suite
 _CHECKS = {
-    "xpxp": Relation(_LEVEL0, lambda h, r, size: check_quadratic(r, h, +1, _basis(h, size))),
-    "xmxm": Relation(_LEVEL0, lambda h, r, size: check_quadratic(r, h, -1, _basis(h, size))),
-    "xpxm": Relation(_LEVEL0, lambda h, r, size: check_xpxm(r, h, _basis(h, size))),
-    "phixp": Relation(_LEVEL0, lambda h, r, size: check_phi_x(r, h, +1, _basis(h, size))),
-    "phixm": Relation(_LEVEL0, lambda h, r, size: check_phi_x(r, h, -1, _basis(h, size))),
+    "xpxp": Relation(_LEVEL0, lambda t, r, size: check_quadratic(r, t, +1, _basis(t.rep, size))),
+    "xmxm": Relation(_LEVEL0, lambda t, r, size: check_quadratic(r, t, -1, _basis(t.rep, size))),
+    "xpxm": Relation(_LEVEL0, lambda t, r, size: check_xpxm(r, t, _basis(t.rep, size))),
+    "phixp": Relation(_LEVEL0, lambda t, r, size: check_phi_x(r, t, +1, _basis(t.rep, size))),
+    "phixm": Relation(_LEVEL0, lambda t, r, size: check_phi_x(r, t, -1, _basis(t.rep, size))),
     "phiphi_pp": Relation(_LEVEL0, _nothing_to_compare, _PHI_PHI_REASON),
     "phiphi_pm": Relation(_LEVEL0, _nothing_to_compare, _PHI_PHI_REASON),
-    "serre_plus": Relation((FockRep,), lambda h, r, size:
-                           check_serre(r, h, +1, h.states(SERRE_MAX_SIZE))),
-    "serre_minus": Relation((FockRep,), lambda h, r, size:
-                            check_serre(r, h, -1, h.states(SERRE_MAX_SIZE))),
-    "grading_gf": Relation(_LEVEL0, lambda h, r, size: check_grading(r, h, "gf", _basis(h, size))),
-    "grading_gK": Relation(_LEVEL0, lambda h, r, size: check_grading(r, h, "gK", _basis(h, size))),
-    "dedf": Relation(_LEVEL0, lambda h, r, size: check_dedf(r, h, _basis(h, size))),
-    "kappa0": Relation(_LEVEL0, lambda h, r, size: check_kappa0(
-        r, h, _basis(h, None if size is None else min(size + 2, 8)))),
+    "serre_plus": Relation((FockRep,), lambda t, r, size:
+                           check_serre(r, t, +1, t.rep.states(SERRE_MAX_SIZE))),
+    "serre_minus": Relation((FockRep,), lambda t, r, size:
+                            check_serre(r, t, -1, t.rep.states(SERRE_MAX_SIZE))),
+    "grading_gf": Relation(_LEVEL0, lambda t, r, size:
+                           check_grading(r, t, "gf", _basis(t.rep, size))),
+    "grading_gK": Relation(_LEVEL0, lambda t, r, size:
+                           check_grading(r, t, "gK", _basis(t.rep, size))),
+    "dedf": Relation(_LEVEL0, lambda t, r, size: check_dedf(r, t, _basis(t.rep, size))),
+    "kappa0": Relation(_LEVEL0, lambda t, r, size: check_kappa0(
+        r, t.rep, _basis(t.rep, None if size is None else min(size + 2, 8)))),
     **{f"heis_{n:02d}": Relation((BosonAlgebra,), _exchange(n)) for n in EXCHANGE_IDS},
     "zalg1": Relation((Level1Module,), _zalgebra,
                       "structural: z_apply ignores the boson state, so both orderings "
@@ -577,13 +703,18 @@ def _require_sizes(handle, size) -> None:
 def run_relation(handle, rel_id: str, size) -> RelationReport:
     """One relation on one handle, seeded by its Params.seed.
 
-    ``size`` is what the handle's suite takes: the largest partition size of
-    the basis states for a FockRep (Serre and kappa0 size their own), None for
-    a VectorRep's one finite basis, and (degree, window) for a BosonAlgebra
-    or a Level1Module.  An ArithmeticError inside the check (an overflow at
-    a parameter point the check's series do not reach) ends the check with a
+    ``handle`` is a handle, or the ActionTable that run_suite shares among the
+    relations of one.  A handle alone gets a table of its own, so a module
+    patched between two runs of a relation is read afresh.  ``size`` is what
+    the handle's suite takes: the largest partition size of the basis states
+    for a FockRep (Serre and kappa0 size their own), None for a VectorRep's
+    one finite basis, and (degree, window) for a BosonAlgebra or a
+    Level1Module.  An ArithmeticError inside the check (an overflow at a
+    parameter point the check's series do not reach) ends the check with a
     NaN sample labelled by the exception, so the report fails.
     """
+    table = _actions(handle)
+    handle = table.rep
     relation = _CHECKS.get(rel_id)
     if relation is None:
         raise ValueError(f"unknown relation {rel_id!r}")
@@ -594,15 +725,19 @@ def run_relation(handle, rel_id: str, size) -> RelationReport:
     _require_sizes(handle, size)
     report = RelationReport(rel_id, handle.describe(), handle.params, notes=relation.structural)
     try:
-        relation.check(handle, report, size)
+        relation.check(table if isinstance(handle, _LEVEL0) else handle, report, size)
     except ArithmeticError as exc:
         report.record(math.nan, f"{rel_id}: {type(exc).__name__}: {exc}")
     return report
 
 
 def run_suite(handle, relation_ids, size) -> list[RelationReport]:
-    """Deterministic run of the listed relations on one handle, seeded by its Params.seed."""
-    return [run_relation(handle, rel, size) for rel in relation_ids]
+    """Deterministic run of the listed relations on one handle, seeded by its Params.seed.
+
+    The relations share one ActionTable, built here and dropped on return.
+    """
+    table = ActionTable(handle)
+    return [run_relation(table, rel, size) for rel in relation_ids]
 
 
 def fock_suite(params: Params, n_colors: int, root_color: int,

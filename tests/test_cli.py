@@ -120,6 +120,23 @@ def test_verify_bad_parameter_regime(capsys):
     assert "admissible" in err
 
 
+# a nome whose 40-factor Pochhammer tail shows in double precision: |p| = 0.656,
+# where xpxp read 9.3e-8 from the tail, and p = q^4 at the default q
+LARGE_NOMES = ("0.5757,0.3145", "{0.real!r},{0.imag!r}".format(ellcore.Params().q ** 4))
+
+
+@pytest.mark.parametrize("nome", LARGE_NOMES)
+def test_verify_rejects_a_visible_truncation_tail(nome, capsys):
+    # at the default --terms the point exits 2 and names the flag that fixes it;
+    # with enough terms the same point passes every report
+    argv = ("verify", "fock", "--N", "3", "--max-size", "3", "--p", nome)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "--terms" in err and "Pochhammer tail" in err
+    code, _, _ = run(capsys, *argv, "--terms", "120")
+    assert code == 0
+
+
 def test_verify_fock_small(capsys, tmp_path):
     out_path = tmp_path / "report.json"
     code, out, _ = run(capsys, "verify", "fock", "--N", "3", "--k", "0",

@@ -256,6 +256,14 @@ def _admissible_points(seed, count):
         yield q, kappa, draw(0.01, min(0.3, 0.9 * abs(q) ** 4)), u
 
 
+def test_truncation_bound_admits_every_admissible_point():
+    # the Pochhammer-tail bound of Params rejects no point of the sweep, at level
+    # zero or at level one, where |p*| = |p| / |q|^2 reaches 0.52
+    for q, kappa, p, u in _admissible_points(2026, 40):
+        params = Params(q=q, kappa=kappa, p=p, u=u)
+        assert params.with_level(1).level_k == 1
+
+
 def test_phi_phi_exchange_passes_at_every_admissible_point():
     # the log coefficients are closed forms, so no sampled w/z can leave the
     # annulus where a kernel series converges

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 import weakref
+from collections import Counter
 from dataclasses import replace
 from math import isnan
 from pathlib import Path
@@ -20,14 +21,16 @@ from mutants import FRESH, MUTANTS, assert_turns_red, moved_numerator_shift
 import eqtor.ellcore as ellcore
 import eqtor.fock01 as fock01
 from eqtor.boson import BosonAlgebra
-from eqtor.cartan import Cocycle, cartan_data
+from eqtor.cartan import Cocycle, DynWeight, cartan_data, graded
 from eqtor.ellcore import Lat, Params, ThetaRatioSpec
-from eqtor.fock01 import FockRep, PhiAction, VectorRep
+from eqtor.fock01 import (FockBasisVector, FockRep, PhiAction, VectorRep, apply_xminus,
+                          apply_xplus, phi_action)
 from eqtor.level1 import Level1Module
 from eqtor.partitions import ColoredPartition
 from eqtor import cli
 from eqtor.relcheck import (FOCK_RELATION_IDS, HEISENBERG_RELATION_IDS, LEVEL1_RELATION_IDS,
-                            VECTOR_RELATION_IDS, _CHECKS, RelationReport, _basis, check_phi_x,
+                            VECTOR_RELATION_IDS, _CHECKS, ActionTable, RelationReport, _basis,
+                            check_phi_x,
                             check_quadratic, check_serre, check_xpxm, fock_suite, heisenberg_suite,
                             level1_suite, pair_classes, reports_to_json, run_relation,
                             run_suite, vector_suite)
@@ -373,6 +376,94 @@ def test_every_relation_alone_equals_its_suite_report(suite):
         assert alone.to_json_dict() == report.to_json_dict(), report.relation_id
         # only a structural relation says it is one
         assert report.notes.startswith("structural") == bool(_CHECKS[report.relation_id].structural)
+
+
+# (handle class, N, root color, size): every Fock handle of the fock workload at
+# max-size 4, and its vector suites
+SHARED_TABLE_RUNS = ([(FockRep, n, k, 4) for n in (3, 4, 5) for k in range(n)]
+                     + [(VectorRep, n, 0, None) for n in (3, 4, 5)])
+
+
+@pytest.mark.parametrize("cls, n, k, size", SHARED_TABLE_RUNS,
+                         ids=lambda arg: getattr(arg, "__name__", str(arg)))
+def test_suite_table_reads_what_each_relation_alone_reads(cls, n, k, size):
+    # run_suite hands every check one action table; run_relation alone builds its own
+    # on another handle, and each report is the same
+    ids = FOCK_RELATION_IDS if cls is FockRep else VECTOR_RELATION_IDS
+    reports = run_suite(cls(P, n, k), ids, size)
+    assert [r.relation_id for r in reports] == list(ids)
+    alone = cls(P, n, k)
+    for report in reports:
+        assert report.status == "pass", (report.relation_id, report.max_residual)
+        assert run_relation(alone, report.relation_id, size).to_json_dict() \
+            == report.to_json_dict(), report.relation_id
+
+
+def test_one_suite_asks_the_module_once_per_action(monkeypatch):
+    # the suite's table asks each handle for x once per (sign, color, partition) and
+    # for phi once per (color, partition), each at the state of weight zero; dedf's
+    # shifted handle is another handle and keeps its own
+    x_calls, phi_calls = Counter(), Counter()
+    x, phi = FockRep.x, FockRep.phi
+
+    def counted_x(self, sign, color, v):
+        assert v.weight == DynWeight.zero(self.n_colors)
+        x_calls[self, sign, color, v.partition] += 1
+        return x(self, sign, color, v)
+
+    def counted_phi(self, color, v):
+        assert v.weight == DynWeight.zero(self.n_colors)
+        phi_calls[self, color, v.partition] += 1
+        return phi(self, color, v)
+
+    monkeypatch.setattr(FockRep, "x", counted_x)
+    monkeypatch.setattr(FockRep, "phi", counted_phi)
+    assert all(r.status == "pass" for r in fock_suite(P, 4, 1, 5))
+    assert len(x_calls) > 300 and set(x_calls.values()) == {1}
+    assert len(phi_calls) > 100 and set(phi_calls.values()) == {1}
+
+
+def test_table_terms_are_the_module_terms_at_every_weight(monkeypatch):
+    # on every state a fock3k0 suite reaches, at every weight up to two ladder steps
+    # from zero, the table's shifted terms are the module's on that weighted state,
+    # bit for bit, and its phi actions too
+    reached = set()
+    x = FockRep.x
+
+    def spy(self, sign, color, v):
+        reached.add(v.partition)
+        return x(self, sign, color, v)
+
+    monkeypatch.setattr(FockRep, "x", spy)
+    rep = FockRep(replace(P), 3, 0)
+    assert all(r.status == "pass" for r in run_suite(rep, FOCK_RELATION_IDS, 4))
+    monkeypatch.undo()
+    steps = [(sign, color) for sign in (+1, -1) for color in rep.colors()]
+    zero = DynWeight.zero(3)
+    one = {graded(zero, *step) for step in steps}
+    weights = {zero} | one | {graded(w, *step) for w in one for step in steps}
+    table = ActionTable(rep)
+    for lam in sorted(reached, key=lambda lam: lam.parts):
+        for weight in weights:
+            v = FockBasisVector(lam, weight)
+            for color in rep.colors():
+                assert table.x(+1, color, v) == apply_xplus(color, v, rep.params)
+                assert table.x(-1, color, v) == apply_xminus(color, v, rep.params)
+                assert table.phi(color, v) == phi_action(color, v, rep.params)
+    assert len(reached) > 20 and len(weights) > 10
+
+
+@pytest.mark.parametrize("rel_id", [r for r in FOCK_RELATION_IDS if r in MUTANTS])
+def test_fock_mutant_turns_red_in_the_next_suite_on_one_handle(rel_id, monkeypatch):
+    # the action table dies with its suite: a mutant applied between two suite runs
+    # on one handle fails its relation in the second (assert_turns_red does the same
+    # through run_relation)
+    make, size = FRESH[FockRep]
+    handle = make()
+    assert all(r.status == "pass" for r in run_suite(handle, FOCK_RELATION_IDS, size))
+    MUTANTS[rel_id](monkeypatch, handle)
+    bad = run_suite(handle, FOCK_RELATION_IDS, size)[FOCK_RELATION_IDS.index(rel_id)]
+    assert bad.status == "fail", (bad.max_residual, bad.worst_case)
 
 
 # the relations whose checks read no coefficient of the module: exact integer
