@@ -1,10 +1,14 @@
 """Heisenberg modes, the level-(k,l) boson Fock module, and dressing exponentials.
 
 A state is a monomial in the lowering modes a_{c,-m} (m > 0) packed into one
-int: its degree sum(m * multiplicity) in the low DEGREE_BITS bits, and above
-them a FIELD_BITS-wide multiplicity field per mode.  Adding a mode adds its
-``mode_unit``, dropping one subtracts it; a degree beyond MAX_DEGREE raises
-DegreeOverflowError, which also keeps every multiplicity inside its field.
+int: its degree sum(m * multiplicity) in the low DEGREE_BITS bits, a TAG_BITS
+wide tag above them, and above that a FIELD_BITS-wide multiplicity field per
+mode.  Adding a mode adds its ``mode_unit``, dropping one subtracts it; a
+degree beyond MAX_DEGREE raises DegreeOverflowError, which also keeps every
+multiplicity inside its field.  Neither touches the tag, so a vector of tagged
+states is a sum of independent vectors, one per tag, that every module action
+maps term by term.  The tag is 0 everywhere but inside check_exchange, which
+tags basis state n with n and runs each relation on all of them at once.
 With x_{d,m} = a_{d,-m} the module is a polynomial ring (vectors are dicts
 state -> coefficient), and a_{i,m} (m > 0) is the derivation sum_d Br_id(m)
 d/dx_{d,m} for the mode bracket Br_id(m) = [a_{i,m}, a_{d,-m}],
@@ -30,9 +34,12 @@ from .ellcore import Params, poch_pairs_series
 BosonState = int  # packed monomial, see the module docstring
 BosonVec = dict   # BosonState -> complex
 
-DEGREE_BITS = FIELD_BITS = 8
+DEGREE_BITS = TAG_BITS = FIELD_BITS = 8
 MAX_DEGREE = (1 << DEGREE_BITS) - 1
+_TAG_MASK = (1 << TAG_BITS) - 1
 _FIELD_MASK = (1 << FIELD_BITS) - 1
+_MODE_BITS = DEGREE_BITS + TAG_BITS  # where the first multiplicity field starts
+_TAGS = 1 << TAG_BITS                # the most basis states one tagged pass carries
 
 VACUUM: BosonState = 0
 _UNIT_KERNEL = (1.0,)  # the kernel series of K = 1
@@ -45,7 +52,7 @@ class DegreeOverflowError(ValueError):
 def mode_unit(color: int, m: int) -> BosonState:
     """The state a_{color,-m}|0>; its field is number d(d+1)/2 + color, d = color + m - 1."""
     d = color + m - 1
-    return m + (1 << (DEGREE_BITS + FIELD_BITS * (d * (d + 1) // 2 + color)))
+    return m + (1 << (_MODE_BITS + FIELD_BITS * (d * (d + 1) // 2 + color)))
 
 
 def _field_mode(field: int) -> tuple[int, int]:
@@ -57,7 +64,7 @@ def _field_mode(field: int) -> tuple[int, int]:
 
 def _fields(state: BosonState):
     """(field number, multiplicity) of every mode present in the state."""
-    rest, field = state >> DEGREE_BITS, 0
+    rest, field = state >> _MODE_BITS, 0
     while rest:
         skip = ((rest & -rest).bit_length() - 1) // FIELD_BITS
         rest >>= FIELD_BITS * skip
@@ -111,6 +118,38 @@ def vector_residual(left: dict, right: dict) -> float:
             r = abs(b)
             if r > worst or r != r:
                 worst = r
+    return worst
+
+
+def _tagged_runs(colors, max_degree: int):
+    """(states, sum_n |states[n]> with state n tagged n) per run of at most _TAGS of the
+    basis states in ``colors`` up to ``max_degree``, in basis order."""
+    basis = basis_states(colors, max_degree)
+    for start in range(0, len(basis), _TAGS):
+        states = basis[start:start + _TAGS]
+        yield states, {st + (n << DEGREE_BITS): 1.0 + 0j for n, st in enumerate(states)}
+
+
+def _tag_residuals(left: dict, right: dict) -> dict[int, float]:
+    """vector_residual of each tag's part of ``left`` and ``right``, by tag.
+
+    A tag with an entry on neither side has no residual.
+    """
+    get = right.get
+    worst: dict[int, float] = {}
+    for key, a in left.items():
+        r = abs(a - get(key, 0j)) / (1 + abs(a))
+        tag = key >> DEGREE_BITS & _TAG_MASK
+        w = worst.get(tag)
+        if w is None or r > w or r != r:  # once NaN, no r compares greater
+            worst[tag] = r
+    for key, b in right.items():
+        if key not in left:
+            r = abs(b)
+            tag = key >> DEGREE_BITS & _TAG_MASK
+            w = worst.get(tag)
+            if w is None or r > w or r != r:
+                worst[tag] = r
     return worst
 
 
@@ -184,7 +223,7 @@ class BosonAlgebra:
         modes = []
         for jc in self.data.index_set:
             d = jc + m - 1
-            offset = DEGREE_BITS + FIELD_BITS * (d * (d + 1) // 2 + jc)
+            offset = _MODE_BITS + FIELD_BITS * (d * (d + 1) // 2 + jc)
             modes.append((offset, mode_unit(jc, m), self.mode_commutator(i, m, jc, -m)))
         out: BosonVec = {}
         for st, c in vec.items():
@@ -393,7 +432,9 @@ def _parts(desc: tuple, i: int) -> tuple:
 
 def _exchange_sides(rel: ExchangeRelation, alg: BosonAlgebra, i: int, j: int,
                     max_degree: int, window: int):
-    """Per basis monomial v: v, A(z) B(w) v read [w][z] and K B(w) A(z) v read [z][w].
+    """(states, lhs, rhs) per run of _tagged_runs: A(z) B(w) v read [w][z] and
+    K B(w) A(z) v read [z][w] on the tagged sum v of the states, each side
+    composed once for all of them.
 
     K runs in w/z against E+ and in z/w against E-, the sign of A's exponents.
     B(w) = B-(w) B+(w) keeps only the factor that does not commute with A(z);
@@ -409,12 +450,11 @@ def _exchange_sides(rel: ExchangeRelation, alg: BosonAlgebra, i: int, j: int,
     direction = -1 if rel.left[0][0] == "E+" else 1
     zop, wop = _parts(rel.left[0], i), _parts(rel.left[1], j)
     wop = (wop[0], None) if direction > 0 else (None, wop[1])
-    for st in basis_states((i, j), max_degree):
-        vec = {0: {st: 1.0 + 0j}}
-        after_w = alg._compose(wop, vec, window, _UNIT_KERNEL, 0).get(0, {})
-        after_z = alg.apply_E(-direction, rel.left[0][1], i, vec[0], window)
-        yield (st, alg._compose(zop, after_w, window, _UNIT_KERNEL, 0),
-               alg._compose(wop, after_z, window, ker, direction))
+    for states, vec in _tagged_runs((i, j), max_degree):
+        after_w = alg._compose(wop, {0: vec}, window, _UNIT_KERNEL, 0).get(0, {})
+        lhs = alg._compose(zop, after_w, window, _UNIT_KERNEL, 0)
+        after_z = alg.apply_E(-direction, rel.left[0][1], i, vec, window)
+        yield states, lhs, alg._compose(wop, after_z, window, ker, direction)
 
 
 def check_exchange(report, rel_id: int, alg: BosonAlgebra, i: int, j: int,
@@ -423,11 +463,12 @@ def check_exchange(report, rel_id: int, alg: BosonAlgebra, i: int, j: int,
 
     Matrix elements between monomials in the colors {i, j} of degree up to
     max_degree are compared for both orderings within the exponent window,
-    one sample per (basis state, A, B) cell; modes of other colors commute
-    with every operator involved and are dropped from the basis.  Both sides
-    leave off the part of x+- that commutes with the dressing, which is exact
-    (see _exchange_sides): the E+ relations 9, 11, 13, 15 check x+-'s creator
-    part, and the E- relations 10, 12, 14, 16 its annihilator part.
+    one sample per (basis state, A, B) cell, state by state; modes of other
+    colors commute with every operator involved and are dropped from the
+    basis.  Both sides leave off the part of x+- that commutes with the
+    dressing, which is exact (see _exchange_sides): the E+ relations 9, 11,
+    13, 15 check x+-'s creator part, and the E- relations 10, 12, 14, 16 its
+    annihilator part.
     """
     rel = next((r for r in _EXCHANGE_TABLE if r.rel_id == rel_id), None)
     if rel is None:
@@ -442,37 +483,43 @@ def check_exchange(report, rel_id: int, alg: BosonAlgebra, i: int, j: int,
     if rel.kind == "commutator":
         _check_commutator(report, rel, alg, i, j, max_degree, window)
         return
-    for st, lhs, rhs in _exchange_sides(rel, alg, i, j, max_degree, window):
-        for A, B, r in _cell_residuals(lhs, rhs, window):
-            report.record(r, lambda: f"i={i} j={j} state={state_label(st)} A={A} B={B}")
+    for states, lhs, rhs in _exchange_sides(rel, alg, i, j, max_degree, window):
+        cells: dict[int, list] = {}  # tag -> (A, B, residual) of each cell it reaches
+        for A, B, by_tag in _cell_residuals(lhs, rhs, window):
+            for tag, r in by_tag.items():
+                cells.setdefault(tag, []).append((A, B, r))
+        for tag, st in enumerate(states):
+            for A, B, r in cells.get(tag, ()):
+                report.record(r, lambda: f"i={i} j={j} state={state_label(st)} A={A} B={B}")
 
 
 def _cell_residuals(lhs: dict, rhs: dict, window: int):
-    """(A, B, vector_residual(lhs[B][A], rhs[A][B])) for |A|, |B| <= window.
+    """(A, B, _tag_residuals(lhs[B][A], rhs[A][B])) for |A|, |B| <= window.
 
-    Only the cells present in either table are visited; an empty pair of
-    cells has residual 0.
+    Only the cells present in either table are visited, and in each only the
+    tags present on either side; an empty pair of cells has residual 0.
     """
     for B, row in lhs.items():
         if abs(B) <= window:
             for A, left in row.items():
                 if abs(A) <= window:
-                    yield A, B, vector_residual(left, rhs.get(A, {}).get(B, {}))
+                    yield A, B, _tag_residuals(left, rhs.get(A, {}).get(B, {}))
     for A, row in rhs.items():
         if abs(A) <= window:
             for B, right in row.items():
                 if abs(B) <= window and A not in lhs.get(B, {}):
-                    yield A, B, vector_residual({}, right)
+                    yield A, B, _tag_residuals({}, right)
 
 
 def _check_commutator(report, rel: ExchangeRelation, alg: BosonAlgebra, i: int, j: int,
                       max_degree: int, window: int) -> None:
     """[a_{i,-l}, E+] = coeff z^{-l} E+ and [a_{i,l}, E-] = coeff z^{l} E- for l = 1..4.
 
-    The dressing of each basis state is built once and serves every l, on the
-    window itself: E+ is an annihilator part, which no window cuts, and the
-    comparison at z^e, |e| <= window, reads E- at z^e and z^(e-l) only.
-    One sample per (basis state, l, z^e).
+    The basis states go in as one tagged vector (see _exchange_sides), whose
+    dressing is built once and serves every l, on the window itself: E+ is
+    an annihilator part, which no window cuts, and the comparison at z^e,
+    |e| <= window, reads E- at z^e and z^(e-l) only.  One sample per (basis
+    state, l, z^e), state by state.
     """
     q, kappa = alg.params.q, alg.params.kappa
     k = alg.level
@@ -492,18 +539,21 @@ def _check_commutator(report, rel: ExchangeRelation, alg: BosonAlgebra, i: int, 
     def dressing(v: BosonVec) -> dict[int, BosonVec]:
         return alg.apply_E(esign, family, j, v, window)
 
-    for st in basis_states((i, j), max_degree):
-        vec = {st: 1.0 + 0j}
+    for states, vec in _tagged_runs((i, j), max_degree):
         dressed = dressing(vec)
-        for ell, coeff in enumerate(coeffs, 1):
-            for e, r in mode_bracket_residual(alg, i, mode_sign * ell, coeff, dressing, vec,
-                                              dressed, window):
-                report.record(r, lambda: f"i={i} j={j} state={state_label(st)} l={ell} z^{e}")
+        rows = [[(e, _tag_residuals(left, right)) for e, left, right in
+                 _bracket_sides(alg, i, mode_sign * ell, coeff, dressing, vec, dressed, window)]
+                for ell, coeff in enumerate(coeffs, 1)]
+        for tag, st in enumerate(states):
+            for ell, row in enumerate(rows, 1):
+                for e, by_tag in row:
+                    report.record(by_tag.get(tag, 0.0),
+                                  lambda: f"i={i} j={j} state={state_label(st)} l={ell} z^{e}")
 
 
-def mode_bracket_residual(alg: BosonAlgebra, i: int, m: int, coeff, op, vec: BosonVec,
-                          op_vec: dict[int, BosonVec], window: int):
-    """(e, residual at z^e) of [a_{i,m}, O(z)] vec = coeff z^m O(z) vec, for |e| <= ``window``.
+def _bracket_sides(alg: BosonAlgebra, i: int, m: int, coeff, op, vec: BosonVec,
+                   op_vec: dict[int, BosonVec], window: int):
+    """(e, lhs, rhs) at z^e of [a_{i,m}, O(z)] vec = coeff z^m O(z) vec, for |e| <= ``window``.
 
     ``op`` applies O(z) to a boson vector as {z-exponent: vector}, exact at
     every z^e and z^(e-m) with |e| <= ``window``, which the comparison reads;
@@ -515,5 +565,11 @@ def mode_bracket_residual(alg: BosonAlgebra, i: int, m: int, coeff, op, vec: Bos
         for ze, v2 in op(pre).items():
             accumulate(lhs.setdefault(ze, {}), v2, -1)
     for ze in range(-window, window + 1):
-        yield ze, vector_residual(lhs.get(ze, {}),
-                                  {st: coeff * c for st, c in op_vec.get(ze - m, {}).items()})
+        yield ze, lhs.get(ze, {}), {st: coeff * c for st, c in op_vec.get(ze - m, {}).items()}
+
+
+def mode_bracket_residual(alg: BosonAlgebra, i: int, m: int, coeff, op, vec: BosonVec,
+                          op_vec: dict[int, BosonVec], window: int):
+    """(e, vector_residual at z^e) of the sides of _bracket_sides."""
+    for ze, left, right in _bracket_sides(alg, i, m, coeff, op, vec, op_vec, window):
+        yield ze, vector_residual(left, right)

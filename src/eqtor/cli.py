@@ -18,8 +18,8 @@ import math
 import random
 import sys
 
-from .ellcore import (Params, PoleProximityError, gkernel_branches, pf_expand,
-                      pochratio_series, qpoch, theta)
+from .ellcore import (Params, PoleProximityError, check_pochhammer_tail, gkernel_branches,
+                      pf_expand, pochratio_series, qpoch, theta)
 from .fock01 import (FockBasisVector, VectorBasis, apply_xminus, apply_xplus, phi_action,
                      vector_rep_apply)
 from .partitions import ColoredPartition
@@ -82,12 +82,17 @@ def read_config(path: str) -> dict:
     return fields
 
 
-def build_params(args) -> Params:
+def point_fields(args) -> dict:
+    """The Params fields the config file and the parameter flags set; flags win."""
     fields = read_config(args.config) if args.config else {}
     flags = {"q": args.q, "kappa": args.kappa, "p": args.p, "u": args.u,
              "trunc_M": args.terms, "tol": args.tol, "seed": args.seed}
     fields.update((name, v) for name, v in flags.items() if v is not None)
-    return Params(**fields)
+    return fields
+
+
+def build_params(args) -> Params:
+    return Params(**point_fields(args))
 
 
 def param_parser() -> argparse.ArgumentParser:
@@ -203,20 +208,34 @@ def cmd_act(args) -> int:
 
 
 def cmd_expand(args) -> int:
+    """Evaluate one function at the parameter point.
+
+    theta and pf are products in the point's nome p, so they build the whole
+    Params, whose truncation bound reads p.  qpoch, gkernel and ratio take
+    their nome s from --s, or p without it, and read nothing else of the
+    point but gkernel's q: qpoch and gkernel check the truncation bound on s,
+    and ratio, an exact series, has none.
+    """
     try:
-        params = build_params(args)
+        if args.func in ("theta", "pf"):
+            params = build_params(args)
+            terms = params.trunc_M
+        else:
+            point = point_fields(args)
+            terms = point.get("trunc_M", Params.trunc_M)
+            name, s = ("s", args.s) if args.s is not None else ("p", point.get("p", Params.p))
+            if args.func != "ratio":
+                check_pochhammer_tail(name, s, terms)
     except ValueError as exc:
         print(f"parameter error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    terms = params.trunc_M
     try:
         if args.func == "theta":
             print(fmt_complex(theta(args.z, params.p, terms)))
         elif args.func == "qpoch":
-            print(fmt_complex(qpoch(args.z, args.s if args.s is not None else params.p, terms)))
+            print(fmt_complex(qpoch(args.z, s, terms)))
         elif args.func == "gkernel":
-            s = args.s if args.s is not None else params.p
-            series, poch = gkernel_branches(args.z, s, args.b, params.q, terms)
+            series, poch = gkernel_branches(args.z, s, args.b, point.get("q", Params.q), terms)
             if args.check:
                 print(f"series     = {fmt_complex(series)}")
                 print(f"pochhammer = {fmt_complex(poch)}")
@@ -224,8 +243,7 @@ def cmd_expand(args) -> int:
             else:
                 print(fmt_complex(poch))
         elif args.func == "ratio":
-            coeffs = pochratio_series(args.a, args.b2, args.s if args.s is not None else params.p,
-                                      args.order)
+            coeffs = pochratio_series(args.a, args.b2, s, args.order)
             for n, c in enumerate(coeffs):
                 print(f"c[{n}] = {fmt_complex(c)}")
         else:

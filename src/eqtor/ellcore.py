@@ -220,6 +220,18 @@ _GENERICITY_RADIUS = 1e-8  # fixed: the pass tolerance does not decide which poi
 _DOUBLE_EPS = 2.0 ** -52   # the largest truncation tail a Params admits (see Params)
 
 
+def check_pochhammer_tail(name: str, nome, terms: int) -> None:
+    """Raise ParameterError if |nome|^terms, the tail of a Pochhammer in ``nome`` cut
+    after ``terms`` factors, shows in double precision (see Params); the message
+    names the --terms that suffices.  A nome outside the unit disc is left to the
+    product, which rejects it, and a zero nome has no tail."""
+    size = float(abs(nome))
+    if 0 < size < 1 and not size ** terms < _DOUBLE_EPS:
+        need = math.floor(math.log(_DOUBLE_EPS) / math.log(size)) + 1
+        raise ParameterError(f"the Pochhammer tail |{name}|^{terms} = {size ** terms:.2g} "
+                             f"shows in double precision; pass --terms {need} or more")
+
+
 @dataclass(frozen=True)
 class Params:
     """Global parameter point (q, kappa, p, u), level, truncation and tolerance.
@@ -275,11 +287,7 @@ class Params:
             raise ParameterError(f"|p|={abs(self.p):.4g} outside the admissible regime |p| < |q|^2")
         if not abs(self.p_star) < min(1.0, q2):
             raise ParameterError("|p q^(-2 level_k)| outside the admissible regime")
-        nome = float(abs(self.p))
-        if not nome ** self.trunc_M < _DOUBLE_EPS:
-            need = math.ceil(math.log(_DOUBLE_EPS) / math.log(nome))
-            raise ParameterError(f"the Pochhammer tail |p|^trunc_M = {nome ** self.trunc_M:.2g} "
-                                 f"shows in double precision; pass --terms {need} or more")
+        check_pochhammer_tail("p", self.p, self.trunc_M)
         for n in range(0, _GENERICITY_RANGE + 1):
             for m in range(-_GENERICITY_RANGE, _GENERICITY_RANGE + 1):
                 if n == 0 and m <= 0:

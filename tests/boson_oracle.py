@@ -7,11 +7,18 @@ States are sorted ((color, m), multiplicity) tuples -- exactly
 built one mode at a time from repeated creator/derivation steps.  Scalars
 (brackets, ecoef, prime_scale) come from the BosonAlgebra under test, so a
 comparison checks the state encoding and the exponentials and nothing else.
+
+``check_exchange`` below runs each relation one untagged basis state at a
+time, through the same engine calls: the reference for
+eqtor.boson.check_exchange, which runs all of them at once as tagged states.
 """
 
 from __future__ import annotations
 
-from eqtor.boson import BosonAlgebra, state_modes
+from eqtor import boson
+from eqtor.boson import (DEGREE_BITS, BosonAlgebra, basis_states, mode_bracket_residual,
+                         state_label, state_modes, vector_residual)
+from eqtor.ellcore import poch_pairs_series
 
 
 def tuple_degree(state: tuple) -> int:
@@ -122,3 +129,96 @@ class OracleBoson:
                         for st, c in v2.items():
                             tgt[st] = tgt.get(st, 0j) + c
         return out
+
+
+# -- the relations, one basis state at a time -----------------------------------
+
+def exchange_sides(rel, alg, i, j, max_degree, window):
+    """Per basis monomial v: v, A(z) B(w) v read [w][z] and K B(w) A(z) v read [z][w]."""
+    ker = poch_pairs_series(boson._kernel_pairs(rel, alg, i, j), window)
+    direction = -1 if rel.left[0][0] == "E+" else 1
+    zop, wop = boson._parts(rel.left[0], i), boson._parts(rel.left[1], j)
+    wop = (wop[0], None) if direction > 0 else (None, wop[1])
+    for st in basis_states((i, j), max_degree):
+        vec = {0: {st: 1.0 + 0j}}
+        after_w = alg._compose(wop, vec, window, boson._UNIT_KERNEL, 0).get(0, {})
+        after_z = alg.apply_E(-direction, rel.left[0][1], i, vec[0], window)
+        yield (st, alg._compose(zop, after_w, window, boson._UNIT_KERNEL, 0),
+               alg._compose(wop, after_z, window, ker, direction))
+
+
+def cell_residuals(lhs, rhs, window):
+    """(A, B, vector_residual(lhs[B][A], rhs[A][B])) for the cells present in either table."""
+    for B, row in lhs.items():
+        if abs(B) <= window:
+            for A, left in row.items():
+                if abs(A) <= window:
+                    yield A, B, vector_residual(left, rhs.get(A, {}).get(B, {}))
+    for A, row in rhs.items():
+        if abs(A) <= window:
+            for B, right in row.items():
+                if abs(B) <= window and A not in lhs.get(B, {}):
+                    yield A, B, vector_residual({}, right)
+
+
+def check_exchange(report, rel_id, alg, i, j, max_degree, window):
+    """eqtor.boson.check_exchange, one basis state at a time, the samples in the same order."""
+    rel = next(r for r in boson._EXCHANGE_TABLE if r.rel_id == rel_id)
+    if rel.kind == "commutator":
+        check_commutator(report, rel, alg, i, j, max_degree, window)
+        return
+    for st, lhs, rhs in exchange_sides(rel, alg, i, j, max_degree, window):
+        for A, B, r in cell_residuals(lhs, rhs, window):
+            report.record(r, lambda: f"i={i} j={j} state={state_label(st)} A={A} B={B}")
+
+
+def check_commutator(report, rel, alg, i, j, max_degree, window):
+    """[a_{i,-+l}, E+-] = coeff z^{-+l} E+- for l = 1..4, one basis state at a time."""
+    q, kappa = alg.params.q, alg.params.kappa
+    k = alg.level
+    b = alg.data.b(i, j)
+    mm = alg.data.m[i][j]
+    mode_sign = rel.left[0][1]
+    esign, family = (1 if rel.left[1][0] == "E+" else -1), rel.left[1][1]
+    coeffs = []
+    for ell in range(1, 5):
+        if rel.comm_coeff == "full_minus":
+            coeff = -(alg.qnum(b * ell) / ell) * (1 - alg._p ** ell) / (1 - alg._pstar ** ell) \
+                * kappa ** (-mode_sign * ell * mm) * q ** (-k * ell)
+        else:
+            coeff = (alg.qnum(b * ell) / ell) * kappa ** (-mode_sign * ell * mm)
+        coeffs.append(coeff)
+
+    def dressing(v):
+        return alg.apply_E(esign, family, j, v, window)
+
+    for st in basis_states((i, j), max_degree):
+        vec = {st: 1.0 + 0j}
+        dressed = dressing(vec)
+        for ell, coeff in enumerate(coeffs, 1):
+            for e, r in mode_bracket_residual(alg, i, mode_sign * ell, coeff, dressing, vec,
+                                              dressed, window):
+                report.record(r, lambda: f"i={i} j={j} state={state_label(st)} l={ell} z^{e}")
+
+
+# -- the tagged sides of eqtor.boson, one basis state at a time ---------------------
+
+def tag_part(table, tag):
+    """The part of a tagged table {outer: {inner: vector}} on tag ``tag``, its states untagged."""
+    offset = tag << DEGREE_BITS
+    out = {}
+    for a, row in table.items():
+        for b, vec in row.items():
+            part = {st - offset: c for st, c in vec.items()
+                    if st >> DEGREE_BITS & boson._TAG_MASK == tag}
+            if part:
+                out.setdefault(a, {})[b] = part
+    return out
+
+
+def split_sides(runs):
+    """(v, lhs, rhs) per basis state v of the tagged runs (states, lhs, rhs) of
+    eqtor.boson._exchange_sides."""
+    for states, lhs, rhs in runs:
+        for tag, st in enumerate(states):
+            yield st, tag_part(lhs, tag), tag_part(rhs, tag)

@@ -8,6 +8,21 @@ from eqtor.ellcore import Params
 from eqtor.relcheck import RelationReport
 
 
+class Collecting(RelationReport):
+    """A report that also keeps every sample it records, as label -> residual."""
+
+    def __init__(self):
+        super().__init__("", "", Params())
+        self.by_label: dict[str, float] = {}
+
+    def record(self, residual: float, label) -> None:
+        text = label() if callable(label) else label
+        if text in self.by_label:
+            raise AssertionError(f"two samples labelled {text!r}")
+        self.by_label[text] = residual
+        super().record(residual, text)
+
+
 def checked(check, *args, rel_id: str = "", **kwargs) -> RelationReport:
     """The report, under ``rel_id``, that ``check(report, *args, **kwargs)`` records into."""
     report = RelationReport(rel_id, "", Params())

@@ -1,15 +1,16 @@
 from math import comb, isnan
 
 import pytest
-from boson_oracle import OracleBoson, as_tuples
-from collect import checked
+import boson_oracle
+from boson_oracle import OracleBoson, as_tuples, split_sides
+from collect import Collecting, checked
 from mutants import FRESH, assert_turns_red
 
 from eqtor import boson
 from eqtor.boson import (MAX_DEGREE, BosonAlgebra, DegreeOverflowError, EXCHANGE_IDS,
                          VACUUM, accumulate, basis_states, check_exchange,
                          mode_bracket_residual, mode_unit, state_add_mode, state_degree,
-                         state_modes, vector_residual)
+                         state_label, state_modes, vector_residual)
 from eqtor.cartan import cartan_data
 from eqtor.ellcore import Params, poch_pairs_series
 from eqtor.relcheck import heisenberg_suite, pair_classes, run_relation
@@ -219,11 +220,11 @@ def test_exchange_kernel_side_matches_parent_path(data):
             if rel.rel_id in ZW_RELATIONS:
                 sides = {st: {A: with_w_creator(alg, creator, row, window)
                               for A, row in rhs.items()}
-                         for st, _, rhs in boson._exchange_sides(rel, alg, i, j, max_degree,
-                                                                 window)}
+                         for st, _, rhs in split_sides(boson._exchange_sides(
+                             rel, alg, i, j, max_degree, window))}
             else:
-                wide = {st: rhs for st, _, rhs in boson._exchange_sides(
-                    rel, alg, i, j, max_degree, window + max_degree)}
+                wide = {st: rhs for st, _, rhs in split_sides(boson._exchange_sides(
+                    rel, alg, i, j, max_degree, window + max_degree))}
                 sides = {st: with_w_annihilator(alg, annihilator, st, wide) for st in wide}
             for st, rhs in sides.items():
                 want = full_product_kernel_side(rel, alg, i, j, {st: 1.0 + 0j},
@@ -235,12 +236,13 @@ def test_exchange_kernel_side_matches_parent_path(data):
     assert compared > 0
 
 
-def failed_exchange_relations():
-    """The ids of the exchange relations that fail on a fresh algebra at the mutant sizes."""
-    make, size = FRESH[BosonAlgebra]
+def failed_exchange_relations(size=None):
+    """The ids of the exchange relations that fail on a fresh algebra, at the mutant sizes
+    unless ``size`` names others."""
+    make, mutant_size = FRESH[BosonAlgebra]
     alg = make()
     return {rel_id for rel_id in EXCHANGE_IDS
-            if run_relation(alg, f"heis_{rel_id:02d}", size).status == "fail"}
+            if run_relation(alg, f"heis_{rel_id:02d}", size or mutant_size).status == "fail"}
 
 
 @pytest.mark.parametrize("current,red", [("x+", {9, 13}), ("x-", {11, 15})], ids=["x+", "x-"])
@@ -260,21 +262,34 @@ def test_current_creator_is_checked_against_E_plus(current, red, monkeypatch):
     assert failed_exchange_relations() == red
 
 
+def scale_annihilator(monkeypatch, current, confined):
+    """Scale the annihilator part of ``current`` by 1.01^t on the terms removing degree t.
+
+    ``confined`` scales only the terms of the input monomials that hold a_{j,-3},
+    j the current's color, and leaves every other term as it was.
+    """
+    translate = BosonAlgebra._translate
+    annihilator = boson._parts((current,), 0)[0][:2]  # (sign, prime); any color
+
+    def scaled(self, vec, key):
+        if key[:2] != annihilator:
+            return translate(self, vec, key)
+        hit = {st: c for st, c in vec.items()
+               if not confined or (key[2], 3) in dict(state_modes(st))}
+        out = translate(self, {st: c for st, c in vec.items() if st not in hit}, key)
+        for t, v in translate(self, hit, key).items():
+            accumulate(out.setdefault(t, {}), v, 1.01 ** t)
+        return out
+
+    monkeypatch.setattr(BosonAlgebra, "_translate", scaled)
+
+
 @pytest.mark.parametrize("current,red", [("x+", {10, 14}), ("x-", {12, 16})], ids=["x+", "x-"])
 def test_current_annihilator_is_checked_against_E_minus(current, red, monkeypatch):
     # the current's annihilator part scaled by 1.01^t on the terms removing degree
     # t: only the E- relations of that current see it; against E+ it commutes
     # with A and drops out
-    translate = BosonAlgebra._translate
-    annihilator = boson._parts((current,), 0)[0][:2]  # (sign, prime); any color
-
-    def scaled(self, vec, key):
-        out = translate(self, vec, key)
-        if key[:2] != annihilator:
-            return out
-        return {t: {s: c * 1.01 ** t for s, c in v.items()} for t, v in out.items()}
-
-    monkeypatch.setattr(BosonAlgebra, "_translate", scaled)
+    scale_annihilator(monkeypatch, current, confined=False)
     assert failed_exchange_relations() == red
 
 
@@ -348,7 +363,7 @@ def per_cell_check_exchange(rel_id, alg, i, j, max_degree, window):
                                                   dressing, vec, dressing(vec), window):
                     worst = max(worst, r)
         return worst
-    for _, lhs, rhs in boson._exchange_sides(rel, alg, i, j, max_degree, window):
+    for _, lhs, rhs in split_sides(boson._exchange_sides(rel, alg, i, j, max_degree, window)):
         for A in range(-window, window + 1):
             for B in range(-window, window + 1):
                 worst = max(worst, per_cell_residual(lhs.get(B, {}).get(A, {}),
@@ -476,3 +491,80 @@ def test_engine_matches_tuple_oracle(data):
                     assert_matches_oracle(
                         alg.apply_current_boson(sign, i, vec, -4, 3, out_cap),
                         oracle.apply_current_boson(sign, i, tvec, -4, 3, out_cap))
+
+
+# -- the tagged pass against the per-state loop -------------------------------
+
+def every_pair(data):
+    return [(i, j) for i in data.index_set for j in data.index_set]
+
+
+@pytest.mark.parametrize("data,pairs,max_degree,window", [
+    (A2, every_pair, 2, 3), (D4, every_pair, 2, 3), (A2, pair_classes, 4, 4)],
+    ids=["A2-2-3", "D4-2-3", "A2-4-4"])
+def test_every_sample_matches_the_per_state_loop(data, pairs, max_degree, window):
+    # every ordered color pair at the small size, the suite's pairs at the larger:
+    # the same samples, each residual to 1e-15 (a sum may run in another order),
+    # and the same max residual and worst case, to the bit
+    alg = make_alg(data)
+    for rel_id in EXCHANGE_IDS:
+        for i, j in pairs(data):
+            got, want = Collecting(), Collecting()
+            check_exchange(got, rel_id, alg, i, j, max_degree, window)
+            boson_oracle.check_exchange(want, rel_id, alg, i, j, max_degree, window)
+            where = (rel_id, i, j)
+            assert got.by_label.keys() == want.by_label.keys(), where
+            assert all(abs(r - want.by_label[label]) <= 1e-15
+                       for label, r in got.by_label.items()), where
+            assert got.max_residual == want.max_residual, where
+            assert got.worst_case == want.worst_case, where
+
+
+# the tag-leak mutant needs basis states of degree 3, and no operator may make the
+# mode a_{j,-3} from a state of lower degree: the window stays below 3
+LEAK_SIZE = (3, 2)
+
+
+@pytest.mark.parametrize("current", ["x+", "x-"])
+def test_a_mutant_on_some_basis_states_reaches_only_their_samples(current, monkeypatch):
+    # the annihilator mutant confined to input monomials that hold a_{j,-3} turns
+    # red the relations the unconfined one does, worst on a state that holds the
+    # mode, and no sample of a basis state of degree < 3 moves off its clean value
+    max_degree, window = LEAK_SIZE
+    alg = make_alg()
+    pairs = pair_classes(A2)
+    clean = {}
+    for rel_id in EXCHANGE_IDS:
+        for i, j in pairs:
+            report = clean[rel_id, i, j] = Collecting()
+            boson_oracle.check_exchange(report, rel_id, alg, i, j, max_degree, window)
+    with monkeypatch.context() as patch:
+        scale_annihilator(patch, current, confined=False)
+        unconfined = failed_exchange_relations(LEAK_SIZE)
+    scale_annihilator(monkeypatch, current, confined=True)
+    assert failed_exchange_relations(LEAK_SIZE) == unconfined
+    assert unconfined == {"x+": {10, 14}, "x-": {12, 16}}[current]
+    low = {state_label(st) for st in basis_states(range(3), 2)}
+    for rel_id in EXCHANGE_IDS:
+        for i, j in pairs:
+            got = Collecting()
+            check_exchange(got, rel_id, alg, i, j, max_degree, window)
+            if rel_id in unconfined:
+                assert got.status == "fail", (rel_id, i, j)
+                assert f"a{j}(-3)" in got.worst_case.split("state=")[1].split()[0], got.worst_case
+            kept = [label for label in got.by_label if label.split("state=")[1].split()[0] in low]
+            assert kept
+            want = clean[rel_id, i, j].by_label
+            for label in kept:
+                assert abs(got.by_label[label] - want[label]) <= 1e-15, (rel_id, label)
+
+
+def test_chunked_basis_reads_the_same_reports(monkeypatch):
+    # a basis wider than the tag field runs in chunks; chunks of 5 states leave
+    # every report as it was
+    def reports():
+        return [r.to_json_dict() for r in heisenberg_suite(Params(), "A2", 4, 4)]
+
+    want = reports()
+    monkeypatch.setattr(boson, "_TAGS", 5)
+    assert reports() == want

@@ -137,6 +137,43 @@ def test_verify_rejects_a_visible_truncation_tail(nome, capsys):
     assert code == 0
 
 
+def test_expand_qpoch_bounds_the_tail_of_the_nome_it_reads(capsys):
+    # --s replaces p: 0.01^10 = 1e-20 is far below the double-precision epsilon,
+    # though the default p = 0.05 at 10 terms is not
+    code, out, _ = run(capsys, "expand", "qpoch", "--z", "0.5", "--s", "0.01", "--terms", "10")
+    assert code == 0
+    assert out.strip() == cli.fmt_complex(ellcore.qpoch(0.5, 0.01, 10))
+    code, out, err = run(capsys, "expand", "qpoch", "--z", "0.5", "--terms", "10")
+    assert (code, out) == (2, "")
+    assert "|p|^10" in err and "--terms 13" in err
+
+
+def test_expand_gkernel_bounds_the_tail_of_s(capsys):
+    # at 40 factors in s = 0.6 the kernel is off by 7.5e-10 against 400 factors: exit 2;
+    # 80 factors agree with 400 to the printed digits
+    argv = ("expand", "gkernel", "--z", "0.5", "--s", "0.6", "--b", "1")
+    code, out, err = run(capsys, *argv, "--terms", "40")
+    assert (code, out) == (2, "")
+    assert "|s|^40" in err and "--terms 71" in err
+    code, out, _ = run(capsys, *argv, "--terms", "80")
+    assert code == 0
+    _, exact, _ = run(capsys, *argv, "--terms", "400")
+    assert out == exact
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("ratio", "--p", "0.5"), 0), (("ratio", "--s", "0.9", "--terms", "2"), 0),
+    (("theta", "--p", "0.5"), 2), (("theta", "--p", "0.5", "--terms", "53"), 0),
+    (("pf", "--p", "0.5", "--n", "2", "--samples", "2"), 2)],
+    ids=["ratio_p", "ratio_s", "theta", "theta_terms", "pf"])
+def test_expand_bound_reads_the_nome_of_each_function(capsys, argv, code):
+    # ratio is an exact series and has no bound; theta and pf keep the bound on p
+    # (0.5^52 is the double-precision epsilon itself, so 53 terms are the least)
+    got, out, err = run(capsys, "expand", *argv)
+    assert got == code
+    assert ("--terms 53" in err) == (code == 2)
+
+
 def test_verify_fock_small(capsys, tmp_path):
     out_path = tmp_path / "report.json"
     code, out, _ = run(capsys, "verify", "fock", "--N", "3", "--k", "0",
