@@ -18,8 +18,8 @@ import math
 import random
 import sys
 
-from .ellcore import (Params, PoleProximityError, check_pochhammer_tail, gkernel_branches,
-                      pf_expand, pochratio_series, qpoch, theta)
+from .ellcore import (Params, PoleProximityError, TruncationError, check_pochhammer_tail,
+                      gkernel_branches, pf_expand, pochratio_series, qpoch, theta)
 from .fock01 import (FockBasisVector, VectorBasis, apply_xminus, apply_xplus, phi_action,
                      vector_rep_apply)
 from .partitions import ColoredPartition
@@ -210,20 +210,25 @@ def cmd_act(args) -> int:
 def cmd_expand(args) -> int:
     """Evaluate one function at the parameter point.
 
-    theta and pf are products in the point's nome p, so they build the whole
-    Params, whose truncation bound reads p.  qpoch, gkernel and ratio take
-    their nome s from --s, or p without it, and read nothing else of the
-    point but gkernel's q: qpoch and gkernel check the truncation bound on s,
-    and ratio, an exact series, has none.
+    Every function checks the whole point as every command does, but the
+    truncation bound reads the nome the function's product reads.  theta and
+    pf are products in p.  qpoch, gkernel and ratio take their nome s from
+    --s, or p without it, which must be finite with |s| < 1; qpoch and
+    gkernel check the truncation bound on s, and ratio, an exact series, has
+    none.
     """
     try:
-        if args.func in ("theta", "pf"):
-            params = build_params(args)
-            terms = params.trunc_M
-        else:
-            point = point_fields(args)
+        point = point_fields(args)
+        try:
+            params = Params(**point)
+        except TruncationError:
+            if args.func in ("theta", "pf"):
+                raise
+        if args.func not in ("theta", "pf"):
             terms = point.get("trunc_M", Params.trunc_M)
             name, s = ("s", args.s) if args.s is not None else ("p", point.get("p", Params.p))
+            if not (cmath.isfinite(s) and abs(s) < 1):
+                raise ValueError(f"--{name} must be finite with |{name}| < 1")
             if args.func != "ratio":
                 check_pochhammer_tail(name, s, terms)
     except ValueError as exc:
@@ -231,7 +236,7 @@ def cmd_expand(args) -> int:
         return USAGE_ERROR
     try:
         if args.func == "theta":
-            print(fmt_complex(theta(args.z, params.p, terms)))
+            print(fmt_complex(theta(args.z, params.p, params.trunc_M)))
         elif args.func == "qpoch":
             print(fmt_complex(qpoch(args.z, s, terms)))
         elif args.func == "gkernel":

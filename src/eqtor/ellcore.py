@@ -28,6 +28,10 @@ class ParameterError(ValueError):
     """Parameter point violates an admissibility or genericity guard."""
 
 
+class TruncationError(ParameterError):
+    """A Pochhammer truncation whose tail shows in double precision (see Params)."""
+
+
 class BalanceError(ValueError):
     """Theta-ratio arguments do not satisfy the required balance condition."""
 
@@ -221,15 +225,15 @@ _DOUBLE_EPS = 2.0 ** -52   # the largest truncation tail a Params admits (see Pa
 
 
 def check_pochhammer_tail(name: str, nome, terms: int) -> None:
-    """Raise ParameterError if |nome|^terms, the tail of a Pochhammer in ``nome`` cut
+    """Raise TruncationError if |nome|^terms, the tail of a Pochhammer in ``nome`` cut
     after ``terms`` factors, shows in double precision (see Params); the message
     names the --terms that suffices.  A nome outside the unit disc is left to the
     product, which rejects it, and a zero nome has no tail."""
     size = float(abs(nome))
     if 0 < size < 1 and not size ** terms < _DOUBLE_EPS:
         need = math.floor(math.log(_DOUBLE_EPS) / math.log(size)) + 1
-        raise ParameterError(f"the Pochhammer tail |{name}|^{terms} = {size ** terms:.2g} "
-                             f"shows in double precision; pass --terms {need} or more")
+        raise TruncationError(f"the Pochhammer tail |{name}|^{terms} = {size ** terms:.2g} "
+                              f"shows in double precision; pass --terms {need} or more")
 
 
 @dataclass(frozen=True)
@@ -287,13 +291,14 @@ class Params:
             raise ParameterError(f"|p|={abs(self.p):.4g} outside the admissible regime |p| < |q|^2")
         if not abs(self.p_star) < min(1.0, q2):
             raise ParameterError("|p q^(-2 level_k)| outside the admissible regime")
-        check_pochhammer_tail("p", self.p, self.trunc_M)
         for n in range(0, _GENERICITY_RANGE + 1):
             for m in range(-_GENERICITY_RANGE, _GENERICITY_RANGE + 1):
                 if n == 0 and m <= 0:
                     continue
                 if abs(self.kappa ** n * self.q ** m - 1) <= _GENERICITY_RADIUS:
                     raise ParameterError(f"degenerate parameters: kappa^{n} q^{m} ~ 1")
+        # last, so a TruncationError means every other guard holds
+        check_pochhammer_tail("p", self.p, self.trunc_M)
 
     @property
     def p_star(self) -> complex:

@@ -174,6 +174,23 @@ def test_expand_bound_reads_the_nome_of_each_function(capsys, argv, code):
     assert ("--terms 53" in err) == (code == 2)
 
 
+@pytest.mark.parametrize("argv, needle", [
+    (("ratio", "--p", "1.5"), "|p|=1.5"), (("ratio", "--p", "nan"), "p must be finite"),
+    (("ratio", "--s", "1.5", "--order", "2"), "|s| < 1"), (("ratio", "--s", "nan"), "|s| < 1"),
+    (("gkernel", "--s", "1.5"), "|s| < 1"),
+    (("qpoch", "--s", "0.01", "--terms", "10", "--kappa", "1,0"), "degenerate"),
+    (("ratio", "--s", "0.1", "--tol", "nan"), "tol must be finite")],
+    ids=["ratio_p_out", "ratio_p_nan", "ratio_s_out", "ratio_s_nan", "gkernel_s_out",
+         "qpoch_kappa", "ratio_tol"])
+def test_expand_checks_the_nome_and_the_point(capsys, argv, needle):
+    # off the unit disc (a --s 1.5 ratio printed c[1] = -0.6) the product does not
+    # converge; and the point is checked as every command checks it, read or not,
+    # also where p's truncation bound, which qpoch with --s sets aside, fails
+    code, out, err = run(capsys, "expand", *argv)
+    assert (code, out) == (2, "")
+    assert needle in err
+
+
 def test_verify_fock_small(capsys, tmp_path):
     out_path = tmp_path / "report.json"
     code, out, _ = run(capsys, "verify", "fock", "--N", "3", "--k", "0",
