@@ -23,8 +23,7 @@ from .ellcore import (Params, PoleProximityError, TruncationError, check_pochham
 from .fock01 import (FockBasisVector, VectorBasis, apply_xminus, apply_xplus, phi_action,
                      vector_rep_apply)
 from .partitions import ColoredPartition
-from .relcheck import (LEVEL1_MAX_DEGREE, RelationReport, fock_suite, heisenberg_suite,
-                       level1_suite, reports_to_json, vector_suite)
+from .relcheck import LEVEL1_MAX_DEGREE, SUITES, RelationReport, reports_to_json, run_suite
 
 USAGE_ERROR = 2
 RELATION_ERROR = 1
@@ -138,22 +137,10 @@ def emit_reports(reports: list[RelationReport], args) -> int:
 
 
 def cmd_verify(args) -> int:
+    suite = SUITES[args.suite]
     try:
-        params = build_params(args)
-    except ValueError as exc:
-        print(f"parameter error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    try:
-        if args.suite == "fock":
-            reports = fock_suite(params, args.N, args.k, args.max_size)
-        elif args.suite == "vector":
-            reports = vector_suite(params, args.N, args.k)
-        elif args.suite == "heisenberg":
-            reports = heisenberg_suite(params, args.type, degree=args.degree,
-                                       window=args.window)
-        else:
-            reports = level1_suite(params, args.type, args.a, degree=args.degree,
-                                   window=args.window)
+        handle = suite.build(build_params(args), *[getattr(args, name) for name in suite.options])
+        reports = run_suite(handle, tuple(getattr(args, name) for name in suite.sizes))
     except ValueError as exc:
         print(f"parameter error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -13,7 +13,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .ellcore import LAT_Q2, Lat, Params
 
@@ -60,10 +60,6 @@ class ColoredPartition:
         return ",".join(str(x) for x in self.parts) if self.parts else "-"
 
     @property
-    def size(self) -> int:
-        return sum(self.parts)
-
-    @property
     def length(self) -> int:
         return len(self.parts)
 
@@ -74,11 +70,6 @@ class ColoredPartition:
     def content(self, box: Box) -> int:
         x, y = box
         return (x - y + self.root_color) % self.n_colors
-
-    def boxes(self) -> Iterator[Box]:
-        for x, lam in enumerate(self.parts, start=1):
-            for y in range(1, lam + 1):
-                yield (x, y)
 
     def addable_boxes(self) -> list[Box]:
         out = []
@@ -226,14 +217,6 @@ def coeff_minus(lam: ColoredPartition, box: Box, color: int, params: Params) -> 
             ratio = support_lat(a) / uX
             out *= params.theta_lat(LAT_Q2 * ratio) / params.theta_lat(ratio) / params.q
     return out
-
-
-def dim_vector(lam: ColoredPartition) -> tuple[int, ...]:
-    """Number of boxes of each content class."""
-    out = [0] * lam.n_colors
-    for b in lam.boxes():
-        out[lam.content(b)] += 1
-    return tuple(out)
 
 
 def partitions_up_to(n: int) -> list[tuple[int, ...]]:

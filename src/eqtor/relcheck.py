@@ -41,8 +41,9 @@ Serre chains are memoized for one check and dropped when it returns.
 One registry, ``_CHECKS``, maps every relation id of the fock, vector,
 heisenberg and level1 suites to its row: the handle classes whose suites run
 it, its check, and for a structural relation the reason it cannot fail.
-``run_relation`` builds the report and runs any id alone; each suite is
-``run_suite`` over its rows.
+One table, ``SUITES``, maps each suite name to how it builds its handle and
+the names of its sizes.  ``run_relation`` builds the report and runs any id
+alone; each suite is ``run_suite`` over the registry rows of its handle class.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ import json
 import math
 import random
 from collections import Counter
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from functools import cache
 from itertools import product
@@ -66,7 +67,7 @@ from .level1 import (L1_THETA_TERMS, PHI_PHI_MODES, Level1Module, check_highest_
                      serre_terms)
 
 # check sizes that no caller varies; the sampling seed is Params.seed
-SERRE_MAX_SIZE = 4   # partition size of the Serre states
+SERRE_MAX_SIZE = 4   # partition size of the serre_plus states
 LEVEL1_MAX_DEGREE = 2  # largest boson degree of the level-1 sample vectors
 
 
@@ -607,11 +608,6 @@ def _l1_phiphi_pm(mod: Level1Module, report: RelationReport, size) -> None:
 # the relation registry and the suites
 # ---------------------------------------------------------------------------
 
-def _basis(rep, size: int | None) -> Sequence:
-    """The basis states up to a partition size, or the one finite basis (size None)."""
-    return rep.states() if size is None else rep.states(size)
-
-
 @dataclass(frozen=True)
 class Relation:
     """One registry row.  ``check(handle, report, size)`` records into the report that
@@ -638,24 +634,26 @@ def _nothing_to_compare(handle, report: RelationReport, size) -> None:
 
 # relation id -> its row; the rows of one handle class, in order, are that suite
 _CHECKS = {
-    "xpxp": Relation(_LEVEL0, lambda t, r, size: check_quadratic(r, t, +1, _basis(t.rep, size))),
-    "xmxm": Relation(_LEVEL0, lambda t, r, size: check_quadratic(r, t, -1, _basis(t.rep, size))),
-    "xpxm": Relation(_LEVEL0, lambda t, r, size: check_xpxm(r, t, _basis(t.rep, size))),
-    "phixp": Relation(_LEVEL0, lambda t, r, size: check_phi_x(r, t, +1, _basis(t.rep, size))),
-    "phixm": Relation(_LEVEL0, lambda t, r, size: check_phi_x(r, t, -1, _basis(t.rep, size))),
+    "xpxp": Relation(_LEVEL0, lambda t, r, size: check_quadratic(r, t, +1, t.rep.states(*size))),
+    "xmxm": Relation(_LEVEL0, lambda t, r, size: check_quadratic(r, t, -1, t.rep.states(*size))),
+    "xpxm": Relation(_LEVEL0, lambda t, r, size: check_xpxm(r, t, t.rep.states(*size))),
+    "phixp": Relation(_LEVEL0, lambda t, r, size: check_phi_x(r, t, +1, t.rep.states(*size))),
+    "phixm": Relation(_LEVEL0, lambda t, r, size: check_phi_x(r, t, -1, t.rep.states(*size))),
     "phiphi_pp": Relation(_LEVEL0, _nothing_to_compare, _PHI_PHI_REASON),
     "phiphi_pm": Relation(_LEVEL0, _nothing_to_compare, _PHI_PHI_REASON),
     "serre_plus": Relation((FockRep,), lambda t, r, size:
                            check_serre(r, t, +1, t.rep.states(SERRE_MAX_SIZE))),
+    # x-_i x-_j x-_i removes two color-i boxes on diagonals N or more apart, and a
+    # partition holds a box on every diagonal between two of its own: N + 1 boxes
     "serre_minus": Relation((FockRep,), lambda t, r, size:
-                            check_serre(r, t, -1, t.rep.states(SERRE_MAX_SIZE))),
+                            check_serre(r, t, -1, t.rep.states(t.rep.n_colors + 1))),
     "grading_gf": Relation(_LEVEL0, lambda t, r, size:
-                           check_grading(r, t, "gf", _basis(t.rep, size))),
+                           check_grading(r, t, "gf", t.rep.states(*size))),
     "grading_gK": Relation(_LEVEL0, lambda t, r, size:
-                           check_grading(r, t, "gK", _basis(t.rep, size))),
-    "dedf": Relation(_LEVEL0, lambda t, r, size: check_dedf(r, t, _basis(t.rep, size))),
+                           check_grading(r, t, "gK", t.rep.states(*size))),
+    "dedf": Relation(_LEVEL0, lambda t, r, size: check_dedf(r, t, t.rep.states(*size))),
     "kappa0": Relation(_LEVEL0, lambda t, r, size: check_kappa0(
-        r, t.rep, _basis(t.rep, None if size is None else min(size + 2, 8)))),
+        r, t.rep, t.rep.states(*[min(s + 2, 8) for s in size]))),
     **{f"heis_{n:02d}": Relation((BosonAlgebra,), _exchange(n)) for n in EXCHANGE_IDS},
     "zalg1": Relation((Level1Module,), _zalgebra,
                       "structural: z_apply ignores the boson state, so both orderings "
@@ -671,47 +669,65 @@ _CHECKS = {
 
 
 def _suite_ids(handle_class: type) -> tuple[str, ...]:
-    return tuple(rid for rid, rel in _CHECKS.items() if handle_class in rel.handles)
+    return tuple(rid for rid, rel in _CHECKS.items() if issubclass(handle_class, rel.handles))
 
 
 FOCK_RELATION_IDS = _suite_ids(FockRep)
-VECTOR_RELATION_IDS = _suite_ids(VectorRep)
-HEISENBERG_RELATION_IDS = _suite_ids(BosonAlgebra)
-LEVEL1_RELATION_IDS = _suite_ids(Level1Module)
 
-# handle class -> the names of the sizes run_relation takes for it
-_SIZE_NAMES = {FockRep: ("max_size",), VectorRep: (), BosonAlgebra: ("degree", "window"),
-               Level1Module: ("degree", "window")}
+
+@dataclass(frozen=True)
+class Suite:
+    """One ``eqtor verify`` suite.  ``build(params, *options)`` makes its handle from
+    the values of its options, in order; its relation ids are the registry rows of
+    the handle class, and run_suite takes the values of its sizes, in order."""
+
+    handle: type
+    build: Callable[..., object]
+    options: tuple[str, ...]  # the names of build's arguments after the Params
+    sizes: tuple[str, ...]
+
+
+# suite name -> its row; the option and size names are the dests of `eqtor verify`
+SUITES = {
+    "fock": Suite(FockRep, FockRep, ("N", "k"), ("max_size",)),
+    "vector": Suite(VectorRep, VectorRep, ("N", "k"), ()),
+    # the dressing exchanges act on the boson module at level one
+    "heisenberg": Suite(BosonAlgebra, lambda params, tag:
+                        BosonAlgebra(cartan_data(tag), params.with_level(1)),
+                        ("type",), ("degree", "window")),
+    "level1": Suite(Level1Module, lambda params, tag, a: Level1Module.make(tag, a, params),
+                    ("type", "a"), ("degree", "window")),
+}
 
 
 def _require_sizes(handle, size) -> None:
-    """The sizes the handle's suite takes, none negative: a negative size would leave a
-    check with nothing to evaluate and report it as a pass."""
-    names = next(n for cls, n in _SIZE_NAMES.items() if isinstance(handle, cls))
-    values = () if size is None else size if isinstance(size, tuple) else (size,)
-    if len(values) != len(names):
+    """The values of the sizes the handle's suite takes, none negative: a negative size
+    would leave a check with nothing to evaluate and report it as a pass."""
+    names = next(suite.sizes for suite in SUITES.values() if isinstance(handle, suite.handle))
+    if not isinstance(size, tuple) or len(size) != len(names):
         raise ValueError(f"{type(handle).__name__} takes the sizes ({', '.join(names)}), "
                          f"got {size!r}")
-    for name, value in zip(names, values):
+    for name, value in zip(names, size):
         if value < 0:
             raise ValueError(f"{name} must be >= 0, got {value}")
-    if isinstance(handle, Level1Module) and values[0] > LEVEL1_MAX_DEGREE:
+    if isinstance(handle, Level1Module) and size[0] > LEVEL1_MAX_DEGREE:
         raise ValueError(f"degree must be <= {LEVEL1_MAX_DEGREE} in the level1 suite, "
-                         f"got {values[0]}")
+                         f"got {size[0]}")
 
 
-def run_relation(handle, rel_id: str, size) -> RelationReport:
+def run_relation(handle, rel_id: str, size: tuple) -> RelationReport:
     """One relation on one handle, seeded by its Params.seed.
 
     ``handle`` is a handle, or the ActionTable that run_suite shares among the
     relations of one.  A handle alone gets a table of its own, so a module
-    patched between two runs of a relation is read afresh.  ``size`` is what
-    the handle's suite takes: the largest partition size of the basis states
-    for a FockRep (Serre and kappa0 size their own), None for a VectorRep's
-    one finite basis, and (degree, window) for a BosonAlgebra or a
-    Level1Module.  An ArithmeticError inside the check (an overflow at a
-    parameter point the check's series do not reach) ends the check with a
-    NaN sample labelled by the exception, so the report fails.
+    patched between two runs of a relation is read afresh.  ``size`` is the
+    tuple of the values of its suite's sizes (``SUITES``): (max_size,), the
+    largest partition size of the basis states, for a FockRep (Serre and
+    kappa0 size their own), () for a VectorRep's one finite basis, and
+    (degree, window) for a BosonAlgebra or a Level1Module.  An
+    ArithmeticError inside the check (an overflow at a parameter point the
+    check's series do not reach) ends the check with a NaN sample labelled by
+    the exception, so the report fails.
     """
     table = _actions(handle)
     handle = table.rep
@@ -731,35 +747,14 @@ def run_relation(handle, rel_id: str, size) -> RelationReport:
     return report
 
 
-def run_suite(handle, relation_ids, size) -> list[RelationReport]:
-    """Deterministic run of the listed relations on one handle, seeded by its Params.seed.
+def run_suite(handle, size: tuple) -> list[RelationReport]:
+    """Deterministic run of the handle's suite, the registry rows of its class, seeded by
+    its Params.seed.
 
     The relations share one ActionTable, built here and dropped on return.
     """
     table = ActionTable(handle)
-    return [run_relation(table, rel, size) for rel in relation_ids]
-
-
-def fock_suite(params: Params, n_colors: int, root_color: int,
-               max_size: int) -> list[RelationReport]:
-    return run_suite(FockRep(params, n_colors, root_color), FOCK_RELATION_IDS, max_size)
-
-
-def vector_suite(params: Params, n_colors: int, root_color: int) -> list[RelationReport]:
-    return run_suite(VectorRep(params, n_colors, root_color), VECTOR_RELATION_IDS, None)
-
-
-def heisenberg_suite(params: Params, type_tag: str, degree: int,
-                     window: int) -> list[RelationReport]:
-    """All dressing-exchange relations on the boson module at level one."""
-    return run_suite(BosonAlgebra(cartan_data(type_tag), params.with_level(1)),
-                     HEISENBERG_RELATION_IDS, (degree, window))
-
-
-def level1_suite(params: Params, type_tag: str, fundamental: int,
-                 degree: int, window: int) -> list[RelationReport]:
-    return run_suite(Level1Module.make(type_tag, fundamental, params), LEVEL1_RELATION_IDS,
-                     (degree, window))
+    return [run_relation(table, rel, size) for rel in _suite_ids(type(handle))]
 
 
 def reports_to_json(reports: list[RelationReport]) -> str:

@@ -1,11 +1,11 @@
-"""Reports for calling a relation check directly, for tests only."""
+"""Reports for calling a relation check or a suite directly, for tests only."""
 
 from __future__ import annotations
 
 import re
 
 from eqtor.ellcore import Params
-from eqtor.relcheck import RelationReport
+from eqtor.relcheck import SUITES, RelationReport, run_suite
 
 
 class Collecting(RelationReport):
@@ -28,6 +28,11 @@ def checked(check, *args, rel_id: str = "", **kwargs) -> RelationReport:
     report = RelationReport(rel_id, "", Params())
     check(report, *args, **kwargs)
     return report
+
+
+def suite_reports(name: str, params: Params, options: tuple, size: tuple) -> list[RelationReport]:
+    """The reports of suite ``name`` on the handle SUITES builds from the option values."""
+    return run_suite(SUITES[name].build(params, *options), size)
 
 
 class PairMax:

@@ -12,29 +12,37 @@ from dataclasses import replace
 import eqtor.fock01 as fock01
 from eqtor import boson
 from eqtor.boson import BosonAlgebra
-from eqtor.cartan import cartan_data
 from eqtor.ellcore import LAT_Q2, Params
 from eqtor.fock01 import FockRep, PhiAction
 from eqtor.level1 import PHI_PHI_MODES, Level1Module
-from eqtor.relcheck import _CHECKS, run_relation
+from eqtor.relcheck import _CHECKS, SUITES, run_relation
 
 P = Params()
 
-# the first handle class of a registry row -> (a fresh handle, the size its mutants run at)
+# the first handle class of a registry row -> (its suite, the options of the handle its
+# mutants run on, the sizes they run at)
 FRESH = {
-    FockRep: (lambda: FockRep(P, 3, 0), 2),
-    BosonAlgebra: (lambda: BosonAlgebra(cartan_data("A2"), P.with_level(1)), (2, 3)),
-    Level1Module: (lambda: Level1Module.make("A2", 0, P), (1, 3)),
+    FockRep: ("fock", (3, 0), (2,)),
+    BosonAlgebra: ("heisenberg", ("A2",), (2, 3)),
+    Level1Module: ("level1", ("A2", 0), (1, 3)),
 }
 
 
-def assert_turns_red(rel_id, monkeypatch):
+def fresh(handle_class):
+    """A fresh handle of the class's suite, built by SUITES, and the sizes its mutants run at."""
+    suite, options, size = FRESH[handle_class]
+    return SUITES[suite].build(P, *options), size
+
+
+def assert_turns_red(rel_id, monkeypatch, handle=None, size=None):
     """The clean run passes; the mutated run on the same handle fails.
 
-    So nothing the handle keeps from one check to the next can hide a mutant.
+    The handle is a fresh one of the relation's first class at its mutant sizes
+    unless the caller hands one and its sizes.  So nothing the handle keeps from
+    one check to the next can hide a mutant.
     """
-    make, size = FRESH[_CHECKS[rel_id].handles[0]]
-    handle = make()
+    if handle is None:
+        handle, size = fresh(_CHECKS[rel_id].handles[0])
     clean = run_relation(handle, rel_id, size)
     assert clean.status == "pass", (clean.max_residual, clean.worst_case)
     MUTANTS[rel_id](monkeypatch, handle)

@@ -8,7 +8,7 @@ import cmath
 import random
 
 import pytest
-from collect import PairMax, checked
+from collect import PairMax, checked, suite_reports
 from row_oracle import (phi_action_rows, row_coeff_minus, row_coeff_plus,
                         vertex_constant_product)
 
@@ -22,7 +22,7 @@ from eqtor.level1 import (LatticeVector, Level1Module, check_highest_weight,
                           check_zalgebra)
 from eqtor.partitions import (ColoredPartition, boxes_by_color, coeff_minus,
                               coeff_plus, partitions_up_to)
-from eqtor.relcheck import check_serre, check_xpxm, fock_suite, pair_classes
+from eqtor.relcheck import check_serre, check_xpxm, pair_classes
 
 P = Params()
 TOL = 1e-8
@@ -80,7 +80,7 @@ def test_criterion_02_fock_relation_suite():
     skipped_frac = 0.0
     for n in (3, 4, 5):
         for k in range(n):
-            for rpt in fock_suite(P, n, k, max_size=6):
+            for rpt in suite_reports("fock", P, (n, k), (6,)):
                 worst = max(worst, rpt.max_residual)
                 if rpt.samples:
                     skipped_frac = max(skipped_frac, rpt.skipped / rpt.samples)

@@ -3,8 +3,8 @@ from math import comb, isnan
 import pytest
 import boson_oracle
 from boson_oracle import OracleBoson, as_tuples, split_sides
-from collect import Collecting, checked
-from mutants import FRESH, assert_turns_red
+from collect import Collecting, checked, suite_reports
+from mutants import assert_turns_red, fresh
 
 from eqtor import boson
 from eqtor.boson import (MAX_DEGREE, BosonAlgebra, DegreeOverflowError, EXCHANGE_IDS,
@@ -13,7 +13,7 @@ from eqtor.boson import (MAX_DEGREE, BosonAlgebra, DegreeOverflowError, EXCHANGE
                          state_label, state_modes, vector_residual)
 from eqtor.cartan import cartan_data
 from eqtor.ellcore import Params, poch_pairs_series
-from eqtor.relcheck import heisenberg_suite, pair_classes, run_relation
+from eqtor.relcheck import pair_classes, run_relation
 
 P1 = Params(level_k=1)
 A2 = cartan_data("A2")
@@ -239,8 +239,7 @@ def test_exchange_kernel_side_matches_parent_path(data):
 def failed_exchange_relations(size=None):
     """The ids of the exchange relations that fail on a fresh algebra, at the mutant sizes
     unless ``size`` names others."""
-    make, mutant_size = FRESH[BosonAlgebra]
-    alg = make()
+    alg, mutant_size = fresh(BosonAlgebra)
     return {rel_id for rel_id in EXCHANGE_IDS
             if run_relation(alg, f"heis_{rel_id:02d}", size or mutant_size).status == "fail"}
 
@@ -423,7 +422,7 @@ def test_nan_in_the_engine_fails_its_exchange_relation(monkeypatch):
     for rel_id in (2, 5, 10):
         report = checked(check_exchange, rel_id, make_alg(), 0, 1, max_degree=2, window=3)
         assert isnan(report.max_residual) and report.status == "fail"
-    reports = {r.relation_id: r for r in heisenberg_suite(Params(), "A2", degree=1, window=2)}
+    reports = {r.relation_id: r for r in suite_reports("heisenberg", Params(), ("A2",), (1, 2))}
     assert isnan(reports["heis_10"].max_residual)
     assert all(r.status == "fail" for r in reports.values())
 
@@ -563,7 +562,7 @@ def test_chunked_basis_reads_the_same_reports(monkeypatch):
     # a basis wider than the tag field runs in chunks; chunks of 5 states leave
     # every report as it was
     def reports():
-        return [r.to_json_dict() for r in heisenberg_suite(Params(), "A2", 4, 4)]
+        return [r.to_json_dict() for r in suite_reports("heisenberg", Params(), ("A2",), (4, 4))]
 
     want = reports()
     monkeypatch.setattr(boson, "_TAGS", 5)

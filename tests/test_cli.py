@@ -1,7 +1,10 @@
+import argparse
 import csv
 import inspect
 import json
+import re
 from math import isnan
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +14,7 @@ from eqtor import cli, relcheck
 from eqtor.boson import BosonAlgebra
 from eqtor.cli import main, parse_complex
 from eqtor.ellcore import PoleProximityError
+from eqtor.level1 import Level1Module
 
 
 def run(capsys, *argv):
@@ -387,6 +391,30 @@ def test_verify_all_is_gone(capsys):
     assert code == 2 and out == "" and "invalid choice" in err
 
 
+def _subparsers(parser: argparse.ArgumentParser) -> dict:
+    return next(action.choices for action in parser._actions
+                if isinstance(action, argparse._SubParsersAction))
+
+
+def test_verify_suites_are_the_suite_table():
+    # cmd_verify reads each suite's handle options and sizes from relcheck.SUITES by
+    # their dests, so every verify suite is a row and every row name is a dest
+    suites = _subparsers(_subparsers(cli.build_parser())["verify"])
+    assert sorted(suites) == sorted(relcheck.SUITES)
+    for name, suite in relcheck.SUITES.items():
+        dests = {action.dest for action in suites[name]._actions}
+        assert set(suite.options + suite.sizes) <= dests, name
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    example = re.search(r"## Library example\n\n```python\n(.*?)```", readme, re.S).group(1)
+    exec(compile(example, "README.md", "exec"), {})
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert [row[0] for row in rows] == list(relcheck.FOCK_RELATION_IDS)
+    assert all(row[1] == "pass" for row in rows), rows
+
+
 @pytest.mark.parametrize("content, needle", [
     ('{"seed": "abc"}', "seed"),
     ('{"tol": "x"}', "tol"),
@@ -466,7 +494,7 @@ def test_verify_overflow_in_a_check_fails_its_report(capsys, monkeypatch):
     code, out, err = run(capsys, "verify", "level1", "--json")
     assert code == 1 and err == ""
     rows = json.loads(out)
-    assert len(rows) == len(relcheck.LEVEL1_RELATION_IDS)
+    assert len(rows) == len(relcheck._suite_ids(Level1Module))
     phiphi = next(r for r in rows if r["relation_id"] == "l1_phiphi_pm")
     assert isnan(phiphi["max_residual"]) and phiphi["status"] == "fail"
     assert phiphi["worst_case"].startswith("l1_phiphi_pm: OverflowError")
@@ -480,7 +508,7 @@ def test_verify_level1_passes_at_a_point_far_from_the_default(capsys):
                          "--p", "0.1,0", "--json")
     assert code == 0 and err == ""
     rows = json.loads(out)
-    assert len(rows) == len(relcheck.LEVEL1_RELATION_IDS) == 11
+    assert len(rows) == len(relcheck._suite_ids(Level1Module)) == 11
     assert all(r["status"] == "pass" for r in rows), rows
 
 

@@ -331,7 +331,7 @@ def _filled(params):
 
     rep = FockRep(params, 3, 0)
     for rel_id in ("xpxp", "xpxm"):
-        assert run_relation(rep, rel_id, 2).status == "pass"
+        assert run_relation(rep, rel_id, (2,)).status == "pass"
     return params
 
 

@@ -3,7 +3,7 @@ import random
 from math import isnan
 
 import pytest
-from collect import PairMax, checked
+from collect import PairMax, checked, suite_reports
 from mutants import MUTANTS, assert_turns_red, scaled_last_mode_bracket
 
 from eqtor.boson import (VACUUM, BosonAlgebra, accumulate, basis_states, state_add_mode,
@@ -14,9 +14,10 @@ from eqtor.level1 import (L1_THETA_TERMS, PHI_PHI_MODES, LatticeVector, Level1Mo
                           check_highest_weight, check_mode_current_bracket,
                           check_phi_phi_level1, check_xx_quadratic_level1, check_zalgebra,
                           sample_module_vectors)
-from eqtor.relcheck import LEVEL1_RELATION_IDS, level1_suite, run_relation
+from eqtor.relcheck import _suite_ids, run_relation
 
 P = Params()
+LEVEL1_IDS = _suite_ids(Level1Module)
 
 
 def module(tag="A2", a=0):
@@ -130,7 +131,7 @@ def test_serre_reduction_identity_fails_for_a_wrong_ratio(minus):
 
 def test_level1_suite_worst_sample_is_a_module_vector():
     # no report of the suite has a scalar identity in q and kappa as its worst sample
-    worst = max(level1_suite(Params(), "A2", 0, degree=2, window=6), key=lambda r: r.max_residual)
+    worst = max(suite_reports("level1", Params(), ("A2", 0), (2, 6)), key=lambda r: r.max_residual)
     assert worst.worst_case.startswith("lv="), (worst.relation_id, worst.worst_case)
 
 
@@ -227,8 +228,8 @@ def test_level1_suite_reaches_40_digits():
     # the theta kernels of l1_xpxp say in their note where their series stops,
     # and l1_phiphi_pm how many modes it compares; at this size every report
     # still ends below 1e-30
-    reports = level1_suite(Params().with_precision(40), "A2", 0, degree=1, window=3)
-    assert sorted(r.relation_id for r in reports) == sorted(LEVEL1_RELATION_IDS)
+    reports = suite_reports("level1", Params().with_precision(40), ("A2", 0), (1, 3))
+    assert sorted(r.relation_id for r in reports) == sorted(LEVEL1_IDS)
     worst = {r.relation_id: r.max_residual for r in reports}
     assert max(worst.values()) < 1e-30, worst
     notes = {r.relation_id: r.notes for r in reports}
@@ -485,7 +486,7 @@ def test_z_images_are_built_once(monkeypatch):
         return value(self, *args)
     monkeypatch.setattr(Level1Module, "z_apply", counted_z)
     monkeypatch.setattr(Cocycle, "value", counted_value)
-    for rid in [r for r in LEVEL1_RELATION_IDS if r.startswith("zalg")]:
+    for rid in [r for r in LEVEL1_IDS if r.startswith("zalg")]:
         checked(check_zalgebra, rid, mod, samples=15, window=3)
     for sign in (+1, -1):
         PairMax(check_xx_quadratic_level1, mod, sign, _sampled_vector(mod), window=2)
@@ -500,12 +501,12 @@ def test_level1_suite_cost_does_not_track_the_sample(monkeypatch):
     counts = []
     for seed in (11, 12, 13, 14):
         terms[0] = 0
-        level1_suite(Params(seed=seed), "A2", 0, degree=2, window=6)
+        suite_reports("level1", Params(seed=seed), ("A2", 0), (2, 6))
         counts.append(terms[0])
     assert max(counts) <= 3 * min(counts), counts
 
 
-@pytest.mark.parametrize("rel_id", [r for r in LEVEL1_RELATION_IDS if r in MUTANTS])
+@pytest.mark.parametrize("rel_id", [r for r in LEVEL1_IDS if r in MUTANTS])
 def test_level1_mutant_turns_red(rel_id, monkeypatch):
     assert_turns_red(rel_id, monkeypatch)
 
@@ -521,7 +522,7 @@ def _nan_mode_bracket(monkeypatch):
 
 def test_nan_in_a_level1_check_fails_its_report(monkeypatch):
     _nan_mode_bracket(monkeypatch)
-    reports = {r.relation_id: r for r in level1_suite(P, "A2", 0, degree=1, window=3)}
+    reports = {r.relation_id: r for r in suite_reports("level1", P, ("A2", 0), (1, 3))}
     for rid in ("l1_bracket_plus", "l1_bracket_minus", "l1_xpxp", "l1_phiphi_pm"):
         assert isnan(reports[rid].max_residual), rid
         assert reports[rid].status == "fail"
@@ -540,12 +541,12 @@ def test_nan_on_the_highest_vector_is_not_killed(monkeypatch):
 
 def test_level_and_phiphi_reports_do_not_track_the_degree():
     # neither check reads the degree, so neither sample may move with it
-    runs = [{r.relation_id: r.to_json_dict() for r in level1_suite(P, "A2", 0, degree=d, window=3)}
-            for d in (0, 1, 2)]
+    runs = [{r.relation_id: r.to_json_dict()
+             for r in suite_reports("level1", P, ("A2", 0), (d, 3))} for d in (0, 1, 2)]
     for rid in ("l1_level", "l1_phiphi_pm"):
         assert runs[0][rid] == runs[1][rid] == runs[2][rid], rid
 
 
 def test_level1_suite_rejects_a_degree_it_does_not_sample():
     with pytest.raises(ValueError, match="<= 2"):
-        level1_suite(P, "A2", 0, degree=3, window=6)
+        suite_reports("level1", P, ("A2", 0), (3, 6))

@@ -1,12 +1,11 @@
 import weakref
 
 import pytest
-from hypothesis import given, settings, strategies as st
 from row_oracle import row_coeff_minus, row_coeff_plus, row_support_lat
 
 from eqtor.ellcore import Params
 from eqtor.partitions import (Basis, ColoredPartition, boxes_by_color, coeff_minus,
-                              coeff_plus, dim_vector, partitions_up_to, support_lat)
+                              coeff_plus, partitions_up_to, support_lat)
 
 P = Params()
 
@@ -201,19 +200,3 @@ def test_single_box_coeff_minus_has_single_tail_factor():
     assert add == ()  # nothing of color 0 beyond the root for (1)
     # box form: products over larger-content boxes of color 0 in (1): none
     assert got == 1
-
-
-def test_dim_vector():
-    assert dim_vector(lam([])) == (0, 0, 0)
-    assert dim_vector(lam([3], 3, 0)) == (1, 1, 1)
-    # contents of (2,1) at n=2... use n=3: boxes (1,1):0 (1,2):2 (2,1):1
-    assert dim_vector(lam([2, 1], 3, 0)) == (1, 1, 1)
-    assert sum(dim_vector(lam([4, 2, 1]))) == 7
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.lists(st.integers(1, 5), min_size=0, max_size=4))
-def test_dim_vector_counts_all_boxes(parts):
-    parts = tuple(sorted(parts, reverse=True))
-    lp = ColoredPartition.make(parts, 4, 1)
-    assert sum(dim_vector(lp)) == lp.size

@@ -15,31 +15,29 @@ from math import isnan
 from pathlib import Path
 
 import pytest
-from collect import checked
-from mutants import FRESH, MUTANTS, assert_turns_red, moved_numerator_shift
+from collect import checked, suite_reports
+from mutants import MUTANTS, assert_turns_red, fresh, moved_numerator_shift
 
 import eqtor.ellcore as ellcore
 import eqtor.fock01 as fock01
 from eqtor.boson import BosonAlgebra
-from eqtor.cartan import Cocycle, DynWeight, cartan_data, graded
+from eqtor.cartan import Cocycle, DynWeight, graded
 from eqtor.ellcore import Lat, Params, ThetaRatioSpec
 from eqtor.fock01 import (FockBasisVector, FockRep, PhiAction, VectorRep, apply_xminus,
                           apply_xplus, phi_action)
 from eqtor.level1 import Level1Module
 from eqtor.partitions import ColoredPartition
 from eqtor import cli
-from eqtor.relcheck import (FOCK_RELATION_IDS, HEISENBERG_RELATION_IDS, LEVEL1_RELATION_IDS,
-                            VECTOR_RELATION_IDS, _CHECKS, ActionTable, RelationReport, _basis,
-                            check_phi_x,
-                            check_quadratic, check_serre, check_xpxm, fock_suite, heisenberg_suite,
-                            level1_suite, pair_classes, reports_to_json, run_relation,
-                            run_suite, vector_suite)
+from eqtor.relcheck import (_CHECKS, FOCK_RELATION_IDS, SUITES, ActionTable, RelationReport,
+                            _suite_ids, check_phi_x, check_quadratic, check_serre, check_xpxm,
+                            pair_classes, reports_to_json, run_relation, run_suite)
 
 P = Params()
+VECTOR_IDS, HEISENBERG_IDS, LEVEL1_IDS = map(_suite_ids, (VectorRep, BosonAlgebra, Level1Module))
 
 
 def test_fock_suite_small_all_pass():
-    reports = fock_suite(P, 3, 0, max_size=3)
+    reports = suite_reports("fock", P, (3, 0), (3,))
     assert [r.relation_id for r in reports] == list(FOCK_RELATION_IDS)
     for r in reports:
         assert r.status == "pass", (r.relation_id, r.max_residual, r.worst_case)
@@ -48,8 +46,8 @@ def test_fock_suite_small_all_pass():
 
 
 def test_vector_suite_small_all_pass():
-    reports = vector_suite(P, 3, 0)
-    assert [r.relation_id for r in reports] == list(VECTOR_RELATION_IDS)
+    reports = suite_reports("vector", P, (3, 0), ())
+    assert [r.relation_id for r in reports] == list(VECTOR_IDS)
     assert all(r.status == "pass" for r in reports)
 
 
@@ -105,15 +103,15 @@ def test_status_fails_a_report_that_skips_more_than_a_fifth():
 
 
 # name -> (handle class, root color, basis size); N = 3 throughout
-PHI_X_HANDLES = {"fock3k0": (FockRep, 0, 3), "fock3k1": (FockRep, 1, 3),
-                 "vector3": (VectorRep, 0, None)}
+PHI_X_HANDLES = {"fock3k0": (FockRep, 0, (3,)), "fock3k1": (FockRep, 1, (3,)),
+                 "vector3": (VectorRep, 0, ())}
 
 
 def _phi_x_handle(name):
     """A handle on a fresh parameter point, so no theta comes from another test's memo."""
     cls, k, size = PHI_X_HANDLES[name]
     rep = cls(replace(P), 3, k)
-    return rep, _basis(rep, size)
+    return rep, rep.states(*size)
 
 
 class _Samples(list):
@@ -184,10 +182,10 @@ def test_phi_x_reads_the_divisor(monkeypatch):
     # the registry mutant of phixp and phixm drops the scalar; this one moves a shift
     handle = FockRep(replace(P), 3, 0)
     for rel_id in ("phixp", "phixm"):
-        assert run_relation(handle, rel_id, 2).status == "pass"
+        assert run_relation(handle, rel_id, (2,)).status == "pass"
     moved_numerator_shift(monkeypatch, handle)
     for rel_id in ("phixp", "phixm"):
-        bad = run_relation(handle, rel_id, 2)
+        bad = run_relation(handle, rel_id, (2,))
         assert (bad.status, bad.max_residual) == ("fail", 1.0)
         assert " unmatched " in bad.worst_case and len(bad.worst_case) <= 100, bad.worst_case
 
@@ -209,7 +207,7 @@ def theta_calls(monkeypatch):
 def test_phi_checks_compute_each_theta_once(theta_calls):
     # the quadratic, xpxm and phi checks read one nome at level zero, where p* = p:
     # every theta they evaluate is a lattice theta, kept once on the Params
-    for rep, size in ((FockRep(replace(P), 3, 0), 3), (VectorRep(replace(P), 3, 0), None)):
+    for rep, size in ((FockRep(replace(P), 3, 0), (3,)), (VectorRep(replace(P), 3, 0), ())):
         theta_calls.clear()
         for rel_id in ("xpxp", "xmxm", "xpxm", "phixp", "phixm", "phiphi_pp", "phiphi_pm"):
             assert run_relation(rep, rel_id, size).status == "pass"
@@ -231,7 +229,7 @@ def test_phi_checks_compute_each_guard_once(monkeypatch):
     monkeypatch.setattr(ellcore, "theta_zero_distance", counted)
     rep = FockRep(replace(P), 3, 0)
     for rel_id in ("phixp", "phixm"):
-        assert run_relation(rep, rel_id, 3).status == "pass"
+        assert run_relation(rep, rel_id, (3,)).status == "pass"
     assert calls == []
 
 
@@ -282,7 +280,7 @@ def test_checks_on_one_fock_rep_share_each_shape(monkeypatch):
     rep = FockRep(replace(P), 3, 0)
     for rel_id in ("xpxm", "phixp"):
         seen.append([])
-        assert run_relation(rep, rel_id, 3).status == "pass"
+        assert run_relation(rep, rel_id, (3,)).status == "pass"
     objects: dict = {}
     for lam in seen[0] + seen[1]:
         objects.setdefault(lam.parts, set()).add(id(lam))
@@ -303,7 +301,7 @@ def test_no_partition_outlives_its_suite():
 
     before = live()
     for n, k in ((3, 0), (4, 1)):
-        assert all(r.status == "pass" for r in fock_suite(P, n, k, max_size=3))
+        assert all(r.status == "pass" for r in suite_reports("fock", P, (n, k), (3,)))
         assert live() == before
 
 
@@ -320,7 +318,7 @@ def test_nan_scalar_fails_the_phi_checks(monkeypatch):
     monkeypatch.setattr(fock01, "phi_action", mutant)
     rep = FockRep(replace(P), 3, 0)
     for rel_id in ("phixp", "phixm"):
-        report = run_relation(rep, rel_id, 3)
+        report = run_relation(rep, rel_id, (3,))
         assert isnan(report.max_residual), rel_id
         assert report.status == "fail" and report.worst_case
 
@@ -330,14 +328,17 @@ def test_run_relation_unknown():
     # instead of raising a TypeError from deep inside the check
     fock, vector, level1 = FockRep(P, 3, 0), VectorRep(P, 3, 0), Level1Module.make("A2", 0, P)
     for handle, rel_id, size, match in [
-            (fock, "nope", 3, "unknown relation 'nope'"),
-            (vector, "serre", None, "unknown relation 'serre'"),
-            (vector, "serre_plus", None, "'serre_plus' runs on FockRep, not on VectorRep"),
-            (fock, "heis_05", 3, "'heis_05' runs on BosonAlgebra, not on FockRep"),
+            (fock, "nope", (3,), "unknown relation 'nope'"),
+            (vector, "serre", (), "unknown relation 'serre'"),
+            (vector, "serre_plus", (), "'serre_plus' runs on FockRep, not on VectorRep"),
+            (fock, "heis_05", (3,), "'heis_05' runs on BosonAlgebra, not on FockRep"),
             (level1, "xpxp", (1, 3), "not on Level1Module"),
             (fock, "kappa0", None, r"FockRep takes the sizes \(max_size\), got None"),
-            (vector, "xpxp", 3, r"VectorRep takes the sizes \(\), got 3"),
-            (level1, "l1_level", 3, r"\(degree, window\), got 3")]:
+            # every size is the tuple of its suite's size values, a lone one too
+            (fock, "kappa0", 3, r"FockRep takes the sizes \(max_size\), got 3"),
+            (vector, "xpxp", None, r"VectorRep takes the sizes \(\), got None"),
+            (vector, "xpxp", (3,), r"VectorRep takes the sizes \(\), got \(3,\)"),
+            (level1, "l1_level", (3,), r"\(degree, window\), got \(3,\)")]:
         with pytest.raises(ValueError, match=match):
             run_relation(handle, rel_id, size)
 
@@ -345,52 +346,57 @@ def test_run_relation_unknown():
 def test_registry_lists_every_suite():
     # one table maps relation ids to checks; the rows of each handle class, in
     # order, are its suite
-    assert tuple(_CHECKS) == FOCK_RELATION_IDS + HEISENBERG_RELATION_IDS + LEVEL1_RELATION_IDS
-    assert VECTOR_RELATION_IDS == tuple(r for r in FOCK_RELATION_IDS if not r.startswith("serre"))
-    assert (len(FOCK_RELATION_IDS), len(HEISENBERG_RELATION_IDS), len(LEVEL1_RELATION_IDS)) \
-        == (13, 16, 11)
+    assert tuple(_CHECKS) == FOCK_RELATION_IDS + HEISENBERG_IDS + LEVEL1_IDS
+    assert VECTOR_IDS == tuple(r for r in FOCK_RELATION_IDS if not r.startswith("serre"))
+    assert (len(FOCK_RELATION_IDS), len(HEISENBERG_IDS), len(LEVEL1_IDS)) == (13, 16, 11)
+    assert [suite.handle for suite in SUITES.values()] \
+        == [FockRep, VectorRep, BosonAlgebra, Level1Module]
 
 
-# suite -> (its reports, a fresh handle, the size it ran at)
+# run -> (its suite in SUITES, the options its handle is built from, its sizes); the
+# fock4 run reaches serre_minus terms only from N + 1 = 5 boxes
 SUITE_RUNS = {
-    "fock": (lambda: fock_suite(P, 3, 0, max_size=2), lambda: FockRep(P, 3, 0), 2),
-    "vector": (lambda: vector_suite(P, 3, 0), lambda: VectorRep(P, 3, 0), None),
-    **{f"heisenberg_{tag}": (lambda tag=tag: heisenberg_suite(P, tag, degree=2, window=2),
-                             lambda tag=tag: BosonAlgebra(cartan_data(tag), P.with_level(1)),
-                             (2, 2)) for tag in ("A2", "D4")},
-    **{f"level1_{tag}": (lambda tag=tag: level1_suite(P, tag, 0, degree=1, window=3),
-                         lambda tag=tag: Level1Module.make(tag, 0, P), (1, 3))
-       for tag in ("A2", "D4")},
+    "fock": ("fock", (3, 0), (2,)),
+    "fock4": ("fock", (4, 1), (2,)),
+    "vector": ("vector", (3, 0), ()),
+    **{f"heisenberg_{tag}": ("heisenberg", (tag,), (2, 2)) for tag in ("A2", "D4")},
+    **{f"level1_{tag}": ("level1", (tag, 0), (1, 3)) for tag in ("A2", "D4")},
 }
 
 
-@pytest.mark.parametrize("suite", list(SUITE_RUNS))
-def test_every_relation_alone_equals_its_suite_report(suite):
+def _suite_run(run):
+    """The reports of a SUITE_RUNS entry."""
+    suite, options, size = SUITE_RUNS[run]
+    return suite_reports(suite, P, options, size)
+
+
+@pytest.mark.parametrize("run", list(SUITE_RUNS))
+def test_every_relation_alone_equals_its_suite_report(run):
     # a relation run alone on a fresh handle reads what the suite run reads:
     # no check depends on the ones before it
-    run, make, size = SUITE_RUNS[suite]
-    reports = run()
+    suite, options, size = SUITE_RUNS[run]
+    reports = _suite_run(run)
     assert all(r.status == "pass" for r in reports)
     for report in reports:
-        alone = run_relation(make(), report.relation_id, size)
+        alone = run_relation(SUITES[suite].build(P, *options), report.relation_id, size)
         assert alone.to_json_dict() == report.to_json_dict(), report.relation_id
         # only a structural relation says it is one
         assert report.notes.startswith("structural") == bool(_CHECKS[report.relation_id].structural)
 
 
-# (handle class, N, root color, size): every Fock handle of the fock workload at
-# max-size 4, and its vector suites
+# (handle class, N, root color, max size): every Fock handle of the fock workload at
+# max-size 4, and its vector suites, which take no size
 SHARED_TABLE_RUNS = ([(FockRep, n, k, 4) for n in (3, 4, 5) for k in range(n)]
                      + [(VectorRep, n, 0, None) for n in (3, 4, 5)])
 
 
-@pytest.mark.parametrize("cls, n, k, size", SHARED_TABLE_RUNS,
+@pytest.mark.parametrize("cls, n, k, max_size", SHARED_TABLE_RUNS,
                          ids=lambda arg: getattr(arg, "__name__", str(arg)))
-def test_suite_table_reads_what_each_relation_alone_reads(cls, n, k, size):
+def test_suite_table_reads_what_each_relation_alone_reads(cls, n, k, max_size):
     # run_suite hands every check one action table; run_relation alone builds its own
     # on another handle, and each report is the same
-    ids = FOCK_RELATION_IDS if cls is FockRep else VECTOR_RELATION_IDS
-    reports = run_suite(cls(P, n, k), ids, size)
+    ids, size = (FOCK_RELATION_IDS, (max_size,)) if cls is FockRep else (VECTOR_IDS, ())
+    reports = run_suite(cls(P, n, k), size)
     assert [r.relation_id for r in reports] == list(ids)
     alone = cls(P, n, k)
     for report in reports:
@@ -418,7 +424,7 @@ def test_one_suite_asks_the_module_once_per_action(monkeypatch):
 
     monkeypatch.setattr(FockRep, "x", counted_x)
     monkeypatch.setattr(FockRep, "phi", counted_phi)
-    assert all(r.status == "pass" for r in fock_suite(P, 4, 1, 5))
+    assert all(r.status == "pass" for r in suite_reports("fock", P, (4, 1), (5,)))
     assert len(x_calls) > 300 and set(x_calls.values()) == {1}
     assert len(phi_calls) > 100 and set(phi_calls.values()) == {1}
 
@@ -436,7 +442,7 @@ def test_table_terms_are_the_module_terms_at_every_weight(monkeypatch):
 
     monkeypatch.setattr(FockRep, "x", spy)
     rep = FockRep(replace(P), 3, 0)
-    assert all(r.status == "pass" for r in run_suite(rep, FOCK_RELATION_IDS, 4))
+    assert all(r.status == "pass" for r in run_suite(rep, (4,)))
     monkeypatch.undo()
     steps = [(sign, color) for sign in (+1, -1) for color in rep.colors()]
     zero = DynWeight.zero(3)
@@ -458,11 +464,10 @@ def test_fock_mutant_turns_red_in_the_next_suite_on_one_handle(rel_id, monkeypat
     # the action table dies with its suite: a mutant applied between two suite runs
     # on one handle fails its relation in the second (assert_turns_red does the same
     # through run_relation)
-    make, size = FRESH[FockRep]
-    handle = make()
-    assert all(r.status == "pass" for r in run_suite(handle, FOCK_RELATION_IDS, size))
+    handle, size = fresh(FockRep)
+    assert all(r.status == "pass" for r in run_suite(handle, size))
     MUTANTS[rel_id](monkeypatch, handle)
-    bad = run_suite(handle, FOCK_RELATION_IDS, size)[FOCK_RELATION_IDS.index(rel_id)]
+    bad = run_suite(handle, size)[FOCK_RELATION_IDS.index(rel_id)]
     assert bad.status == "fail", (bad.max_residual, bad.worst_case)
 
 
@@ -472,8 +477,8 @@ READS_NO_COEFFICIENT = {"grading_gf", "grading_gK", "kappa0", "l1_level",
                         "phiphi_pp", "phiphi_pm", "zalg1"}
 
 
-@pytest.mark.parametrize("suite", list(SUITE_RUNS))
-def test_poisoned_coefficients_fail_every_report_that_reads_one(suite, monkeypatch):
+@pytest.mark.parametrize("run", list(SUITE_RUNS))
+def test_poisoned_coefficients_fail_every_report_that_reads_one(run, monkeypatch):
     # every coefficient source of the four handles returns NaN; a report that
     # still passes reads no module code
     nan = complex("nan")
@@ -489,7 +494,7 @@ def test_poisoned_coefficients_fail_every_report_that_reads_one(suite, monkeypat
     monkeypatch.setattr(BosonAlgebra, "mode_commutator", lambda *args: nan)
     monkeypatch.setattr(BosonAlgebra, "ecoef", lambda *args: nan)
     monkeypatch.setattr(Cocycle, "value", lambda *args: nan)
-    reports = SUITE_RUNS[suite][0]()
+    reports = _suite_run(run)
     passed = {r.relation_id for r in reports if r.status == "pass"}
     assert passed == READS_NO_COEFFICIENT & {r.relation_id for r in reports}
     assert all(isnan(r.max_residual) for r in reports if r.relation_id not in passed)
@@ -515,12 +520,11 @@ def test_reports_sample_finely_and_locate_the_worst_case():
     # at the smoke sizes of perfbench/workloads.json every check records each
     # (state, cell), (vector, pair, z^e) or sample point, where a heisenberg or
     # level-1 check used to return one residual per color pair or per check
-    coarse = {**dict.fromkeys(HEISENBERG_RELATION_IDS, 3), "zalg2": 1, "zalg3": 1,
+    coarse = {**dict.fromkeys(HEISENBERG_IDS, 3), "zalg2": 1, "zalg3": 1,
               "zalg4": 1, "zalg5": 1, "l1_bracket_plus": 10, "l1_bracket_minus": 10,
               "l1_xpxp": 18, "l1_highest": 1, "l1_level": 1, "l1_phiphi_pm": 9}
-    reports = (fock_suite(P, 3, 0, max_size=2) + vector_suite(P, 3, 0)
-               + heisenberg_suite(P, "A2", degree=2, window=2)
-               + level1_suite(Params(seed=20240801), "A2", 0, degree=1, window=3))
+    reports = (_suite_run("fock") + _suite_run("vector") + _suite_run("heisenberg_A2")
+               + suite_reports("level1", Params(seed=20240801), ("A2", 0), (1, 3)))
     for r in reports:
         assert r.samples > coarse.get(r.relation_id, 0), r.relation_id
         assert len(r.worst_case) <= 100, r.worst_case
@@ -531,16 +535,17 @@ def test_reports_sample_finely_and_locate_the_worst_case():
 
 def test_suite_samples_with_params_seed(capsys):
     # the library suite and the CLI take the sampling seed from Params.seed alone
-    text = reports_to_json(fock_suite(Params(seed=5), 3, 0, max_size=2))
+    text = reports_to_json(suite_reports("fock", Params(seed=5), (3, 0), (2,)))
     assert cli.main(["verify", "fock", "--N", "3", "--max-size", "2",
                      "--seed", "5", "--json"]) == 0
     assert capsys.readouterr().out == text + "\n"
 
 
 def test_report_json_schema_and_determinism():
-    reports = run_suite(FockRep(P, 3, 0), ("xpxm", "kappa0"), 3)
+    reports = [run_relation(FockRep(P, 3, 0), rel_id, (3,)) for rel_id in ("xpxm", "kappa0")]
     text1 = reports_to_json(reports)
-    text2 = reports_to_json(run_suite(FockRep(P, 3, 0), ("xpxm", "kappa0"), 3))
+    text2 = reports_to_json([run_relation(FockRep(P, 3, 0), rel_id, (3,))
+                             for rel_id in ("xpxm", "kappa0")])
     assert text1 == text2  # identical config and seed: byte-identical output
     data = json.loads(text1)
     for row in data:
@@ -568,17 +573,15 @@ def test_vector_rep_xpxm_channels():
 
 def test_params_tol_is_the_only_gate():
     # residuals of ~1e-16 pass at the default 1e-8 and fail at 1e-30
-    strict = fock_suite(Params(tol=1e-30), 3, 0, max_size=2)
+    strict = suite_reports("fock", Params(tol=1e-30), (3, 0), (2,))
     assert any(r.status == "fail" and r.max_residual > 1e-30 for r in strict)
-    assert all(r.status == "pass" for r in fock_suite(P, 3, 0, max_size=2))
+    assert all(r.status == "pass" for r in _suite_run("fock"))
 
 
 def test_high_precision_reports_serialize():
     # mpmath scalars in params and residuals come out as plain JSON numbers
-    from eqtor.relcheck import heisenberg_suite
-
     hp = Params().with_precision(30)
-    reports = heisenberg_suite(hp, "A2", degree=1, window=1)
+    reports = suite_reports("heisenberg", hp, ("A2",), (1, 1))
     rows = json.loads(reports_to_json(reports))
     assert [r["status"] for r in rows] == ["pass"] * 16
     assert rows[0]["params"]["q"] == [float(hp.q.real), float(hp.q.imag)]
@@ -591,6 +594,13 @@ def test_fock_mutant_turns_red(rel_id, monkeypatch):
     assert_turns_red(rel_id, monkeypatch)
 
 
+@pytest.mark.parametrize("n, k", [(n, k) for n in (4, 5) for k in range(n)])
+def test_serre_minus_mutant_turns_red_at_every_n(n, k, monkeypatch):
+    # x-x-x- first reaches terms from N + 1 boxes, so serre_minus reads states that
+    # large; at a fixed 4 boxes it compared only empty sums for N >= 4 and stayed green
+    assert_turns_red("serre_minus", monkeypatch, SUITES["fock"].build(P, n, k), (2,))
+
+
 def test_mutant_table_covers_every_relation():
     # every relation that can fail has a mutant, and a structural one has none
     structural = {rid for rid, rel in _CHECKS.items() if rel.structural}
@@ -601,8 +611,7 @@ def test_mutant_table_covers_every_relation():
 @pytest.mark.parametrize("rel_id", [rid for rid, rel in _CHECKS.items() if rel.structural])
 def test_structural_relations_say_so(rel_id, monkeypatch):
     # a structural row compares nothing: it records one exact 0.0 and evaluates no theta
-    make, size = FRESH[_CHECKS[rel_id].handles[0]]
-    handle = make()
+    handle, size = fresh(_CHECKS[rel_id].handles[0])
 
     def no_theta(*args, **kwargs):
         raise RuntimeError("a structural relation evaluated a theta")
@@ -631,5 +640,5 @@ def test_traced_run_sees_every_layer_and_relation():
     unused = {name for name, calls in layers.items() if name.endswith(".calls") and not calls}
     # no production caller
     assert unused <= {"ellcore.ThetaRatioSpec.evaluate.calls"}
-    for rid in FOCK_RELATION_IDS + HEISENBERG_RELATION_IDS + LEVEL1_RELATION_IDS:
+    for rid in FOCK_RELATION_IDS + HEISENBERG_IDS + LEVEL1_IDS:
         assert f"relcheck.run_relation.{rid}.total_s" in layers, rid
