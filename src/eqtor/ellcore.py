@@ -7,11 +7,13 @@ Conventions used throughout:
     g_b(z; s)  = (s q^b z; s)_oo / (s q^{-b} z; s)_oo
     delta(z)   = sum_{n in Z} z^n
 
-All infinite products are truncated at ``terms`` factors, which every
-caller passes (the suites pass ``Params.trunc_M``, set by ``--terms``); the
-relative truncation error is O(|s|^terms).  Scalars are Python complex by
-default; passing mpmath numbers (see ``Params.with_precision``) switches the
-same code paths to arbitrary precision.
+Every infinite product runs exactly ``terms`` factors, and the series branch
+of g_b exactly ``terms`` orders, however small the last factor; every caller
+passes ``terms`` (the suites pass ``Params.trunc_M``, set by ``--terms``), so
+it is the one truncation, and the relative truncation error is
+O(|s|^terms).  Scalars are Python complex by default; passing mpmath numbers
+(see ``Params.with_precision``) switches the same code paths to arbitrary
+precision.
 """
 
 from __future__ import annotations
@@ -75,16 +77,9 @@ def qpoch(z, s, terms: int):
         raise ValueError("need |s| < 1")
     out = z * 0 + 1
     zs = z
-    if not isinstance(out, complex):  # mpmath: every factor, at the working precision
-        for _ in range(terms):
-            out = out * (1 - zs)
-            zs = zs * s
-        return out
     for _ in range(terms):
         out = out * (1 - zs)
         zs = zs * s
-        if abs(zs) < 1e-30:
-            break
     return out
 
 
@@ -126,8 +121,6 @@ def gkernel_branches(z, s, b: int, q, terms: int):
     for m in range(1, terms + 1):
         acc = acc - (q ** (b * m) - q ** (-b * m)) / (1 - s ** m) * szm / m
         szm = szm * sz
-        if isinstance(acc, complex) and abs(szm) < 1e-30:
-            break
     return scalar_exp(acc), pochhammer
 
 

@@ -127,20 +127,6 @@ class Level1Module:
     def highest_vector(self) -> ModuleVec:
         return LatticeVector.highest(self.data, self.fundamental), {VACUUM: 1.0 + 0j}
 
-    def degree(self, bst, lv: LatticeVector) -> int:
-        """Homogeneous grading, zero on the highest vector.
-
-        The z^{-n} mode of every current raises it by n, so the raising-side
-        modes (n >= 0 for x+, n > 0 for x- and the Heisenberg modes) never
-        lower it and the module is graded with finite-dimensional layers
-        bounded above by zero.
-        """
-        beta = lv.beta
-        quad = sum(beta[i] * self.data.a[i][j] * beta[j]
-                   for i in self.data.index_set for j in self.data.index_set)
-        lin = beta[lv.fundamental] if lv.fundamental != 0 else 0
-        return -state_degree(bst) - quad // 2 - lin
-
 
 # ---------------------------------------------------------------------------
 # Z-algebra relation checks at k = 1

@@ -107,25 +107,20 @@ class ColoredPartition:
     def _move(self, box: Box, sign: int) -> "ColoredPartition":
         """The partition with ``box`` added (sign +1) or removed (-1).
 
-        Inside a basis each move is made once and kept in its table; a box that
-        is not addable or not removable raises on every call.
+        Inside a basis the new shape is the basis's object; a box that is not
+        addable or not removable raises.
         """
-        ref = self.__dict__.get("_basis")
-        basis = ref() if ref is not None else None
-        if basis is not None:
-            lam = basis._moves.get((self.parts, box, sign))
-            if lam is not None:
-                return lam
         add, rem = boxes_by_color(self, self.content(box))
         if box not in (add if sign > 0 else rem):
             raise ValueError(f"{box} is not {'addable' if sign > 0 else 'removable'}")
         ps = list(self.parts) + [0] * (box[0] - len(self.parts))
         ps[box[0] - 1] += sign
         parts = tuple(p for p in ps if p)
+        ref = self.__dict__.get("_basis")
+        basis = ref() if ref is not None else None
         if basis is None:
             return ColoredPartition(parts, self.n_colors, self.root_color)
-        lam = basis._moves[self.parts, box, sign] = basis[parts]
-        return lam
+        return basis[parts]
 
 
 class Basis:
@@ -133,18 +128,17 @@ class Basis:
 
     Each partition it hands out refers to it weakly, and add_box and
     remove_box on that partition return this basis's object for the new
-    shape.  So the box tables, the hash of a shape and each box move are
-    computed once for as long as the basis lives, and its owner's end frees
-    every shape.  It holds combinatorics only: no parameter point,
-    coefficient or theta.
+    shape.  So the box tables and the hash of a shape are computed once for
+    as long as the basis lives, and its owner's end frees every shape.  A
+    move is not kept: one suite run's ActionTable asks for each ladder action
+    once.  It holds combinatorics only: no parameter point, coefficient or
+    theta.
     """
 
     def __init__(self, n_colors: int, root_color: int):
         self.n_colors = n_colors
         self.root_color = root_color
         self._shapes: dict[tuple[int, ...], ColoredPartition] = {}
-        # (parts, box, +1 to add or -1 to remove) -> the shape that move reaches
-        self._moves: dict[tuple, ColoredPartition] = {}
 
     def __getitem__(self, parts: tuple[int, ...]) -> ColoredPartition:
         lam = self._shapes.get(parts)

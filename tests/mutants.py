@@ -3,6 +3,9 @@
 Every relation that can fail has a mutant here, keyed by its registry id, and
 ``assert_turns_red`` runs it through ``run_relation`` on a fresh handle of
 its suite.  A structural relation (a registry row with a reason) has none.
+A VectorRep reads ``vector_rep_apply`` and its own ``kplus_exponent``, not the
+Fock functions the level-zero mutants patch, so where those would leave it
+green ``VECTOR_MUTANTS`` holds one that reaches it.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import eqtor.fock01 as fock01
 from eqtor import boson
 from eqtor.boson import BosonAlgebra
 from eqtor.ellcore import LAT_Q2, Params
-from eqtor.fock01 import FockRep, PhiAction
+from eqtor.fock01 import FockRep, PhiAction, VectorRep
 from eqtor.level1 import PHI_PHI_MODES, Level1Module
 from eqtor.relcheck import _CHECKS, SUITES, run_relation
 
@@ -45,7 +48,8 @@ def assert_turns_red(rel_id, monkeypatch, handle=None, size=None):
         handle, size = fresh(_CHECKS[rel_id].handles[0])
     clean = run_relation(handle, rel_id, size)
     assert clean.status == "pass", (clean.max_residual, clean.worst_case)
-    MUTANTS[rel_id](monkeypatch, handle)
+    own = VECTOR_MUTANTS if isinstance(handle, VectorRep) else {}
+    own.get(rel_id, MUTANTS[rel_id])(monkeypatch, handle)
     bad = run_relation(handle, rel_id, size)
     assert bad.status == "fail", (bad.max_residual, bad.worst_case)
 
@@ -103,6 +107,33 @@ def _extra_phi_shift(phi_action):
         act = phi_action(color, v, params)
         return PhiAction(act.spec, act.weight_shift.shifted(color, 0, 1))
     return mutant
+
+
+# -- the vector representation --------------------------------------------------
+
+def _vector(gen, make):
+    """Replace fock01.vector_rep_apply on generator ``gen`` by make(its action on gen),
+    with make one of the Fock wrappers above."""
+    def mutate(monkeypatch, rep):
+        apply = fock01.vector_rep_apply
+        mutant = make(lambda color, v, params: apply(gen, color, v, params))
+        monkeypatch.setattr(fock01, "vector_rep_apply", lambda g, color, v, params, *rest:
+                            mutant(color, v, params) if g == gen
+                            else apply(g, color, v, params, *rest))
+    return mutate
+
+
+def _times_u(apply_xplus):
+    # a ladder coefficient that reads the spectral parameter
+    return lambda color, v, params: [replace(t, coeff=t.coeff * params.u)
+                                     for t in apply_xplus(color, v, params)]
+
+
+def _abs_kplus_exponent(monkeypatch, rep):
+    # the -1 case of the constant part read as +1
+    kplus_exponent = VectorRep.kplus_exponent
+    monkeypatch.setattr(VectorRep, "kplus_exponent",
+                        lambda self, color, v: abs(kplus_exponent(self, color, v)))
 
 
 # -- the boson module -----------------------------------------------------------
@@ -232,4 +263,15 @@ MUTANTS = {
     "l1_highest": _lowered_z_plus_exponent,
     "l1_level": _level_exponent_off_by_one,
     "l1_phiphi_pm": _scaled_mode_bracket,
+}
+
+# registry id -> mutant(monkeypatch, handle) on a VectorRep, where the one in
+# MUTANTS patches a Fock function that a VectorRep does not call
+VECTOR_MUTANTS = {
+    "phixp": _vector("phi", _without_scalar),
+    "phixm": _vector("phi", _without_scalar),
+    "grading_gf": _vector("x+", _without_rq_shift),
+    "grading_gK": _vector("phi", _extra_phi_shift),
+    "dedf": _vector("x+", _times_u),
+    "kappa0": _abs_kplus_exponent,
 }

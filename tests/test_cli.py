@@ -118,6 +118,23 @@ def test_expand_pf_fails_when_nothing_is_compared(capsys, monkeypatch):
     assert "nothing was compared" in err
 
 
+def test_expand_pf_counts_the_instances_it_skips(capsys, monkeypatch):
+    # every third instance falls near a pole: the line counts it as skipped, and the
+    # max residual folds only the instances compared
+    pf_expand, calls = cli.pf_expand, []
+
+    def every_third_near_a_pole(*args):
+        calls.append(None)
+        if len(calls) % 3 == 1:
+            raise PoleProximityError("t collides with a pole")
+        return pf_expand(*args)
+    monkeypatch.setattr(cli, "pf_expand", every_third_near_a_pole)
+    code, out, _ = run(capsys, "expand", "pf", "--n", "2", "--samples", "5")
+    assert code == 0
+    assert out.startswith("33 balanced instances compared, 17 skipped near a pole; ")
+    assert float(out.strip().rsplit(" ", 1)[-1]) < 1e-9
+
+
 def test_verify_bad_parameter_regime(capsys):
     code, _, err = run(capsys, "verify", "fock", "--p", "0.95")
     assert code == 2
@@ -232,7 +249,7 @@ def test_report_csv(capsys, tmp_path):
     code, out, _ = run(capsys, "report", str(src), "--output", str(csv_path))
     assert code == 0
     lines = csv_path.read_text().strip().splitlines()
-    assert lines[0] == "relation_id,rep,samples,skipped,max_residual,status"
+    assert lines[0] == "relation_id,rep,samples,max_residual,status"
     assert len(lines) == 14
     assert "13/13 relations pass" in out
 
@@ -251,11 +268,11 @@ def test_report_csv_quotes_fields(capsys, tmp_path, suite):
     reports = json.loads(src.read_text())
     with open(csv_path, newline="") as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == ["relation_id", "rep", "samples", "skipped", "max_residual", "status"]
+    assert rows[0] == ["relation_id", "rep", "samples", "max_residual", "status"]
     assert len(rows) == len(reports) + 1
     for row, rpt in zip(rows[1:], reports):
-        assert len(row) == 6
-        assert (row[0], row[1], row[5]) == (rpt["relation_id"], rpt["rep"], rpt["status"])
+        assert len(row) == 5
+        assert (row[0], row[1], row[4]) == (rpt["relation_id"], rpt["rep"], rpt["status"])
         assert "," in row[1]
 
 
