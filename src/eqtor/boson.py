@@ -247,26 +247,23 @@ class BosonAlgebra:
             levels.append(acc)
         return levels
 
-    def _create(self, out: dict, key: tuple, vec: BosonVec, lo: int, hi: int, shift: int,
-                cap: int | None = None) -> None:
+    def _create(self, out: dict, key: tuple, vec: BosonVec, lo: int, hi: int,
+                shift: int) -> None:
         """out[t - shift] += the z^t terms (lo <= t <= hi) of the creator exponential on vec.
 
-        Output states above degree ``cap`` are dropped.  Each bucket adds the
-        terms of vec's states in vec's order, so every sum runs in the order of
-        a state-by-state loop; a key written for the first time holds its term.
+        Each bucket adds the terms of vec's states in vec's order, so every sum
+        runs in the order of a state-by-state loop; a key written for the first
+        time holds its term.
         """
         if not vec:
             return
         top = max(st & MAX_DEGREE for st in vec)
-        if (top + hi if cap is None else min(top + hi, cap)) > MAX_DEGREE:
+        if top + hi > MAX_DEGREE:
             raise DegreeOverflowError(f"degree {top} + {hi} exceeds {MAX_DEGREE}")
-        if cap is not None:
-            hi = min(hi, cap - min(st & MAX_DEGREE for st in vec))
         levels = self._creator_levels(key, hi)
         for t in range(lo, hi + 1):
             terms = levels[t].items()
-            todo = iter(vec.items() if cap is None else
-                        [(st, c) for st, c in vec.items() if st & MAX_DEGREE <= cap - t])
+            todo = iter(vec.items())
             tgt = out.get(t - shift)
             if tgt is None:  # a fresh bucket: the terms of one state never collide
                 st, c = next(todo)
@@ -279,12 +276,23 @@ class BosonAlgebra:
                     if old is not x:
                         tgt[s2] = old + x
 
-    def _translate(self, vec: BosonVec, key: tuple) -> dict[int, BosonVec]:
-        """The annihilator exponential on vec, keyed by the degree it removes."""
+    def _translate(self, vec: BosonVec, key: tuple, least: int) -> dict[int, BosonVec]:
+        """The terms of the annihilator exponential on vec that remove degree ``least`` or
+        more, keyed by the degree they remove.
+
+        Each state's product of binomials expands a field at a time, and a partial
+        product is dropped as soon as the degree it removes plus the degree of the
+        fields still to expand falls short of ``least``.  The terms kept are the
+        full expansion's, summed in its order, so each piece is bit for bit the
+        full expansion's; ``least`` 0 is the full expansion.
+        """
         shifts = self._shifts.setdefault(key, {})
         sign, prime, i = key
         out: dict[int, BosonVec] = {}
         for st, c in vec.items():
+            rest = st & MAX_DEGREE  # the degree of the fields still to expand
+            if rest < least:
+                continue
             terms = [(0, c)]  # (removed monomial, coefficient)
             for field, mult in _fields(st):
                 pairs = shifts.get((field, mult))
@@ -293,7 +301,14 @@ class BosonAlgebra:
                     x = self._exp_coef(sign, prime, m) * self.mode_commutator(i, m, d, -m)
                     pairs = shifts[field, mult] = [(k * mode_unit(d, m), comb(mult, k) * x ** k)
                                                    for k in range(mult + 1)]
-                terms = [(r + drop, w * x) for r, w in terms for drop, x in pairs]
+                if least:
+                    rest -= pairs[-1][0] & MAX_DEGREE
+                if least > rest:  # a partial product must remove least - rest by now
+                    short = least - rest
+                    terms = [(r2, w * x) for r, w in terms for drop, x in pairs
+                             if (r2 := r + drop) & MAX_DEGREE >= short]
+                else:
+                    terms = [(r + drop, w * x) for r, w in terms for drop, x in pairs]
             for r, w in terms:
                 tgt = out.get(r & MAX_DEGREE)
                 if tgt is None:  # not setdefault, which builds an empty dict per term
@@ -326,7 +341,7 @@ class BosonAlgebra:
         translate, create = parts
         scaled: dict[tuple[int, int], BosonVec] = {}
         for u, vec in table.items():
-            for t, v in (self._translate(vec, translate) if translate else {0: vec}).items():
+            for t, v in (self._translate(vec, translate, 0) if translate else {0: vec}).items():
                 if kernel is _UNIT_KERNEL:  # c * 1.0 == c: the vector goes in as it is
                     if abs(u) <= window:
                         scaled[u, -t] = v
@@ -344,20 +359,20 @@ class BosonAlgebra:
         return out
 
     def apply_current_boson(self, sign: int, i: int, vec: BosonVec,
-                            zmin: int, zmax: int, out_cap: int | None) -> dict[int, BosonVec]:
+                            zmin: int, zmax: int) -> dict[int, BosonVec]:
         """Boson factor of the level-k vertex current, exact on [zmin, zmax].
 
         x+ carries exp(+sum c_m a_{-m} z^m) exp(-sum c_m a_{m} z^{-m}); x-
         the primed mirror.  The group-algebra factor of the full current
         commutes with every dressing exponential and is handled elsewhere.
-        ``out_cap`` discards output states above that degree (matrix-element
-        targets of known degree never need them); None keeps every state.
+        A term that removes degree t lands at z-exponents t' - t with creator
+        powers t' >= 0, so the annihilator part expands only the terms that
+        remove at least -zmax.
         """
         prime = sign < 0
         out: dict[int, BosonVec] = {}
-        for tplus, v1 in self._translate(vec, (-sign, prime, i)).items():
-            self._create(out, (sign, prime, i), v1, max(0, zmin + tplus), zmax + tplus, tplus,
-                         out_cap)
+        for tplus, v1 in self._translate(vec, (-sign, prime, i), max(0, -zmax)).items():
+            self._create(out, (sign, prime, i), v1, max(0, zmin + tplus), zmax + tplus, tplus)
         return out
 
 
@@ -556,14 +571,17 @@ def _bracket_sides(alg: BosonAlgebra, i: int, m: int, coeff, op, vec: BosonVec,
     """(e, lhs, rhs) at z^e of [a_{i,m}, O(z)] vec = coeff z^m O(z) vec, for |e| <= ``window``.
 
     ``op`` applies O(z) to a boson vector as {z-exponent: vector}, exact at
-    every z^e and z^(e-m) with |e| <= ``window``, which the comparison reads;
-    ``op_vec`` is op(vec), which callers reuse over m.
+    every z^e with |e| <= ``window``, which the left side reads; ``op_vec`` is
+    O(z) vec, exact also at every z^(e-m), which the right side reads, and
+    callers reuse it over m.  The mode is applied at the compared exponents only.
     """
-    lhs = {ze: v2 for ze, v1 in op_vec.items() if (v2 := alg.apply_mode(i, m, v1))}
+    lhs = {ze: v2 for ze, v1 in op_vec.items()
+           if abs(ze) <= window and (v2 := alg.apply_mode(i, m, v1))}
     pre = alg.apply_mode(i, m, vec)
     if pre:
         for ze, v2 in op(pre).items():
-            accumulate(lhs.setdefault(ze, {}), v2, -1)
+            if abs(ze) <= window:
+                accumulate(lhs.setdefault(ze, {}), v2, -1)
     for ze in range(-window, window + 1):
         yield ze, lhs.get(ze, {}), {st: coeff * c for st, c in op_vec.get(ze - m, {}).items()}
 

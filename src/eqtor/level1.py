@@ -19,7 +19,7 @@ import random
 from typing import NamedTuple
 
 from .boson import (BosonAlgebra, BosonVec, VACUUM, accumulate, basis_states,
-                    mode_bracket_residual, state_degree, state_label, vector_residual)
+                    mode_bracket_residual, state_label, vector_residual)
 from .cartan import CartanData, Cocycle, DynWeight, cartan_data, graded
 from .ellcore import Params, pochratio_series, scalar_like, theta_coefficient
 
@@ -112,16 +112,17 @@ class Level1Module:
     # -- full currents on (boson Fock) x W ------------------------------------
 
     def current_apply(self, sign: int, i: int, lv: LatticeVector, vec: BosonVec,
-                      zmin: int, zmax: int, out_cap: int | None = None) -> dict[int, BosonVec]:
+                      zmin: int, zmax: int) -> dict[int, BosonVec]:
         """Vertex current on the module vector (lv, vec).
 
         Returns {z_exponent: boson vector}, all at the lattice vector
-        ``z_apply(sign, i, lv)[1]``; entries are exact for exponents in
-        [zmin, zmax].  ``out_cap`` bounds the boson degree of the output.
+        ``z_apply(sign, i, lv)[1]``, with entries at the exponents in [zmin,
+        zmax] only, each exact.  The output boson degree at z^e is the input
+        degree plus e minus the Z-exponent, so the window also bounds it.
         """
         exp0, _, cocy = self.z_apply(sign, i, lv)
         scaled = {bst: c * cocy for bst, c in vec.items()}
-        bmap = self.boson.apply_current_boson(sign, i, scaled, zmin - exp0, zmax - exp0, out_cap)
+        bmap = self.boson.apply_current_boson(sign, i, scaled, zmin - exp0, zmax - exp0)
         return {be + exp0: bv for be, bv in bmap.items()}
 
     def highest_vector(self) -> ModuleVec:
@@ -145,15 +146,20 @@ def check_zalg2(report, mod: Level1Module, samples: int, rng: random.Random,
     s = q ** 2  # q^{2k} at k = 1
     order = max(window, 3)
     data = mod.data
+    series = {}  # (i, j) -> the two sides' series, which read no vector
+    for i in data.index_set:
+        for j in data.index_set:
+            b, mm = data.b(i, j), data.m[i][j]
+            series[i, j] = (pochratio_series(q ** (-b) * kappa ** (-mm),
+                                             s * q ** b * kappa ** (-mm), s, order),
+                            pochratio_series(q ** (-b) * kappa ** mm,
+                                             s * q ** b * kappa ** mm, s, order))
     for v in mod.sample_vectors(samples, rng):
         for sign in (+1, -1):
             for i in data.index_set:
                 for j in data.index_set:
-                    b, mm = data.b(i, j), data.m[i][j]
-                    cl = pochratio_series(q ** (-b) * kappa ** (-mm),
-                                          s * q ** b * kappa ** (-mm), s, order)
-                    cr = pochratio_series(q ** (-b) * kappa ** mm,
-                                          s * q ** b * kappa ** mm, s, order)
+                    mm = data.m[i][j]
+                    cl, cr = series[i, j]
                     ew, v1, c1 = mod.z_apply(sign, j, v)
                     ez, v2, c2 = mod.z_apply(sign, i, v1)
                     ezb, v1b, c1b = mod.z_apply(sign, i, v)
@@ -182,14 +188,18 @@ def check_zalg3(report, mod: Level1Module, samples: int, rng: random.Random,
     s = q ** 2
     depth = 2 * window
     data = mod.data
+    series = {}  # (i, j) -> the two kernels' series, which read no vector
+    for i in data.index_set:
+        for j in data.index_set:
+            b, mm = data.b(i, j), data.m[i][j]
+            series[i, j] = (pochratio_series(q ** b * q * kappa ** (-mm),
+                                             q ** (-b) * q * kappa ** (-mm), s, depth),
+                            pochratio_series(q ** b * q * kappa ** mm,
+                                             q ** (-b) * q * kappa ** mm, s, depth))
     for v in mod.sample_vectors(samples, rng):
         for i in data.index_set:
             for j in data.index_set:
-                b, mm = data.b(i, j), data.m[i][j]
-                c1 = pochratio_series(q ** b * q * kappa ** (-mm),
-                                      q ** (-b) * q * kappa ** (-mm), s, depth)
-                c2 = pochratio_series(q ** b * q * kappa ** mm,
-                                      q ** (-b) * q * kappa ** mm, s, depth)
+                c1, c2 = series[i, j]
                 ew, v1, co1 = mod.z_apply(-1, j, v)
                 ez, v2, co2 = mod.z_apply(+1, i, v1)
                 ezb, v1b, co1b = mod.z_apply(+1, i, v)
@@ -344,7 +354,12 @@ def _vec_label(vec: ModuleVec) -> str:
 
 def check_mode_current_bracket(report, mod: Level1Module, i: int, j: int, sign: int,
                                vec: ModuleVec, window: int) -> None:
-    """[a_{i,m}, x+-_j(z)] = +-([b_ij m]/m) f(m) z^m x+-_j(z), one sample per (m, z^e)."""
+    """[a_{i,m}, x+-_j(z)] = +-([b_ij m]/m) f(m) z^m x+-_j(z), one sample per (m, z^e).
+
+    The comparison at z^e, |e| <= window, reads the current on the input at
+    z^e and z^(e-m), so that runs over the window widened by BRACKET_MODES,
+    and the current on each mode-shifted input at z^e only.
+    """
     alg = mod.boson
     params = mod.params
     q, kappa = params.q, params.kappa
@@ -353,9 +368,9 @@ def check_mode_current_bracket(report, mod: Level1Module, i: int, j: int, sign: 
     lv, bvec = vec
 
     def current(v: BosonVec) -> dict[int, BosonVec]:
-        return mod.current_apply(sign, j, lv, v, -wide, wide)
+        return mod.current_apply(sign, j, lv, v, -window, window)
 
-    cur = current(bvec)
+    cur = mod.current_apply(sign, j, lv, bvec, -wide, wide)
     for m in [x for x in range(-BRACKET_MODES, BRACKET_MODES + 1) if x != 0]:
         b, mm = data.b(i, j), data.m[i][j]
         if sign > 0:
@@ -379,6 +394,15 @@ def check_xx_quadratic_level1(report, mod: Level1Module, sign: int, vec: ModuleV
     a pair whose orderings reach different lattice vectors records 1.0.  The
     path of pair (i, j) that applies x_j first is the one pair (j, i)
     compares on its other side, so each ordered path is built once.
+
+    Cell (A, B), |A|, |B| <= window, reads each path at the exponents (e1, e2)
+    of its first and second current with e1 = B - n or A - n and e2 = A - 1 + n
+    or B - 1 + n, |n| <= L1_THETA_TERMS: e1 in [-wide, wide], e2 in
+    [-wide - 1, wide - 1] and e1 + e2 = A + B - 1 in the band [-2 window - 1,
+    2 window - 1], wide = window + L1_THETA_TERMS.  Each path is built on
+    exactly those exponents; the n = -L1_THETA_TERMS term of a cell A = -window
+    reads e2 = -wide - 1.  A path's output boson degree is the input degree plus
+    e1 + e2 minus its two Z-exponents, so the band also bounds the degree.
     """
     params = mod.params
     q, kappa = params.q, params.kappa
@@ -386,23 +410,21 @@ def check_xx_quadratic_level1(report, mod: Level1Module, sign: int, vec: ModuleV
     colors = data.index_set
     base = params.p_star if sign > 0 else params.p
     wide = window + L1_THETA_TERMS
+    low, high = -2 * window - 1, 2 * window - 1  # the band of e1 + e2
     lv, bvec = vec
-    # every entry read sits at z+w total <= 2*window - 1, where the boson
-    # degree is the input degree plus that total minus the two Z-exponents
-    # of the path
-    top = max(map(state_degree, bvec)) + 2 * window - 1
     # paths[a, c]: {(e_a, e_c): x_c(w_c) x_a(w_a) vec}, x_a applied first;
     # reach[a, c]: the lattice vector it lands on
     paths, reach = {}, {}
     for a in colors:
-        ea, lv_a, _ = mod.z_apply(sign, a, lv)
+        lv_a = mod.z_apply(sign, a, lv)[1]
         first = mod.current_apply(sign, a, lv, bvec, -wide, wide)
         for c in colors:
-            eac, reach[a, c], _ = mod.z_apply(sign, c, lv_a)
+            reach[a, c] = mod.z_apply(sign, c, lv_a)[1]
             paths[a, c] = {(e1, e2): v2
                            for e1, v1 in first.items()
-                           for e2, v2 in mod.current_apply(sign, c, lv_a, v1, -wide, wide,
-                                                           top - ea - eac).items()}
+                           for e2, v2 in mod.current_apply(
+                               sign, c, lv_a, v1, max(-wide - 1, low - e1),
+                               min(wide - 1, high - e1)).items()}
     ns = range(-L1_THETA_TERMS, L1_THETA_TERMS + 1)
     pp = params.nome_pochhammer(sign > 0)
     tns = [theta_coefficient(n, base, pp) for n in ns]
@@ -423,8 +445,11 @@ def check_xx_quadratic_level1(report, mod: Level1Module, sign: int, vec: ModuleV
                 for B in range(-window, window + 1):
                     accL, accR = {}, {}
                     for n, cl, cr in zip(ns, wl, wr):
-                        accumulate(accL, op1.get((B - n, A - 1 + n), {}), cl)
-                        accumulate(accR, op2.get((A - n, B - 1 + n), {}), cr)
+                        left, right = op1.get((B - n, A - 1 + n)), op2.get((A - n, B - 1 + n))
+                        if left:
+                            accumulate(accL, left, cl)
+                        if right:
+                            accumulate(accR, right, cr)
                     report.record(vector_residual(accL, accR),
                                   lambda: f"{_vec_label(vec)} i={i} j={j} A={A} B={B}")
 

@@ -99,7 +99,7 @@ class OracleBoson:
         coef = (lambda m: -flip * alg.ecoef(m) * (alg.prime_scale(m) if prime else 1.0))
         return self._exp_mode_series(vec, i, coef, creator=True, tmax=window)
 
-    def apply_current_boson(self, sign, i, vec, zmin, zmax, out_cap=None):
+    def apply_current_boson(self, sign, i, vec, zmin, zmax):
         alg = self.alg
         if sign > 0:
             cre = lambda m: alg.ecoef(m)
@@ -114,20 +114,13 @@ class OracleBoson:
             tminus_max = zmax + tplus
             if tminus_max < 0:
                 continue
-            buckets = {}
-            for st, c in v1.items():
-                buckets.setdefault(tuple_degree(st), {})[st] = c
-            for deg, bvec in buckets.items():
-                budget = tminus_max if out_cap is None else min(tminus_max, out_cap - deg)
-                if budget < 0:
-                    continue
-                up = self._exp_mode_series(bvec, i, cre, creator=True, tmax=budget)
-                for tminus, v2 in up.items():
-                    ze = tminus - tplus
-                    if zmin <= ze <= zmax:
-                        tgt = out.setdefault(ze, {})
-                        for st, c in v2.items():
-                            tgt[st] = tgt.get(st, 0j) + c
+            up = self._exp_mode_series(v1, i, cre, creator=True, tmax=tminus_max)
+            for tminus, v2 in up.items():
+                ze = tminus - tplus
+                if zmin <= ze <= zmax:
+                    tgt = out.setdefault(ze, {})
+                    for st, c in v2.items():
+                        tgt[st] = tgt.get(st, 0j) + c
         return out
 
 

@@ -201,8 +201,8 @@ def _drop_first_translation_terms(primed):
     def apply(monkeypatch, mod):
         translate = BosonAlgebra._translate
 
-        def mutant(self, vec, key):
-            out = translate(self, vec, key)
+        def mutant(self, vec, key, least):
+            out = translate(self, vec, key, least)
             if key[1] == primed:
                 out.pop(1, None)
             return out

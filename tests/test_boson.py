@@ -160,7 +160,7 @@ def full_product_kernel_side(rel, alg, i, j, vec, max_degree, window):
         sign = 1 if desc[0][1] == "+" else -1
         if desc[0][0] == "E":
             return alg.apply_E(sign, desc[1], color, v, window)
-        return alg.apply_current_boson(sign, color, v, lo, hi, None)
+        return alg.apply_current_boson(sign, color, v, lo, hi)
 
     rhs_op = {}
     for ze, v1 in apply(rel.left[0], i, vec, 2 * window).items():
@@ -194,7 +194,7 @@ def with_w_annihilator(alg, key, st, sides):
     ``sides`` maps each st' to its side, exact out to the w-reach window + max_degree.
     """
     out = {}
-    terms = alg._translate({st: 1.0 + 0j}, key) if key else {0: {st: 1.0 + 0j}}
+    terms = alg._translate({st: 1.0 + 0j}, key, 0) if key else {0: {st: 1.0 + 0j}}
     for t, vec in terms.items():
         for st2, c in vec.items():
             for A, row in sides[st2].items():
@@ -270,13 +270,13 @@ def scale_annihilator(monkeypatch, current, confined):
     translate = BosonAlgebra._translate
     annihilator = boson._parts((current,), 0)[0][:2]  # (sign, prime); any color
 
-    def scaled(self, vec, key):
+    def scaled(self, vec, key, least):
         if key[:2] != annihilator:
-            return translate(self, vec, key)
+            return translate(self, vec, key, least)
         hit = {st: c for st, c in vec.items()
                if not confined or (key[2], 3) in dict(state_modes(st))}
-        out = translate(self, {st: c for st, c in vec.items() if st not in hit}, key)
-        for t, v in translate(self, hit, key).items():
+        out = translate(self, {st: c for st, c in vec.items() if st not in hit}, key, least)
+        for t, v in translate(self, hit, key, least).items():
             accumulate(out.setdefault(t, {}), v, 1.01 ** t)
         return out
 
@@ -296,15 +296,15 @@ def test_current_annihilator_is_checked_against_E_minus(current, red, monkeypatc
 
 class PerTermAlgebra(BosonAlgebra):
     """The engine with the creator run one input term at a time, and the removed
-    monomials of the annihilator subtracted factor by factor."""
+    monomials of the annihilator subtracted factor by factor, every term expanded
+    and the pieces that remove less than ``least`` deleted at the end."""
 
-    def _create(self, out, key, vec, lo, hi, shift, cap=None):
+    def _create(self, out, key, vec, lo, hi, shift):
         for st, c in vec.items():
-            top = hi if cap is None else min(hi, cap - state_degree(st))
-            if state_degree(st) + top > MAX_DEGREE:
-                raise DegreeOverflowError(f"degree {state_degree(st)} + {top}")
-            levels = self._creator_levels(key, top)
-            for t in range(lo, top + 1):
+            if state_degree(st) + hi > MAX_DEGREE:
+                raise DegreeOverflowError(f"degree {state_degree(st)} + {hi}")
+            levels = self._creator_levels(key, hi)
+            for t in range(lo, hi + 1):
                 tgt = out.get(t - shift)
                 if tgt is None:
                     out[t - shift] = {st + a: c * w for a, w in levels[t].items()}
@@ -314,7 +314,7 @@ class PerTermAlgebra(BosonAlgebra):
                     s2 = st + a
                     tgt[s2] = get(s2, 0j) + c * w
 
-    def _translate(self, vec, key):
+    def _translate(self, vec, key, least):
         sign, prime, i = key
         out = {}
         for st, c in vec.items():
@@ -328,7 +328,7 @@ class PerTermAlgebra(BosonAlgebra):
             for s, w in terms:
                 tgt = out.setdefault(state_degree(st) - state_degree(s), {})
                 tgt[s] = tgt.get(s, 0j) + w
-        return out
+        return {t: v for t, v in out.items() if t >= least}
 
 
 def per_cell_residual(left, right):
@@ -380,17 +380,60 @@ def test_exchange_equals_per_term_path(data):
             assert got == want, (rel_id, i, j)
 
 
-@pytest.mark.parametrize("out_cap", [None, 4])
-def test_current_equals_per_term_path(out_cap):
+# windows of apply_current_boson; one with zmax < 0 prunes the annihilator expansion
+CURRENT_WINDOWS = [(-4, 3), (-5, -2)]
+
+
+@pytest.mark.parametrize("zmin,zmax", CURRENT_WINDOWS)
+def test_current_equals_per_term_path(zmin, zmax):
     alg, ref = make_alg(), PerTermAlgebra(A2, P1)
     for vec in ORACLE_VECS:
         for sign in (+1, -1):
             for i in (0, 1):
-                got = alg.apply_current_boson(sign, i, vec, -4, 3, out_cap)
-                want = ref.apply_current_boson(sign, i, vec, -4, 3, out_cap)
+                got = alg.apply_current_boson(sign, i, vec, zmin, zmax)
+                want = ref.apply_current_boson(sign, i, vec, zmin, zmax)
                 # the same entries, written in the same order
                 assert [(ze, list(v.items())) for ze, v in got.items()] == \
                     [(ze, list(v.items())) for ze, v in want.items()]
+
+
+# -- the pruned annihilator expansion and the current window -------------------
+
+def entries(table):
+    """A {key: vector} table as its entries in order, each coefficient as its repr."""
+    return [(key, [(st, repr(c)) for st, c in vec.items()]) for key, vec in table.items()]
+
+
+TRANSLATE_KEYS = [(sign, prime, i) for sign in (+1, -1) for prime in (False, True) for i in (0, 1)]
+
+
+def test_pruned_translate_is_the_full_expansion_cut_at_least():
+    # pruning drops only the pieces that remove less than ``least``: every piece
+    # kept has the same keys, in the same order, with the same bits
+    alg = make_alg()
+    tagged = next(boson._tagged_runs((0, 1), 3))[1]
+    for vec in [*ORACLE_VECS, tagged]:
+        top = max(map(state_degree, vec))
+        for key in TRANSLATE_KEYS:
+            full = alg._translate(vec, key, 0)
+            for least in range(top + 1):
+                want = {t: v for t, v in full.items() if t >= least}
+                assert entries(alg._translate(vec, key, least)) == entries(want), (key, least)
+
+
+@pytest.mark.parametrize("zmin,zmax", [(-4, 3), (-3, -1), (-6, -3), (1, 4), (0, 0)])
+def test_current_on_a_window_is_the_wide_run_restricted(zmin, zmax):
+    # a narrower window, zmax < 0 included, builds the wide run's entries in it:
+    # the same keys, in the same order, with the same bits
+    alg = make_alg()
+    tagged = next(boson._tagged_runs((0, 1), 3))[1]
+    for vec in [*ORACLE_VECS, tagged]:
+        for sign in (+1, -1):
+            for i in (0, 1):
+                wide = alg.apply_current_boson(sign, i, vec, -8, 8)
+                want = {e: v for e, v in wide.items() if zmin <= e <= zmax}
+                got = alg.apply_current_boson(sign, i, vec, zmin, zmax)
+                assert entries(got) == entries(want), (sign, i)
 
 
 @pytest.mark.parametrize("rel_id,i,j,max_degree,window,bad", [
@@ -486,10 +529,10 @@ def test_engine_matches_tuple_oracle(data):
                     args = (sign, family, i)
                     assert_matches_oracle(alg.apply_E(*args, vec, window),
                                           oracle.apply_E(*args, tvec, window))
-                for out_cap in (None, 4):
+                for zmin, zmax in CURRENT_WINDOWS:
                     assert_matches_oracle(
-                        alg.apply_current_boson(sign, i, vec, -4, 3, out_cap),
-                        oracle.apply_current_boson(sign, i, tvec, -4, 3, out_cap))
+                        alg.apply_current_boson(sign, i, vec, zmin, zmax),
+                        oracle.apply_current_boson(sign, i, tvec, zmin, zmax))
 
 
 # -- the tagged pass against the per-state loop -------------------------------

@@ -3,15 +3,16 @@ import random
 from math import isnan
 
 import pytest
-from collect import PairMax, checked, suite_reports
+from collect import Collecting, PairMax, checked, suite_reports
 from mutants import MUTANTS, assert_turns_red, scaled_last_mode_bracket
 
+from eqtor import boson
 from eqtor.boson import (VACUUM, BosonAlgebra, accumulate, basis_states, state_add_mode,
                          state_degree, vector_residual)
 from eqtor.cartan import Cocycle
 from eqtor.ellcore import ParameterError, Params, qpoch, theta_coefficient
-from eqtor.level1 import (L1_THETA_TERMS, PHI_PHI_MODES, LatticeVector, Level1Module,
-                          check_highest_weight, check_mode_current_bracket,
+from eqtor.level1 import (BRACKET_MODES, L1_THETA_TERMS, PHI_PHI_MODES, LatticeVector,
+                          Level1Module, check_highest_weight, check_mode_current_bracket,
                           check_phi_phi_level1, check_xx_quadratic_level1, check_zalgebra,
                           sample_module_vectors)
 from eqtor.relcheck import _suite_ids, run_relation
@@ -333,13 +334,13 @@ def test_degree_grading_shift():
 
 # -- current_apply against the per-monomial reference ------------------------
 
-def current_apply_per_monomial(mod, sign, i, lv, vec, zmin, zmax, out_cap=None):
+def current_apply_per_monomial(mod, sign, i, lv, vec, zmin, zmax):
     """The vertex current with one boson call per boson state."""
     exp0, _, cocy = mod.z_apply(sign, i, lv)
     out: dict = {}
     for bst, co in vec.items():
         bmap = mod.boson.apply_current_boson(sign, i, {bst: co * cocy},
-                                             zmin - exp0, zmax - exp0, out_cap)
+                                             zmin - exp0, zmax - exp0)
         for be, bvec in bmap.items():
             accumulate(out.setdefault(be + exp0, {}), bvec)
     return out
@@ -356,9 +357,10 @@ def test_current_apply_matches_per_monomial_reference(tag):
         vec = {st: complex(1 + n, 0.3 * k - 0.5 * n) for n, st in enumerate(states)}
         for sign in (+1, -1):
             for i in (0, 1):
-                for out_cap in (None, 4):
-                    got = mod.current_apply(sign, i, lv, vec, -4, 3, out_cap)
-                    want = current_apply_per_monomial(mod, sign, i, lv, vec, -4, 3, out_cap)
+                # the second window has zmax < 0, where the annihilator expansion prunes
+                for zmin, zmax in ((-4, 3), (-6, -2)):
+                    got = mod.current_apply(sign, i, lv, vec, zmin, zmax)
+                    want = current_apply_per_monomial(mod, sign, i, lv, vec, zmin, zmax)
                     assert set(got) == set(want)
                     for ze, wv in want.items():
                         assert set(got[ze]) == set(wv)
@@ -367,43 +369,129 @@ def test_current_apply_matches_per_monomial_reference(tag):
                                 (lv, ze, key, got[ze][key], c)
 
 
-# -- the degree cap of the quadratic current check ---------------------------
+# -- the exponents the level-1 checks build --------------------------------------
 
-def _counted_current_apply(monkeypatch, cap_shift=0):
-    """Wrap current_apply: count its output terms and widen any out_cap by cap_shift."""
+def _counted_current_apply(monkeypatch, widen=None):
+    """Wrap current_apply: count its output terms, and run every window ``widen``
+    maps to another on that one."""
     inner = Level1Module.current_apply
     terms = [0]
 
-    def counted(self, sign, i, lv, vec, zmin, zmax, out_cap=None):
-        if out_cap is not None:
-            out_cap += cap_shift
-        out = inner(self, sign, i, lv, vec, zmin, zmax, out_cap)
+    def counted(self, sign, i, lv, vec, zmin, zmax):
+        if widen is not None:
+            zmin, zmax = widen(zmin, zmax)
+        out = inner(self, sign, i, lv, vec, zmin, zmax)
         terms[0] += sum(len(v) for v in out.values())
         return out
     monkeypatch.setattr(Level1Module, "current_apply", counted)
     return terms
 
 
-def test_xx_quadratic_cap_drops_nothing_read(monkeypatch):
-    # the per-path cap discards only states the comparison never reads: six
-    # more degrees must leave every residual bit-identical
-    mod = module()
+def _quadratic_cases(mod):
     sampled = sample_module_vectors(mod, 2, 4, random.Random(1))[1]
-    lv, _ = sampled
-    assert any(lv.beta)
-    cases = [(sign, vec) for vec in (mod.highest_vector(), sampled) for sign in (+1, -1)]
+    assert any(sampled[0].beta)
+    return [(sign, vec) for vec in (mod.highest_vector(), sampled) for sign in (+1, -1)]
 
-    def residuals(cap_shift):
+
+def test_xx_quadratic_band_drops_nothing_read(monkeypatch):
+    # the second current runs on the band of e1 + e2 the cells read; running it
+    # on the whole of [-wide - 1, wide] must leave every residual bit-identical
+    mod, window = module(), 2
+    wide = window + L1_THETA_TERMS
+    cases = _quadratic_cases(mod)
+
+    def residuals(widen):
         with monkeypatch.context() as m:
-            terms = _counted_current_apply(m, cap_shift)
-            res = [PairMax(check_xx_quadratic_level1, mod, sign, vec, window=2).pairs
+            terms = _counted_current_apply(m, widen)
+            res = [PairMax(check_xx_quadratic_level1, mod, sign, vec, window=window).pairs
                    for sign, vec in cases]
         return res, terms[0]
 
-    tight, tight_terms = residuals(0)
-    loose, loose_terms = residuals(6)
-    assert loose_terms > tight_terms  # the cap binds
-    assert tight == loose
+    band, band_terms = residuals(None)
+    # the first current runs on [-wide, wide], every second one on less
+    full, full_terms = residuals(lambda lo, hi: (lo, hi) if (lo, hi) == (-wide, wide)
+                                 else (-wide - 1, wide))
+    assert full_terms > band_terms  # the band binds
+    assert band == full
+
+
+def test_xx_quadratic_builds_every_entry_its_cells_read(monkeypatch):
+    # every (e1, e2) a cell sum reads, e1 = B - n and e2 = A - 1 + n, lies in
+    # the window of the first current and of the second current run on its e1
+    mod, window = module(), 2
+    wide = window + L1_THETA_TERMS
+    inner = Level1Module.current_apply
+    for sign, (lv, bvec) in _quadratic_cases(mod):
+        # first color -> (window, output); (second color, (first color, e1)) -> window
+        firsts, seconds = {}, {}
+
+        def recording(self, sgn, i, lv_in, vec, zmin, zmax):
+            out = inner(self, sgn, i, lv_in, vec, zmin, zmax)
+            if vec is bvec:
+                firsts[i] = ((zmin, zmax), out)
+            else:
+                (start,) = [(a, e) for a, (_, first) in firsts.items()
+                            for e, v in first.items() if v is vec]
+                seconds[i, start] = (zmin, zmax)
+            return out
+        with monkeypatch.context() as m:
+            m.setattr(Level1Module, "current_apply", recording)
+            check_xx_quadratic_level1(Collecting(), mod, sign, (lv, bvec), window)
+        assert {w for w, _ in firsts.values()} == {(-wide, wide)}
+        ns = range(-L1_THETA_TERMS, L1_THETA_TERMS + 1)
+        for a, (_, first) in firsts.items():
+            for c in mod.data.index_set:
+                for A in range(-window, window + 1):
+                    for B in range(-window, window + 1):
+                        for n in ns:
+                            e1, e2 = B - n, A - 1 + n
+                            assert -wide <= e1 <= wide
+                            if e1 in first:
+                                lo, hi = seconds[c, (a, e1)]
+                                assert lo <= e2 <= hi, (a, c, e1, e2, lo, hi)
+
+
+def test_xx_quadratic_at_the_far_point_reads_its_boundary_cells():
+    # the boundary cells' n = -L1_THETA_TERMS terms are built and summed; without
+    # them l1_xpxp read 8.2e-11 at this point (worst cell A=-2 B=2)
+    params = Params(q=0.6 + 0.1j, kappa=1.2 + 0.1j, p=0.1 + 0j)
+    report = run_relation(Level1Module.make("A2", 0, params), "l1_xpxp", (2, 6))
+    assert report.samples > 0 and report.max_residual < 1e-12, report.max_residual
+
+
+def test_mode_bracket_builds_only_the_compared_exponents(monkeypatch):
+    # applying the mode at every exponent of the current, and running the
+    # current on the mode-shifted vector over the input's [-wide, wide] too,
+    # must leave every residual bit-identical
+    mod, window = module(), 3
+    wide = window + BRACKET_MODES
+    vec = sample_module_vectors(mod, 2, 4, random.Random(1))[-1]
+
+    def all_sides(alg, i, m, coeff, op, bvec, op_vec, window):
+        lhs = {ze: v2 for ze, v1 in op_vec.items() if (v2 := alg.apply_mode(i, m, v1))}
+        pre = alg.apply_mode(i, m, bvec)
+        if pre:
+            for ze, v2 in op(pre).items():
+                accumulate(lhs.setdefault(ze, {}), v2, -1)
+        for ze in range(-window, window + 1):
+            yield ze, lhs.get(ze, {}), {st: coeff * c for st, c in op_vec.get(ze - m, {}).items()}
+
+    def residuals():
+        out = []
+        for sign in (+1, -1):
+            for pair in ((0, 1), (1, 1), (2, 0)):
+                for v in (mod.highest_vector(), vec):
+                    out.append(checked(check_mode_current_bracket, mod, *pair, sign, v,
+                                       window).to_json_dict())
+        return out
+
+    narrow = residuals()
+    with monkeypatch.context() as m:
+        m.setattr(boson, "_bracket_sides", all_sides)
+        terms = _counted_current_apply(m, lambda lo, hi: (-wide, wide))
+        wide_runs = residuals()
+    assert narrow == wide_runs
+    assert terms[0] > 0
 
 
 # -- all color pairs of the quadratic check against the per-pair reference ---
@@ -417,21 +505,17 @@ def xx_quadratic_per_pair(mod, sign, i, j, vec, window):
     base = params.p_star if sign > 0 else params.p
     wide = window + L1_THETA_TERMS
     lv, bvec = vec
-    ej, lv_j, _ = mod.z_apply(sign, j, lv)
-    eji, lv_ji, _ = mod.z_apply(sign, i, lv_j)
-    ei, lv_i, _ = mod.z_apply(sign, i, lv)
-    eij, lv_ij, _ = mod.z_apply(sign, j, lv_i)
+    lv_j, lv_i = mod.z_apply(sign, j, lv)[1], mod.z_apply(sign, i, lv)[1]
+    lv_ji, lv_ij = mod.z_apply(sign, i, lv_j)[1], mod.z_apply(sign, j, lv_i)[1]
     if lv_ji != lv_ij:
         return 1.0
-    top = max(map(state_degree, bvec)) + 2 * window - 1
+    # the second current reaches one exponent further down, to A - 1 - L1_THETA_TERMS
     op1 = {(ze, we): v2
            for we, v1 in mod.current_apply(sign, j, lv, bvec, -wide, wide).items()
-           for ze, v2 in mod.current_apply(sign, i, lv_j, v1, -wide, wide,
-                                           top - ej - eji).items()}
+           for ze, v2 in mod.current_apply(sign, i, lv_j, v1, -wide - 1, wide).items()}
     op2 = {(ze, we): v2
            for ze, v1 in mod.current_apply(sign, i, lv, bvec, -wide, wide).items()
-           for we, v2 in mod.current_apply(sign, j, lv_i, v1, -wide, wide,
-                                           top - ei - eij).items()}
+           for we, v2 in mod.current_apply(sign, j, lv_i, v1, -wide - 1, wide).items()}
     cc1 = q ** b * kappa ** (-mm)
     cc2 = q ** b * kappa ** mm
     ns = range(-L1_THETA_TERMS, L1_THETA_TERMS + 1)
@@ -509,7 +593,8 @@ def test_z_images_are_built_once(monkeypatch):
 
 
 def test_level1_suite_cost_does_not_track_the_sample(monkeypatch):
-    # the quadratic check caps each path by its own input, so the
+    # the quadratic check builds each path on the band of exponents its cells
+    # read, which bounds the output degree by the path's own input, so the
     # current_apply output per suite run stays within 3x over the sampled
     # vectors of seeds 11-14
     terms = _counted_current_apply(monkeypatch)
@@ -547,8 +632,8 @@ def test_nan_on_the_highest_vector_is_not_killed(monkeypatch):
     # x+ leaves a NaN at z^0 of the highest vector, where it must give zero
     current_apply = Level1Module.current_apply
 
-    def mutant(self, sign, i, lv, vec, zmin, zmax, out_cap=None):
-        return {**current_apply(self, sign, i, lv, vec, zmin, zmax, out_cap),
+    def mutant(self, sign, i, lv, vec, zmin, zmax):
+        return {**current_apply(self, sign, i, lv, vec, zmin, zmax),
                 0: {VACUUM: complex("nan")}}
     monkeypatch.setattr(Level1Module, "current_apply", mutant)
     assert isnan(checked(check_highest_weight, module(), window=3).max_residual)
