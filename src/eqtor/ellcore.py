@@ -281,7 +281,8 @@ class Params:
             raise ParameterError(f"tol must be finite and positive, got {self.tol}")
         q2 = abs(self.q) ** 2
         if not abs(self.p) < min(1.0, q2):
-            raise ParameterError(f"|p|={abs(self.p):.4g} outside the admissible regime |p| < |q|^2")
+            raise ParameterError(f"|p|={float(abs(self.p)):.4g} outside the admissible regime "
+                                 "|p| < |q|^2")
         if not abs(self.p_star) < min(1.0, q2):
             raise ParameterError("|p q^(-2 level_k)| outside the admissible regime")
         for n in range(0, _GENERICITY_RANGE + 1):

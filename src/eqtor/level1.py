@@ -481,7 +481,8 @@ def check_highest_weight(report, mod: Level1Module, window: int) -> None:
             e, _, cocycle = mod.z_apply(sign, i, lv)
             c = mod.current_apply(sign, i, lv, v, e, e).get(e, {}).get(VACUUM, 0j)
             report.record(abs(c - cocycle) / (1 + abs(c)), lambda: (
-                f"{name} z^{e} state={state_label(VACUUM)}: {c:.6g}, cocycle {cocycle:.6g}"))
+                f"{name} z^{e} state={state_label(VACUUM)}: {complex(c):.6g}, "
+                f"cocycle {complex(cocycle):.6g}"))
 
 
 def check_level(report, mod: Level1Module, samples: int, rng: random.Random) -> None:

@@ -3,14 +3,16 @@
 Every check evaluates both sides of a defining relation on a set of basis
 states, substitutes the delta support of each action term into the
 prefactors, and compares the two sides termwise on canonical (state, support)
-keys.  Every check, here and in the boson and level-1 modules, takes the
-report of its relation as its first argument, records each sample into it
-with a label made only when the sample becomes the worst, and returns
-nothing.  RelationReport.record is the one fold: the max over samples, and
-a NaN anywhere is the worst case, so its report fails.  Labels locate the
-sample in at most 100 characters: a Fock state by its partition, a vector
-state as [u]_j, a support by its kappa, q, u exponents, a boson state by
-its modes, a lattice vector by its beta.  Every check with two sides
+keys; the level-zero tables key a state by its shape, the state without its
+weight, since every entry of one table has the same weight.  Every check,
+here and in the boson and level-1 modules, takes the report of its relation
+as its first argument, records each sample into it with a label made only
+when the sample becomes the worst, and returns nothing.
+RelationReport.record is the one fold: the max over samples, and a NaN
+anywhere is the worst case, so its report fails.  Labels locate the sample
+in at most 100 characters: a Fock state or shape by its partition, a vector
+state or shape as [u]_j, a support by its kappa, q, u exponents, a boson
+state by its modes, a lattice vector by its beta.  Every check with two sides
 compares entries by |l - r| / (1 + |l|); the Serre sums read
 |sum| / (1 + the largest entry or term).  The level-0
 phi-phi exchanges compare nothing and record one exact 0.0 (_PHI_PHI_REASON
@@ -30,12 +32,14 @@ lives; the handle keeps its state lists.  Pure-function caches keep what
 reads only immutable arguments: cartan.graded, DynWeight.zero and the box
 supports.  One suite run keeps the module actions: run_suite builds one
 ActionTable, which asks the module for the ladder terms of every color once
-per (sign, partition) and for phi once per (color, partition), hands it to
-every check of the suite and drops it on return.  run_relation alone, and a
-check called directly with a handle, build their own table, so a module
-patched between two runs of one handle is read afresh; a table kept on the
-handle would hand the second run the first run's terms.  Serre kernels and
-Serre chains are memoized for one check and dropped when it returns.
+per (sign, shape) and for phi once per (color, shape), each on the state of
+that shape at weight zero, so it builds no row at another weight; it hands
+the table to every check of the suite and drops it on return.  run_relation
+alone, and a check called directly with a handle, build their own table, so
+a module patched between two runs of one handle is read afresh; a table kept
+on the handle would hand the second run the first run's terms.  Serre
+kernels and Serre chains are memoized for one check and dropped when it
+returns.
 
 One registry, ``_CHECKS``, maps every relation id of the fock, vector,
 heisenberg and level1 suites to its row: the handle classes whose suites run
@@ -59,7 +63,7 @@ from itertools import product
 from .boson import BosonAlgebra, EXCHANGE_IDS, check_exchange
 from .cartan import DynWeight, cartan_data
 from .ellcore import DeltaTerm, Lat, Params, gkernel, phi_delta_difference
-from .fock01 import FockRep, VectorBasis, VectorRep
+from .fock01 import FockRep, VectorRep
 from .level1 import (L1_THETA_TERMS, PHI_PHI_MODES, Level1Module, check_highest_weight,
                      check_level, check_mode_current_bracket, check_phi_phi_level1,
                      check_xx_quadratic_level1, check_zalgebra, sample_module_vectors,
@@ -109,16 +113,29 @@ class RelationReport:
                 "status": self.status, "notes": self.notes}
 
 
+def _shape(v) -> tuple:
+    """A basis state without its weight: every state type keeps its weight last."""
+    return v[:-1]
+
+
+def _at_zero(v):
+    """The state of v's shape at weight zero."""
+    return v._replace(weight=DynWeight.zero(len(v.weight.root)))
+
+
 class ActionTable:
     """The ladder and phi actions of one handle, each asked of its module once.
 
     x+-_j adds or removes a box of color j with a coefficient that reads the
     partition alone, and shifts the weight of the state by the generator's
-    grading; phi_j reads the partition alone.  So the table asks the handle
-    for the ladder terms of every color once per (sign, state at weight zero)
-    and for phi_j once per (color, state at weight zero).  A state of another
-    weight reads the same terms with each image's weight shifted by its own,
-    a row built once per (sign, state).
+    grading; phi_j reads the partition alone.  So the table keeps one row
+    per (sign, shape) and one per shape, the shape being the state without
+    its weight: the module's terms on the state of that shape at weight zero.
+    A row's payload weights are thus the generator's shift from weight zero,
+    whatever the weight of the state it is read at.  The level-zero checks
+    key their tables by shape, and every entry of one table has the same
+    weight, so no sum reads a weight; a check that needs an absolute weight
+    reads it at a weight-zero state, and every ``states()`` list is one.
 
     run_suite builds one table for the relations of its handle and drops it
     when they return; run_relation alone, and a level-zero check called with
@@ -129,42 +146,29 @@ class ActionTable:
 
     def __init__(self, rep):
         self.rep = rep
-        self._ladders: dict = {}  # (sign, state) -> per color, the ladder terms on it
-        self._phis: dict = {}     # state without its weight -> per color, phi_j on it
-        self._sums: dict = {}     # (weight, image weight at zero) -> their sum
+        self._ladders: dict = {}  # (sign, shape) -> per color, the ladder terms at weight zero
+        self._phis: dict = {}     # shape -> per color, phi_j at weight zero
 
     def ladders(self, sign: int, v) -> list[list[DeltaTerm]]:
-        """The terms of x+_j (sign +1) or x-_j (-1) on v, for every color j."""
-        row = self._ladders.get((sign, v))
+        """The terms of x+_j (sign +1) or x-_j (-1) on v's shape at weight zero, for every
+        color j."""
+        key = (sign, _shape(v))
+        row = self._ladders.get(key)
         if row is None:
-            weight = v.weight
-            zero = DynWeight.zero(len(weight.root))
-            if weight == zero:
-                row = [self.rep.x(sign, color, v) for color in self.rep.colors()]
-            else:
-                row = [[DeltaTerm(t.support, t.coeff,
-                                  t.payload._replace(weight=self._sum(weight, t.payload.weight)))
-                        for t in terms]
-                       for terms in self.ladders(sign, v._replace(weight=zero))]
-            self._ladders[sign, v] = row
+            at_zero = _at_zero(v)
+            row = self._ladders[key] = [self.rep.x(sign, color, at_zero)
+                                        for color in self.rep.colors()]
         return row
-
-    def _sum(self, weight, shift):
-        """weight + shift, added once per pair: the few weights a run meets recur."""
-        total = self._sums.get((weight, shift))
-        if total is None:
-            total = self._sums[weight, shift] = weight + shift
-        return total
 
     def x(self, sign: int, color: int, v) -> list[DeltaTerm]:
         return self.ladders(sign, v)[color]
 
     def phis(self, v) -> list:
         """phi_j on v, for every color j: PhiActions, read at v's shape alone."""
-        shape = v[:-1]  # every state type keeps its weight last
+        shape = _shape(v)
         row = self._phis.get(shape)
         if row is None:
-            at_zero = v._replace(weight=DynWeight.zero(len(v.weight.root)))
+            at_zero = _at_zero(v)
             row = self._phis[shape] = [self.rep.phi(color, at_zero)
                                        for color in self.rep.colors()]
         return row
@@ -183,10 +187,12 @@ def _accumulate(table: dict, key, value: complex) -> None:
 
 
 def _name(x) -> str:
-    """A basis state by its partition or vector index, a support by its kappa, q, u exponents."""
+    """A basis state or its shape by its partition or vector index, a support by its
+    kappa, q, u exponents."""
     if isinstance(x, Lat):
         return f"k{x.kappa_e}q{x.q_e}u{x.u_e}"
-    return f"[u]_{x.index}" if isinstance(x, VectorBasis) else str(x.partition)
+    head = x[0]  # a Fock state starts with its partition, a vector state with its index
+    return f"[u]_{head}" if isinstance(head, int) else str(head)
 
 
 def _compare_tables(lhs: dict, rhs: dict, report: RelationReport,
@@ -213,10 +219,10 @@ def check_quadratic(report: RelationReport, rep, sign: int, states) -> None:
     two-step paths are walked once: a path that applies color a and then
     color c fills the lhs table of (i, j) = (c, a), where x_j(w) acts first,
     and the rhs table of (a, c), where x_i(z) does.  A color pair that no path
-    reaches compares nothing.  The second step reads the action table at a
-    state of nonzero weight, which the table serves by shifting the weight
-    of the terms it built at weight zero: x+-_j moves a box with a
-    coefficient that reads the partition alone.
+    reaches compares nothing.  Each table keys its entries by the shape of
+    the output state: every path of one (i, j) table adds the same weight,
+    the shifts of x_i and x_j, and the action table's rows carry weights
+    relative to zero, so the shape is all a key can tell apart.
     """
     acts = _actions(rep)
     rep = acts.rep
@@ -250,10 +256,11 @@ def check_quadratic(report: RelationReport, rep, sign: int, states) -> None:
                         ratio = s1 / s2
                         # lhs of (c, a): z = s2, w = s1
                         pref = at_s2 * params.theta_lat(ratio * shift_l)
-                        _accumulate(left, (t2.payload, s2, s1), pref * t2.coeff * t1.coeff)
+                        shape = _shape(t2.payload)
+                        _accumulate(left, (shape, s2, s1), pref * t2.coeff * t1.coeff)
                         # rhs of (a, c): z = s1, w = s2
                         pref = scale_r * at_s2 * params.theta_lat(ratio * shift_r)
-                        _accumulate(right, (t2.payload, s1, s2), pref * t1.coeff * t2.coeff)
+                        _accumulate(right, (shape, s1, s2), pref * t1.coeff * t2.coeff)
         for i, j in shifts:
             if (i, j) in lhs or (i, j) in rhs:
                 _compare_tables(lhs.get((i, j), {}), rhs.get((i, j), {}), report,
@@ -269,42 +276,44 @@ def check_xpxm(report: RelationReport, rep, states) -> None:
     Each state's minus-plus paths (x-_j, then x+_i) are walked once, then its
     plus-minus paths (x+_i, then x-_j), each filling the commutator table of
     its (i, j); a color pair that no path reaches and whose diagonal side is
-    empty compares nothing.  As in check_quadratic, the second step reads the
-    action table's weight-shifted terms.
+    empty compares nothing.  As in check_quadratic, the entries are keyed by
+    the shape of the output state.  The weight lives at table level: the
+    first path of a diagonal table adds the weight of its two steps, read from
+    the module's terms, and where phi_i's shift differs from it the diagonal
+    side keys apart, by the state at its own weight, so its table fails.
     """
     acts = _actions(rep)
     rep = acts.rep
     params = rep.params
     q = params.q
     for v in states:
-        lhs: dict = {}  # (i, j) -> its commutator table
-        for a, first in enumerate(acts.ladders(-1, v)):
-            for tw in first:
-                for c, second in enumerate(acts.ladders(+1, tw.payload)):
-                    if not second:
-                        continue
-                    table = lhs.setdefault((c, a), {})
-                    for tz in second:
-                        _accumulate(table, (tz.payload, tz.support, tw.support),
-                                    tz.coeff * tw.coeff)
-        for a, first in enumerate(acts.ladders(+1, v)):
-            for tz in first:
-                for c, second in enumerate(acts.ladders(-1, tz.payload)):
-                    if not second:
-                        continue
-                    table = lhs.setdefault((a, c), {})
-                    for tw in second:
-                        _accumulate(table, (tw.payload, tz.support, tw.support),
-                                    -tz.coeff * tw.coeff)
+        lhs: dict = {}    # (i, j) -> its commutator table
+        added: dict = {}  # i -> the weight the paths of the diagonal table (i, i) add
+        # the minus-plus paths (x-_j, then x+_i), then the plus-minus ones (x+_i, then x-_j)
+        for sign in (-1, +1):
+            for a, first in enumerate(acts.ladders(sign, v)):
+                for t1 in first:
+                    for c, second in enumerate(acts.ladders(-sign, t1.payload)):
+                        if not second:
+                            continue
+                        ij = (c, a) if sign < 0 else (a, c)
+                        table = lhs.get(ij)
+                        if table is None:
+                            table = lhs[ij] = {}
+                            if c == a:
+                                added[a] = t1.payload.weight + second[0].payload.weight
+                        for t2 in second:
+                            z, w = (t2, t1) if sign < 0 else (t1, t2)
+                            _accumulate(table, (_shape(t2.payload), z.support, w.support),
+                                        (z.coeff if sign < 0 else -z.coeff) * w.coeff)
         for i in rep.colors():
             for j in rep.colors():
                 rhs: dict = {}
                 if i == j:
                     act = acts.phi(i, v)
-                    diag_payload = v._replace(weight=v.weight + act.weight_shift)
+                    at = _shape(v) if added.get(i, act.weight_shift) == act.weight_shift else v
                     for support, coeff in phi_delta_difference(act.spec, params):
-                        _accumulate(rhs, (diag_payload, support, support),
-                                    coeff / (q - 1 / q))
+                        _accumulate(rhs, (at, support, support), coeff / (q - 1 / q))
                 if rhs or (i, j) in lhs:
                     _compare_tables(lhs.get((i, j), {}), rhs, report,
                                     lambda: f"{report.relation_id} i={i} j={j} state={_name(v)}")
@@ -383,7 +392,8 @@ def check_serre(report: RelationReport, rep, sign: int, states) -> None:
     The antisymmetrized sum over orderings of two same-color currents around
     one adjacent-color current, weighted by the analytic branch of the
     structure kernels, must cancel termwise; vanishing theta prefactors on
-    the support lattice are exact.
+    the support lattice are exact.  Every word applies the same three
+    currents, so the terms are keyed by the shape of the output state.
     """
     acts = _actions(rep)
     rep = acts.rep
@@ -428,7 +438,7 @@ def check_serre(report: RelationReport, rep, sign: int, states) -> None:
                             pref *= gker((sw / at[k]) * twist_l, b_ij)
                         for k in range(r + 1, len(word)):
                             pref *= gker((at[k] / sw) * twist_r, b_ij)
-                        _accumulate(total, (state, at[z0], at[z1], sw), pref * co)
+                        _accumulate(total, (_shape(state), at[z0], at[z1], sw), pref * co)
                 scale = max(abs(c) for c in total.values()) if total else 0.0
                 for val in total.values():
                     report.record(abs(val) / (1 + scale),

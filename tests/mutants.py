@@ -48,10 +48,15 @@ def assert_turns_red(rel_id, monkeypatch, handle=None, size=None):
         handle, size = fresh(_CHECKS[rel_id].handles[0])
     clean = run_relation(handle, rel_id, size)
     assert clean.status == "pass", (clean.max_residual, clean.worst_case)
-    own = VECTOR_MUTANTS if isinstance(handle, VectorRep) else {}
-    own.get(rel_id, MUTANTS[rel_id])(monkeypatch, handle)
+    mutate(rel_id, monkeypatch, handle)
     bad = run_relation(handle, rel_id, size)
     assert bad.status == "fail", (bad.max_residual, bad.worst_case)
+
+
+def mutate(rel_id, monkeypatch, handle):
+    """Apply the mutant of rel_id that reaches the handle: VECTOR_MUTANTS' on a VectorRep."""
+    own = VECTOR_MUTANTS if isinstance(handle, VectorRep) else {}
+    own.get(rel_id, MUTANTS[rel_id])(monkeypatch, handle)
 
 
 # -- the Fock module ------------------------------------------------------------

@@ -292,6 +292,15 @@ def test_params_validation():
     assert abs(p1.p_star - p1.p * p1.q ** -2) < 1e-16
 
 
+def test_parameter_error_names_a_high_precision_nome():
+    # |p| of an mpmath point is formatted as a float: the same error, word for word
+    import mpmath
+    for scalar in (complex, mpmath.mpc):
+        with pytest.raises(ParameterError) as err:
+            Params(q=scalar(0.9), p=scalar(0.9))
+        assert str(err.value) == "|p|=0.9 outside the admissible regime |p| < |q|^2"
+
+
 def test_theta_cache_not_shared_after_replace():
     lat = Lat(1, 2, 1)
     P.theta_lat(lat)  # fill the original's cache first

@@ -142,21 +142,38 @@ def test_highest_weight_annihilation():
         assert checked(check_highest_weight, mod, window=5).max_residual == 0.0
 
 
-def test_highest_weight_compares_the_lowest_coefficient(monkeypatch):
-    # a current scaled by 1.01 still has no terms below its lowest exponent;
-    # only the vacuum coefficient there, against z_apply's cocycle, sees it
-    mod = module()
-    assert run_relation(mod, "l1_highest", (1, 3)).status == "pass"
+def _highest_under_scaled_currents(mod, monkeypatch):
+    """l1_highest on mod, clean and with every current scaled by 1.01."""
+    clean = run_relation(mod, "l1_highest", (1, 3))
     current_apply = Level1Module.current_apply
 
     def mutant(self, *args, **kwargs):
         return {ze: {st: 1.01 * c for st, c in bv.items()}
                 for ze, bv in current_apply(self, *args, **kwargs).items()}
     monkeypatch.setattr(Level1Module, "current_apply", mutant)
-    bad = run_relation(mod, "l1_highest", (1, 3))
+    return clean, run_relation(mod, "l1_highest", (1, 3))
+
+
+def test_highest_weight_compares_the_lowest_coefficient(monkeypatch):
+    # a current scaled by 1.01 still has no terms below its lowest exponent;
+    # only the vacuum coefficient there, against z_apply's cocycle, sees it
+    clean, bad = _highest_under_scaled_currents(module(), monkeypatch)
+    assert clean.status == "pass"
     assert bad.status == "fail"
     assert abs(bad.max_residual - 0.01 / 2.01) < 1e-12, bad.max_residual
-    assert bad.worst_case.startswith("x+_0 z^1 state="), bad.worst_case
+    assert bad.worst_case == "x+_0 z^1 state=vac: 1.01+0j, cocycle 1+0j", bad.worst_case
+
+
+def test_highest_weight_labels_a_40_digit_failure(monkeypatch):
+    # the label formats the coefficient and the cocycle as complex numbers, so a
+    # failing 40-digit run reports the text of a double-precision one
+    import mpmath
+    monkeypatch.setattr(mpmath.mp, "dps", mpmath.mp.dps)  # restored after the test
+    clean, bad = _highest_under_scaled_currents(
+        Level1Module.make("A2", 0, P.with_precision(40)), monkeypatch)
+    assert clean.status == "pass"
+    assert bad.status == "fail"
+    assert bad.worst_case == "x+_0 z^1 state=vac: 1.01+0j, cocycle 1+0j", bad.worst_case
 
 
 def test_current_leading_exponent():

@@ -16,7 +16,8 @@ from pathlib import Path
 
 import pytest
 from collect import checked, suite_reports
-from mutants import MUTANTS, VECTOR_MUTANTS, assert_turns_red, fresh, moved_numerator_shift
+from mutants import (MUTANTS, VECTOR_MUTANTS, assert_turns_red, fresh, moved_numerator_shift,
+                     mutate)
 
 import eqtor.ellcore as ellcore
 import eqtor.fock01 as fock01
@@ -425,10 +426,11 @@ def test_one_suite_asks_the_module_once_per_action(monkeypatch):
     assert len(phi_calls) > 100 and set(phi_calls.values()) == {1}
 
 
-def test_table_terms_are_the_module_terms_at_every_weight(monkeypatch):
+def test_table_rows_are_the_module_terms_at_weight_zero(monkeypatch):
     # on every state a fock3k0 suite reaches, at every weight up to two ladder steps
-    # from zero, the table's shifted terms are the module's on that weighted state,
-    # bit for bit, and its phi actions too
+    # from zero, the table serves the module's terms and phi actions on the state of
+    # that shape at weight zero, bit for bit, and asks the module for x once per
+    # (sign, color, shape)
     reached = set()
     x = FockRep.x
 
@@ -439,19 +441,27 @@ def test_table_terms_are_the_module_terms_at_every_weight(monkeypatch):
     monkeypatch.setattr(FockRep, "x", spy)
     rep = FockRep(replace(P), 3, 0)
     assert all(r.status == "pass" for r in run_suite(rep, (4,)))
-    monkeypatch.undo()
+    asked = Counter()
+
+    def counted(self, sign, color, v):
+        asked[sign, color, v.partition] += 1
+        return x(self, sign, color, v)
+
+    monkeypatch.setattr(FockRep, "x", counted)
     steps = [(sign, color) for sign in (+1, -1) for color in rep.colors()]
     zero = DynWeight.zero(3)
     one = {graded(zero, *step) for step in steps}
     weights = {zero} | one | {graded(w, *step) for w in one for step in steps}
     table = ActionTable(rep)
     for lam in sorted(reached, key=lambda lam: lam.parts):
+        at_zero = FockBasisVector(lam, zero)
         for weight in weights:
             v = FockBasisVector(lam, weight)
             for color in rep.colors():
-                assert table.x(+1, color, v) == apply_xplus(color, v, rep.params)
-                assert table.x(-1, color, v) == apply_xminus(color, v, rep.params)
-                assert table.phi(color, v) == phi_action(color, v, rep.params)
+                assert table.x(+1, color, v) == apply_xplus(color, at_zero, rep.params)
+                assert table.x(-1, color, v) == apply_xminus(color, at_zero, rep.params)
+                assert table.phi(color, v) == phi_action(color, at_zero, rep.params)
+    assert len(asked) == 2 * 3 * len(reached) and set(asked.values()) == {1}
     assert len(reached) > 20 and len(weights) > 10
 
 
@@ -608,6 +618,40 @@ def test_high_precision_reports_serialize():
 @pytest.mark.parametrize("rel_id", [r for r in FOCK_RELATION_IDS if r in MUTANTS])
 def test_fock_mutant_turns_red(rel_id, monkeypatch):
     assert_turns_red(rel_id, monkeypatch)
+
+
+# level-zero mutant id -> the relations of a suite that fail under it, on every
+# handle of MUTANT_HANDLES (a vector suite runs no Serre relation).  A mutant that
+# moves the grading of x+ or of phi also fails xpxm, whose diagonal compares the
+# weight its paths add with phi's shift.
+RED_UNDER = {
+    "xpxp": {"xpxp", "xmxm", "phixp", "phixm", "serre_plus", "serre_minus"},
+    "xmxm": {"xpxp", "xmxm", "phixp", "phixm", "serre_plus", "serre_minus"},
+    "xpxm": {"xpxm"},
+    "phixp": {"phixp", "phixm", "xpxm"},
+    "phixm": {"phixp", "phixm", "xpxm"},
+    "serre_plus": {"serre_plus", "xpxm", "xpxp"},
+    "serre_minus": {"serre_minus", "xpxm"},
+    "grading_gf": {"grading_gf", "xpxm"},
+    "grading_gK": {"grading_gK", "xpxm"},
+    "dedf": {"dedf", "xpxm"},
+    "kappa0": {"kappa0"},
+}
+MUTANT_HANDLES = [("fock", (3, 0), (2,)), ("fock", (4, 1), (2,)), ("vector", (3, 0), ())]
+
+
+@pytest.mark.parametrize("suite, options, size", MUTANT_HANDLES)
+def test_mutant_red_matrix(suite, options, size, monkeypatch):
+    # each level-zero mutant fails exactly the reports of RED_UNDER in a suite run,
+    # and the clean suite passes
+    ids = _suite_ids(SUITES[suite].handle)
+    assert all(r.status == "pass" for r in run_suite(SUITES[suite].build(P, *options), size))
+    for rel_id in (r for r in ids if r in MUTANTS):
+        handle = SUITES[suite].build(P, *options)
+        mutate(rel_id, monkeypatch, handle)
+        failed = {r.relation_id for r in run_suite(handle, size) if r.status == "fail"}
+        monkeypatch.undo()
+        assert failed == RED_UNDER[rel_id] & set(ids), rel_id
 
 
 @pytest.mark.parametrize("n, k", [(n, k) for n in (4, 5) for k in range(n)])
