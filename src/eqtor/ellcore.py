@@ -115,13 +115,8 @@ def gkernel_branches(z, s, b: int, q, terms: int):
     ``terms`` and ``pochhammer`` is (s q^b z;s)_oo/(s q^{-b} z;s)_oo.
     """
     pochhammer = gkernel(z, s, b, q, terms)
-    acc = z * 0
-    sz = s * z
-    szm = sz
-    for m in range(1, terms + 1):
-        acc = acc - (q ** (b * m) - q ** (-b * m)) / (1 - s ** m) * szm / m
-        szm = szm * sz
-    return scalar_exp(acc), pochhammer
+    logc = poch_log_coefficients([(s * q ** b * z, s * q ** (-b) * z, s)], terms)
+    return scalar_exp(sum(logc)), pochhammer
 
 
 def gkernel(z, s, b: int, q, terms: int):
@@ -140,13 +135,12 @@ def pochratio_series(a, b, s, order: int) -> list:
     return poch_pairs_series([(a, b, s)], order)
 
 
-def poch_pairs_series(pairs: Sequence[tuple], order: int) -> list:
-    """Series coefficients of a product of Pochhammer ratios.
+def poch_log_coefficients(pairs: Sequence[tuple], order: int) -> list:
+    """x^m coefficients c_0..c_order of the log of a product of Pochhammer ratios.
 
-    ``pairs`` lists (a, b, s) factors (a x; s)_oo / (b x; s)_oo.
+    ``pairs`` lists (a, b, s) factors (a x; s)_oo / (b x; s)_oo, and
+    c_m = -sum (a^m - b^m) / (m (1 - s^m)) is a closed form; c_0 = 0.
     """
-    if order < 0:
-        raise ValueError("order must be >= 0")
     logc = [0j] * (order + 1)
     for a, b, s in pairs:
         am, bm = a, b
@@ -154,6 +148,18 @@ def poch_pairs_series(pairs: Sequence[tuple], order: int) -> list:
             logc[m] += -(am - bm) / (m * (1 - s ** m))
             am = am * a
             bm = bm * b
+    return logc
+
+
+def poch_pairs_series(pairs: Sequence[tuple], order: int) -> list:
+    """Series coefficients of a product of Pochhammer ratios.
+
+    ``pairs`` lists (a, b, s) factors (a x; s)_oo / (b x; s)_oo; the series
+    exponentiates poch_log_coefficients.
+    """
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    logc = poch_log_coefficients(pairs, order)
     out = [0j] * (order + 1)
     out[0] = 1.0 + 0j
     for n in range(1, order + 1):

@@ -95,12 +95,6 @@ def phi_action(color: int, v: FockBasisVector, params: Params) -> PhiAction:
     return PhiAction(ThetaRatioSpec(tuple(numer), tuple(denom), scalar), shift)
 
 
-def kplus_exponent(v: FockBasisVector, color: int) -> int:
-    """q-exponent of the constant part of the diagonal current: |R_j| - |A_j|."""
-    add, rem = boxes_by_color(v.partition, color)
-    return len(rem) - len(add)
-
-
 # ---------------------------------------------------------------------------
 # vector representation
 # ---------------------------------------------------------------------------
@@ -287,9 +281,6 @@ class FockRep:
     def phi(self, color: int, v: FockBasisVector) -> PhiAction:
         return phi_action(color, v, self.params)
 
-    def kplus_exponent(self, color: int, v: FockBasisVector) -> int:
-        return kplus_exponent(v, color)
-
     def describe(self) -> str:
         return f"fock(N={self.n_colors}, k={self.root_color})"
 
@@ -322,14 +313,6 @@ class VectorRep:
 
     def phi(self, color: int, v: VectorBasis) -> PhiAction:
         return vector_rep_apply("phi", color, v, self.params)
-
-    def kplus_exponent(self, color: int, v: VectorBasis) -> int:
-        n, k = self.n_colors, self.root_color
-        if (color + v.index) % n == k % n:
-            return 1
-        if (color + v.index + 1) % n == k % n:
-            return -1
-        return 0
 
     def describe(self) -> str:
         return f"vector(N={self.n_colors}, k={self.root_color}, |j|<={self.MAX_INDEX})"

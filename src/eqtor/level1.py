@@ -21,7 +21,8 @@ from typing import NamedTuple
 from .boson import (BosonAlgebra, BosonVec, VACUUM, accumulate, basis_states,
                     mode_bracket_residual, state_label, vector_residual)
 from .cartan import CartanData, Cocycle, DynWeight, cartan_data, graded
-from .ellcore import Params, pochratio_series, scalar_like, theta_coefficient
+from .ellcore import (Params, poch_log_coefficients, pochratio_series, scalar_like,
+                      theta_coefficient)
 
 
 class LatticeVector(NamedTuple):
@@ -510,22 +511,22 @@ def check_phi_phi_level1(report, mod: Level1Module, i: int, j: int) -> None:
     every m.  One sample per m = 1..PHI_PHI_MODES and side.
     """
     params = mod.params
-    q, kappa, p = params.q, params.kappa, params.p
+    q, kappa, p, ps = params.q, params.kappa, params.p, params.p_star
     k = 1
     b, mm = mod.data.b(i, j), mod.data.m[i][j]
-    # (y, s, power) of each factor theta_s(y x)^power of the multiplier
-    thetas = ((q ** (b + k) * kappa ** (-mm), p, 1),
-              (q ** (-b - k) * kappa ** (-mm), params.p_star, 1),
-              (q ** (k - b) * kappa ** (-mm), p, -1),
-              (q ** (b - k) * kappa ** (-mm), params.p_star, -1))
+    # the multiplier's theta_s(y x) over theta_s(w x), per nome; theta_s(y x) =
+    # (y x; s)_oo (s/(y x); s)_oo, so its log is two Pochhammer ratios, in x and in 1/x
+    y_p, y_ps = q ** (b + k) * kappa ** (-mm), q ** (-b - k) * kappa ** (-mm)
+    w_p, w_ps = q ** (k - b) * kappa ** (-mm), q ** (b - k) * kappa ** (-mm)
+    plus = poch_log_coefficients([(y_p, w_p, p), (y_ps, w_ps, ps)], PHI_PHI_MODES)
+    minus = poch_log_coefficients([(p / y_p, p / w_p, p), (ps / y_ps, ps / w_ps, ps)],
+                                  PHI_PHI_MODES)
     for m in range(1, PHI_PHI_MODES + 1):
         lift = (q - 1 / q) ** 2 / (1 - p ** m) ** 2
         # (x^m, x^-m) coefficients of the kernel's logarithm and of the multiplier's
-        sides = ((-lift * mod.boson.mode_commutator(i, m, j, -m) * q ** (k * m),
-                  -sum(power * y ** m / (1 - s ** m) for y, s, power in thetas) / m,
+        sides = ((-lift * mod.boson.mode_commutator(i, m, j, -m) * q ** (k * m), plus[m],
                   f"z^{-m} w^{m}"),
                  (lift * mod.boson.mode_commutator(j, m, i, -m) * p ** (2 * m) * q ** (-k * m),
-                  -sum(power * (s / y) ** m / (1 - s ** m) for y, s, power in thetas) / m,
-                  f"z^{m} w^{-m}"))
+                  minus[m], f"z^{m} w^{-m}"))
         for kernel, mult, where in sides:
             report.record(abs(kernel - mult) / (1 + abs(kernel)), lambda: f"i={i} j={j} {where}")

@@ -21,6 +21,10 @@ they evaluate no theta (check_phi_x says why that is the whole identity).
 Every argument a check meets lies on the exact support lattice, so no
 relation check skips a sample, and a report counts none.
 
+A level-zero check reads the module only through the x and phi rows of its
+ActionTable (dedf also reads the x action of the shifted handle it builds), so
+a fault in a module action reaches every check that reads it.
+
 Each derived value is built once and kept where its life matches what it
 reads.  The Params instance keeps what reads only the parameter point:
 theta_lat's values by lattice point, the vertex constants and (p;p)_oo, so
@@ -62,7 +66,7 @@ from itertools import product
 
 from .boson import BosonAlgebra, EXCHANGE_IDS, check_exchange
 from .cartan import DynWeight, cartan_data
-from .ellcore import DeltaTerm, Lat, Params, gkernel, phi_delta_difference
+from .ellcore import BalanceError, DeltaTerm, Lat, Params, gkernel, phi_delta_difference
 from .fock01 import FockRep, VectorRep
 from .level1 import (L1_THETA_TERMS, PHI_PHI_MODES, Level1Module, check_highest_weight,
                      check_level, check_mode_current_bracket, check_phi_phi_level1,
@@ -525,10 +529,16 @@ def check_dedf(report: RelationReport, rep, states) -> None:
 
 
 def check_kappa0(report: RelationReport, rep, states) -> None:
-    """Product of the diagonal constant parts: exact integer exponent count."""
-    expected = rep.kappa0_exponent
+    """prod_j K+_j acts by q^{kappa0_exponent}, read off the phi rows: exact integers.
+
+    K+_j is the constant part q^{-M_j} of phi_j's theta ratio, M_j its balance
+    exponent (numer / denom = q^{2 M_j}), since each factor theta(a/z) / theta(b/z),
+    a/b = q^{-+2}, carries q^{+-1}.  Each state records |-sum_j M_j - kappa0_exponent|.
+    """
+    acts = _actions(rep)
+    expected = acts.rep.kappa0_exponent
     for v in states:
-        total = sum(rep.kplus_exponent(j, v) for j in rep.colors())
+        total = -sum(act.spec.balance_exponent() for act in acts.phis(v))
         report.record(float(abs(total - expected)),
                       lambda: f"{report.relation_id} state={_name(v)}")
 
@@ -655,8 +665,7 @@ _CHECKS = {
     "grading_gK": Relation(_LEVEL0, lambda t, r, size:
                            check_grading(r, t, "gK", t.rep.states(*size))),
     "dedf": Relation(_LEVEL0, lambda t, r, size: check_dedf(r, t, t.rep.states(*size))),
-    "kappa0": Relation(_LEVEL0, lambda t, r, size: check_kappa0(
-        r, t.rep, t.rep.states(*[min(s + 2, 8) for s in size]))),
+    "kappa0": Relation(_LEVEL0, lambda t, r, size: check_kappa0(r, t, t.rep.states(*size))),
     **{f"heis_{n:02d}": Relation((BosonAlgebra,), _exchange(n)) for n in EXCHANGE_IDS},
     "zalg1": Relation((Level1Module,), _zalgebra,
                       "structural: z_apply ignores the boson state, so both orderings "
@@ -725,12 +734,12 @@ def run_relation(handle, rel_id: str, size: tuple) -> RelationReport:
     relations of one.  A handle alone gets a table of its own, so a module
     patched between two runs of a relation is read afresh.  ``size`` is the
     tuple of the values of its suite's sizes (``SUITES``): (max_size,), the
-    largest partition size of the basis states, for a FockRep (Serre and
-    kappa0 size their own), () for a VectorRep's one finite basis, and
-    (degree, window) for a BosonAlgebra or a Level1Module.  An
-    ArithmeticError inside the check (an overflow at a parameter point the
-    check's series do not reach) ends the check with a NaN sample labelled by
-    the exception, so the report fails.
+    largest partition size of the basis states, for a FockRep (Serre sizes
+    its own), () for a VectorRep's one finite basis, and (degree, window) for
+    a BosonAlgebra or a Level1Module.  An ArithmeticError inside the check (an
+    overflow at a parameter point the check's series do not reach) ends the
+    check with a NaN sample labelled by the exception, so the report fails.  So
+    does a BalanceError, which reads exact lattice shifts: a module fault, never the point's.
     """
     table = _actions(handle)
     handle = table.rep
@@ -745,7 +754,7 @@ def run_relation(handle, rel_id: str, size: tuple) -> RelationReport:
     report = RelationReport(rel_id, handle.describe(), handle.params, notes=relation.structural)
     try:
         relation.check(table if isinstance(handle, _LEVEL0) else handle, report, size)
-    except ArithmeticError as exc:
+    except (ArithmeticError, BalanceError) as exc:
         report.record(math.nan, f"{rel_id}: {type(exc).__name__}: {exc}")
     return report
 

@@ -3,9 +3,9 @@
 Every relation that can fail has a mutant here, keyed by its registry id, and
 ``assert_turns_red`` runs it through ``run_relation`` on a fresh handle of
 its suite.  A structural relation (a registry row with a reason) has none.
-A VectorRep reads ``vector_rep_apply`` and its own ``kplus_exponent``, not the
-Fock functions the level-zero mutants patch, so where those would leave it
-green ``VECTOR_MUTANTS`` holds one that reaches it.
+A VectorRep reads ``vector_rep_apply``, not the Fock functions the
+level-zero mutants patch, so where those would leave it green
+``VECTOR_MUTANTS`` holds one that reaches it.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import replace
 import eqtor.fock01 as fock01
 from eqtor import boson
 from eqtor.boson import BosonAlgebra
-from eqtor.ellcore import LAT_Q2, Params
+from eqtor.ellcore import LAT_Q2, Lat, Params
 from eqtor.fock01 import FockRep, PhiAction, VectorRep
 from eqtor.level1 import PHI_PHI_MODES, Level1Module
 from eqtor.relcheck import _CHECKS, SUITES, run_relation
@@ -80,19 +80,25 @@ def _without_scalar(phi_action):
     return mutant
 
 
-def moved_numerator_shift(monkeypatch, rep):
-    # the first numerator shift of every Fock eigenvalue moved by q^2, its scalar
-    # kept: the eigenvalue's divisor moves and its constant does not
-    phi_action = fock01.phi_action
+def _moved_shift(by):
+    # the first numerator shift of every eigenvalue moved by the lattice point
+    # ``by``, its scalar kept: the eigenvalue's divisor moves and its scalar does not
+    def wrap(phi_action):
+        def mutant(color, v, params):
+            act = phi_action(color, v, params)
+            numer = act.spec.numer_shifts
+            if not numer:
+                return act
+            spec = replace(act.spec, numer_shifts=(numer[0] * by,) + numer[1:])
+            return PhiAction(spec, act.weight_shift)
+        return mutant
+    return wrap
 
-    def mutant(color, v, params):
-        act = phi_action(color, v, params)
-        numer = act.spec.numer_shifts
-        if not numer:
-            return act
-        spec = replace(act.spec, numer_shifts=(numer[0] * LAT_Q2,) + numer[1:])
-        return PhiAction(spec, act.weight_shift)
-    monkeypatch.setattr(fock01, "phi_action", mutant)
+
+# moved by q^2 the ratio stays balanced, and its balance exponent, the
+# q-exponent of K+ that kappa0 reads, goes up by one; moved by q it is unbalanced
+moved_numerator_shift = _wrap("phi_action", _moved_shift(LAT_Q2))
+unbalanced_numerator_shift = _wrap("phi_action", _moved_shift(Lat(q_e=1)))
 
 
 def _by_length(coeff):
@@ -132,13 +138,6 @@ def _times_u(apply_xplus):
     # a ladder coefficient that reads the spectral parameter
     return lambda color, v, params: [replace(t, coeff=t.coeff * params.u)
                                      for t in apply_xplus(color, v, params)]
-
-
-def _abs_kplus_exponent(monkeypatch, rep):
-    # the -1 case of the constant part read as +1
-    kplus_exponent = VectorRep.kplus_exponent
-    monkeypatch.setattr(VectorRep, "kplus_exponent",
-                        lambda self, color, v: abs(kplus_exponent(self, color, v)))
 
 
 # -- the boson module -----------------------------------------------------------
@@ -215,9 +214,11 @@ def _drop_first_translation_terms(primed):
     return apply
 
 
-def _level_exponent_off_by_one(monkeypatch, mod):
-    level_exponent = Level1Module.level_exponent
-    monkeypatch.setattr(Level1Module, "level_exponent", lambda self: 1 + level_exponent(self))
+def _pairing_off_by_one(monkeypatch, mod):
+    # <beta + flam_a, h_i> one higher on every lattice vector: the pairing that
+    # z_apply reads for the z-exponent and l1_level sums
+    pair_h = Level1Module.pair_h
+    monkeypatch.setattr(Level1Module, "pair_h", lambda self, v, i: 1 + pair_h(self, v, i))
 
 
 def _scaled_mode_bracket(monkeypatch, mod):
@@ -248,8 +249,7 @@ MUTANTS = {
     "grading_gK": _wrap("phi_action", _extra_phi_shift),
     "dedf": _wrap("coeff_plus", lambda f: lambda lam, box, color, params:
                   f(lam, box, color, params) * params.u),
-    "kappa0": _wrap("kplus_exponent", lambda f: lambda v, color:
-                    len(fock01.boxes_by_color(v.partition, color)[1])),
+    "kappa0": moved_numerator_shift,
     "heis_01": _row(1, _swap_coefficient), "heis_02": _scaled("ecoef"),
     "heis_03": _row(3, _swap_coefficient), "heis_04": _scaled("prime_scale"),
     "heis_05": _row(5, _invert_first_pair), "heis_06": _scaled("prime_scale"),
@@ -266,7 +266,7 @@ MUTANTS = {
     "l1_bracket_minus": _drop_first_translation_terms(True),
     "l1_xpxp": _cocycle_on_odd_beta0,
     "l1_highest": _lowered_z_plus_exponent,
-    "l1_level": _level_exponent_off_by_one,
+    "l1_level": _pairing_off_by_one,
     "l1_phiphi_pm": _scaled_mode_bracket,
 }
 
@@ -278,5 +278,5 @@ VECTOR_MUTANTS = {
     "grading_gf": _vector("x+", _without_rq_shift),
     "grading_gK": _vector("phi", _extra_phi_shift),
     "dedf": _vector("x+", _times_u),
-    "kappa0": _abs_kplus_exponent,
+    "kappa0": _vector("phi", _moved_shift(LAT_Q2)),
 }

@@ -6,10 +6,10 @@ from row_oracle import phi_action_rows, vertex_constant_product
 from eqtor.cartan import DynWeight
 from eqtor.ellcore import Lat, Params
 from eqtor.fock01 import (FockBasisVector, FockRep, VectorBasis, VectorRep,
-                          apply_xminus, apply_xplus, kplus_exponent, phi_action,
+                          apply_xminus, apply_xplus, phi_action,
                           tensor_apply, vector_rep_apply, vertex_constant)
 from eqtor.level1 import LatticeVector
-from eqtor.partitions import ColoredPartition, partitions_up_to
+from eqtor.partitions import ColoredPartition, boxes_by_color, partitions_up_to
 
 P = Params()
 
@@ -98,9 +98,18 @@ def test_phi_on_vacuum_is_lowest_weight():
 
 
 def test_kplus_product_exponent():
+    # phi_j's ratio balances to q^{2M_j} with M_j = |A_j| - |R_j|, its scalar is
+    # q^{-M_j}, and prod_j K+_j = q^{-sum_j M_j} = q^{-1} on every state
     for parts in partitions_up_to(8):
         v = state(parts)
-        assert sum(kplus_exponent(v, j) for j in range(3)) == -1
+        total = 0
+        for j in range(3):
+            add, rem = boxes_by_color(v.partition, j)
+            spec = phi_action(j, v, P).spec
+            assert spec.balance_exponent() == len(add) - len(rem)
+            assert spec.scalar_prefactor == P.q ** -spec.balance_exponent()
+            total -= spec.balance_exponent()
+        assert total == FockRep.kappa0_exponent == -1
 
 
 def test_phi_row_vs_box_forms():
@@ -207,7 +216,5 @@ def test_weight_bookkeeping_shifts():
 def test_rep_handles():
     rep = FockRep(P, 3, 0)
     assert len(rep.states(3)) == len(partitions_up_to(3))
-    assert rep.kplus_exponent(0, vac()) == -1
     vrep = VectorRep(P, 3, 0)
     assert len(vrep.states()) == 9  # |j| <= VectorRep.MAX_INDEX = 4
-    assert sum(vrep.kplus_exponent(j, VectorBasis(0, 3, 0)) for j in range(3)) == 0

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 from collect import checked, suite_reports
 from mutants import (MUTANTS, VECTOR_MUTANTS, assert_turns_red, fresh, moved_numerator_shift,
-                     mutate)
+                     mutate, unbalanced_numerator_shift)
 
 import eqtor.ellcore as ellcore
 import eqtor.fock01 as fock01
@@ -623,7 +623,8 @@ def test_fock_mutant_turns_red(rel_id, monkeypatch):
 # level-zero mutant id -> the relations of a suite that fail under it, on every
 # handle of MUTANT_HANDLES (a vector suite runs no Serre relation).  A mutant that
 # moves the grading of x+ or of phi also fails xpxm, whose diagonal compares the
-# weight its paths add with phi's shift.
+# weight its paths add with phi's shift.  kappa0's mutant moves a divisor of phi,
+# which phixp, phixm and xpxm read as well.
 RED_UNDER = {
     "xpxp": {"xpxp", "xmxm", "phixp", "phixm", "serre_plus", "serre_minus"},
     "xmxm": {"xpxp", "xmxm", "phixp", "phixm", "serre_plus", "serre_minus"},
@@ -635,7 +636,7 @@ RED_UNDER = {
     "grading_gf": {"grading_gf", "xpxm"},
     "grading_gK": {"grading_gK", "xpxm"},
     "dedf": {"dedf", "xpxm"},
-    "kappa0": {"kappa0"},
+    "kappa0": {"kappa0", "phixp", "phixm", "xpxm"},
 }
 MUTANT_HANDLES = [("fock", (3, 0), (2,)), ("fock", (4, 1), (2,)), ("vector", (3, 0), ())]
 
@@ -664,10 +665,33 @@ def test_serre_minus_mutant_turns_red_at_every_n(n, k, monkeypatch):
 @pytest.mark.parametrize("n", (3, 4, 5))
 @pytest.mark.parametrize("rel_id", [r for r in VECTOR_IDS if r in MUTANTS])
 def test_vector_mutant_turns_red_at_every_n(rel_id, n, monkeypatch):
-    # a VectorRep calls vector_rep_apply and its own kplus_exponent; the Fock
-    # mutants of phixp, phixm, grading_gf, grading_gK, dedf and kappa0 leave it
-    # green, so assert_turns_red runs the VECTOR_MUTANTS row of these ids
+    # a VectorRep calls vector_rep_apply; the Fock mutants of phixp, phixm,
+    # grading_gf, grading_gK, dedf and kappa0 leave it green, so assert_turns_red
+    # runs the VECTOR_MUTANTS row of these ids
     assert_turns_red(rel_id, monkeypatch, SUITES["vector"].build(P, n, 0), ())
+
+
+@pytest.mark.parametrize("n, k", [(n, k) for n in (3, 4, 5) for k in range(n)])
+def test_kappa0_mutant_turns_red_at_every_n(n, k, monkeypatch):
+    # kappa0 reads the balance of phi's ratio, so a numerator shift moved by q^2
+    # turns it red on every Fock handle of the fock workload
+    assert_turns_red("kappa0", monkeypatch, SUITES["fock"].build(P, n, k), (2,))
+
+
+def test_unbalanced_phi_fails_its_reports(monkeypatch, capsys):
+    # a phi ratio that the module leaves unbalanced is a module fault: the checks that
+    # read it fail, the suite still prints every report, and verify exits 1, not 2
+    unbalanced_numerator_shift(monkeypatch, None)
+    assert cli.main(["verify", "fock", "--N", "3", "--k", "0", "--max-size", "2",
+                     "--json"]) == 1
+    rows = {row["relation_id"]: row for row in json.loads(capsys.readouterr().out)}
+    assert list(rows) == list(FOCK_RELATION_IDS)
+    assert {rid for rid, row in rows.items() if row["status"] == "fail"} == {
+        "xpxm", "kappa0", "phixp", "phixm"}
+    for rid in ("xpxm", "kappa0"):
+        assert rows[rid]["max_residual"] is None or isnan(rows[rid]["max_residual"])
+        assert "BalanceError: unbalanced theta ratio" in rows[rid]["worst_case"]
+    assert rows["phixp"]["max_residual"] == rows["phixm"]["max_residual"] == 1.0
 
 
 def test_mutant_table_covers_every_relation():
